@@ -57,7 +57,7 @@ print("sum of weighted resistances:", round(total, 12), "= n - 1 =", k3.n - 1)
 star = WeightedGraph.from_edges(4, [(0, 1, 2.0), (0, 2, 0.5), (0, 3, 4.0)])
 star_ctx = projection_context(star)
 for eid, e in enumerate(star.edges):
-    lev = np.sum(star_ctx.edge_vector(eid).v ** 2)
+    lev = np.sum(star_ctx.edge_vectors([eid]) ** 2)
     print(
         f"star edge ({e.u},{e.v}) weight {e.weight}: "
         f"r = {1 / e.weight:.4f}, leverage = {lev:.12f}"

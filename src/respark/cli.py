@@ -17,7 +17,7 @@ from .graph import (
     read_edge_list,
     write_edge_list,
 )
-from .harness import GeneratorSpec, emit_report, generate, run_experiment
+from .harness import GENERATOR_MODELS, GeneratorSpec, emit_report, generate, run_experiment
 from .resistance import exact_resistances
 from .sparsify import (
     RESISTANCE_MODES,
@@ -32,14 +32,22 @@ from .verify import projection_error, spectral_check, write_diagnostics
 __all__ = ["main"]
 
 
-def _add_gen(sub: argparse._SubParsersAction) -> None:
-    p = sub.add_parser("gen", help="generate a connected weighted graph")
-    p.add_argument("--model", required=True,
-                   choices=("path", "cycle", "complete", "erdos-renyi", "barbell"))
+def _add_generator_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--model", required=True, choices=GENERATOR_MODELS)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=float, default=None, help="edge probability (erdos-renyi)")
     p.add_argument("--weight-min", type=float, default=1.0)
     p.add_argument("--weight-max", type=float, default=1.0)
+
+
+def _generator_spec(args) -> GeneratorSpec:
+    return GeneratorSpec(args.model, args.n, args.p, args.weight_min, args.weight_max,
+                         args.seed)
+
+
+def _add_gen(sub: argparse._SubParsersAction) -> None:
+    p = sub.add_parser("gen", help="generate a connected weighted graph")
+    _add_generator_args(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True, help="edge-list file to write")
 
@@ -72,12 +80,7 @@ def _add_verify(sub: argparse._SubParsersAction) -> None:
 
 def _add_experiment(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("experiment", help="seeded Monte Carlo over stream runs")
-    p.add_argument("--model", required=True,
-                   choices=("path", "cycle", "complete", "erdos-renyi", "barbell"))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--weight-min", type=float, default=1.0)
-    p.add_argument("--weight-max", type=float, default=1.0)
+    _add_generator_args(p)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--alpha", type=float, default=1.0)
@@ -93,8 +96,7 @@ def _add_experiment(sub: argparse._SubParsersAction) -> None:
 
 
 def _cmd_gen(args) -> int:
-    spec = GeneratorSpec(args.model, args.n, args.p, args.weight_min, args.weight_max,
-                         args.seed)
+    spec = _generator_spec(args)
     g = generate(spec)
     comment = (
         f"generated model={spec.model} n={spec.n} p={spec.p} "
@@ -152,8 +154,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    spec = GeneratorSpec(args.model, args.n, args.p, args.weight_min, args.weight_max,
-                         args.seed)
+    spec = _generator_spec(args)
     g = generate(spec)
     cfg = StreamConfig.for_graph(
         g, args.epsilon, args.delta, args.alpha, args.seed, args.budget_override

@@ -8,6 +8,7 @@ are safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -18,7 +19,6 @@ from scipy.sparse.csgraph import connected_components
 __all__ = [
     "DEFAULT_NULL_TOLERANCE",
     "Edge",
-    "EdgeVector",
     "GraphConnectivityError",
     "ProjectionContext",
     "PseudoinverseFactors",
@@ -28,7 +28,6 @@ __all__ = [
     "is_connected",
     "lambda_max_bound",
     "projection_context",
-    "projection_matrix",
     "pseudo_factorize",
     "read_edge_list",
     "write_edge_list",
@@ -72,8 +71,8 @@ class WeightedGraph:
                 )
             if u == v:
                 raise ValueError(f"edge {k}: self-loop at vertex {u}")
-            if not a > 0:
-                raise ValueError(f"edge {k}: weight must be positive, got {a}")
+            if not 0 < a < math.inf:
+                raise ValueError(f"edge {k}: weight must be positive and finite, got {a}")
 
     @classmethod
     def from_edges(
@@ -162,12 +161,8 @@ class PseudoinverseFactors:
         return len(self.eigenvalues)
 
     @property
-    def rank(self) -> int:
-        return int(np.count_nonzero(self.eigenvalues))
-
-    @property
     def null_count(self) -> int:
-        return self.n - self.rank
+        return int(np.count_nonzero(self.eigenvalues == 0.0))
 
     def _nonzero(self) -> np.ndarray:
         return self.eigenvalues > 0
@@ -184,22 +179,6 @@ class PseudoinverseFactors:
         s = np.where(nz, 1.0 / np.sqrt(np.where(nz, self.eigenvalues, 1.0)), 0.0)
         Q = self.eigenvectors
         return (Q * s) @ Q.T
-
-    def apply_pinv(self, x: np.ndarray) -> np.ndarray:
-        nz = self._nonzero()
-        Q = self.eigenvectors
-        coeff = Q.T @ x
-        coeff[nz] /= self.eigenvalues[nz]
-        coeff[~nz] = 0.0
-        return Q @ coeff
-
-    def apply_inv_sqrt(self, x: np.ndarray) -> np.ndarray:
-        nz = self._nonzero()
-        Q = self.eigenvectors
-        coeff = Q.T @ x
-        coeff[nz] /= np.sqrt(self.eigenvalues[nz])
-        coeff[~nz] = 0.0
-        return Q @ coeff
 
     def resistances(self, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
         """Effective resistances b^T L+ b for many (u, v) pairs at once."""
@@ -254,18 +233,6 @@ def pseudo_factorize(
     return PseudoinverseFactors(w, Q, null_tolerance)
 
 
-class EdgeVector(NamedTuple):
-    """An edge's signed indicator b and its reference-whitened form v.
-
-    v = sqrt(a_e) * L^{-1/2} b_e satisfies ||v||^2 = a_e * r_e where r_e is
-    the edge's effective resistance in the reference graph.
-    """
-
-    edge_id: int
-    b: np.ndarray
-    v: np.ndarray
-
-
 @dataclass(frozen=True)
 class ProjectionContext:
     """Reference-graph factors plus the projection P onto range(L).
@@ -283,15 +250,9 @@ class ProjectionContext:
     def n(self) -> int:
         return self.graph.n
 
-    def edge_vector(self, edge_id: int) -> EdgeVector:
-        e = self.graph.edges[edge_id]
-        b = np.zeros(self.n)
-        b[e.u], b[e.v] = 1.0, -1.0
-        v = np.sqrt(e.weight) * (self.inv_sqrt[:, e.u] - self.inv_sqrt[:, e.v])
-        return EdgeVector(edge_id, b, v)
-
     def edge_vectors(self, edge_ids: Sequence[int] | None = None) -> np.ndarray:
-        """Columns v_e for the given edge ids (all edges when omitted)."""
+        """Columns v_e = sqrt(a_e) L^{-1/2} b_e for the given edge ids (all
+        edges when omitted); ||v_e||^2 = a_e r_e is the edge's leverage."""
         ids = range(self.graph.m) if edge_ids is None else edge_ids
         es = [self.graph.edges[i] for i in ids]
         if not es:
@@ -324,10 +285,6 @@ def projection_context(
         )
     Qr = factors.eigenvectors[:, factors.eigenvalues > 0]
     return ProjectionContext(g, factors, Qr @ Qr.T, factors.inv_sqrt())
-
-
-def projection_matrix(ctx: ProjectionContext) -> np.ndarray:
-    return ctx.projection
 
 
 def lambda_max_bound(g: WeightedGraph) -> float:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -24,7 +24,7 @@ from scipy.stats import beta as _beta_dist
 from .graph import WeightedGraph, is_connected
 from .sparsify import RESISTANCE_MODES, StreamConfig, stream_sparsify
 from .tape import RandomTape
-from .verify import spectral_check
+from .verify import _read_rows, _write_rows, spectral_check
 
 __all__ = [
     "ExperimentReport",
@@ -46,20 +46,6 @@ __all__ = [
 GENERATOR_MODELS = ("path", "cycle", "complete", "erdos-renyi", "barbell")
 
 REPORT_SCHEMA_VERSION = 1
-
-ROW_COLUMNS = (
-    "trial",
-    "seed",
-    "step",
-    "copy_count",
-    "proj_error_norm",
-    "w_norm",
-    "budget_n",
-    "a_event",
-    "b_event",
-    "spectral_ok",
-    "worst_ratio",
-)
 
 
 @dataclass(frozen=True)
@@ -217,6 +203,9 @@ class TrialStepRow:
     b_event: bool
     spectral_ok: bool | None
     worst_ratio: float
+
+
+ROW_COLUMNS = tuple(f.name for f in fields(TrialStepRow))
 
 
 @dataclass(frozen=True)
@@ -423,39 +412,14 @@ def run_experiment(
 # serialization
 
 
-def _generator_dict(spec: GeneratorSpec) -> dict:
-    return {
-        "model": spec.model,
-        "n": spec.n,
-        "p": spec.p,
-        "weight_min": spec.weight_min,
-        "weight_max": spec.weight_max,
-        "seed": spec.seed,
-    }
-
-
-def _config_dict(cfg: StreamConfig) -> dict:
-    return {
-        "eps": cfg.eps,
-        "delta": cfg.delta,
-        "alpha": cfg.alpha,
-        "kappa": cfg.kappa,
-        "n": cfg.n,
-        "m": cfg.m,
-        "seed": cfg.seed,
-        "budget_override": cfg.budget_override,
-        "budget_n": cfg.budget_n,
-    }
-
-
 def report_to_dict(report: ExperimentReport) -> dict:
     """Stable-ordered plain-dict form, wall clock excluded."""
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
         "kind": "respark-experiment-report",
         "regime": report.regime,
-        "generator": _generator_dict(report.generator),
-        "config": _config_dict(report.config),
+        "generator": asdict(report.generator),
+        "config": asdict(report.config),
         "block_size": report.block_size,
         "resistance_mode": report.resistance_mode,
         "trials": report.trials,
@@ -467,38 +431,9 @@ def report_to_dict(report: ExperimentReport) -> dict:
         "failure_rate": report.failure_rate,
         "failure_ci95": list(report.failure_ci95),
         "prop1_violations": report.prop1_violations,
-        "step_stats": [
-            {
-                "step": s.step,
-                "trials": s.trials,
-                "copy_count_mean": s.copy_count_mean,
-                "copy_count_max": s.copy_count_max,
-                "proj_error_mean": s.proj_error_mean,
-                "proj_error_max": s.proj_error_max,
-                "w_norm_mean": s.w_norm_mean,
-                "w_norm_max": s.w_norm_max,
-            }
-            for s in report.step_stats
-        ],
-        "rows": [
-            {
-                "trial": r.trial,
-                "seed": r.seed,
-                "step": r.step,
-                "copy_count": r.copy_count,
-                "proj_error_norm": r.proj_error_norm,
-                "w_norm": r.w_norm,
-                "budget_n": r.budget_n,
-                "a_event": r.a_event,
-                "b_event": r.b_event,
-                "spectral_ok": r.spectral_ok,
-                "worst_ratio": r.worst_ratio,
-            }
-            for r in report.rows
-        ],
-        "errors": [
-            {"trial": e.trial, "step": e.step, "message": e.message} for e in report.errors
-        ],
+        "step_stats": [asdict(s) for s in report.step_stats],
+        "rows": [asdict(r) for r in report.rows],
+        "errors": [asdict(e) for e in report.errors],
     }
 
 
@@ -546,27 +481,7 @@ def emit_report(report: ExperimentReport, path, format: str = "json") -> str:
             fh.write(payload + "\n")
         return path
     if format == "csv":
-        import csv as _csv
-
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(ROW_COLUMNS)
-            for r in report.rows:
-                writer.writerow(
-                    [
-                        r.trial,
-                        r.seed,
-                        r.step,
-                        r.copy_count,
-                        repr(r.proj_error_norm),
-                        repr(r.w_norm),
-                        r.budget_n,
-                        str(r.a_event).lower(),
-                        str(r.b_event).lower(),
-                        "" if r.spectral_ok is None else str(r.spectral_ok).lower(),
-                        repr(r.worst_ratio),
-                    ]
-                )
+        _write_rows(path, report.rows, TrialStepRow)
         return path
     raise ValueError(f"format must be 'json' or 'csv', got {format!r}")
 
@@ -578,32 +493,4 @@ def load_report_json(path) -> ExperimentReport:
 
 def read_report_rows(path) -> list[TrialStepRow]:
     """Rows back from a CSV emission."""
-    import csv as _csv
-
-    rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = _csv.DictReader(fh)
-        missing = set(ROW_COLUMNS) - set(reader.fieldnames or ())
-        if missing:
-            raise ValueError(f"{path}: missing report columns {sorted(missing)}")
-        for row in reader:
-            rows.append(
-                TrialStepRow(
-                    trial=int(row["trial"]),
-                    seed=int(row["seed"]),
-                    step=int(row["step"]),
-                    copy_count=int(row["copy_count"]),
-                    proj_error_norm=float(row["proj_error_norm"]),
-                    w_norm=float(row["w_norm"]),
-                    budget_n=int(row["budget_n"]),
-                    a_event=row["a_event"].strip().lower() == "true",
-                    b_event=row["b_event"].strip().lower() == "true",
-                    spectral_ok=(
-                        None
-                        if not row["spectral_ok"].strip()
-                        else row["spectral_ok"].strip().lower() == "true"
-                    ),
-                    worst_ratio=float(row["worst_ratio"]),
-                )
-            )
-    return rows
+    return _read_rows(path, TrialStepRow, "report")

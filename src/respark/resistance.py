@@ -25,8 +25,6 @@ from .graph import (
 )
 from .tape import RandomTape
 
-_MODES = ("exact", "from-sparsifier", "injected-noise")
-
 # Null-space leakage above this in an endpoint indicator means the endpoints
 # sit in different components and the resistance is infinite.
 _CROSS_COMPONENT_TOL = 1e-8
@@ -49,17 +47,14 @@ class ResistanceEstimate:
 
 @dataclass(frozen=True)
 class AccuracyModel:
-    """Which estimator produced (or should perturb) a set of estimates."""
+    """The accuracy band [1/alpha, alpha] and tape seed of injected noise."""
 
     alpha: float
-    mode: str
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.alpha < 1.0:
             raise ValueError(f"alpha must be >= 1, got {self.alpha}")
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
 
 
 def _check_same_component(factors: PseudoinverseFactors, pairs: Sequence[tuple[int, int]]) -> None:
@@ -145,8 +140,6 @@ def inject_alpha_noise(
     Multipliers are drawn in input order from a labeled tape stream, so a
     fixed (seed, estimate order) pair reproduces the same noise exactly.
     """
-    if model.mode != "injected-noise":
-        raise ValueError(f"model mode must be 'injected-noise', got {model.mode!r}")
     lo, hi = 1.0 / model.alpha, model.alpha
     u = RandomTape(model.seed).labeled("alpha-noise", len(estimates))
     factors = lo + u * (hi - lo)

@@ -1,15 +1,18 @@
 """Incremental resparsification: budget, config, the per-block step, and
-two equivalent stream drivers.
+the stream step loop.
 
-`stream_sparsify` is the block formulation: each step recomputes sampling
-probabilities on the current sparsifier plus the new block, thins the
-surviving copies by probability ratios, and samples the new edges.
-`single_edge_stream` (block size 1) and its generalization
-`indicator_stream` keep the full (edge, copy) indicator matrix instead,
-with unseen edges conventionally holding probability 1 and all copies
-alive. Both consume the same keyed random tape, so for any fixed block
-partition they produce bit-identical copy sets; the indicator form
-additionally emits complete per-step traces for the analysis instruments.
+Every stream driver runs one loop: estimate resistances on the current
+state, resparsify (thin the surviving copies by probability ratios and
+sample the new block), record, then call the observer. The state stays
+sparse (only surviving copies are stored); three entry points differ only
+in what the loop records. `stream_sparsify` returns the final sparsifier
+and, with diagnostics on, one DiagnosticsRecord per step.
+`indicator_stream` also returns the per-step StreamTrace, with unseen
+edges conventionally holding probability 1 and all copies alive, and
+optionally the full (m, N) copy-indicator row per step.
+`single_edge_stream` is `indicator_stream` with block size 1. All of them
+consume the same keyed random tape, so for a fixed block partition they
+produce bit-identical copy sets.
 """
 
 from __future__ import annotations
@@ -229,51 +232,28 @@ class Sparsifier:
             out.extend(EdgeCopy(e, int(j), True, p) for j in self.alive[e])
         return out
 
-    def _merged_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        ids = sorted(self.alive)
-        us = np.array([self.edges[e].u for e in ids], dtype=int)
-        vs = np.array([self.edges[e].v for e in ids], dtype=int)
-        ws = np.array([len(self.alive[e]) * self.copy_weight(e) for e in ids])
-        return us, vs, ws
+    def _merged(self, block: Sequence[int] = ()) -> list[tuple[int, int, float]]:
+        """(u, v, weight) per alive edge with its copies merged, in id
+        order, followed by the raw edges of `block`."""
+        merged = [
+            (self.edges[e].u, self.edges[e].v, len(self.alive[e]) * self.copy_weight(e))
+            for e in sorted(self.alive)
+        ]
+        return merged + [self.edges[e] for e in block]
 
     def laplacian(self) -> np.ndarray:
-        us, vs, ws = self._merged_arrays()
-        return laplacian_from_arrays(self.n, us, vs, ws)
+        us, vs, ws = zip(*self._merged()) if self.alive else ((), (), ())
+        return laplacian_from_arrays(
+            self.n, np.array(us, dtype=int), np.array(vs, dtype=int), np.array(ws, dtype=float)
+        )
 
     def to_graph(self) -> WeightedGraph:
         """Alive copies merged into one weighted edge per id."""
-        ids = sorted(self.alive)
-        return WeightedGraph.from_edges(
-            self.n,
-            [
-                (self.edges[e].u, self.edges[e].v, len(self.alive[e]) * self.copy_weight(e))
-                for e in ids
-            ],
-        )
+        return WeightedGraph.from_edges(self.n, self._merged())
 
     def combined_with(self, block: Sequence[int]) -> WeightedGraph:
         """The merged sparsifier plus the raw edges of the next block."""
-        ids = sorted(self.alive)
-        triples = [
-            (self.edges[e].u, self.edges[e].v, len(self.alive[e]) * self.copy_weight(e))
-            for e in ids
-        ]
-        triples.extend(
-            (self.edges[e].u, self.edges[e].v, self.edges[e].weight) for e in block
-        )
-        return WeightedGraph.from_edges(self.n, triples)
-
-
-def _new_probability(
-    weight: float, r_tilde: float, alpha: float, n: int, prev: float
-) -> tuple[float, float]:
-    # min rule with a defensive clamp to (0, 1]; returns (p_new, ratio)
-    raw = min(weight * r_tilde / (alpha * (n - 1)), 1.0)
-    p = min(raw, prev)
-    ratio = p / prev
-    if ratio > 1.0 + 1e-12:
-        raise RuntimeError("min rule violated: probability ratio exceeds 1")
-    return p, min(ratio, 1.0)
+        return WeightedGraph.from_edges(self.n, self._merged(block))
 
 
 def resparsify(
@@ -319,10 +299,11 @@ def resparsify(
     all_copies = np.arange(N)
     for e in needed:
         prev = h_prev.p_tilde.get(e, 1.0)
-        p, ratio = _new_probability(h_prev.edges[e].weight, rmap[e], alpha, n, prev)
+        # min rule: p <= prev makes the survival ratio p / prev <= 1 exactly
+        p = min(h_prev.edges[e].weight * rmap[e] / (alpha * (n - 1)), 1.0, prev)
         js = h_prev.alive[e] if e not in block_set else all_copies
         u = tape.uniforms(s, e, N)
-        kept = js[u[js] <= ratio]
+        kept = js[u[js] <= p / prev]
         p_new[e] = p
         if len(kept):
             alive_new[e] = kept
@@ -366,9 +347,7 @@ def _step_estimates(
         exact = exact_resistances(factors, pairs, targets)
         if mode == "exact":
             return exact
-        model = AccuracyModel(
-            cfg.alpha, "injected-noise", RandomTape(cfg.seed).child_seed(f"noise/{step}")
-        )
+        model = AccuracyModel(cfg.alpha, seed=RandomTape(cfg.seed).child_seed(f"noise/{step}"))
         return inject_alpha_noise(exact, model)
     raise ValueError(f"resistance mode must be one of {RESISTANCE_MODES}, got {mode!r}")
 
@@ -409,31 +388,45 @@ class StreamTrace:
         return ratios.max(axis=0)
 
 
-def _empty_trace(g: WeightedGraph, cfg: StreamConfig, with_copies: bool) -> StreamTrace:
-    m, N = g.m, cfg.budget_n
-    return StreamTrace(
-        n=g.n,
-        budget_n=N,
-        edges=g.edges,
-        arrived=[0],
-        p_steps=[np.ones(m)],
-        alive_steps=[np.full(m, float(N))],
-        copy_steps=[np.ones((m, N), dtype=bool)] if with_copies else None,
-    )
+class _TraceRecorder:
+    """Builds the StreamTrace of a run, one row per step, from the sparse state.
 
+    Rows carry the unseen-edge convention (p = 1, all N copies alive).
+    Per-copy rows, when asked for, start all False for the seen edges and
+    are then set at each alive edge's surviving copy indices.
+    """
 
-def _append_block_state(trace: StreamTrace, h: Sparsifier) -> None:
-    m, N = len(trace.edges), trace.budget_n
-    p = np.ones(m)
-    alive = np.full(m, float(N))
-    for e, val in h.p_tilde.items():
-        p[e] = val
-        alive[e] = 0.0
-    for e, js in h.alive.items():
-        alive[e] = float(len(js))
-    trace.arrived.append(h.arrived)
-    trace.p_steps.append(p)
-    trace.alive_steps.append(alive)
+    def __init__(self, g: WeightedGraph, cfg: StreamConfig, copies: bool):
+        m, N = g.m, cfg.budget_n
+        self.trace = StreamTrace(
+            n=g.n,
+            budget_n=N,
+            edges=g.edges,
+            arrived=[0],
+            p_steps=[np.ones(m)],
+            alive_steps=[np.full(m, float(N))],
+            copy_steps=[np.ones((m, N), dtype=bool)] if copies else None,
+        )
+
+    def append(self, h: Sparsifier) -> None:
+        trace = self.trace
+        m, N = len(trace.edges), trace.budget_n
+        p = np.ones(m)
+        alive = np.full(m, float(N))
+        for e, val in h.p_tilde.items():
+            p[e] = val
+            alive[e] = 0.0
+        for e, js in h.alive.items():
+            alive[e] = float(len(js))
+        trace.arrived.append(h.arrived)
+        trace.p_steps.append(p)
+        trace.alive_steps.append(alive)
+        if trace.copy_steps is not None:
+            z = np.ones((m, N), dtype=bool)
+            z[: h.arrived] = False
+            for e, js in h.alive.items():
+                z[e, js] = True
+            trace.copy_steps.append(z)
 
 
 class _DiagnosticsEngine:
@@ -476,6 +469,47 @@ def _check_cfg_matches(g: WeightedGraph, cfg: StreamConfig) -> None:
         raise ConfigError(f"config kappa={cfg.kappa} does not match graph kappa={kappa}")
 
 
+def _run_stream(
+    g: WeightedGraph,
+    cfg: StreamConfig,
+    block_size: int | None,
+    mode: str,
+    on_step: Callable | None,
+    diagnostics: bool,
+    trace: bool,
+    copies: bool = False,
+) -> tuple[Sparsifier, list, StreamTrace | None]:
+    """The one step loop: estimate, resparsify, record, then call on_step.
+
+    A trace is recorded when asked for or when diagnostics need one (the
+    variation norm reads it); per-copy rows only when `copies` is set.
+    """
+    _check_cfg_matches(g, cfg)
+    blocks = partition_stream(g, cfg.budget_n if block_size is None else block_size)
+    tape = RandomTape(cfg.seed)
+    h = Sparsifier.empty(g, cfg)
+    recorder = _TraceRecorder(g, cfg, copies) if trace or diagnostics else None
+    engine = _DiagnosticsEngine(g, cfg) if diagnostics else None
+    records: list = []
+    for step, block in enumerate(blocks, start=1):
+        try:
+            estimates = _step_estimates(h, block, g, mode, step)
+            h = resparsify(h, block, estimates, tape)
+        except (StreamStepError, ConfigError):
+            raise
+        except Exception as exc:
+            raise StreamStepError(step, str(exc)) from exc
+        if recorder is not None:
+            recorder.append(h)
+        record = None
+        if engine is not None:
+            record = engine.record(recorder.trace, h, step)
+            records.append(record)
+        if on_step is not None:
+            on_step(step, h, g.prefix(h.arrived), record)
+    return h, records, recorder.trace if recorder is not None else None
+
+
 def stream_sparsify(
     g: WeightedGraph,
     cfg: StreamConfig,
@@ -513,29 +547,9 @@ def stream_sparsify(
     -------
     (Sparsifier, list of DiagnosticsRecord)
     """
-    _check_cfg_matches(g, cfg)
-    if block_size is None:
-        block_size = cfg.budget_n
-    blocks = partition_stream(g, block_size)
-    tape = RandomTape(cfg.seed)
-    h = Sparsifier.empty(g, cfg)
-    trace = _empty_trace(g, cfg, with_copies=False)
-    engine = _DiagnosticsEngine(g, cfg) if diagnostics else None
-    records: list = []
-    for step, block in enumerate(blocks, start=1):
-        try:
-            estimates = _step_estimates(h, block, g, resistance_mode, step)
-            h = resparsify(h, block, estimates, tape)
-        except (StreamStepError, ConfigError):
-            raise
-        except Exception as exc:
-            raise StreamStepError(step, str(exc)) from exc
-        _append_block_state(trace, h)
-        record = engine.record(trace, h, step) if engine else None
-        if record is not None:
-            records.append(record)
-        if on_step is not None:
-            on_step(step, h, g.prefix(h.arrived), record)
+    h, records, _ = _run_stream(
+        g, cfg, block_size, resistance_mode, on_step, diagnostics, trace=False
+    )
     return h, records
 
 
@@ -548,71 +562,16 @@ def indicator_stream(
     record_copies: bool = True,
     on_step: Callable | None = None,
 ) -> tuple[Sparsifier, list, StreamTrace]:
-    """Indicator-matrix formulation of the same stream computation.
+    """The same stream computation, returning its complete per-step trace.
 
-    Keeps the full (m, N) aliveness matrix with the unseen-edge convention
-    (probability 1, all copies alive) and updates probabilities only from
-    an edge's arrival step on. For any fixed block partition this produces
-    exactly the copy sets of stream_sparsify under the same tape; it
-    additionally returns the complete per-step trace.
+    Trace rows carry the unseen-edge convention (probability 1, all copies
+    alive); with record_copies each row also holds the full (m, N)
+    copy-indicator matrix. The copy sets are exactly those of
+    stream_sparsify for the same partition and tape.
     """
-    _check_cfg_matches(g, cfg)
-    blocks = partition_stream(g, block_size)
-    tape = RandomTape(cfg.seed)
-    m, N, alpha, n = g.m, cfg.budget_n, cfg.alpha, cfg.n
-    p = np.ones(m)
-    Z = np.ones((m, N), dtype=bool)
-    h = Sparsifier.empty(g, cfg)
-    trace = _empty_trace(g, cfg, with_copies=record_copies)
-    engine = _DiagnosticsEngine(g, cfg) if diagnostics else None
-    records: list = []
-    for step, block in enumerate(blocks, start=1):
-        block_set = set(block)
-        targets = sorted(set(h.alive) | block_set)
-        try:
-            estimates = _step_estimates(h, block, g, resistance_mode, step)
-            rmap = {est.edge_id: est.r_tilde for est in estimates}
-            for e in targets:
-                p_next, ratio = _new_probability(
-                    g.edges[e].weight, rmap[e], alpha, n, float(p[e])
-                )
-                u = tape.uniforms(step, e, N)
-                Z[e] &= u <= ratio
-                p[e] = p_next
-        except (StreamStepError, ConfigError):
-            raise
-        except Exception as exc:
-            raise StreamStepError(step, str(exc)) from exc
-        arrived = h.arrived + len(block)
-        h = _materialize(g, cfg, step, arrived, p, Z)
-        trace.arrived.append(arrived)
-        trace.p_steps.append(p.copy())
-        alive = np.full(m, float(N))
-        counts = Z.sum(axis=1).astype(float)
-        alive[:arrived] = counts[:arrived]
-        trace.alive_steps.append(alive)
-        if record_copies:
-            trace.copy_steps.append(Z.copy())
-        record = engine.record(trace, h, step) if engine else None
-        if record is not None:
-            records.append(record)
-        if on_step is not None:
-            on_step(step, h, g.prefix(arrived), record)
-    return h, records, trace
-
-
-def _materialize(
-    g: WeightedGraph, cfg: StreamConfig, step: int, arrived: int, p: np.ndarray, Z: np.ndarray
-) -> Sparsifier:
-    p_tilde = {e: float(p[e]) for e in range(arrived)}
-    alive = {}
-    for e in range(arrived):
-        js = np.flatnonzero(Z[e])
-        if len(js):
-            alive[e] = js
-    return Sparsifier(
-        config=cfg, step=step, n=g.n, edges=g.edges, arrived=arrived,
-        p_tilde=p_tilde, alive=alive,
+    return _run_stream(
+        g, cfg, block_size, resistance_mode, on_step, diagnostics, trace=True,
+        copies=record_copies,
     )
 
 
@@ -625,15 +584,7 @@ def single_edge_stream(
     on_step: Callable | None = None,
 ) -> tuple[Sparsifier, list, StreamTrace]:
     """The single-edge-arrival formulation: indicator_stream with block size 1."""
-    return indicator_stream(
-        g,
-        cfg,
-        block_size=1,
-        resistance_mode=resistance_mode,
-        diagnostics=diagnostics,
-        record_copies=record_copies,
-        on_step=on_step,
-    )
+    return indicator_stream(g, cfg, 1, resistance_mode, diagnostics, record_copies, on_step)
 
 
 # ---------------------------------------------------------------------------
@@ -674,8 +625,10 @@ class LoadedSparsifier:
 
 
 def read_sparsifier(path, n: int | None = None) -> LoadedSparsifier:
+    """Read a sparsifier file, checking every row (against n when given)."""
     header = None
     rows = []
+    bound = math.inf if n is None else n
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -692,10 +645,20 @@ def read_sparsifier(path, n: int | None = None) -> LoadedSparsifier:
                 raise ValueError(
                     f"{path}:{lineno}: expected 'u v weight e j p_tilde', got {line!r}"
                 )
-            u, v = int(tokens[0]), int(tokens[1])
-            rows.append(
-                (u, v, float(tokens[2]), int(tokens[3]), int(tokens[4]), float(tokens[5]))
-            )
+            try:
+                u, v, w, e, j, p = (
+                    int(tokens[0]), int(tokens[1]), float(tokens[2]),
+                    int(tokens[3]), int(tokens[4]), float(tokens[5]),
+                )
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            if not (0 <= u < bound and 0 <= v < bound and u != v
+                    and 0.0 < w < math.inf and 0.0 < p <= 1.0):
+                raise ValueError(
+                    f"{path}:{lineno}: need distinct vertex ids in [0, {bound}), a finite "
+                    f"weight > 0 and p_tilde in (0, 1], got {line!r}"
+                )
+            rows.append((u, v, w, e, j, p))
     if header is None:
         raise ValueError(f"{path}: missing sparsifier header comment")
     if n is None:

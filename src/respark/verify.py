@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -37,17 +37,6 @@ __all__ = [
     "spectral_check",
     "write_diagnostics",
 ]
-
-DIAGNOSTICS_COLUMNS = (
-    "step",
-    "copy_count",
-    "proj_error_norm",
-    "w_norm",
-    "budget_n",
-    "a_event",
-    "b_event",
-)
-
 
 @dataclass(frozen=True)
 class DiagnosticsRecord:
@@ -78,6 +67,9 @@ class DiagnosticsRecord:
         a_event = (not math.isnan(proj)) and proj >= cfg.eps
         b_event = int(copy_count) >= 3 * cfg.budget_n
         return cls(int(step), int(copy_count), proj, w, cfg.budget_n, a_event, b_event)
+
+
+DIAGNOSTICS_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 
 def _laplacian_of(h) -> np.ndarray:
@@ -250,44 +242,48 @@ def dominance_check(
 
 
 # ---------------------------------------------------------------------------
-# diagnostics CSV
+# row CSV: one codec for every flat record dataclass
+
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
+
+
+def _parse_cell(kind: str, text: str):
+    # kind is the field's annotation string: int, float, bool or bool | None
+    text = text.strip()
+    if kind.startswith("bool"):
+        return None if kind.endswith("None") and not text else text.lower() == "true"
+    return int(text) if kind == "int" else float(text)
+
+
+def _write_rows(path, rows: Sequence, cls) -> None:
+    names = [f.name for f in fields(cls)]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        writer.writerows([_cell(getattr(r, k)) for k in names] for r in rows)
+
+
+def _read_rows(path, cls, what: str) -> list:
+    kinds = {f.name: f.type for f in fields(cls)}
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = set(kinds) - set(reader.fieldnames or ())
+        if missing:
+            raise ValueError(f"{path}: missing {what} columns {sorted(missing)}")
+        return [cls(**{k: _parse_cell(t, row[k]) for k, t in kinds.items()}) for row in reader]
 
 
 def write_diagnostics(records: Sequence[DiagnosticsRecord], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DIAGNOSTICS_COLUMNS)
-        for r in records:
-            writer.writerow(
-                [
-                    r.step,
-                    r.copy_count,
-                    repr(r.proj_error_norm),
-                    repr(r.w_norm),
-                    r.budget_n,
-                    str(r.a_event).lower(),
-                    str(r.b_event).lower(),
-                ]
-            )
+    _write_rows(path, records, DiagnosticsRecord)
 
 
 def read_diagnostics(path) -> list[DiagnosticsRecord]:
-    records = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(DIAGNOSTICS_COLUMNS) - set(reader.fieldnames or ())
-        if missing:
-            raise ValueError(f"{path}: missing diagnostics columns {sorted(missing)}")
-        for row in reader:
-            records.append(
-                DiagnosticsRecord(
-                    step=int(row["step"]),
-                    copy_count=int(row["copy_count"]),
-                    proj_error_norm=float(row["proj_error_norm"]),
-                    w_norm=float(row["w_norm"]),
-                    budget_n=int(row["budget_n"]),
-                    a_event=row["a_event"].strip().lower() == "true",
-                    b_event=row["b_event"].strip().lower() == "true",
-                )
-            )
-    return records
+    return _read_rows(path, DiagnosticsRecord, "diagnostics")

@@ -191,3 +191,44 @@ def test_unknown_subcommand_exits_nonzero():
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 2
+
+
+def test_sparsify_rejects_infinite_weight(tmp_path, capsys):
+    graph = tmp_path / "inf.edges"
+    graph.write_text("0 1 1.0\n1 2 inf\n")
+    code = main([
+        "sparsify", "--input", str(graph), "--epsilon", "0.5",
+        "--output", str(tmp_path / "h.sparsifier"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error:" in err and "finite" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "0 5 1.0 0 0 1.0",  # vertex id out of range for n = 3
+        "-1 1 1.0 0 0 1.0",  # negative vertex id
+        "1 1 1.0 0 0 1.0",  # self-loop
+        "0 1 inf 0 0 1.0",  # non-finite weight
+        "0 1 0.0 0 0 1.0",  # zero weight
+        "0 1 1.0 0 0 1.5",  # p_tilde above 1
+        "0 1 1.0 0 0 0.0",  # p_tilde at 0
+        "0 1 1.0 0 0 nan",  # NaN p_tilde
+        "0 x 1.0 0 0 1.0",  # unparsable vertex id
+    ],
+)
+def test_verify_rejects_bad_sparsifier_rows(tmp_path, capsys, row):
+    graph = tmp_path / "g.edges"
+    graph.write_text("0 1 1.0\n1 2 1.0\n")
+    sp = tmp_path / "h.sparsifier"
+    sp.write_text(f"# respark sparsifier step=1 N=1 seed=0\n{row}\n")
+    code = main([
+        "verify", "--graph", str(graph), "--sparsifier", str(sp), "--epsilon", "0.5",
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error:" in err and "h.sparsifier:2:" in err
+    assert "Traceback" not in err

@@ -1,0 +1,27 @@
+"""Smoke runs of the narrative scripts under demos/: each must complete."""
+
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("laplacian_and_resistances.py", []),
+        ("streaming_sparsification.py", []),
+        ("verification_instruments.py", []),
+        ("concentration_experiment.py", ["--trials", "10"]),
+    ],
+)
+def test_demo_runs(name, args, tmp_path, monkeypatch, capsys):
+    path = DEMOS / name
+    monkeypatch.setattr(sys, "argv", [str(path), *args])
+    # the demos write their files under tempfile's directory
+    monkeypatch.setattr("tempfile.tempdir", str(tmp_path))
+    runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out

@@ -14,7 +14,6 @@ from respark.graph import (
     is_connected,
     lambda_max_bound,
     projection_context,
-    projection_matrix,
     pseudo_factorize,
     read_edge_list,
     write_edge_list,
@@ -56,6 +55,9 @@ def test_edge_validation():
         WeightedGraph.from_edges(3, [(0, 3, 1.0)])
     with pytest.raises(ValueError):
         WeightedGraph(0, ())
+    for weight in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="edge 1: weight must be positive and finite"):
+            WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 2, weight)])
 
 
 def test_graph_accessors():
@@ -166,14 +168,14 @@ def test_connectivity_basics():
 def test_projection_for_single_edge():
     # n=2: P = I - ones/2
     ctx = projection_context(P2)
-    assert np.allclose(projection_matrix(ctx), [[0.5, -0.5], [-0.5, 0.5]], atol=1e-12)
+    assert np.allclose(ctx.projection, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
 @given(connected_graphs())
 def test_projection_invariants(g):
     ctx = projection_context(g)
-    p = projection_matrix(ctx)
+    p = ctx.projection
     assert np.linalg.norm(p @ p - p, ord=2) < 1e-8
     assert np.trace(p) == pytest.approx(g.n - 1, abs=1e-8)
     assert np.abs(p @ np.ones(g.n)).max() < 1e-8

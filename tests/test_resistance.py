@@ -93,9 +93,7 @@ def test_estimate_validation():
     with pytest.raises(ValueError):
         ResistanceEstimate(0, 1.0, 0.5)
     with pytest.raises(ValueError):
-        AccuracyModel(0.9, "exact")
-    with pytest.raises(ValueError):
-        AccuracyModel(1.0, "bogus")
+        AccuracyModel(0.9)
 
 
 def test_cross_component_query_errors():
@@ -164,27 +162,21 @@ def test_inject_alpha_noise_bounds_and_determinism():
     g = C4
     pairs = [(e.u, e.v) for e in g.edges]
     exact = exact_resistances(_factors(g), pairs)
-    model = AccuracyModel(2.0, "injected-noise", seed=5)
+    model = AccuracyModel(2.0, seed=5)
     noisy = inject_alpha_noise(exact, model)
     again = inject_alpha_noise(exact, model)
     for est, ref in zip(noisy, exact):
         assert ref.r_tilde / 2.0 - 1e-12 <= est.r_tilde <= 2.0 * ref.r_tilde + 1e-12
         assert est.alpha == 2.0
     assert [e.r_tilde for e in noisy] == [e.r_tilde for e in again]
-    shifted = inject_alpha_noise(exact, AccuracyModel(2.0, "injected-noise", seed=6))
+    shifted = inject_alpha_noise(exact, AccuracyModel(2.0, seed=6))
     assert [e.r_tilde for e in shifted] != [e.r_tilde for e in noisy]
 
 
 def test_inject_alpha_one_is_identity():
     exact = exact_resistances(_factors(K3), [(0, 1), (1, 2)])
-    out = inject_alpha_noise(exact, AccuracyModel(1.0, "injected-noise", seed=9))
+    out = inject_alpha_noise(exact, AccuracyModel(1.0, seed=9))
     assert [e.r_tilde for e in out] == [e.r_tilde for e in exact]
-
-
-def test_inject_requires_noise_mode():
-    exact = exact_resistances(_factors(K3), [(0, 1)])
-    with pytest.raises(ValueError):
-        inject_alpha_noise(exact, AccuracyModel(2.0, "exact"))
 
 
 def test_cg_matches_dense_oracle():

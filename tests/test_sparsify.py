@@ -1,5 +1,5 @@
-"""Budget arithmetic, the resparsification step, and equivalence of the
-three stream drivers."""
+"""Budget arithmetic, the resparsification step, the stream drivers, and
+their agreement with an independent dense-indicator reference."""
 
 import math
 
@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from respark.graph import GraphConnectivityError, WeightedGraph, build_laplacian
+from respark.graph import (
+    GraphConnectivityError,
+    WeightedGraph,
+    build_laplacian,
+    pseudo_factorize,
+)
 from respark.harness import GeneratorSpec, generate
 from respark.resistance import ResistanceEstimate
 from respark.sparsify import (
@@ -246,6 +251,90 @@ def _same_state(h1, h2):
         assert np.array_equal(h1.alive[e], h2.alive[e])
 
 
+def _dense_reference(g, cfg, block_size, mode):
+    """The stream as a dense (m, N) copy-indicator matrix Z and vector p.
+
+    Independent of the library's step loop and sparse state: unseen edges
+    hold p = 1 with every copy alive, each step estimates resistances
+    ("exact": on the stream prefix; "sparsifier": on the alive copies
+    merged per edge plus the raw block, built here), and every copy of an
+    alive-or-arriving edge survives iff its tape uniform is <= p_new / p_old.
+    Returns one (arrived, p, alive counts, Z) row per step, row 0 included.
+    """
+    m, N, n = g.m, cfg.budget_n, g.n
+    tape = RandomTape(cfg.seed)
+    p = np.ones(m)
+    Z = np.ones((m, N), dtype=bool)
+    rows = [(0, p.copy(), np.full(m, float(N)), Z.copy())]
+    arrived = 0
+    for step, block in enumerate(partition_stream(g, block_size), start=1):
+        alive_ids = [e for e in range(arrived) if Z[e].any()]
+        targets = alive_ids + block
+        if mode == "exact":
+            reference = g.prefix(arrived + len(block))
+        else:
+            merged = [
+                (g.edges[e].u, g.edges[e].v, Z[e].sum() * (g.edges[e].weight / (N * p[e])))
+                for e in alive_ids
+            ]
+            reference = WeightedGraph.from_edges(n, merged + [g.edges[e] for e in block])
+        factors = pseudo_factorize(build_laplacian(reference))
+        r = factors.resistances([(g.edges[e].u, g.edges[e].v) for e in targets])
+        for e, r_e in zip(targets, r):
+            p_next = min(g.edges[e].weight * float(r_e) / (cfg.alpha * (n - 1)), 1.0, p[e])
+            Z[e] &= tape.uniforms(step, e, N) <= p_next / p[e]
+            p[e] = p_next
+        arrived += len(block)
+        alive = np.full(m, float(N))
+        alive[:arrived] = Z[:arrived].sum(axis=1)
+        rows.append((arrived, p.copy(), alive, Z.copy()))
+    return rows
+
+
+def _matches_reference(h, rows):
+    arrived, p, _, Z = rows[-1]
+    assert h.arrived == arrived
+    assert h.p_tilde == {e: float(p[e]) for e in range(arrived)}
+    alive = {e: np.flatnonzero(Z[e]) for e in range(arrived) if Z[e].any()}
+    assert sorted(h.alive) == sorted(alive)
+    for e in alive:
+        assert np.array_equal(h.alive[e], alive[e])
+
+
+def _trace_matches_reference(trace, rows):
+    assert trace.arrived == [row[0] for row in rows]
+    for name, k in (("p_steps", 1), ("alive_steps", 2), ("copy_steps", 3)):
+        got = getattr(trace, name)
+        assert len(got) == len(rows)
+        assert all(np.array_equal(a, row[k]) for a, row in zip(got, rows)), name
+
+
+def test_drivers_match_dense_reference_on_criterion_10_instances():
+    # criterion 10's 20 instances and block sizes {1, 3, m}, against the
+    # dense reference: final copy sets, and every trace row exactly
+    models = ("path", "cycle", "complete", "erdos-renyi", "barbell")
+    dropped = 0
+    for i in range(20):
+        model = models[i % 5]
+        spec = GeneratorSpec(
+            model, 8 + i % 5, p=0.5 if model == "erdos-renyi" else None, seed=100 + i
+        )
+        g = generate(spec)
+        cfg = StreamConfig.for_graph(g, 0.5, 0.1, 1.0, seed=i, budget_override=40)
+        for block in (1, 3, g.m):
+            rows = _dense_reference(g, cfg, block, "sparsifier")
+            hb, _ = stream_sparsify(g, cfg, block_size=block,
+                                    resistance_mode="sparsifier", diagnostics=False)
+            _matches_reference(hb, rows)
+            hi, _, trace = indicator_stream(g, cfg, block_size=block,
+                                            resistance_mode="sparsifier", diagnostics=False)
+            _same_state(hb, hi)
+            _trace_matches_reference(trace, rows)
+            dropped += hb.copy_count() < g.m * cfg.budget_n
+    # the comparison means something only if copies actually die
+    assert dropped > 0
+
+
 def test_default_block_size_is_budget():
     g = generate(GeneratorSpec("erdos-renyi", 10, p=0.5, seed=3))
     cfg = _small_cfg(g, budget=8)
@@ -273,8 +362,8 @@ def test_stream_is_deterministic_in_seed():
     block=st.integers(1, 6),
 )
 def test_drivers_agree_on_copy_sets(model, n, seed, block):
-    # the block driver and the indicator driver share the keyed tape, so
-    # any common partition yields bit-identical state
+    # the drivers and the dense reference share the keyed tape, so any
+    # common partition yields bit-identical state
     g = generate(GeneratorSpec(model, n))
     cfg = _small_cfg(g, seed=seed, budget=50)
     hb, _ = stream_sparsify(g, cfg, block_size=block, resistance_mode="exact",
@@ -282,6 +371,7 @@ def test_drivers_agree_on_copy_sets(model, n, seed, block):
     hi, _, _ = indicator_stream(g, cfg, block_size=block, resistance_mode="exact",
                                 diagnostics=False, record_copies=False)
     _same_state(hb, hi)
+    _matches_reference(hb, _dense_reference(g, cfg, block, "exact"))
 
 
 def test_single_edge_stream_is_block_one():
