@@ -12,6 +12,7 @@
 
 import argparse
 import json
+import os
 import tempfile
 
 from respark import (
@@ -67,10 +68,12 @@ def main():
         lo, hi = clopper_pearson(failures, trials, conf)
         print(f"\n{failures}/{trials} failures at {conf:.0%}: [{lo:.4f}, {hi:.4f}]")
 
-    path = args.report or tempfile.mktemp(suffix=".json", prefix="respark-report-")
-    emit_report(report, path)
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    # without --report the JSON goes to a scratch directory removed on exit
+    with tempfile.TemporaryDirectory(prefix="respark-report-") as tmp:
+        path = args.report or os.path.join(tmp, "report.json")
+        emit_report(report, path)
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
     print(f"\nreport written to {path} ({len(payload['rows'])} rows, schema v{payload['schema_version']})")
 
 

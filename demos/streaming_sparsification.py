@@ -65,8 +65,9 @@ dropped = sum(1 for e in range(g.m) if e not in h.alive)
 print(f"edges with no surviving copy: {dropped} of {g.m}")
 
 # The sparsifier state is plain text on disk and reconstructs bit-exactly.
-path = os.path.join(tempfile.mkdtemp(), "h.tsv")
-write_sparsifier(h, path)
-h2 = read_sparsifier(path, n=g.n)
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "h.tsv")
+    write_sparsifier(h, path)
+    h2 = read_sparsifier(path, n=g.n)
 same = np.allclose(h.laplacian(), h2.laplacian(), rtol=1e-15)
 print(f"round trip through {os.path.basename(path)}: laplacians identical = {same}")

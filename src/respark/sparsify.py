@@ -44,7 +44,6 @@ from .tape import RandomTape
 
 __all__ = [
     "ConfigError",
-    "EdgeCopy",
     "LoadedSparsifier",
     "RandomTape",
     "Sparsifier",
@@ -184,14 +183,6 @@ def partition_stream(g: WeightedGraph, block_size: int) -> list[list[int]]:
 
 
 @dataclass(frozen=True)
-class EdgeCopy:
-    edge_id: int
-    copy: int
-    alive: bool
-    p_tilde: float
-
-
-@dataclass(frozen=True)
 class Sparsifier:
     """State after step `step`: surviving copies and their probabilities.
 
@@ -224,13 +215,6 @@ class Sparsifier:
 
     def copy_weight(self, edge_id: int) -> float:
         return self.edges[edge_id].weight / (self.budget_n * self.p_tilde[edge_id])
-
-    def copies(self) -> list[EdgeCopy]:
-        out = []
-        for e in sorted(self.alive):
-            p = self.p_tilde[e]
-            out.extend(EdgeCopy(e, int(j), True, p) for j in self.alive[e])
-        return out
 
     def _merged(self, block: Sequence[int] = ()) -> list[tuple[int, int, float]]:
         """(u, v, weight) per alive edge with its copies merged, in id
@@ -296,14 +280,16 @@ def resparsify(
     block_set = set(block)
     p_new: dict[int, float] = dict(h_prev.p_tilde)
     alive_new: dict[int, np.ndarray] = {}
-    all_copies = np.arange(N)
     for e in needed:
         prev = h_prev.p_tilde.get(e, 1.0)
         # min rule: p <= prev makes the survival ratio p / prev <= 1 exactly
         p = min(h_prev.edges[e].weight * rmap[e] / (alpha * (n - 1)), 1.0, prev)
-        js = h_prev.alive[e] if e not in block_set else all_copies
         u = tape.uniforms(s, e, N)
-        kept = js[u[js] <= p / prev]
+        if e in block_set:
+            kept = np.flatnonzero(u <= p / prev)
+        else:
+            js = h_prev.alive[e]
+            kept = js[u[js] <= p / prev]
         p_new[e] = p
         if len(kept):
             alive_new[e] = kept
@@ -589,6 +575,14 @@ def single_edge_stream(
 
 # ---------------------------------------------------------------------------
 # sparsifier file format
+#
+# A header comment '# respark sparsifier step=S N=N seed=SEED', then one
+# 'u v weight e j p_tilde' row per alive copy in (e, j) order. Floats are
+# written by repr, so they read back bit for bit.
+
+_ROW_DTYPE = np.dtype(
+    [("u", "i8"), ("v", "i8"), ("weight", "f8"), ("e", "i8"), ("j", "i8"), ("p_tilde", "f8")]
+)
 
 
 def write_sparsifier(h: Sparsifier, path) -> None:
@@ -597,76 +591,190 @@ def write_sparsifier(h: Sparsifier, path) -> None:
         fh.write(
             f"# respark sparsifier step={h.step} N={h.budget_n} seed={h.config.seed}\n"
         )
-        for c in h.copies():
-            e = h.edges[c.edge_id]
-            fh.write(
-                f"{e.u} {e.v} {h.copy_weight(c.edge_id)!r} {c.edge_id} {c.copy} {c.p_tilde!r}\n"
-            )
+        for e in sorted(h.alive):
+            js = h.alive[e]
+            if len(js):
+                edge = h.edges[e]
+                # every copy of an edge shares all fields but j
+                head = f"{edge.u} {edge.v} {h.copy_weight(e)!r} {e} "
+                tail = f" {h.p_tilde[e]!r}\n"
+                fh.write(head + (tail + head).join(map(str, js.tolist())) + tail)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LoadedSparsifier:
-    """A sparsifier file read back: enough state to verify against a graph."""
+    """A sparsifier file read back: enough state to verify against a graph.
+
+    The rows are held as columns, one array per field, in file order.
+    """
 
     n: int
     step: int
     budget_n: int
     seed: int
-    rows: tuple[tuple[int, int, float, int, int, float], ...]
+    u: np.ndarray
+    v: np.ndarray
+    weight: np.ndarray
+    e: np.ndarray
+    j: np.ndarray
+    p_tilde: np.ndarray
 
     def copy_count(self) -> int:
-        return len(self.rows)
+        return len(self.u)
 
     def laplacian(self) -> np.ndarray:
-        us = np.array([r[0] for r in self.rows], dtype=int)
-        vs = np.array([r[1] for r in self.rows], dtype=int)
-        ws = np.array([r[2] for r in self.rows])
-        return laplacian_from_arrays(self.n, us, vs, ws)
+        return laplacian_from_arrays(self.n, self.u, self.v, self.weight)
 
 
 def read_sparsifier(path, n: int | None = None) -> LoadedSparsifier:
-    """Read a sparsifier file, checking every row (against n when given)."""
-    header = None
-    rows = []
+    """Read a sparsifier file, checking every row (against n when given).
+
+    Blank lines and lines starting with '#' are skipped; the first comment
+    holding 'respark sparsifier' is the header, whose step, N and seed must
+    be integers. Every other line must be 'u v weight e j p_tilde' in plain
+    ASCII decimals, with distinct vertex ids in [0, n), a finite weight > 0,
+    an edge id e >= 0, a copy index j in [0, N), p_tilde in (0, 1],
+    integers that fit in 64 bits, and no (e, j) pair seen before. A bad
+    row raises ValueError starting 'path:lineno:', a bad or missing header
+    one starting 'path:'.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+            fh.seek(0)
+            rows = _load_rows(fh)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    header = _read_header(path, text)
     bound = math.inf if n is None else n
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if header is None and "respark sparsifier" in line:
-                    header = dict(
-                        tok.split("=", 1) for tok in line.split() if "=" in tok
-                    )
-                continue
-            tokens = line.split()
-            if len(tokens) != 6:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 'u v weight e j p_tilde', got {line!r}"
-                )
-            try:
-                u, v, w, e, j, p = (
-                    int(tokens[0]), int(tokens[1]), float(tokens[2]),
-                    int(tokens[3]), int(tokens[4]), float(tokens[5]),
-                )
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            if not (0 <= u < bound and 0 <= v < bound and u != v
-                    and 0.0 < w < math.inf and 0.0 < p <= 1.0):
-                raise ValueError(
-                    f"{path}:{lineno}: need distinct vertex ids in [0, {bound}), a finite "
-                    f"weight > 0 and p_tilde in (0, 1], got {line!r}"
-                )
-            rows.append((u, v, w, e, j, p))
+    budget = (header or {}).get("N", math.inf)
+    if rows is None or _hash_inside_row(text) or not _rows_valid(rows, bound, budget):
+        _raise_first_bad_row(path, text, bound, budget)
+        raise ValueError(f"{path}: unreadable sparsifier rows")
     if header is None:
         raise ValueError(f"{path}: missing sparsifier header comment")
+    u, v = rows["u"], rows["v"]
     if n is None:
-        n = 1 + max(max(r[0], r[1]) for r in rows) if rows else 0
+        n = 1 + int(max(u.max(), v.max())) if len(rows) else 0
     return LoadedSparsifier(
         n=int(n),
-        step=int(header.get("step", 0)),
-        budget_n=int(header.get("N", 0)),
-        seed=int(header.get("seed", 0)),
-        rows=tuple(rows),
+        step=header.get("step", 0),
+        budget_n=header.get("N", 0),
+        seed=header.get("seed", 0),
+        u=u,
+        v=v,
+        weight=rows["weight"],
+        e=rows["e"],
+        j=rows["j"],
+        p_tilde=rows["p_tilde"],
     )
+
+
+def _load_rows(fh) -> np.ndarray | None:
+    """Every row in one parse, or None when some row does not parse."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a file without rows
+            return np.loadtxt(fh, dtype=_ROW_DTYPE, comments="#", ndmin=1)
+    except ValueError:
+        return None
+
+
+def _comment_lines(text: str):
+    """(line start, position of its first '#', line end) per line holding a '#'."""
+    pos = text.find("#")
+    while pos >= 0:
+        start = text.rfind("\n", 0, pos) + 1
+        end = text.find("\n", pos)
+        end = len(text) if end < 0 else end
+        yield start, pos, end
+        pos = text.find("#", end)
+
+
+def _read_header(path, text: str) -> dict[str, int] | None:
+    """The integer fields of the first 'respark sparsifier' comment, if any."""
+    for start, pos, end in _comment_lines(text):
+        line = text[pos:end]
+        if not text[start:pos].strip() and "respark sparsifier" in line:
+            fields = dict(tok.split("=", 1) for tok in line.split() if "=" in tok)
+            header = {}
+            for key in ("step", "N", "seed"):
+                if key in fields:
+                    try:
+                        header[key] = int(fields[key])
+                    except ValueError:
+                        raise ValueError(
+                            f"{path}: header {key}={fields[key]!r} is not an integer"
+                        ) from None
+            return header
+    return None
+
+
+def _hash_inside_row(text: str) -> bool:
+    # loadtxt would drop such a '#' and the rest of its row as a comment
+    return any(text[start:pos].strip() for start, pos, _ in _comment_lines(text))
+
+
+def _rows_valid(rows: np.ndarray, bound, budget) -> bool:
+    """The range and repeat checks of _raise_first_bad_row on all rows at
+    once; loadtxt has already checked the fields and their 64-bit range."""
+    u, v, w, e, j, p = (rows[k] for k in _ROW_DTYPE.names)
+    ok = (
+        (0 <= u) & (u < bound) & (0 <= v) & (v < bound) & (u != v)
+        & (0.0 < w) & (w < math.inf) & (0.0 < p) & (p <= 1.0)
+        & (0 <= e) & (0 <= j) & (j < budget)
+    )
+    if not ok.all():
+        return False
+    de, dj = np.diff(e), np.diff(j)
+    if not ((de > 0) | ((de == 0) & (dj > 0))).all():
+        # not in the writer's (e, j) order: sort to bring repeats together
+        order = np.lexsort((j, e))
+        de, dj = np.diff(e[order]), np.diff(j[order])
+    return not ((de == 0) & (dj == 0)).any()
+
+
+def _number(kind, token: str):
+    # the grammar loadtxt parses: int or float on ASCII, no digit separators
+    if not token.isascii() or "_" in token:
+        raise ValueError(f"{token!r} is not a plain ASCII decimal number")
+    return kind(token)
+
+
+def _raise_first_bad_row(path, text: str, bound, budget) -> None:
+    """Walk the rows in order and raise for the first one that is bad."""
+    first_seen: dict[tuple[int, int], int] = {}
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if len(tokens) != 6:
+            raise ValueError(
+                f"{path}:{lineno}: expected 'u v weight e j p_tilde', got {line!r}"
+            )
+        try:
+            u, v, w, e, j, p = (
+                _number(int, tokens[0]), _number(int, tokens[1]), _number(float, tokens[2]),
+                _number(int, tokens[3]), _number(int, tokens[4]), _number(float, tokens[5]),
+            )
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        if not (0 <= u < bound and 0 <= v < bound and u != v
+                and 0.0 < w < math.inf and 0.0 < p <= 1.0):
+            raise ValueError(
+                f"{path}:{lineno}: need distinct vertex ids in [0, {bound}), a finite "
+                f"weight > 0 and p_tilde in (0, 1], got {line!r}"
+            )
+        if not (0 <= e and 0 <= j < budget):
+            raise ValueError(
+                f"{path}:{lineno}: need an edge id e >= 0 and a copy index j in "
+                f"[0, {budget}), got {line!r}"
+            )
+        if max(u, v, e, j) >= 2**63:
+            raise ValueError(f"{path}:{lineno}: integers must fit in 64 bits, got {line!r}")
+        if (e, j) in first_seen:
+            raise ValueError(
+                f"{path}:{lineno}: copy j={j} of edge e={e} repeats line {first_seen[e, j]}"
+            )
+        first_seen[e, j] = lineno

@@ -6,7 +6,9 @@ the same algorithm consume identical randomness without coordinating.
 
 The keying follows the keyed-hash counter pattern: blake2b over
 (seed, step, edge) selects a Philox key, and the copy index picks a position
-inside that stream's first block of uniforms.
+inside that stream's first block of uniforms. One Philox generator is kept
+per tape and re-keyed for each stream (key set, counter zeroed, buffer
+emptied), which draws exactly what a freshly built one would.
 """
 
 from __future__ import annotations
@@ -28,14 +30,19 @@ class RandomTape:
 
     def __init__(self, seed: int):
         self.seed = int(seed)
+        self._bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+        self._gen = np.random.Generator(self._bitgen)
+        # the state of a fresh Philox: counter 0, buffer empty; only the key changes
+        self._fresh = self._bitgen.state
 
     def _philox(self, tag: bytes, payload: bytes) -> np.random.Generator:
         h = hashlib.blake2b(digest_size=16, person=_PERSON)
         h.update(tag)
         h.update(_u64(self.seed))
         h.update(payload)
-        key = np.frombuffer(h.digest(), dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        self._fresh["state"]["key"] = np.frombuffer(h.digest(), dtype=np.uint64)
+        self._bitgen.state = self._fresh
+        return self._gen
 
     def uniforms(self, step: int, edge: int, count: int) -> np.ndarray:
         """The vector (u_{step,edge,0}, ..., u_{step,edge,count-1})."""

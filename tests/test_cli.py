@@ -232,3 +232,49 @@ def test_verify_rejects_bad_sparsifier_rows(tmp_path, capsys, row):
     assert code == 2
     assert "error:" in err and "h.sparsifier:2:" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "body, where",
+    [
+        ("0 1 1.0 0 2 1.0\n", "h.sparsifier:2:"),  # copy index j = N
+        ("0 1 1.0 0 -1 1.0\n", "h.sparsifier:2:"),  # negative copy index
+        ("0 1 1.0 -1 0 1.0\n", "h.sparsifier:2:"),  # negative edge id
+        ("0 1 1.0 0 1 1.0\n\n1 2 1.0 0 1 1.0\n", "h.sparsifier:4:"),  # (e, j) twice
+        ("0 1 1.0 0 0 1.0 # note\n", "h.sparsifier:2:"),  # comment after six fields
+        ("0 1 1.0 99999999999999999999 0 1.0\n", "h.sparsifier:2:"),  # beyond 64 bits
+    ],
+)
+def test_verify_rejects_rows_breaking_the_copy_contract(tmp_path, capsys, body, where):
+    graph = tmp_path / "g.edges"
+    graph.write_text("0 1 1.0\n1 2 1.0\n")
+    sp = tmp_path / "h.sparsifier"
+    sp.write_text(f"# respark sparsifier step=1 N=2 seed=0\n{body}")
+    code = main([
+        "verify", "--graph", str(graph), "--sparsifier", str(sp), "--epsilon", "0.5",
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error:" in err and where in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field", ["step=1.5", "N=two", "seed=0x1"])
+def test_verify_rejects_non_integer_header_fields(tmp_path, capsys, field):
+    graph = tmp_path / "g.edges"
+    graph.write_text("0 1 1.0\n1 2 1.0\n")
+    sp = tmp_path / "h.sparsifier"
+    header = {"step": "1", "N": "2", "seed": "0"}
+    key, value = field.split("=")
+    header[key] = value
+    sp.write_text(
+        "# respark sparsifier " + " ".join(f"{k}={v}" for k, v in header.items())
+        + "\n0 1 1.0 0 0 1.0\n"
+    )
+    code = main([
+        "verify", "--graph", str(graph), "--sparsifier", str(sp), "--epsilon", "0.5",
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"h.sparsifier: header {key}=" in err
+    assert "Traceback" not in err

@@ -25,3 +25,5 @@ def test_demo_runs(name, args, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("tempfile.tempdir", str(tmp_path))
     runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out
+    # demos clean up what they write there
+    assert list(tmp_path.iterdir()) == []

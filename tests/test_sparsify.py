@@ -2,6 +2,7 @@
 their agreement with an independent dense-indicator reference."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -551,3 +552,208 @@ def test_read_sparsifier_rejects_malformed_row(tmp_path):
     p.write_text("# respark sparsifier step=1 N=5 seed=0\n0 1 0.5\n")
     with pytest.raises(ValueError, match="bad.sparsifier:2"):
         read_sparsifier(p)
+
+
+def _reference_write(h, path):
+    # the per-copy writer the columnar one replaced: one formatted row per copy
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# respark sparsifier step={h.step} N={h.budget_n} seed={h.config.seed}\n")
+        for e in sorted(h.alive):
+            edge = h.edges[e]
+            for j in h.alive[e]:
+                fh.write(
+                    f"{edge.u} {edge.v} {h.copy_weight(e)!r} {e} {int(j)} {h.p_tilde[e]!r}\n"
+                )
+
+
+def _written_pair(tmp_path, h):
+    ours, ref = tmp_path / "ours.sparsifier", tmp_path / "ref.sparsifier"
+    write_sparsifier(h, ours)
+    _reference_write(h, ref)
+    return ours.read_bytes(), ref.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "model, n, seed, budget, block, mode",
+    [
+        ("erdos-renyi", 8, 1, 20, 3, "exact"),
+        ("erdos-renyi", 12, 7, 300, 5, "sparsifier"),
+        ("complete", 6, 3, 9, 4, "noisy"),
+        ("path", 5, 0, 4, 1, "exact"),
+    ],
+)
+def test_writer_bytes_match_per_copy_reference(tmp_path, model, n, seed, budget, block, mode):
+    spec = GeneratorSpec(model, n, p=0.5 if model == "erdos-renyi" else None,
+                         weight_min=0.3, weight_max=1.0, seed=seed)
+    g = generate(spec)
+    cfg = _small_cfg(g, seed=seed, budget=budget)
+    h, _ = stream_sparsify(g, cfg, block_size=block, resistance_mode=mode, diagnostics=False)
+    assert h.copy_count() > 0
+    ours, ref = _written_pair(tmp_path, h)
+    assert ours == ref
+
+
+def test_writer_bytes_match_reference_without_copies(tmp_path):
+    g = generate(GeneratorSpec("erdos-renyi", 8, p=0.6, seed=1))
+    cfg = _small_cfg(g, seed=42, budget=20)
+    empty = Sparsifier.empty(g, cfg)
+    ours, ref = _written_pair(tmp_path, empty)
+    assert ours == ref == b"# respark sparsifier step=0 N=20 seed=42\n"
+    # an edge listed with no surviving copies writes no row
+    h, _ = stream_sparsify(g, cfg, block_size=3, resistance_mode="exact", diagnostics=False)
+    gone = min(h.alive)
+    h_gone = replace(h, alive={**h.alive, gone: np.array([], dtype=np.int64)})
+    ours, ref = _written_pair(tmp_path, h_gone)
+    assert ours == ref
+    assert len(ours.splitlines()) == 1 + h_gone.copy_count()
+
+
+def _reference_read(path, n=None):
+    """The row-at-a-time reader the columnar one replaced, with every check
+    of the file contract. Returns (header, rows) or raises ValueError."""
+    header, rows, first_seen = None, [], {}
+    bound = math.inf if n is None else n
+
+    def number(kind, tok):
+        if not tok.isascii() or "_" in tok:
+            raise ValueError(tok)
+        return kind(tok)
+
+    with open(path, encoding="utf-8") as fh:
+        lines = list(enumerate(fh, start=1))
+    for _, raw in lines:
+        line = raw.strip()
+        if header is None and line.startswith("#") and "respark sparsifier" in line:
+            fields = dict(tok.split("=", 1) for tok in line.split() if "=" in tok)
+            try:
+                header = {k: int(fields[k]) for k in ("step", "N", "seed") if k in fields}
+            except ValueError:
+                raise ValueError(f"{path}: header") from None
+    budget = math.inf if header is None else header.get("N", math.inf)
+    for lineno, raw in lines:
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if len(tokens) != 6:
+            raise ValueError(f"{path}:{lineno}: tokens")
+        try:
+            u, v, e, j = (number(int, tokens[k]) for k in (0, 1, 3, 4))
+            w, p = number(float, tokens[2]), number(float, tokens[5])
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: parse") from None
+        if not (0 <= u < bound and 0 <= v < bound and u != v and 0 < w < math.inf
+                and 0 < p <= 1 and 0 <= e < 2**63 and 0 <= j < budget and j < 2**63
+                and u < 2**63 and v < 2**63 and (e, j) not in first_seen):
+            raise ValueError(f"{path}:{lineno}: range")
+        first_seen[e, j] = lineno
+        rows.append((u, v, w, e, j, p))
+    if header is None:
+        raise ValueError(f"{path}: missing header")
+    return header, rows
+
+
+def _where(exc, path):
+    """The 'path:lineno:' or 'path:' prefix of a reader error."""
+    message = str(exc)
+    assert message.startswith(f"{path}:")
+    rest = message[len(str(path)) + 1:]
+    lineno = rest.split(":", 1)[0]
+    return lineno if lineno.isdigit() else ""
+
+
+def _assert_reads_like_reference(path, n=None):
+    try:
+        header, rows = _reference_read(path, n)
+    except ValueError as ref_exc:
+        with pytest.raises(ValueError) as info:
+            read_sparsifier(path, n)
+        assert _where(info.value, path) == _where(ref_exc, path), str(info.value)
+        return
+    loaded = read_sparsifier(path, n)
+    assert (loaded.step, loaded.budget_n, loaded.seed) == (
+        header.get("step", 0), header.get("N", 0), header.get("seed", 0)
+    )
+    cols = list(zip(*rows)) if rows else [()] * 6
+    for got, want, dtype in zip(
+        (loaded.u, loaded.v, loaded.weight, loaded.e, loaded.j, loaded.p_tilde),
+        cols,
+        (np.int64, np.int64, float, np.int64, np.int64, float),
+    ):
+        assert np.array_equal(got, np.array(want, dtype=dtype))
+    if n is None:
+        assert loaded.n == (1 + max(max(r[0], r[1]) for r in rows) if rows else 0)
+
+
+def test_reader_columns_match_reference_on_loose_layout(tmp_path):
+    p = tmp_path / "loose.sparsifier"
+    p.write_text(
+        "\n"
+        "# a comment before the header\n"
+        "  # respark sparsifier step=4 N=9 seed=-3   \n"
+        "\n"
+        "0\t1 0.25 0 0 0.5\n"
+        "   \n"
+        "1 2\t\t0.1 2 8 1.0   \n"
+        "# trailing comment\n"
+        "2 0 3e-5 5 3 1e-3\t\n"
+        "\t0 2 1.5 5 4 0.75"
+    )
+    _assert_reads_like_reference(p, n=3)
+    _assert_reads_like_reference(p)
+    loaded = read_sparsifier(p, n=3)
+    assert (loaded.step, loaded.budget_n, loaded.seed, loaded.copy_count()) == (4, 9, -3, 4)
+    assert loaded.j.tolist() == [0, 8, 3, 4]
+
+
+def test_reader_reports_true_line_of_bad_row(tmp_path):
+    p = tmp_path / "bad.sparsifier"
+    p.write_text(
+        "# respark sparsifier step=1 N=5 seed=0\n\n# note\n0 1 0.5 0 0 1.0\n0 1 0.5 0 9 1.0\n"
+    )
+    with pytest.raises(ValueError, match=r"bad\.sparsifier:5: .*copy index"):
+        read_sparsifier(p)
+
+
+_TOKENS = st.one_of(
+    st.integers(-2, 6).map(str),
+    st.integers(2**62, 2**65).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["nan", "-inf", "inf", "1_0", "0x1", "1.0", "+2", "007", "٣", "#", "#c", "1e999"]),
+)
+# rows valid under the header '# respark sparsifier step=2 N=6 seed=1' and n = 5
+_GOOD_ROWS = st.lists(
+    st.tuples(st.integers(0, 4), st.integers(1, 4), st.floats(1e-6, 1e3), st.integers(0, 4),
+              st.integers(0, 5), st.floats(1e-6, 1.0)),
+    max_size=8,
+    unique_by=lambda r: (r[3], r[4]),
+).map(lambda rows: [f"{u} {(u + d) % 5} {w!r} {e} {j} {p!r}" for u, d, w, e, j, p in rows])
+_ROW = _GOOD_ROWS.filter(bool).map(lambda rows: rows[0])
+_BAD_LINES = st.one_of(
+    _ROW,  # may repeat an (e, j) pair of the good rows
+    _ROW.map(lambda row: row.rsplit(" ", 1)[0]),  # truncated
+    _ROW.map(lambda row: row + " # trailing comment"),
+    st.lists(_TOKENS, min_size=5, max_size=7).map(" ".join),
+    st.sampled_from(["", "  \t", "# comment", "# respark sparsifier step=1 N=3 seed=2",
+                     "# respark sparsifier step=x N=5", "# respark sparsifier N=1_0"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=_GOOD_ROWS,
+    extra=st.lists(st.tuples(st.integers(0, 8), _BAD_LINES), max_size=2),
+    header_first=st.sampled_from([True, True, True, False]),
+    sep=st.sampled_from(["\n", "\r\n", " \t\n"]),
+    n=st.sampled_from([None, 5]),
+)
+def test_reader_fuzz_matches_reference(tmp_path_factory, rows, extra, header_first, sep, n):
+    # mostly valid files with up to two inserted lines that may break them
+    lines = list(rows)
+    for pos, line in extra:
+        lines.insert(pos, line)
+    if header_first:
+        lines.insert(0, "# respark sparsifier step=2 N=6 seed=1")
+    p = tmp_path_factory.mktemp("fuzz") / "f.sparsifier"
+    p.write_bytes(sep.join(lines).encode("utf-8"))
+    _assert_reads_like_reference(p, n)

@@ -70,3 +70,45 @@ def test_child_seeds():
     assert s1 == RandomTape(21).child_seed("trial/0")
     assert s1 != tape.child_seed("trial/1")
     assert 0 <= s1 < 2**64
+
+
+def _fresh_philox_reference(seed, tag, payload, count):
+    # the tape's keying with a newly built Philox per stream
+    import hashlib
+
+    h = hashlib.blake2b(digest_size=16, person=b"respark.tape")
+    h.update(tag)
+    h.update((seed & (2**64 - 1)).to_bytes(8, "little"))
+    h.update(payload)
+    key = np.frombuffer(h.digest(), dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).random(count)
+
+
+def test_rekeyed_draws_equal_fresh_philox_streams():
+    # one tape re-keyed across interleaved calls of every kind and mixed
+    # counts (odd ones leave the generator's buffer part-used) draws what a
+    # fresh Philox per key draws
+    def u64(x):
+        return (x & (2**64 - 1)).to_bytes(8, "little")
+
+    tape = RandomTape(-17)
+    calls = [
+        ("uniforms", 1, 0, 7), ("labeled", "noise/1", 3), ("uniform", 1, 0, 5),
+        ("uniforms", 2, 9, 0), ("uniforms", 2, 9, 1), ("uniform", 3, 4, 12),
+        ("labeled", "", 5), ("uniforms", 1, 0, 2001), ("uniforms", 7, 2**40, 4),
+        ("uniform", 1, 0, 0), ("labeled", "noise/1", 9), ("uniforms", 1, 0, 7),
+    ]
+    for kind, *args in calls:
+        if kind == "uniforms":
+            step, edge, count = args
+            got = tape.uniforms(step, edge, count)
+            want = _fresh_philox_reference(-17, b"c", u64(step) + u64(edge), count)
+            assert np.array_equal(got, want)
+        elif kind == "uniform":
+            step, edge, copy = args
+            want = _fresh_philox_reference(-17, b"c", u64(step) + u64(edge), copy + 1)[copy]
+            assert tape.uniform(step, edge, copy) == want
+        else:
+            label, count = args
+            want = _fresh_philox_reference(-17, b"l", label.encode(), count)
+            assert np.array_equal(tape.labeled(label, count), want)
