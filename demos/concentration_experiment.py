@@ -74,7 +74,8 @@ def main():
         emit_report(report, path)
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    print(f"\nreport written to {path} ({len(payload['rows'])} rows, schema v{payload['schema_version']})")
+    where = args.report or "a temporary file, now removed (keep one with --report)"
+    print(f"\nreport written to {where} ({len(payload['rows'])} rows, schema v{payload['schema_version']})")
 
 
 if __name__ == "__main__":

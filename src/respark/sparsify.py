@@ -631,18 +631,19 @@ def read_sparsifier(path, n: int | None = None) -> LoadedSparsifier:
 
     Blank lines and lines starting with '#' are skipped; the first comment
     holding 'respark sparsifier' is the header, whose step, N and seed must
-    be integers. Every other line must be 'u v weight e j p_tilde' in plain
-    ASCII decimals, with distinct vertex ids in [0, n), a finite weight > 0,
-    an edge id e >= 0, a copy index j in [0, N), p_tilde in (0, 1],
-    integers that fit in 64 bits, and no (e, j) pair seen before. A bad
-    row raises ValueError starting 'path:lineno:', a bad or missing header
-    one starting 'path:'.
+    be integers. Every other line must be 'u v weight e j p_tilde' with
+    64-bit integers u, v, e, j and floats weight, p_tilde, all plain ASCII
+    decimals (the grammar of np.loadtxt), with distinct vertex ids in
+    [0, n), a finite weight > 0, an edge id e >= 0, a copy index j in
+    [0, N), p_tilde in (0, 1], and no (e, j) pair seen before. A bad row
+    raises ValueError starting 'path:lineno:', a bad or missing header one
+    starting 'path:'.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
             fh.seek(0)
-            rows = _load_rows(fh)
+            rows = _parse_rows(fh)
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     header = _read_header(path, text)
@@ -670,13 +671,22 @@ def read_sparsifier(path, n: int | None = None) -> LoadedSparsifier:
     )
 
 
-def _load_rows(fh) -> np.ndarray | None:
-    """Every row in one parse, or None when some row does not parse."""
+def _parse_rows(lines, comments: str | None = "#") -> np.ndarray | None:
+    """Rows parsed from a file or a list of lines, or None when one does not parse.
+
+    This is the one number grammar of the format. NumPy 1.23 to 1.26 parse a
+    float in an integer field (say '0.7' or '1e0') with only a
+    DeprecationWarning and truncate it; that warning is made an error here,
+    so such a row is rejected as newer NumPy rejects it.
+    """
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # a file without rows
-            return np.loadtxt(fh, dtype=_ROW_DTYPE, comments="#", ndmin=1)
-    except ValueError:
+            warnings.filterwarnings(
+                "error", ".*Parsing an integer via a float", DeprecationWarning
+            )
+            return np.loadtxt(lines, dtype=_ROW_DTYPE, comments=comments, ndmin=1)
+    except (ValueError, DeprecationWarning):
         return None
 
 
@@ -716,8 +726,7 @@ def _hash_inside_row(text: str) -> bool:
 
 
 def _rows_valid(rows: np.ndarray, bound, budget) -> bool:
-    """The range and repeat checks of _raise_first_bad_row on all rows at
-    once; loadtxt has already checked the fields and their 64-bit range."""
+    """The range and repeat checks of _raise_first_bad_row on all rows at once."""
     u, v, w, e, j, p = (rows[k] for k in _ROW_DTYPE.names)
     ok = (
         (0 <= u) & (u < bound) & (0 <= v) & (v < bound) & (u != v)
@@ -734,47 +743,46 @@ def _rows_valid(rows: np.ndarray, bound, budget) -> bool:
     return not ((de == 0) & (dj == 0)).any()
 
 
-def _number(kind, token: str):
-    # the grammar loadtxt parses: int or float on ASCII, no digit separators
-    if not token.isascii() or "_" in token:
-        raise ValueError(f"{token!r} is not a plain ASCII decimal number")
-    return kind(token)
+_WALK_BLOCK = 4096  # lines parsed together while looking for a bad row
 
 
 def _raise_first_bad_row(path, text: str, bound, budget) -> None:
-    """Walk the rows in order and raise for the first one that is bad."""
+    """Walk the rows in order and raise for the first one that is bad.
+
+    Rows are parsed by _parse_rows, a block of lines at a time, and one line
+    at a time only inside a block that does not parse. No '#' is a comment
+    here: a row holding one is bad.
+    """
+    numbered = [
+        (lineno, line)
+        for lineno, line in enumerate((raw.strip() for raw in text.split("\n")), start=1)
+        if line and not line.startswith("#")
+    ]
     first_seen: dict[tuple[int, int], int] = {}
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if len(tokens) != 6:
-            raise ValueError(
-                f"{path}:{lineno}: expected 'u v weight e j p_tilde', got {line!r}"
-            )
-        try:
-            u, v, w, e, j, p = (
-                _number(int, tokens[0]), _number(int, tokens[1]), _number(float, tokens[2]),
-                _number(int, tokens[3]), _number(int, tokens[4]), _number(float, tokens[5]),
-            )
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
-        if not (0 <= u < bound and 0 <= v < bound and u != v
-                and 0.0 < w < math.inf and 0.0 < p <= 1.0):
-            raise ValueError(
-                f"{path}:{lineno}: need distinct vertex ids in [0, {bound}), a finite "
-                f"weight > 0 and p_tilde in (0, 1], got {line!r}"
-            )
-        if not (0 <= e and 0 <= j < budget):
-            raise ValueError(
-                f"{path}:{lineno}: need an edge id e >= 0 and a copy index j in "
-                f"[0, {budget}), got {line!r}"
-            )
-        if max(u, v, e, j) >= 2**63:
-            raise ValueError(f"{path}:{lineno}: integers must fit in 64 bits, got {line!r}")
-        if (e, j) in first_seen:
-            raise ValueError(
-                f"{path}:{lineno}: copy j={j} of edge e={e} repeats line {first_seen[e, j]}"
-            )
-        first_seen[e, j] = lineno
+    for start in range(0, len(numbered), _WALK_BLOCK):
+        block = numbered[start:start + _WALK_BLOCK]
+        rows = _parse_rows([line for _, line in block], comments=None)
+        for k, (lineno, line) in enumerate(block):
+            row = rows[k] if rows is not None else _parse_rows([line], comments=None)
+            if row is None:
+                raise ValueError(
+                    f"{path}:{lineno}: expected 'u v weight e j p_tilde' with 64-bit "
+                    f"integers u, v, e, j, got {line!r}"
+                )
+            u, v, w, e, j, p = row.item() if rows is not None else row[0].item()
+            if not (0 <= u < bound and 0 <= v < bound and u != v
+                    and 0.0 < w < math.inf and 0.0 < p <= 1.0):
+                raise ValueError(
+                    f"{path}:{lineno}: need distinct vertex ids in [0, {bound}), a finite "
+                    f"weight > 0 and p_tilde in (0, 1], got {line!r}"
+                )
+            if not (0 <= e and 0 <= j < budget):
+                raise ValueError(
+                    f"{path}:{lineno}: need an edge id e >= 0 and a copy index j in "
+                    f"[0, {budget}), got {line!r}"
+                )
+            if (e, j) in first_seen:
+                raise ValueError(
+                    f"{path}:{lineno}: copy j={j} of edge e={e} repeats line {first_seen[e, j]}"
+                )
+            first_seen[e, j] = lineno

@@ -243,6 +243,8 @@ def test_verify_rejects_bad_sparsifier_rows(tmp_path, capsys, row):
         ("0 1 1.0 0 1 1.0\n\n1 2 1.0 0 1 1.0\n", "h.sparsifier:4:"),  # (e, j) twice
         ("0 1 1.0 0 0 1.0 # note\n", "h.sparsifier:2:"),  # comment after six fields
         ("0 1 1.0 99999999999999999999 0 1.0\n", "h.sparsifier:2:"),  # beyond 64 bits
+        ("0 1 1.0 0 0.5 1.0\n", "h.sparsifier:2:"),  # float copy index
+        ("1e0 2 1.0 0 0 1.0\n", "h.sparsifier:2:"),  # float vertex id
     ],
 )
 def test_verify_rejects_rows_breaking_the_copy_contract(tmp_path, capsys, body, where):

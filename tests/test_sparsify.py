@@ -2,6 +2,7 @@
 their agreement with an independent dense-indicator reference."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -551,6 +552,46 @@ def test_read_sparsifier_rejects_malformed_row(tmp_path):
     p = tmp_path / "bad.sparsifier"
     p.write_text("# respark sparsifier step=1 N=5 seed=0\n0 1 0.5\n")
     with pytest.raises(ValueError, match="bad.sparsifier:2"):
+        read_sparsifier(p)
+
+
+@pytest.mark.parametrize(
+    "row", ["0 1 1.0 0 0.5 1.0", "1e0 2 1.0 0 0 1.0", "0 1 1.0 2.0 0 1.0", "0 1.5 1.0 0 0 1.0"]
+)
+def test_read_sparsifier_rejects_float_in_integer_field(tmp_path, row):
+    p = tmp_path / "bad.sparsifier"
+    p.write_text(f"# respark sparsifier step=1 N=5 seed=0\n\n{row}\n")
+    with pytest.raises(ValueError, match=r"bad\.sparsifier:3: .*64-bit integers"):
+        read_sparsifier(p)
+
+
+def test_read_sparsifier_rejects_rows_parsed_through_the_float_fallback(tmp_path, monkeypatch):
+    # NumPy 1.23-1.26 parse '0.5' in an integer field with a DeprecationWarning
+    # and a truncated value; stand in for that parser here
+    real_loadtxt = np.loadtxt
+
+    def fallback_loadtxt(lines, *args, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning, stacklevel=2)
+        return real_loadtxt(["0 1 1.0 0 0 1.0"], *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", fallback_loadtxt)
+    p = tmp_path / "bad.sparsifier"
+    p.write_text("# respark sparsifier step=1 N=5 seed=0\n0 1 1.0 0 0.5 1.0\n")
+    with pytest.raises(ValueError, match=r"bad\.sparsifier:2: "):
+        read_sparsifier(p)
+
+
+def test_bad_row_is_found_past_the_first_walk_block(tmp_path):
+    rows = [f"0 1 0.5 {e} 0 1.0" for e in range(5000)]
+    rows[4500] = "0 1 0.5 4500 0.0 1.0"
+    p = tmp_path / "bad.sparsifier"
+    p.write_text("# respark sparsifier step=1 N=5 seed=0\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match=r"bad\.sparsifier:4502: "):
+        read_sparsifier(p)
+    rows[4500] = "0 1 0.5 4499 0 1.0"  # repeats the row before it
+    p.write_text("# respark sparsifier step=1 N=5 seed=0\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match=r"bad\.sparsifier:4502: .*repeats line 4501"):
         read_sparsifier(p)
 
 
