@@ -40,6 +40,16 @@ def _add_generator_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--weight-max", type=float, default=1.0)
 
 
+def _add_stream_args(p: argparse.ArgumentParser, resistance_mode: str) -> None:
+    p.add_argument("--epsilon", type=float, required=True)
+    p.add_argument("--delta", type=float, default=0.1)
+    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--block-size", type=int, default=None)
+    p.add_argument("--budget-override", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--resistance-mode", default=resistance_mode, choices=RESISTANCE_MODES)
+
+
 def _generator_spec(args) -> GeneratorSpec:
     return GeneratorSpec(args.model, args.n, args.p, args.weight_min, args.weight_max,
                          args.seed)
@@ -60,13 +70,7 @@ def _add_resistances(sub: argparse._SubParsersAction) -> None:
 def _add_sparsify(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("sparsify", help="run the resparsification stream")
     p.add_argument("--input", required=True, help="edge-list file")
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--block-size", type=int, default=None)
-    p.add_argument("--budget-override", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--resistance-mode", default="sparsifier", choices=RESISTANCE_MODES)
+    _add_stream_args(p, "sparsifier")
     p.add_argument("--output", required=True, help="sparsifier file to write")
     p.add_argument("--diagnostics", default=None, help="per-step diagnostics CSV")
 
@@ -81,14 +85,8 @@ def _add_verify(sub: argparse._SubParsersAction) -> None:
 def _add_experiment(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("experiment", help="seeded Monte Carlo over stream runs")
     _add_generator_args(p)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--alpha", type=float, default=1.0)
+    _add_stream_args(p, "exact")
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--block-size", type=int, default=None)
-    p.add_argument("--budget-override", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--resistance-mode", default="exact", choices=RESISTANCE_MODES)
     p.add_argument("--max-failure-rate", type=float, default=0.05,
                    help="largest acceptable fraction of failed trials")
     p.add_argument("--report", required=True, help="report file to write")

@@ -148,13 +148,12 @@ def laplacian_from_arrays(
 class PseudoinverseFactors:
     """Eigendecomposition of a Laplacian with the null space zeroed exactly.
 
-    Eigenvalues below null_tolerance * lambda_max are treated as exactly
-    zero; for a connected graph exactly one eigenvalue is zeroed.
+    Eigenvalues below DEFAULT_NULL_TOLERANCE * lambda_max are treated as
+    exactly zero; for a connected graph exactly one eigenvalue is zeroed.
     """
 
     eigenvalues: np.ndarray  # ascending, near-zero entries replaced by 0.0
     eigenvectors: np.ndarray  # orthogonal, column i pairs with eigenvalues[i]
-    null_tolerance: float
 
     @property
     def n(self) -> int:
@@ -192,24 +191,20 @@ class PseudoinverseFactors:
         return (D * D) @ (1.0 / self.eigenvalues[nz])
 
 
-def pseudo_factorize(
-    l: np.ndarray, null_tolerance: float = DEFAULT_NULL_TOLERANCE
-) -> PseudoinverseFactors:
-    """Eigendecompose a symmetric PSD matrix, zeroing the numerical null space.
+def pseudo_factorize(l: np.ndarray) -> PseudoinverseFactors:
+    """Eigendecompose a symmetric PSD matrix, zeroing the numerical null space:
+    eigenvalues at most DEFAULT_NULL_TOLERANCE * lambda_max in magnitude.
 
     Parameters
     ----------
     l : ndarray
         Symmetric PSD matrix (a Laplacian).
-    null_tolerance : float
-        Relative cutoff: eigenvalues with magnitude at most
-        null_tolerance * lambda_max are treated as exactly zero.
 
     Raises
     ------
     ValueError
         If the input is not symmetric, or has an eigenvalue below
-        -null_tolerance * lambda_max (not PSD, an upstream bug).
+        -DEFAULT_NULL_TOLERANCE * lambda_max (not PSD, an upstream bug).
     """
     l = np.asarray(l, dtype=float)
     if l.ndim != 2 or l.shape[0] != l.shape[1]:
@@ -221,16 +216,16 @@ def pseudo_factorize(
     lam_max = float(w[-1])
     if lam_max <= 0.0:
         # all-zero (or negative-definite, caught below) input: all-zero factors
-        if float(w[0]) < -null_tolerance * max(1.0, abs(lam_max)):
+        if float(w[0]) < -DEFAULT_NULL_TOLERANCE * max(1.0, abs(lam_max)):
             raise ValueError("matrix is not PSD")
-        return PseudoinverseFactors(np.zeros_like(w), Q, null_tolerance)
-    cutoff = null_tolerance * lam_max
+        return PseudoinverseFactors(np.zeros_like(w), Q)
+    cutoff = DEFAULT_NULL_TOLERANCE * lam_max
     if float(w[0]) < -cutoff:
         raise ValueError(
             f"matrix is not PSD: eigenvalue {w[0]:.3e} below -{cutoff:.3e}"
         )
     w = np.where(np.abs(w) <= cutoff, 0.0, w)
-    return PseudoinverseFactors(w, Q, null_tolerance)
+    return PseudoinverseFactors(w, Q)
 
 
 @dataclass(frozen=True)
@@ -263,10 +258,10 @@ class ProjectionContext:
         return np.sqrt(ws) * (self.inv_sqrt[:, us] - self.inv_sqrt[:, vs])
 
 
-def projection_context(
-    g: WeightedGraph, null_tolerance: float = DEFAULT_NULL_TOLERANCE
-) -> ProjectionContext:
+def projection_context(g: WeightedGraph) -> ProjectionContext:
     """Build the projection context for a connected reference graph.
+
+    Its factors zero the null space at DEFAULT_NULL_TOLERANCE (see pseudo_factorize).
 
     Raises
     ------
@@ -278,7 +273,7 @@ def projection_context(
         raise GraphConnectivityError(
             "reference graph is disconnected; projection context undefined"
         )
-    factors = pseudo_factorize(build_laplacian(g), null_tolerance)
+    factors = pseudo_factorize(build_laplacian(g))
     if factors.null_count != 1:
         raise GraphConnectivityError(
             f"expected exactly one null eigenvalue, found {factors.null_count}"
@@ -327,38 +322,44 @@ def read_edge_list(path) -> WeightedGraph:
     One edge per line, "u v w" whitespace-separated; '#' starts a comment
     line and blank lines are ignored. The first non-comment line may be
     "n <count>" to declare a vertex count that includes isolated vertices;
-    otherwise n = max id + 1.
+    otherwise n = max id + 1. A bad line raises ValueError starting
+    'path:lineno:'; text that is not UTF-8, or a graph that WeightedGraph
+    rejects, one starting 'path:'.
     """
     declared_n = None
     triples: list[tuple[int, int, float]] = []
     first_data_line = True
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raws = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    for lineno, raw in enumerate(raws, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        try:
             if first_data_line and tokens[0] == "n":
                 if len(tokens) != 2:
-                    raise ValueError(f"{path}:{lineno}: malformed size line {line!r}")
+                    raise ValueError(f"malformed size line {line!r}")
                 declared_n = int(tokens[1])
                 first_data_line = False
                 continue
             first_data_line = False
             if len(tokens) != 3:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 'u v w', got {line!r}"
-                )
-            try:
-                u, v, w = int(tokens[0]), int(tokens[1]), float(tokens[2])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            triples.append((u, v, w))
+                raise ValueError(f"expected 'u v w', got {line!r}")
+            triples.append((int(tokens[0]), int(tokens[1]), float(tokens[2])))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
     if declared_n is None:
         if not triples:
             raise ValueError(f"{path}: no edges and no declared vertex count")
         declared_n = max(max(u, v) for u, v, _ in triples) + 1
-    return WeightedGraph.from_edges(declared_n, triples)
+    try:
+        return WeightedGraph.from_edges(declared_n, triples)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def write_edge_list(g: WeightedGraph, path, comment: str | None = None) -> None:

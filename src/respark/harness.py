@@ -15,14 +15,14 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields
-from typing import Sequence
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from typing import Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 from scipy.stats import beta as _beta_dist
 
 from .graph import WeightedGraph, is_connected
-from .sparsify import RESISTANCE_MODES, StreamConfig, stream_sparsify
+from .sparsify import RESISTANCE_MODES, StreamConfig, _check_cfg_matches, stream_sparsify
 from .tape import RandomTape
 from .verify import _read_rows, _write_rows, spectral_check
 
@@ -189,8 +189,9 @@ def clopper_pearson(failures: int, trials: int, confidence: float = 0.95) -> tup
 
 @dataclass(frozen=True)
 class TrialStepRow:
-    """One (trial, step) measurement; spectral_ok is None on steps whose
-    prefix graph is disconnected (no reference to check against)."""
+    """One (trial, step) measurement: the step's DiagnosticsRecord fields
+    plus the spectral check; spectral_ok is None on steps whose prefix
+    graph is disconnected (no reference to check against)."""
 
     trial: int
     seed: int
@@ -203,9 +204,6 @@ class TrialStepRow:
     b_event: bool
     spectral_ok: bool | None
     worst_ratio: float
-
-
-ROW_COLUMNS = tuple(f.name for f in fields(TrialStepRow))
 
 
 @dataclass(frozen=True)
@@ -354,11 +352,7 @@ def run_experiment(
         )
     start = time.perf_counter()
     g = generate(spec)
-    if cfg.n != g.n or cfg.m != g.m:
-        raise ValueError(
-            f"config (n={cfg.n}, m={cfg.m}) does not match generated graph "
-            f"(n={g.n}, m={g.m}); build the config with StreamConfig.for_graph"
-        )
+    _check_cfg_matches(g, cfg)
     if block_size is None:
         block_size = cfg.budget_n
     master = RandomTape(cfg.seed)
@@ -375,19 +369,7 @@ def run_experiment(
             else:
                 ok, worst = None, float("nan")
             _rows.append(
-                TrialStepRow(
-                    trial=_trial,
-                    seed=_seed,
-                    step=step,
-                    copy_count=record.copy_count,
-                    proj_error_norm=record.proj_error_norm,
-                    w_norm=record.w_norm,
-                    budget_n=record.budget_n,
-                    a_event=record.a_event,
-                    b_event=record.b_event,
-                    spectral_ok=ok,
-                    worst_ratio=worst,
-                )
+                TrialStepRow(_trial, _seed, **vars(record), spectral_ok=ok, worst_ratio=worst)
             )
 
         try:
@@ -413,28 +395,26 @@ def run_experiment(
 
 
 def report_to_dict(report: ExperimentReport) -> dict:
-    """Stable-ordered plain-dict form, wall clock excluded."""
+    """Stable-ordered plain-dict form, wall clock excluded: schema_version,
+    kind and regime, then the report's fields in declaration order."""
+    data = asdict(report)
+    del data["wall_clock_seconds"]
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
         "kind": "respark-experiment-report",
-        "regime": report.regime,
-        "generator": asdict(report.generator),
-        "config": asdict(report.config),
-        "block_size": report.block_size,
-        "resistance_mode": report.resistance_mode,
-        "trials": report.trials,
-        "trial_seeds": list(report.trial_seeds),
-        "trials_with_a_event": report.trials_with_a_event,
-        "trials_with_b_event": report.trials_with_b_event,
-        "trials_with_error": report.trials_with_error,
-        "failed_trials": report.failed_trials,
-        "failure_rate": report.failure_rate,
-        "failure_ci95": list(report.failure_ci95),
-        "prop1_violations": report.prop1_violations,
-        "step_stats": [asdict(s) for s in report.step_stats],
-        "rows": [asdict(r) for r in report.rows],
-        "errors": [asdict(e) for e in report.errors],
+        "regime": data.pop("regime"),
+        **data,
     }
+
+
+def _from_json(kind, value):
+    """A JSON value as the annotated field type: a dataclass from an object,
+    a tuple from an array (of dataclasses when annotated so)."""
+    if is_dataclass(kind):
+        return kind(**value)
+    if get_origin(kind) is tuple:
+        return tuple(_from_json(get_args(kind)[0], item) for item in value)
+    return value
 
 
 def report_from_dict(data: dict) -> ExperimentReport:
@@ -442,33 +422,19 @@ def report_from_dict(data: dict) -> ExperimentReport:
         raise ValueError(
             f"unsupported report schema version {data.get('schema_version')!r}"
         )
-    gen = GeneratorSpec(**data["generator"])
-    cfg_data = dict(data["config"])
-    budget_n = cfg_data.pop("budget_n")
-    cfg = StreamConfig(**cfg_data)
-    if cfg.budget_n != budget_n:
+    kinds = get_type_hints(ExperimentReport)
+    report = ExperimentReport(**{
+        f.name: _from_json(kinds[f.name], data[f.name])
+        for f in fields(ExperimentReport)
+        if f.name != "wall_clock_seconds"
+    })
+    # StreamConfig derives budget_n from the other fields
+    budget_n = data["config"]["budget_n"]
+    if report.config.budget_n != budget_n:
         raise ValueError(
-            f"stored budget_n={budget_n} disagrees with recomputed {cfg.budget_n}"
+            f"stored budget_n={budget_n} disagrees with recomputed {report.config.budget_n}"
         )
-    return ExperimentReport(
-        generator=gen,
-        config=cfg,
-        block_size=data["block_size"],
-        resistance_mode=data["resistance_mode"],
-        regime=data["regime"],
-        trials=data["trials"],
-        trial_seeds=tuple(data["trial_seeds"]),
-        trials_with_a_event=data["trials_with_a_event"],
-        trials_with_b_event=data["trials_with_b_event"],
-        trials_with_error=data["trials_with_error"],
-        failed_trials=data["failed_trials"],
-        failure_rate=data["failure_rate"],
-        failure_ci95=tuple(data["failure_ci95"]),
-        prop1_violations=data["prop1_violations"],
-        step_stats=tuple(StepStats(**s) for s in data["step_stats"]),
-        rows=tuple(TrialStepRow(**r) for r in data["rows"]),
-        errors=tuple(TrialError(**e) for e in data["errors"]),
-    )
+    return report
 
 
 def emit_report(report: ExperimentReport, path, format: str = "json") -> str:

@@ -29,6 +29,8 @@ from .tape import RandomTape
 # sit in different components and the resistance is infinite.
 _CROSS_COMPONENT_TOL = 1e-8
 
+_CG_RTOL = 1e-10  # relative residual at which each conjugate-gradient solve stops
+
 
 @dataclass(frozen=True)
 class ResistanceEstimate:
@@ -71,6 +73,17 @@ def _check_same_component(factors: PseudoinverseFactors, pairs: Sequence[tuple[i
             )
 
 
+def _estimates(
+    factors: PseudoinverseFactors, pairs: Sequence, edge_ids: Sequence[int] | None, alpha: float
+) -> list[ResistanceEstimate]:
+    """Resistances b^T L+ b of endpoint pairs, tagged with accuracy alpha."""
+    pairs = [(int(p[0]), int(p[1])) for p in pairs]
+    ids = range(len(pairs)) if edge_ids is None else edge_ids
+    _check_same_component(factors, pairs)
+    rs = factors.resistances(pairs)
+    return [ResistanceEstimate(i, float(r), alpha) for i, r in zip(ids, rs)]
+
+
 def exact_resistance(
     factors: PseudoinverseFactors, edge: tuple[int, int], edge_id: int = 0
 ) -> ResistanceEstimate:
@@ -90,10 +103,7 @@ def exact_resistance(
     GraphConnectivityError
         If the endpoints lie in different components (infinite resistance).
     """
-    u, v = int(edge[0]), int(edge[1])
-    _check_same_component(factors, [(u, v)])
-    r = float(factors.resistances([(u, v)])[0])
-    return ResistanceEstimate(edge_id, r, 1.0)
+    return _estimates(factors, [edge], [edge_id], 1.0)[0]
 
 
 def exact_resistances(
@@ -102,10 +112,7 @@ def exact_resistances(
     edge_ids: Sequence[int] | None = None,
 ) -> list[ResistanceEstimate]:
     """Vectorized exact oracle over many endpoint pairs."""
-    ids = list(range(len(pairs))) if edge_ids is None else list(edge_ids)
-    _check_same_component(factors, [(int(u), int(v)) for u, v in pairs])
-    rs = factors.resistances([(int(u), int(v)) for u, v in pairs])
-    return [ResistanceEstimate(i, float(r), 1.0) for i, r in zip(ids, rs)]
+    return _estimates(factors, pairs, edge_ids, 1.0)
 
 
 def resistances_from_sparsifier(
@@ -124,12 +131,7 @@ def resistances_from_sparsifier(
     if not 0 < eps < 1:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     factors = pseudo_factorize(build_laplacian(h_plus_block))
-    ids = list(range(len(targets))) if edge_ids is None else list(edge_ids)
-    pairs = [(int(u), int(v)) for u, v in targets]
-    _check_same_component(factors, pairs)
-    rs = factors.resistances(pairs)
-    alpha = 1.0 / (1.0 - eps)
-    return [ResistanceEstimate(i, float(r), alpha) for i, r in zip(ids, rs)]
+    return _estimates(factors, targets, edge_ids, 1.0 / (1.0 - eps))
 
 
 def inject_alpha_noise(
@@ -149,15 +151,13 @@ def inject_alpha_noise(
     ]
 
 
-def cg_resistances(
-    g: WeightedGraph, pairs: Sequence[tuple[int, int]], rtol: float = 1e-10
-) -> np.ndarray:
+def cg_resistances(g: WeightedGraph, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
     """Iterative (conjugate-gradient) resistance backend.
 
     Same contract as the dense oracle on connected graphs; validated against
-    it to 1e-6 relative. The Laplacian solve stays in range(L) because the
-    right-hand side of every resistance query is orthogonal to the all-ones
-    null vector.
+    it to 1e-6 relative. Each solve stops at relative residual _CG_RTOL. The
+    Laplacian solve stays in range(L) because the right-hand side of every
+    resistance query is orthogonal to the all-ones null vector.
     """
     if not is_connected(g):
         raise GraphConnectivityError("iterative backend requires a connected graph")
@@ -166,16 +166,16 @@ def cg_resistances(
     for k, (u, v) in enumerate(pairs):
         b = np.zeros(g.n)
         b[int(u)], b[int(v)] = 1.0, -1.0
-        x, info = _cg_compat(L, b, rtol)
+        x, info = _cg_compat(L, b)
         if info != 0:
             raise RuntimeError(f"conjugate gradient did not converge (info={info})")
         out[k] = float(b @ x)
     return out
 
 
-def _cg_compat(L, b, rtol):
+def _cg_compat(L, b):
     # scipy renamed tol -> rtol in 1.12; support both
     try:
-        return _scipy_cg(L, b, rtol=rtol, atol=0.0)
+        return _scipy_cg(L, b, rtol=_CG_RTOL, atol=0.0)
     except TypeError:  # pragma: no cover - depends on installed scipy
-        return _scipy_cg(L, b, tol=rtol, atol=0.0)
+        return _scipy_cg(L, b, tol=_CG_RTOL, atol=0.0)

@@ -231,10 +231,6 @@ class Sparsifier:
             self.n, np.array(us, dtype=int), np.array(vs, dtype=int), np.array(ws, dtype=float)
         )
 
-    def to_graph(self) -> WeightedGraph:
-        """Alive copies merged into one weighted edge per id."""
-        return WeightedGraph.from_edges(self.n, self._merged())
-
     def combined_with(self, block: Sequence[int]) -> WeightedGraph:
         """The merged sparsifier plus the raw edges of the next block."""
         return WeightedGraph.from_edges(self.n, self._merged(block))
@@ -446,13 +442,16 @@ class _DiagnosticsEngine:
 
 
 def _check_cfg_matches(g: WeightedGraph, cfg: StreamConfig) -> None:
+    hint = "build the config with StreamConfig.for_graph"
     if cfg.n != g.n or cfg.m != g.m:
         raise ConfigError(
-            f"config (n={cfg.n}, m={cfg.m}) does not match graph (n={g.n}, m={g.m})"
+            f"config (n={cfg.n}, m={cfg.m}) does not match graph (n={g.n}, m={g.m}); {hint}"
         )
     kappa = g.kappa()
     if abs(cfg.kappa - kappa) > 1e-9 * max(1.0, kappa):
-        raise ConfigError(f"config kappa={cfg.kappa} does not match graph kappa={kappa}")
+        raise ConfigError(
+            f"config kappa={cfg.kappa} does not match graph kappa={kappa}; {hint}"
+        )
 
 
 def _run_stream(
@@ -649,25 +648,20 @@ def read_sparsifier(path, n: int | None = None) -> LoadedSparsifier:
     header = _read_header(path, text)
     bound = math.inf if n is None else n
     budget = (header or {}).get("N", math.inf)
-    if rows is None or _hash_inside_row(text) or not _rows_valid(rows, bound, budget):
-        _raise_first_bad_row(path, text, bound, budget)
-        raise ValueError(f"{path}: unreadable sparsifier rows")
+    if _hash_inside_row(text):
+        rows = None
+    if rows is None or _first_bad_row(rows, bound, budget):
+        raise _row_error(path, text, rows, bound, budget)
     if header is None:
         raise ValueError(f"{path}: missing sparsifier header comment")
-    u, v = rows["u"], rows["v"]
     if n is None:
-        n = 1 + int(max(u.max(), v.max())) if len(rows) else 0
+        n = 1 + int(max(rows["u"].max(), rows["v"].max())) if len(rows) else 0
     return LoadedSparsifier(
         n=int(n),
         step=header.get("step", 0),
         budget_n=header.get("N", 0),
         seed=header.get("seed", 0),
-        u=u,
-        v=v,
-        weight=rows["weight"],
-        e=rows["e"],
-        j=rows["j"],
-        p_tilde=rows["p_tilde"],
+        **{name: rows[name] for name in _ROW_DTYPE.names},
     )
 
 
@@ -725,64 +719,74 @@ def _hash_inside_row(text: str) -> bool:
     return any(text[start:pos].strip() for start, pos, _ in _comment_lines(text))
 
 
-def _rows_valid(rows: np.ndarray, bound, budget) -> bool:
-    """The range and repeat checks of _raise_first_bad_row on all rows at once."""
+_ROW_ERRORS = {
+    "parse": "expected 'u v weight e j p_tilde' with 64-bit integers u, v, e, j, got {line!r}",
+    "range": "need distinct vertex ids in [0, {bound}), a finite weight > 0 and p_tilde "
+             "in (0, 1], got {line!r}",
+    "copy": "need an edge id e >= 0 and a copy index j in [0, {budget}), got {line!r}",
+    "repeat": "copy j={j} of edge e={e} repeats line {earlier}",
+}
+
+
+def _first_bad_row(rows: np.ndarray, bound, budget) -> tuple[int, str, int] | None:
+    """The one row contract: (index, check, earlier) for the first row in
+    file order that breaks it, or None. check names the _ROW_ERRORS entry;
+    earlier is the index of the row a "repeat" repeats (else -1).
+    """
     u, v, w, e, j, p = (rows[k] for k in _ROW_DTYPE.names)
-    ok = (
+    in_range = (
         (0 <= u) & (u < bound) & (0 <= v) & (v < bound) & (u != v)
         & (0.0 < w) & (w < math.inf) & (0.0 < p) & (p <= 1.0)
-        & (0 <= e) & (0 <= j) & (j < budget)
     )
-    if not ok.all():
-        return False
+    bad = np.flatnonzero(~(in_range & (0 <= e) & (0 <= j) & (j < budget)))
+    first = int(bad[0]) if len(bad) else len(rows)
     de, dj = np.diff(e), np.diff(j)
     if not ((de > 0) | ((de == 0) & (dj > 0))).all():
-        # not in the writer's (e, j) order: sort to bring repeats together
+        # not in the writer's (e, j) order: a stable sort keeps each pair's
+        # rows together and in file order
         order = np.lexsort((j, e))
-        de, dj = np.diff(e[order]), np.diff(j[order])
-    return not ((de == 0) & (dj == 0)).any()
+        same = np.flatnonzero((np.diff(e[order]) == 0) & (np.diff(j[order]) == 0))
+        if len(same) and order[same + 1].min() < first:
+            k = same[np.argmin(order[same + 1])]
+            return int(order[k + 1]), "repeat", int(order[k])
+    if len(bad):
+        return first, "range" if not in_range[first] else "copy", -1
+    return None
 
 
-_WALK_BLOCK = 4096  # lines parsed together while looking for a bad row
+_WALK_BLOCK = 4096  # lines parsed together while looking for one that does not parse
 
 
-def _raise_first_bad_row(path, text: str, bound, budget) -> None:
-    """Walk the rows in order and raise for the first one that is bad.
+def _row_error(path, text: str, rows: np.ndarray | None, bound, budget) -> ValueError:
+    """The 'path:lineno:' error for the first bad row of a file.
 
-    Rows are parsed by _parse_rows, a block of lines at a time, and one line
-    at a time only inside a block that does not parse. No '#' is a comment
-    here: a row holding one is bad.
+    Without the `rows` of a whole-file parse, the data lines are walked up
+    to the first that does not parse: through _parse_rows a block at a time,
+    and a line at a time inside a failing block, with no '#' a comment.
+    That line is reported unless _first_bad_row names a row before it.
     """
-    numbered = [
+    lines = [
         (lineno, line)
         for lineno, line in enumerate((raw.strip() for raw in text.split("\n")), start=1)
         if line and not line.startswith("#")
     ]
-    first_seen: dict[tuple[int, int], int] = {}
-    for start in range(0, len(numbered), _WALK_BLOCK):
-        block = numbered[start:start + _WALK_BLOCK]
-        rows = _parse_rows([line for _, line in block], comments=None)
-        for k, (lineno, line) in enumerate(block):
-            row = rows[k] if rows is not None else _parse_rows([line], comments=None)
-            if row is None:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 'u v weight e j p_tilde' with 64-bit "
-                    f"integers u, v, e, j, got {line!r}"
-                )
-            u, v, w, e, j, p = row.item() if rows is not None else row[0].item()
-            if not (0 <= u < bound and 0 <= v < bound and u != v
-                    and 0.0 < w < math.inf and 0.0 < p <= 1.0):
-                raise ValueError(
-                    f"{path}:{lineno}: need distinct vertex ids in [0, {bound}), a finite "
-                    f"weight > 0 and p_tilde in (0, 1], got {line!r}"
-                )
-            if not (0 <= e and 0 <= j < budget):
-                raise ValueError(
-                    f"{path}:{lineno}: need an edge id e >= 0 and a copy index j in "
-                    f"[0, {budget}), got {line!r}"
-                )
-            if (e, j) in first_seen:
-                raise ValueError(
-                    f"{path}:{lineno}: copy j={j} of edge e={e} repeats line {first_seen[e, j]}"
-                )
-            first_seen[e, j] = lineno
+    # loadtxt skips exactly the blank and comment lines dropped here, so
+    # whole-file row k is data line k
+    stop = None
+    if rows is None:
+        parsed = [np.empty(0, dtype=_ROW_DTYPE)]
+        for start in range(0, len(lines), _WALK_BLOCK):
+            block = [line for _, line in lines[start:start + _WALK_BLOCK]]
+            rows = _parse_rows(block, comments=None)
+            if rows is None:
+                singles = [_parse_rows([line], comments=None) for line in block]
+                stop = start + next(k for k, row in enumerate(singles) if row is None)
+                parsed += singles[:stop - start]
+                break
+            parsed.append(rows)
+        rows = np.concatenate(parsed)
+    k, check, earlier = _first_bad_row(rows, bound, budget) or (stop, "parse", -1)
+    e, j = rows[["e", "j"]][k].item() if check == "repeat" else (None, None)
+    return ValueError(f"{path}:{lines[k][0]}: " + _ROW_ERRORS[check].format(
+        line=lines[k][1], bound=bound, budget=budget, e=e, j=j, earlier=lines[earlier][0]
+    ))

@@ -213,11 +213,13 @@ def dkw_epsilon(count: int, confidence: float) -> float:
     return math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * count))
 
 
+DOMINANCE_MIN_SAMPLES = 10_000
+
+
 def dominance_check(
     max_ratio_samples: Sequence[float],
     w0_samples: Sequence[float],
     confidence: float = 0.999,
-    min_samples: int = 10_000,
 ) -> bool:
     """Empirical stochastic dominance of 1/w0 over the per-copy maxima.
 
@@ -225,12 +227,13 @@ def dominance_check(
     of the max-ratio samples at every pooled sample point, with a DKW
     allowance splitting `confidence` across the two sets. Both sets must
     carry the same (p_te, alpha); that matching is the caller's contract.
+    Each set needs at least DOMINANCE_MIN_SAMPLES samples.
     """
     ratios = np.sort(np.asarray(max_ratio_samples, dtype=float))
     w0 = np.sort(np.asarray(w0_samples, dtype=float))
-    if len(ratios) < min_samples or len(w0) < min_samples:
+    if len(ratios) < DOMINANCE_MIN_SAMPLES or len(w0) < DOMINANCE_MIN_SAMPLES:
         raise ValueError(
-            f"need at least {min_samples} samples per set, "
+            f"need at least {DOMINANCE_MIN_SAMPLES} samples per set, "
             f"got {len(ratios)} and {len(w0)}"
         )
     per_set = 1.0 - (1.0 - confidence) / 2.0

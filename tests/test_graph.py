@@ -3,7 +3,7 @@ closed-form oracles and Moore-Penrose identities."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from respark.graph import (
     Edge,
@@ -269,3 +269,78 @@ def test_edge_list_errors(tmp_path):
     worse.write_text("0 1 1.0\n1 2 oops\n")
     with pytest.raises(ValueError, match="worse.edges:2"):
         read_edge_list(worse)
+    binary = tmp_path / "binary.edges"
+    binary.write_bytes(b"0 1 1.0\n1 2 \xff\n")
+    with pytest.raises(ValueError, match="binary.edges: .*can't decode"):
+        read_edge_list(binary)
+
+
+def _reference_edge_list(lines):
+    """The edge-list format read line by line: (n, triples), or raises
+    ValueError holding the bad line's number (None for a bad graph)."""
+    declared, triples, first = None, [], True
+    for lineno, line in enumerate(lines, start=1):
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        try:
+            if first and tokens[0] == "n":
+                if len(tokens) != 2:
+                    raise ValueError
+                declared = int(tokens[1])
+            elif len(tokens) != 3:
+                raise ValueError
+            else:
+                triples.append((int(tokens[0]), int(tokens[1]), float(tokens[2])))
+        except ValueError:
+            raise ValueError(lineno) from None
+        first = False
+    if declared is None:
+        if not triples:
+            raise ValueError(None)
+        declared = 1 + max(max(u, v) for u, v, _ in triples)
+    if declared < 1 or not all(
+        0 <= u < declared and 0 <= v < declared and u != v and 0 < w < float("inf")
+        for u, v, w in triples
+    ):
+        raise ValueError(None)
+    return declared, triples
+
+
+_EDGE_TOKENS = st.one_of(
+    st.integers(-2, 6).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["n", "x", "#", "#c", "1_0", "1e0", "+2", "007", "٣", "9" * 20]),
+)
+_EDGE_LINES = st.one_of(
+    st.tuples(st.integers(0, 5), st.integers(0, 5), st.floats(1e-3, 2.0)).map(
+        lambda t: f"{t[0]} {t[1]} {t[2]!r}"
+    ),
+    st.lists(_EDGE_TOKENS, min_size=1, max_size=4).map(" ".join),
+    st.sampled_from(["", " \t", "# comment", "n 6", "n 2", "n 0", "n -1", "n x", "n", "n 2 3"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(_EDGE_LINES, max_size=8))
+@example(lines=["n x", "0 1 1.0"])
+@example(lines=["n 3", "1 1 1.0"])
+@example(lines=["n 3", "0 3 1.0"])
+@example(lines=["0 1 nan"])
+@example(lines=["n 0"])
+def test_edge_list_fuzz_matches_reference(tmp_path_factory, lines):
+    # every input reads to the reference graph or fails naming the file
+    path = tmp_path_factory.mktemp("fuzz") / "g.edges"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        n, triples = _reference_edge_list(lines)
+    except ValueError as ref_exc:
+        lineno = ref_exc.args[0]
+        with pytest.raises(ValueError) as info:
+            read_edge_list(path)
+        where = f"{path}:{lineno}: " if lineno else f"{path}: "
+        assert str(info.value).startswith(where), str(info.value)
+        return
+    g = read_edge_list(path)
+    assert g.n == n
+    assert g.edges == tuple(Edge(u, v, w) for u, v, w in triples)

@@ -186,8 +186,13 @@ def test_run_experiment_validation():
     with pytest.raises(ValueError, match="resistance mode"):
         run_experiment(spec, cfg, trials=1, resistance_mode="bogus")
     other = _cfg(generate(GeneratorSpec("path", 6)))
-    with pytest.raises(ValueError, match="does not match generated graph"):
+    with pytest.raises(ValueError, match="does not match graph.*StreamConfig.for_graph"):
         run_experiment(spec, other, trials=1)
+    # same n and m, but weights drawn from [0.25, 1] give kappa > 1
+    heavy = _cfg(generate(GeneratorSpec("path", 5, weight_min=0.25, seed=3)))
+    assert (heavy.n, heavy.m) == (cfg.n, cfg.m) and heavy.kappa > 1.0
+    with pytest.raises(ValueError, match="kappa.*StreamConfig.for_graph"):
+        run_experiment(spec, heavy, trials=1)
 
 
 def test_run_experiment_shape_and_determinism():

@@ -141,7 +141,7 @@ def test_sandwich_property_on_stress_sparsifier():
     pairs = [(e.u, e.v) for e in g.edges]
     exact = np.array([e.r_tilde for e in exact_resistances(_factors(g), pairs)])
     approx = np.array(
-        [e.r_tilde for e in resistances_from_sparsifier(h.to_graph(), pairs, eps)]
+        [e.r_tilde for e in resistances_from_sparsifier(h.combined_with(()), pairs, eps)]
     )
     ratio = approx / exact
     assert np.all(ratio >= 1 / (1 + eps) - 1e-8)

@@ -756,6 +756,95 @@ def test_reader_reports_true_line_of_bad_row(tmp_path):
         read_sparsifier(p)
 
 
+_HEADER = "# respark sparsifier step=1 N=5 seed=0"
+_MESSAGES = {
+    "range": "need distinct vertex ids",
+    "copy": r"need an edge id e >= 0 and a copy index j in \[0, 5\)",
+    "parse": "expected 'u v weight e j p_tilde' with 64-bit integers",
+}
+
+
+@pytest.mark.parametrize(
+    "row, check",
+    [
+        ("-1 1 0.5 1 0 1.0", "range"),
+        ("3 1 0.5 1 0 1.0", "range"),
+        ("0 -1 0.5 1 0 1.0", "range"),
+        ("0 3 0.5 1 0 1.0", "range"),
+        ("2 2 0.5 1 0 1.0", "range"),
+        ("0 1 0.0 1 0 1.0", "range"),
+        ("0 1 inf 1 0 1.0", "range"),
+        ("0 1 nan 1 0 1.0", "range"),
+        ("0 1 0.5 1 0 0.0", "range"),
+        ("0 1 0.5 1 0 1.5", "range"),
+        ("0 1 0.5 -1 0 1.0", "copy"),
+        ("0 1 0.5 1 -1 1.0", "copy"),
+        ("0 1 0.5 1 5 1.0", "copy"),
+        ("0 1 0.5 0 0 1.0", r"copy j=0 of edge e=0 repeats line 2"),
+    ],
+)
+def test_each_row_check_is_named(tmp_path, row, check):
+    # one term of the row contract broken per row, on n = 3 and N = 5
+    p = tmp_path / "bad.sparsifier"
+    p.write_text(f"{_HEADER}\n0 1 0.5 0 0 1.0\n{row}\n1 2 0.5 2 0 1.0\n")
+    with pytest.raises(ValueError, match=rf"bad\.sparsifier:3: {_MESSAGES.get(check, check)}"):
+        read_sparsifier(p, n=3)
+
+
+@pytest.mark.parametrize(
+    "first, second, check",
+    [
+        ("0 1 0.5 1 0 1.5", "0 1 0.5 1 1", "range"),
+        ("0 1 0.5 1 1", "0 1 0.5 1 0 1.5", "parse"),
+        ("0 1 0.5 1 7 1.0", "0 1 0.5 2 0 1.0 # note", "copy"),
+        ("0 1 0.5 2 0 1.0 # note", "0 1 0.5 1 7 1.0", "parse"),
+        ("0 0 0.5 0 1 1.0", "0 1 0.5 0 0 1.0", "range"),
+        ("0 1 0.5 0 0 1.0", "0 0 0.5 0 1 1.0", "copy j=0 of edge e=0 repeats line 2"),
+        ("0 1 0.5 0 0 1.0", "0 1 x 2 0 1.0", "copy j=0 of edge e=0 repeats line 2"),
+    ],
+)
+def test_earlier_of_two_bad_lines_is_reported(tmp_path, first, second, check):
+    p = tmp_path / "bad.sparsifier"
+    p.write_text(f"{_HEADER}\n0 1 0.5 0 0 1.0\n{first}\n{second}\n")
+    with pytest.raises(ValueError, match=rf"bad\.sparsifier:3: {_MESSAGES.get(check, check)}"):
+        read_sparsifier(p, n=3)
+
+
+@pytest.mark.parametrize("bad_at, unparsed_at", [(10, 6000), (6000, 10), (4500, 4600), (4600, 4500)])
+def test_earlier_bad_line_wins_across_walk_blocks(tmp_path, bad_at, unparsed_at):
+    rows = [f"0 1 0.5 {e} 0 1.0" for e in range(7000)]
+    rows[bad_at] = f"0 1 0.5 {bad_at} 5 1.0"  # copy index outside [0, N)
+    rows[unparsed_at] = "0 1 0.5"
+    p = tmp_path / "bad.sparsifier"
+    p.write_text(f"{_HEADER}\n" + "\n".join(rows) + "\n")
+    check = "copy" if bad_at < unparsed_at else "parse"
+    lineno = 2 + min(bad_at, unparsed_at)
+    with pytest.raises(ValueError, match=rf"bad\.sparsifier:{lineno}: {_MESSAGES[check]}"):
+        read_sparsifier(p)
+
+
+@pytest.mark.parametrize("tail", ["", "0 1 0.5\n"])
+def test_repeat_names_the_true_line_of_its_first_copy(tmp_path, tail):
+    # out of the writer's (e, j) order, so repeats are found by sorting; with
+    # the unparsed tail the rows come from the line walk
+    p = tmp_path / "bad.sparsifier"
+    p.write_text(
+        f"{_HEADER}\n\n# note\n0 1 0.5 1 0 1.0\n1 2 0.5 0 1 1.0\n\n  # more\n0 1 0.5 1 0 1.0\n"
+        + tail
+    )
+    with pytest.raises(ValueError, match=r"bad\.sparsifier:8: copy j=0 of edge e=1 repeats line 4$"):
+        read_sparsifier(p)
+
+
+def test_first_repeat_in_file_order_is_reported(tmp_path):
+    p = tmp_path / "bad.sparsifier"
+    rows = ["0 1 0.5 5 0 1.0", "0 1 0.5 1 0 1.0", "0 1 0.5 5 1 1.0", "0 1 0.5 5 0 1.0",
+            "0 1 0.5 1 0 1.0"]
+    p.write_text(f"{_HEADER}\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match=r"bad\.sparsifier:5: copy j=0 of edge e=5 repeats line 2$"):
+        read_sparsifier(p)
+
+
 _TOKENS = st.one_of(
     st.integers(-2, 6).map(str),
     st.integers(2**62, 2**65).map(str),
