@@ -8,129 +8,22 @@ harness reruns the whole construction under many tape seeds and reports
 event rates with exact binomial intervals.
 """
 
-from .graph import (
-    Edge,
-    GraphConnectivityError,
-    ProjectionContext,
-    PseudoinverseFactors,
-    WeightedGraph,
-    build_laplacian,
-    component_count,
-    is_connected,
-    lambda_max_bound,
-    projection_context,
-    pseudo_factorize,
-    read_edge_list,
-    write_edge_list,
-)
-from .harness import (
-    ExperimentReport,
-    GeneratorSpec,
-    clopper_pearson,
-    emit_report,
-    generate,
-    load_report_json,
-    read_report_rows,
-    run_experiment,
-    tree_first_order,
-)
-from .resistance import (
-    AccuracyModel,
-    ResistanceEstimate,
-    cg_resistances,
-    exact_resistance,
-    exact_resistances,
-    inject_alpha_noise,
-    resistances_from_sparsifier,
-)
-from .sparsify import (
-    ConfigError,
-    Sparsifier,
-    StreamConfig,
-    StreamStepError,
-    StreamTrace,
-    compute_budget,
-    indicator_stream,
-    partition_stream,
-    read_sparsifier,
-    resparsify,
-    single_edge_stream,
-    stream_sparsify,
-    write_sparsifier,
-)
-from .tape import RandomTape
-from .verify import (
-    DiagnosticsRecord,
-    DominatingSample,
-    count_event,
-    dkw_epsilon,
-    dominance_check,
-    projection_error,
-    quadratic_variation,
-    read_diagnostics,
-    sample_dominating_w0,
-    sample_dominating_w0_batch,
-    spectral_check,
-    write_diagnostics,
-)
+from . import graph, harness, resistance, sparsify, tape, verify
+from .graph import *  # noqa: F401,F403
+from .harness import *  # noqa: F401,F403
+from .resistance import *  # noqa: F401,F403
+from .sparsify import *  # noqa: F401,F403
+from .tape import *  # noqa: F401,F403
+from .verify import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccuracyModel",
-    "ConfigError",
-    "DiagnosticsRecord",
-    "DominatingSample",
-    "Edge",
-    "ExperimentReport",
-    "GeneratorSpec",
-    "GraphConnectivityError",
-    "ProjectionContext",
-    "PseudoinverseFactors",
-    "RandomTape",
-    "ResistanceEstimate",
-    "Sparsifier",
-    "StreamConfig",
-    "StreamStepError",
-    "StreamTrace",
-    "WeightedGraph",
-    "build_laplacian",
-    "cg_resistances",
-    "clopper_pearson",
-    "component_count",
-    "compute_budget",
-    "count_event",
-    "dkw_epsilon",
-    "dominance_check",
-    "emit_report",
-    "exact_resistance",
-    "exact_resistances",
-    "generate",
-    "indicator_stream",
-    "inject_alpha_noise",
-    "is_connected",
-    "lambda_max_bound",
-    "load_report_json",
-    "partition_stream",
-    "projection_context",
-    "projection_error",
-    "pseudo_factorize",
-    "quadratic_variation",
-    "read_diagnostics",
-    "read_edge_list",
-    "read_report_rows",
-    "read_sparsifier",
-    "resistances_from_sparsifier",
-    "resparsify",
-    "run_experiment",
-    "sample_dominating_w0",
-    "sample_dominating_w0_batch",
-    "single_edge_stream",
-    "spectral_check",
-    "stream_sparsify",
-    "tree_first_order",
-    "write_diagnostics",
-    "write_edge_list",
-    "write_sparsifier",
+    *graph.__all__,
+    *harness.__all__,
+    *resistance.__all__,
+    *sparsify.__all__,
+    *tape.__all__,
+    *verify.__all__,
     "__version__",
 ]

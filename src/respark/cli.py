@@ -10,7 +10,6 @@ import argparse
 import sys
 
 from .graph import (
-    GraphConnectivityError,
     build_laplacian,
     projection_context,
     pseudo_factorize,
@@ -21,7 +20,6 @@ from .harness import GENERATOR_MODELS, GeneratorSpec, emit_report, generate, run
 from .resistance import exact_resistances
 from .sparsify import (
     RESISTANCE_MODES,
-    ConfigError,
     StreamConfig,
     read_sparsifier,
     stream_sparsify,
@@ -60,11 +58,13 @@ def _add_gen(sub: argparse._SubParsersAction) -> None:
     _add_generator_args(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True, help="edge-list file to write")
+    p.set_defaults(func=_cmd_gen)
 
 
 def _add_resistances(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("resistances", help="exact effective resistances per edge")
     p.add_argument("--graph", required=True, help="edge-list file")
+    p.set_defaults(func=_cmd_resistances)
 
 
 def _add_sparsify(sub: argparse._SubParsersAction) -> None:
@@ -73,6 +73,7 @@ def _add_sparsify(sub: argparse._SubParsersAction) -> None:
     _add_stream_args(p, "sparsifier")
     p.add_argument("--output", required=True, help="sparsifier file to write")
     p.add_argument("--diagnostics", default=None, help="per-step diagnostics CSV")
+    p.set_defaults(func=_cmd_sparsify)
 
 
 def _add_verify(sub: argparse._SubParsersAction) -> None:
@@ -80,6 +81,7 @@ def _add_verify(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--graph", required=True, help="edge-list file")
     p.add_argument("--sparsifier", required=True, help="sparsifier file")
     p.add_argument("--epsilon", type=float, required=True)
+    p.set_defaults(func=_cmd_verify)
 
 
 def _add_experiment(sub: argparse._SubParsersAction) -> None:
@@ -91,6 +93,7 @@ def _add_experiment(sub: argparse._SubParsersAction) -> None:
                    help="largest acceptable fraction of failed trials")
     p.add_argument("--report", required=True, help="report file to write")
     p.add_argument("--format", default="json", choices=("json", "csv"))
+    p.set_defaults(func=_cmd_experiment)
 
 
 def _cmd_gen(args) -> int:
@@ -194,16 +197,9 @@ def main(argv: list[str] | None = None) -> int:
     _add_verify(sub)
     _add_experiment(sub)
     args = parser.parse_args(argv)
-    commands = {
-        "gen": _cmd_gen,
-        "resistances": _cmd_resistances,
-        "sparsify": _cmd_sparsify,
-        "verify": _cmd_verify,
-        "experiment": _cmd_experiment,
-    }
     try:
-        return commands[args.command](args)
-    except (OSError, ValueError, ConfigError, GraphConnectivityError) as exc:
+        return args.func(args)
+    except (OSError, ValueError) as exc:  # ConfigError and GraphConnectivityError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

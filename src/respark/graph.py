@@ -26,7 +26,6 @@ __all__ = [
     "build_laplacian",
     "component_count",
     "is_connected",
-    "lambda_max_bound",
     "projection_context",
     "pseudo_factorize",
     "read_edge_list",
@@ -280,22 +279,6 @@ def projection_context(g: WeightedGraph) -> ProjectionContext:
         )
     Qr = factors.eigenvectors[:, factors.eigenvalues > 0]
     return ProjectionContext(g, factors, Qr @ Qr.T, factors.inv_sqrt())
-
-
-def lambda_max_bound(g: WeightedGraph) -> float:
-    """Upper bound a_max * n on the largest Laplacian eigenvalue.
-
-    a_max is the largest per-pair weight after merging duplicate stream
-    items: the graph sits below a_max times the complete graph in the
-    Loewner order, and the complete graph's largest eigenvalue is n.
-    """
-    if g.m == 0:
-        return 0.0
-    merged: dict[tuple[int, int], float] = {}
-    for e in g.edges:
-        key = (min(e.u, e.v), max(e.u, e.v))
-        merged[key] = merged.get(key, 0.0) + e.weight
-    return max(merged.values()) * g.n
 
 
 def _component_labels(g: WeightedGraph) -> np.ndarray:

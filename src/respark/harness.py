@@ -12,6 +12,7 @@ recorded in every report.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -19,16 +20,15 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from typing import Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
-from scipy.stats import beta as _beta_dist
+from scipy.special import betaincinv
 
 from .graph import WeightedGraph, is_connected
-from .sparsify import RESISTANCE_MODES, StreamConfig, _check_cfg_matches, stream_sparsify
+from .sparsify import StreamConfig, _check_run_inputs, stream_sparsify
 from .tape import RandomTape
 from .verify import _read_rows, _write_rows, spectral_check
 
 __all__ = [
     "ExperimentReport",
-    "GenerationInfo",
     "GeneratorSpec",
     "TrialError",
     "TrialStepRow",
@@ -36,7 +36,6 @@ __all__ = [
     "clopper_pearson",
     "emit_report",
     "generate",
-    "generate_with_info",
     "load_report_json",
     "read_report_rows",
     "run_experiment",
@@ -77,14 +76,6 @@ class GeneratorSpec:
             )
 
 
-@dataclass(frozen=True)
-class GenerationInfo:
-    """Adjustments made to satisfy the connectivity invariant."""
-
-    connector_edges: int
-    reordered_edges: int
-
-
 class _UnionFind:
     def __init__(self, n: int):
         self.parent = list(range(n))
@@ -123,50 +114,38 @@ def _pair_topology(spec: GeneratorSpec, rng: np.random.Generator) -> list[tuple[
         return [(i, i + 1) for i in range(n - 1)]
     if spec.model == "cycle":
         return [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)]
-    if spec.model == "complete":
-        return [(i, j) for i in range(n) for j in range(i + 1, n)]
     if spec.model == "barbell":
         k = n // 2
         left = [(i, j) for i in range(k) for j in range(i + 1, k)]
         right = [(i, j) for i in range(k, n) for j in range(i + 1, n)]
         return left + right + [(max(k - 1, 0), k)]
-    pairs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < spec.p:
-                pairs.append((i, j))
-    return pairs
+    # complete, or erdos-renyi keeping each pair on one draw in row-major order
+    i, j = np.triu_indices(n, 1)
+    if spec.model == "erdos-renyi":
+        keep = rng.random(len(i)) < spec.p
+        i, j = i[keep], j[keep]
+    return list(zip(i.tolist(), j.tolist()))
 
 
-def generate_with_info(spec: GeneratorSpec) -> tuple[WeightedGraph, GenerationInfo]:
-    """Generate the graph plus a record of connectivity adjustments."""
-    rng = np.random.default_rng(spec.seed)
-    pairs = _pair_topology(spec, rng)
-
-    uf = _UnionFind(spec.n)
-    for u, v in pairs:
-        uf.union(u, v)
-    reps = sorted({uf.find(i) for i in range(spec.n)})
-    connectors = [(reps[i], reps[i + 1]) for i in range(len(reps) - 1)]
-    pairs.extend(connectors)
-
-    weights = rng.uniform(spec.weight_min, spec.weight_max, size=len(pairs))
-    g = WeightedGraph.from_edges(
-        spec.n, [(u, v, float(w)) for (u, v), w in zip(pairs, weights)]
-    )
-    ordered = tree_first_order(g)
-    moved = sum(1 for a, b in zip(g.edges, ordered.edges) if a != b)
-    return ordered, GenerationInfo(len(connectors), moved)
-
-
+@functools.lru_cache(maxsize=1)
 def generate(spec: GeneratorSpec) -> WeightedGraph:
     """Connected weighted graph for a GeneratorSpec, deterministic per seed.
 
     Edges come out spanning-tree first; disconnected draws get minimal
-    connector edges appended before reordering.
+    connector edges appended before reordering. The graph of the last spec
+    is cached (both types are frozen), so a caller and the experiment
+    driver it hands the spec to share one generation.
     """
-    g, _ = generate_with_info(spec)
-    return g
+    rng = np.random.default_rng(spec.seed)
+    pairs = _pair_topology(spec, rng)
+    uf = _UnionFind(spec.n)
+    for u, v in pairs:
+        uf.union(u, v)
+    reps = sorted({uf.find(i) for i in range(spec.n)})
+    pairs.extend(zip(reps, reps[1:]))  # connectors between components
+    weights = rng.uniform(spec.weight_min, spec.weight_max, size=len(pairs))
+    g = WeightedGraph.from_edges(spec.n, [(u, v, float(w)) for (u, v), w in zip(pairs, weights)])
+    return tree_first_order(g)
 
 
 def clopper_pearson(failures: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:
@@ -177,12 +156,13 @@ def clopper_pearson(failures: int, trials: int, confidence: float = 0.95) -> tup
         raise ValueError(f"failures must lie in [0, {trials}], got {failures}")
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
+    # quantiles of Beta(a, b) by the inverse regularized incomplete beta
     tail = (1.0 - confidence) / 2.0
-    lo = 0.0 if failures == 0 else float(_beta_dist.ppf(tail, failures, trials - failures + 1))
+    lo = 0.0 if failures == 0 else float(betaincinv(failures, trials - failures + 1, tail))
     hi = (
         1.0
         if failures == trials
-        else float(_beta_dist.ppf(1.0 - tail, failures + 1, trials - failures))
+        else float(betaincinv(failures + 1, trials - failures, 1.0 - tail))
     )
     return lo, hi
 
@@ -346,13 +326,9 @@ def run_experiment(
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    if resistance_mode not in RESISTANCE_MODES:
-        raise ValueError(
-            f"resistance mode must be one of {RESISTANCE_MODES}, got {resistance_mode!r}"
-        )
     start = time.perf_counter()
     g = generate(spec)
-    _check_cfg_matches(g, cfg)
+    _check_run_inputs(g, cfg, resistance_mode)
     if block_size is None:
         block_size = cfg.budget_n
     master = RandomTape(cfg.seed)

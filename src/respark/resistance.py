@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import cg as _scipy_cg
+from scipy.sparse.linalg import cg
 
 from .graph import (
     GraphConnectivityError,
@@ -24,6 +24,15 @@ from .graph import (
     pseudo_factorize,
 )
 from .tape import RandomTape
+
+__all__ = [
+    "ResistanceEstimate",
+    "cg_resistances",
+    "exact_resistance",
+    "exact_resistances",
+    "inject_alpha_noise",
+    "resistances_from_sparsifier",
+]
 
 # Null-space leakage above this in an endpoint indicator means the endpoints
 # sit in different components and the resistance is infinite.
@@ -45,18 +54,6 @@ class ResistanceEstimate:
             raise ValueError(f"resistance estimate must be positive, got {self.r_tilde}")
         if self.alpha < 1.0:
             raise ValueError(f"accuracy parameter must be >= 1, got {self.alpha}")
-
-
-@dataclass(frozen=True)
-class AccuracyModel:
-    """The accuracy band [1/alpha, alpha] and tape seed of injected noise."""
-
-    alpha: float
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.alpha < 1.0:
-            raise ValueError(f"alpha must be >= 1, got {self.alpha}")
 
 
 def _check_same_component(factors: PseudoinverseFactors, pairs: Sequence[tuple[int, int]]) -> None:
@@ -135,18 +132,21 @@ def resistances_from_sparsifier(
 
 
 def inject_alpha_noise(
-    estimates: Sequence[ResistanceEstimate], model: AccuracyModel
+    estimates: Sequence[ResistanceEstimate], alpha: float, seed: int
 ) -> list[ResistanceEstimate]:
     """Multiply each estimate by a seeded uniform factor in [1/alpha, alpha].
 
-    Multipliers are drawn in input order from a labeled tape stream, so a
-    fixed (seed, estimate order) pair reproduces the same noise exactly.
+    Multipliers are drawn in input order from a labeled stream of
+    RandomTape(seed), so a fixed (seed, estimate order) pair reproduces the
+    same noise exactly.
     """
-    lo, hi = 1.0 / model.alpha, model.alpha
-    u = RandomTape(model.seed).labeled("alpha-noise", len(estimates))
+    if alpha < 1.0:
+        raise ValueError(f"alpha must be >= 1, got {alpha}")
+    lo, hi = 1.0 / alpha, alpha
+    u = RandomTape(seed).labeled("alpha-noise", len(estimates))
     factors = lo + u * (hi - lo)
     return [
-        ResistanceEstimate(est.edge_id, est.r_tilde * float(f), model.alpha)
+        ResistanceEstimate(est.edge_id, est.r_tilde * float(f), alpha)
         for est, f in zip(estimates, factors)
     ]
 
@@ -166,16 +166,9 @@ def cg_resistances(g: WeightedGraph, pairs: Sequence[tuple[int, int]]) -> np.nda
     for k, (u, v) in enumerate(pairs):
         b = np.zeros(g.n)
         b[int(u)], b[int(v)] = 1.0, -1.0
-        x, info = _cg_compat(L, b)
+        x, info = cg(L, b, rtol=_CG_RTOL, atol=0.0)
         if info != 0:
             raise RuntimeError(f"conjugate gradient did not converge (info={info})")
         out[k] = float(b @ x)
     return out
 
-
-def _cg_compat(L, b):
-    # scipy renamed tol -> rtol in 1.12; support both
-    try:
-        return _scipy_cg(L, b, rtol=_CG_RTOL, atol=0.0)
-    except TypeError:  # pragma: no cover - depends on installed scipy
-        return _scipy_cg(L, b, tol=_CG_RTOL, atol=0.0)

@@ -34,7 +34,6 @@ from .graph import (
     pseudo_factorize,
 )
 from .resistance import (
-    AccuracyModel,
     ResistanceEstimate,
     exact_resistances,
     inject_alpha_noise,
@@ -45,7 +44,6 @@ from .tape import RandomTape
 __all__ = [
     "ConfigError",
     "LoadedSparsifier",
-    "RandomTape",
     "Sparsifier",
     "StreamConfig",
     "StreamStepError",
@@ -323,15 +321,13 @@ def _step_estimates(
     if mode == "sparsifier":
         combined = h_prev.combined_with(block)
         return resistances_from_sparsifier(combined, pairs, cfg.eps, targets)
-    if mode in ("exact", "noisy"):
-        prefix = g.prefix(h_prev.arrived + len(block))
-        factors = pseudo_factorize(build_laplacian(prefix))
-        exact = exact_resistances(factors, pairs, targets)
-        if mode == "exact":
-            return exact
-        model = AccuracyModel(cfg.alpha, seed=RandomTape(cfg.seed).child_seed(f"noise/{step}"))
-        return inject_alpha_noise(exact, model)
-    raise ValueError(f"resistance mode must be one of {RESISTANCE_MODES}, got {mode!r}")
+    prefix = g.prefix(h_prev.arrived + len(block))
+    factors = pseudo_factorize(build_laplacian(prefix))
+    exact = exact_resistances(factors, pairs, targets)
+    if mode == "exact":
+        return exact
+    # "noisy": the oracle perturbed within the declared accuracy band
+    return inject_alpha_noise(exact, cfg.alpha, RandomTape(cfg.seed).child_seed(f"noise/{step}"))
 
 
 @dataclass
@@ -441,7 +437,10 @@ class _DiagnosticsEngine:
         )
 
 
-def _check_cfg_matches(g: WeightedGraph, cfg: StreamConfig) -> None:
+def _check_run_inputs(g: WeightedGraph, cfg: StreamConfig, mode: str) -> None:
+    """Reject a resistance mode or a config that no step of the run could use."""
+    if mode not in RESISTANCE_MODES:
+        raise ValueError(f"resistance mode must be one of {RESISTANCE_MODES}, got {mode!r}")
     hint = "build the config with StreamConfig.for_graph"
     if cfg.n != g.n or cfg.m != g.m:
         raise ConfigError(
@@ -469,7 +468,7 @@ def _run_stream(
     A trace is recorded when asked for or when diagnostics need one (the
     variation norm reads it); per-copy rows only when `copies` is set.
     """
-    _check_cfg_matches(g, cfg)
+    _check_run_inputs(g, cfg, mode)
     blocks = partition_stream(g, cfg.budget_n if block_size is None else block_size)
     tape = RandomTape(cfg.seed)
     h = Sparsifier.empty(g, cfg)

@@ -17,6 +17,8 @@ import hashlib
 
 import numpy as np
 
+__all__ = ["RandomTape"]
+
 _MASK64 = (1 << 64) - 1
 _PERSON = b"respark.tape"
 

@@ -25,14 +25,11 @@ from .tape import RandomTape
 
 __all__ = [
     "DiagnosticsRecord",
-    "DominatingSample",
-    "count_event",
     "dkw_epsilon",
     "dominance_check",
     "projection_error",
     "quadratic_variation",
     "read_diagnostics",
-    "sample_dominating_w0",
     "sample_dominating_w0_batch",
     "spectral_check",
     "write_diagnostics",
@@ -154,54 +151,21 @@ def quadratic_variation(trace, ctx: ProjectionContext, upto: int | None = None) 
     return float(max(np.linalg.eigvalsh(w_mat).max(), 0.0))
 
 
-def count_event(h, cfg) -> tuple[int, bool]:
-    """Copy count and the 3N overflow flag."""
-    count = int(h.copy_count())
-    return count, count >= 3 * cfg.budget_n
-
-
-@dataclass(frozen=True)
-class DominatingSample:
-    """One draw of 1/w0: c.d.f. 1 - 1/a on [1, truncation]."""
-
-    value: float
-    truncation: float
-
-    def __post_init__(self) -> None:
-        if not 1.0 <= self.value <= self.truncation * (1.0 + 1e-12):
-            raise ValueError(
-                f"sample {self.value} outside [1, {self.truncation}]"
-            )
-
-
-def _check_w0_params(p_te: float, alpha: float) -> float:
+def sample_dominating_w0_batch(
+    p_te: float, alpha: float, tape: RandomTape, count: int
+) -> np.ndarray:
+    """Vector of `count` inverse-c.d.f. draws of 1/w0, keyed by (p_te, alpha):
+    c.d.f. 1 - 1/a on [1, alpha^2 / p_te], the cap an atom."""
     if p_te <= 0.0:
         raise ValueError(f"p_te must be positive, got {p_te}")
     if p_te > 1.0:
         raise ValueError(f"p_te must be at most 1, got {p_te}")
     if alpha < 1.0:
         raise ValueError(f"alpha must be >= 1, got {alpha}")
-    return alpha**2 / p_te
-
-
-def sample_dominating_w0_batch(
-    p_te: float, alpha: float, tape: RandomTape, count: int
-) -> np.ndarray:
-    """Vector of `count` inverse-c.d.f. draws of 1/w0, keyed by (p_te, alpha)."""
-    cap = _check_w0_params(p_te, alpha)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     u = tape.labeled(f"w0/{float(p_te)!r}/{float(alpha)!r}", count)
-    return np.minimum(1.0 / (1.0 - u), cap)
-
-
-def sample_dominating_w0(
-    p_te: float, alpha: float, tape: RandomTape, index: int = 0
-) -> DominatingSample:
-    """The index-th draw of the tape's (p_te, alpha) stream, as a checked sample."""
-    cap = _check_w0_params(p_te, alpha)
-    values = sample_dominating_w0_batch(p_te, alpha, tape, index + 1)
-    return DominatingSample(float(values[index]), cap)
+    return np.minimum(1.0 / (1.0 - u), alpha**2 / p_te)
 
 
 def dkw_epsilon(count: int, confidence: float) -> float:

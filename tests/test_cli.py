@@ -1,9 +1,14 @@
 """End-to-end command line flows through main()."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from respark import harness
 from respark.cli import main
 from respark.graph import is_connected, read_edge_list
 from respark.harness import load_report_json
@@ -128,6 +133,34 @@ def test_experiment_writes_report(tmp_path, capsys):
     assert loaded.trials == 5
     assert loaded.trials_with_error == 0
     assert loaded.trials_with_b_event == 0
+
+
+def test_experiment_generates_its_graph_once(tmp_path, monkeypatch):
+    calls = []
+    original = harness._pair_topology
+
+    def counted(spec, rng):
+        calls.append(spec)
+        return original(spec, rng)
+
+    monkeypatch.setattr(harness, "_pair_topology", counted)
+    harness.generate.cache_clear()
+    code = main([
+        "experiment", "--model", "erdos-renyi", "--n", "8", "--p", "0.5",
+        "--epsilon", "0.5", "--trials", "2", "--budget-override", "40",
+        "--seed", "4", "--report", str(tmp_path / "r.json"), "--max-failure-rate", "1.0",
+    ])
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_import_leaves_scipy_stats_out():
+    # scipy.stats dominates import time and nothing in the package needs it
+    code = "import sys, respark, respark.cli; print('scipy.stats' in sys.modules)"
+    src = str(Path(harness.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "False"
 
 
 def test_experiment_csv_format(tmp_path):

@@ -12,7 +12,6 @@ from respark.graph import (
     build_laplacian,
     component_count,
     is_connected,
-    lambda_max_bound,
     projection_context,
     pseudo_factorize,
     read_edge_list,
@@ -221,25 +220,6 @@ def test_resistance_monotone_under_added_edge(g, pick):
     bigger = WeightedGraph(g.n, g.edges + (Edge(min(u, v), max(u, v), 1.0),))
     after = pseudo_factorize(build_laplacian(bigger)).resistances(pairs)
     assert np.all(after <= before + 1e-10)
-
-
-def test_lambda_max_bound_examples():
-    assert lambda_max_bound(K3) == pytest.approx(3.0)
-    actual_k3 = np.linalg.eigvalsh(build_laplacian(K3)).max()
-    assert actual_k3 == pytest.approx(3.0, abs=1e-12)
-    p4 = WeightedGraph.from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
-    # P4 spectrum peaks at 2 + sqrt(2)
-    assert np.linalg.eigvalsh(build_laplacian(p4)).max() == pytest.approx(2.0 + np.sqrt(2.0))
-    assert lambda_max_bound(p4) == pytest.approx(4.0)
-    half = WeightedGraph.from_edges(2, [(0, 1, 0.5)])
-    assert lambda_max_bound(half) == pytest.approx(1.0)
-
-
-@settings(max_examples=50, deadline=None)
-@given(connected_graphs())
-def test_lambda_max_bound_holds(g):
-    actual = np.linalg.eigvalsh(build_laplacian(g)).max()
-    assert actual <= lambda_max_bound(g) + 1e-9
 
 
 def test_edge_list_roundtrip(tmp_path):

@@ -10,10 +10,10 @@ from scipy.stats import binom
 from respark.graph import is_connected
 from respark.harness import (
     GeneratorSpec,
+    _pair_topology,
     clopper_pearson,
     emit_report,
     generate,
-    generate_with_info,
     load_report_json,
     read_report_rows,
     report_from_dict,
@@ -85,7 +85,9 @@ def test_barbell_topology():
 
 def test_generation_is_deterministic():
     spec = GeneratorSpec("erdos-renyi", 15, p=0.3, seed=42, weight_min=0.5, weight_max=2.0)
-    g1, g2 = generate(spec), generate(spec)
+    g1 = generate(spec)
+    generate.cache_clear()  # regenerate, not a cache hit
+    g2 = generate(spec)
     assert g1.edges == g2.edges
     g3 = generate(GeneratorSpec("erdos-renyi", 15, p=0.3, seed=43, weight_min=0.5, weight_max=2.0))
     assert g1.edges != g3.edges
@@ -105,11 +107,34 @@ def test_disconnected_draw_gets_connectors():
     # connector edges and a reorder, and the result must be connected with
     # a spanning tree up front
     spec = GeneratorSpec("erdos-renyi", 20, p=0.06, seed=5)
-    g, info = generate_with_info(spec)
-    assert info.connector_edges > 0
-    assert info.reordered_edges > 0
+    g = generate(spec)
+    raw = _pair_topology(spec, np.random.default_rng(spec.seed))
+    assert g.m > len(raw)
+    assert [(e.u, e.v) for e in g.edges[: len(raw)]] != raw
     assert is_connected(g)
     assert is_connected(g.prefix(g.n - 1))
+
+
+def _pair_loop(spec, rng):
+    # the per-pair loop the vectorized generator replaced: one draw per
+    # pair (i < j) in row-major order for erdos-renyi
+    pairs = []
+    for i in range(spec.n):
+        for j in range(i + 1, spec.n):
+            if spec.model == "complete" or rng.random() < spec.p:
+                pairs.append((i, j))
+    return pairs
+
+
+@pytest.mark.parametrize("model", ["complete", "erdos-renyi"])
+@pytest.mark.parametrize("n", [2, 3, 7, 40, 101])
+def test_pair_topology_matches_the_per_pair_loop(model, n):
+    for seed in range(3):
+        spec = GeneratorSpec(model, n, p=(0.05, 0.3, 1.0)[seed], seed=seed)
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert _pair_topology(spec, ours) == _pair_loop(spec, theirs)
+        # the weights are drawn next, from the same generator state
+        assert ours.random() == theirs.random()
 
 
 def test_every_generated_graph_is_connected():

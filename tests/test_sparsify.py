@@ -502,7 +502,8 @@ def test_kappa_mismatch():
 
 def test_unknown_resistance_mode():
     g = generate(GeneratorSpec("path", 4))
-    with pytest.raises(StreamStepError, match="resistance mode"):
+    # rejected up front, not as a failure of step 1
+    with pytest.raises(ValueError, match="resistance mode"):
         stream_sparsify(g, _small_cfg(g, budget=10), resistance_mode="bogus")
 
 

@@ -23,14 +23,11 @@ from respark.tape import RandomTape
 from respark.verify import (
     DIAGNOSTICS_COLUMNS,
     DiagnosticsRecord,
-    DominatingSample,
-    count_event,
     dkw_epsilon,
     dominance_check,
     projection_error,
     quadratic_variation,
     read_diagnostics,
-    sample_dominating_w0,
     sample_dominating_w0_batch,
     spectral_check,
     write_diagnostics,
@@ -208,7 +205,9 @@ def test_quadratic_variation_stays_under_analysis_bound():
 def test_count_event_empty():
     g = generate(GeneratorSpec("path", 4))
     cfg = _cfg(g, budget=10)
-    assert count_event(Sparsifier.empty(g, cfg), cfg) == (0, False)
+    count = Sparsifier.empty(g, cfg).copy_count()
+    record = DiagnosticsRecord.from_measurements(0, count, math.nan, 0.0, cfg)
+    assert (record.copy_count, record.b_event) == (0, False)
 
 
 def test_count_event_overflow_threshold():
@@ -216,10 +215,9 @@ def test_count_event_overflow_threshold():
     # exactly when the third block lands
     g = generate(GeneratorSpec("path", 7))
     cfg = _cfg(g, budget=5)
-    seen = []
-    stream_sparsify(g, cfg, block_size=2, resistance_mode="nodrop",
-                    diagnostics=False,
-                    on_step=lambda s, h, p, r: seen.append(count_event(h, cfg)))
+    _, records = stream_sparsify(g, cfg, block_size=2, resistance_mode="nodrop",
+                                 diagnostics=True)
+    seen = [(r.copy_count, r.b_event) for r in records]
     assert seen == [(10, False), (20, True), (30, True)]
 
 
@@ -260,9 +258,6 @@ def test_w0_support_and_truncation():
 def test_w0_degenerate_point_mass():
     values = sample_dominating_w0_batch(1.0, 1.0, RandomTape(0), 100)
     assert np.all(values == 1.0)
-    sample = sample_dominating_w0(1.0, 1.0, RandomTape(0))
-    assert sample.value == 1.0
-    assert sample.truncation == 1.0
 
 
 def test_w0_mean_matches_closed_form():
@@ -283,8 +278,8 @@ def test_w0_reproducible_and_indexed():
     a = sample_dominating_w0_batch(0.2, 1.5, RandomTape(9), 50)
     b = sample_dominating_w0_batch(0.2, 1.5, RandomTape(9), 50)
     assert np.array_equal(a, b)
-    s3 = sample_dominating_w0(0.2, 1.5, RandomTape(9), index=3)
-    assert s3.value == a[3]
+    # a shorter request reads a prefix of the same stream
+    assert sample_dominating_w0_batch(0.2, 1.5, RandomTape(9), 4)[3] == a[3]
 
 
 def test_w0_parameter_validation():
@@ -297,10 +292,6 @@ def test_w0_parameter_validation():
         sample_dominating_w0_batch(0.5, 0.9, tape, 10)
     with pytest.raises(ValueError):
         sample_dominating_w0_batch(0.5, 1.0, tape, 0)
-    with pytest.raises(ValueError):
-        DominatingSample(0.5, 4.0)
-    with pytest.raises(ValueError):
-        DominatingSample(5.0, 4.0)
 
 
 # ---------------------------------------------------------------------------
