@@ -146,8 +146,9 @@ def _cmd_sparsify(args) -> int:
 def _cmd_verify(args) -> int:
     g = read_edge_list(args.graph)
     sp = read_sparsifier(args.sparsifier, n=g.n)
-    ok, worst = spectral_check(sp, g, args.epsilon)
-    proj = projection_error(sp, projection_context(g))
+    ctx = projection_context(g)
+    ok, worst = spectral_check(sp, g, args.epsilon, ctx)
+    proj = projection_error(sp, ctx)
     print(f"worst_ratio {worst!r}")
     print(f"projection_error {proj!r}")
     print(f"spectral_check {'pass' if ok else 'fail'} at epsilon={args.epsilon}")

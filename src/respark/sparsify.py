@@ -278,12 +278,12 @@ def resparsify(
         prev = h_prev.p_tilde.get(e, 1.0)
         # min rule: p <= prev makes the survival ratio p / prev <= 1 exactly
         p = min(h_prev.edges[e].weight * rmap[e] / (alpha * (n - 1)), 1.0, prev)
-        u = tape.uniforms(s, e, N)
         if e in block_set:
-            kept = np.flatnonzero(u <= p / prev)
+            kept = np.flatnonzero(tape.uniforms(s, e, N) <= p / prev)
         else:
+            # dead copies stay dead, so only the alive copies' draws are read
             js = h_prev.alive[e]
-            kept = js[u[js] <= p / prev]
+            kept = js[tape.uniforms(s, e, N, at=js) <= p / prev]
         p_new[e] = p
         if len(kept):
             alive_new[e] = kept

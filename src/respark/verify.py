@@ -76,7 +76,9 @@ def _laplacian_of(h) -> np.ndarray:
         raise TypeError(f"{type(h).__name__} does not expose a laplacian()") from exc
 
 
-def spectral_check(h, g: WeightedGraph, eps: float) -> tuple[bool, float]:
+def spectral_check(
+    h, g: WeightedGraph, eps: float, ctx: ProjectionContext | None = None
+) -> tuple[bool, float]:
     """Test (1-eps) x'L_G x <= x'L_H x <= (1+eps) x'L_G x for all x.
 
     h may be a sparsifier or a plain graph; anything with n and
@@ -85,14 +87,20 @@ def spectral_check(h, g: WeightedGraph, eps: float) -> tuple[bool, float]:
     when every one lies in [1-eps, 1+eps] with 1e-9 slack. Returns
     (passed, worst deviation |ratio - 1|).
 
+    ctx, when given, must be projection_context(g) (ctx.graph equal to g);
+    it spares a caller that already holds it a second factorisation.
+
     Raises GraphConnectivityError when g is disconnected and ValueError on
-    a vertex-count mismatch.
+    a vertex-count mismatch or a ctx built from another graph.
     """
     if eps < 0.0:
         raise ValueError(f"eps must be non-negative, got {eps}")
     if h.n != g.n:
         raise ValueError(f"vertex counts differ: h has {h.n}, g has {g.n}")
-    ctx = projection_context(g)
+    if ctx is None:
+        ctx = projection_context(g)
+    elif ctx.graph is not g and ctx.graph != g:
+        raise ValueError("ctx was built from another graph than g")
     m_mat = ctx.inv_sqrt @ _laplacian_of(h) @ ctx.inv_sqrt
     nonnull = ctx.factors.eigenvalues > 0.0
     q = ctx.factors.eigenvectors[:, nonnull]

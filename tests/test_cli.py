@@ -99,6 +99,33 @@ def test_verify_passes_on_faithful_sparsifier(tmp_path, capsys):
     assert lines[2].endswith("pass at epsilon=0.5")
 
 
+def test_verify_builds_one_projection_context(tmp_path, capsys, monkeypatch):
+    # spectral_check and projection_error share the context verify builds
+    from respark import cli, verify
+
+    graph = _gen(tmp_path)
+    out = tmp_path / "h.sparsifier"
+    main([
+        "sparsify", "--input", str(graph), "--epsilon", "0.5",
+        "--budget-override", "200", "--block-size", "30", "--seed", "5",
+        "--resistance-mode", "exact", "--output", str(out),
+    ])
+    calls = []
+    original = verify.projection_context
+
+    def counted(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(cli, "projection_context", counted)
+    monkeypatch.setattr(verify, "projection_context", counted)
+    code = main([
+        "verify", "--graph", str(graph), "--sparsifier", str(out), "--epsilon", "0.5",
+    ])
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_verify_fails_at_tight_epsilon(tmp_path, capsys):
     graph = _gen(tmp_path)
     out = tmp_path / "h.sparsifier"

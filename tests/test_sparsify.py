@@ -523,6 +523,55 @@ def test_step_failures_carry_the_step(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the theorem regime: at the unmodified budget N a thinned edge keeps about 1%
+# of its copies, and the tape computes only the draws of those
+
+
+THEOREM_ER = GeneratorSpec("erdos-renyi", 40, p=0.25, seed=3)
+
+
+def _states_in_blocks_of_67(g, cfg):
+    states = []
+    stream_sparsify(g, cfg, block_size=67, resistance_mode="sparsifier", diagnostics=False,
+                    on_step=lambda step, h, prefix, record: states.append(h))
+    return states
+
+
+def test_theorem_budget_stream_stays_under_3n(kernel_calls):
+    g = generate(THEOREM_ER)
+    cfg = StreamConfig.for_graph(g, 0.5, 0.1, 1.0, seed=7)
+    assert cfg.budget_n > 400_000
+    states = _states_in_blocks_of_67(g, cfg)
+    assert len(states) == math.ceil(g.m / 67)
+    assert all(h.copy_count() < 3 * cfg.budget_n for h in states)
+    # each step thins the edges alive after the one before, each through the
+    # addressed kernel
+    thinned = sum(len(h.alive) for h in states[:-1])
+    assert len(kernel_calls) == thinned > 0
+    assert max(kernel_calls) < 0.03 * cfg.budget_n
+
+
+def test_addressed_draws_leave_every_copy_set_unchanged(kernel_calls, monkeypatch):
+    import respark.tape as tape_mod
+
+    g = generate(THEOREM_ER)
+    # below the theorem budget, to keep the test short, but above the cost
+    # rule's threshold for these alive fractions
+    cfg = StreamConfig.for_graph(g, 0.5, 0.1, 1.0, seed=7, budget_override=50_000)
+    addressed = _states_in_blocks_of_67(g, cfg)
+    taken = len(kernel_calls)
+    assert taken > 0
+    monkeypatch.setattr(tape_mod, "_ADDRESSED_COST", (math.inf, 0))
+    full = _states_in_blocks_of_67(g, cfg)
+    assert len(kernel_calls) == taken
+    assert len(addressed) == len(full)
+    for a, b in zip(addressed, full):
+        assert a.p_tilde == b.p_tilde
+        assert a.alive.keys() == b.alive.keys()
+        assert all(np.array_equal(a.alive[e], b.alive[e]) for e in a.alive)
+
+
+# ---------------------------------------------------------------------------
 # file format
 
 

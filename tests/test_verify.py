@@ -92,6 +92,18 @@ def test_spectral_check_validation():
         spectral_check(SimpleNamespace(n=3), K3, eps=0.5)
 
 
+def test_spectral_check_with_a_given_context():
+    # a context the caller already holds gives the same bits as the one the
+    # check builds itself; one built from another graph is refused
+    g = generate(GeneratorSpec("erdos-renyi", 12, p=0.5, seed=5))
+    h, _ = stream_sparsify(g, _cfg(g, seed=9, budget=400), block_size=10,
+                           resistance_mode="exact", diagnostics=False)
+    assert spectral_check(h, g, 0.5, projection_context(g)) == spectral_check(h, g, 0.5)
+    other = generate(GeneratorSpec("erdos-renyi", 12, p=0.5, seed=6))
+    with pytest.raises(ValueError, match="another graph"):
+        spectral_check(h, g, 0.5, projection_context(other))
+
+
 # ---------------------------------------------------------------------------
 # projection error
 
