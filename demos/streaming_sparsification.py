@@ -68,6 +68,6 @@ print(f"edges with no surviving copy: {dropped} of {g.m}")
 with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "h.tsv")
     write_sparsifier(h, path)
-    h2 = read_sparsifier(path, n=g.n)
+    h2 = read_sparsifier(path, graph=g)
 same = np.allclose(h.laplacian(), h2.laplacian(), rtol=1e-15)
 print(f"round trip through {os.path.basename(path)}: laplacians identical = {same}")

@@ -145,7 +145,7 @@ def _cmd_sparsify(args) -> int:
 
 def _cmd_verify(args) -> int:
     g = read_edge_list(args.graph)
-    sp = read_sparsifier(args.sparsifier, n=g.n)
+    sp = read_sparsifier(args.sparsifier, graph=g)
     ctx = projection_context(g)
     ok, worst = spectral_check(sp, g, args.epsilon, ctx)
     proj = projection_error(sp, ctx)

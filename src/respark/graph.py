@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -86,6 +87,13 @@ class WeightedGraph:
     def weights(self) -> np.ndarray:
         return np.array([e.weight for e in self.edges], dtype=float)
 
+    def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        """Integer arrays (us, vs) of the edge endpoints, in edge order."""
+        return (
+            np.array([e.u for e in self.edges], dtype=int),
+            np.array([e.v for e in self.edges], dtype=int),
+        )
+
     def prefix(self, count: int) -> "WeightedGraph":
         """The partial graph formed by the first `count` stream items."""
         if not 0 <= count <= self.m:
@@ -118,9 +126,7 @@ def build_laplacian(g: WeightedGraph) -> np.ndarray:
     """
     if g.m == 0:
         raise ValueError("graph has no edges")
-    us = np.array([e.u for e in g.edges])
-    vs = np.array([e.v for e in g.edges])
-    return laplacian_from_arrays(g.n, us, vs, g.weights())
+    return laplacian_from_arrays(g.n, *g.endpoints(), g.weights())
 
 
 def laplacian_from_arrays(
@@ -128,18 +134,20 @@ def laplacian_from_arrays(
 ) -> np.ndarray:
     """Laplacian of an edge multiset given as parallel index/weight arrays.
 
-    Off-diagonal mass is accumulated once per canonical (min, max) pair and
-    mirrored, so the result is bitwise symmetric regardless of edge
-    orientation or order.
+    Each canonical (min, max) pair's mass is summed in edge order into both
+    of its off-diagonal cells, so the result is bitwise symmetric
+    regardless of edge orientation.
     """
-    L = np.zeros((n, n))
-    if len(ws):
-        lo = np.minimum(us, vs)
-        hi = np.maximum(us, vs)
-        off = np.zeros((n, n))
-        np.add.at(off, (lo, hi), ws)
-        L -= off + off.T
-        L[np.arange(n), np.arange(n)] = np.bincount(lo, ws, n) + np.bincount(hi, ws, n)
+    if not len(ws):
+        return np.zeros((n, n))
+    lo = np.minimum(us, vs)
+    hi = np.maximum(us, vs)
+    cells = np.concatenate((lo * n + hi, hi * n + lo))
+    L = np.bincount(cells, np.concatenate((ws, ws)), n * n).reshape(n, n)
+    # in place: a second n x n buffer costs more in page faults than the
+    # arithmetic; 0.0 - mass keeps the empty cells +0.0
+    np.subtract(0.0, L, out=L)
+    L.flat[:: n + 1] = np.bincount(lo, ws, n) + np.bincount(hi, ws, n)
     return L
 
 
@@ -244,6 +252,15 @@ class ProjectionContext:
     def n(self) -> int:
         return self.graph.n
 
+    @cached_property
+    def leverages(self) -> np.ndarray:
+        """Read-only a_e r_e = ||v_e||^2 of every reference edge, in edge
+        order; computed on first use and kept with the context."""
+        g = self.graph
+        lev = g.weights() * self.factors.resistances([(e.u, e.v) for e in g.edges])
+        lev.flags.writeable = False
+        return lev
+
     def edge_vectors(self, edge_ids: Sequence[int] | None = None) -> np.ndarray:
         """Columns v_e = sqrt(a_e) L^{-1/2} b_e for the given edge ids (all
         edges when omitted); ||v_e||^2 = a_e r_e is the edge's leverage."""
@@ -284,8 +301,7 @@ def projection_context(g: WeightedGraph) -> ProjectionContext:
 def _component_labels(g: WeightedGraph) -> np.ndarray:
     if g.m == 0:
         return np.arange(g.n)
-    us = np.array([e.u for e in g.edges])
-    vs = np.array([e.v for e in g.edges])
+    us, vs = g.endpoints()
     adj = coo_matrix((np.ones(g.m), (us, vs)), shape=(g.n, g.n))
     _, labels = connected_components(adj, directed=False)
     return labels

@@ -304,8 +304,11 @@ def _step_estimates(
     g: WeightedGraph,
     mode: str,
     step: int,
+    prefix: WeightedGraph | None,
 ) -> list[ResistanceEstimate]:
-    """Resistance estimates for alive(H_{s-1}) union block, per the configured mode."""
+    """Resistance estimates for alive(H_{s-1}) union block, per the configured
+    mode. prefix is the stream prefix through the block; only the "exact"
+    and "noisy" modes read it."""
     cfg = h_prev.config
     targets = sorted(set(h_prev.alive) | set(block))
     if not targets:
@@ -321,7 +324,6 @@ def _step_estimates(
     if mode == "sparsifier":
         combined = h_prev.combined_with(block)
         return resistances_from_sparsifier(combined, pairs, cfg.eps, targets)
-    prefix = g.prefix(h_prev.arrived + len(block))
     factors = pseudo_factorize(build_laplacian(prefix))
     exact = exact_resistances(factors, pairs, targets)
     if mode == "exact":
@@ -414,15 +416,13 @@ class _DiagnosticsEngine:
         from . import verify
 
         self._verify = verify
-        self.g = g
         self.cfg = cfg
         # the variation norm uses one fixed whole-graph reference; building
         # it requires the input graph to be connected
         self.ctx_full = projection_context(g)
 
-    def record(self, trace: StreamTrace, h: Sparsifier, step: int):
+    def record(self, trace: StreamTrace, h: Sparsifier, step: int, prefix: WeightedGraph):
         v = self._verify
-        prefix = self.g.prefix(h.arrived)
         if is_connected(prefix):
             proj = v.projection_error(h, projection_context(prefix))
         else:
@@ -466,7 +466,9 @@ def _run_stream(
     """The one step loop: estimate, resparsify, record, then call on_step.
 
     A trace is recorded when asked for or when diagnostics need one (the
-    variation norm reads it); per-copy rows only when `copies` is set.
+    variation norm reads it); per-copy rows only when `copies` is set. Each
+    step's prefix graph is built once, and only when the estimates, the
+    diagnostics or on_step read it.
     """
     _check_run_inputs(g, cfg, mode)
     blocks = partition_stream(g, cfg.budget_n if block_size is None else block_size)
@@ -474,10 +476,14 @@ def _run_stream(
     h = Sparsifier.empty(g, cfg)
     recorder = _TraceRecorder(g, cfg, copies) if trace or diagnostics else None
     engine = _DiagnosticsEngine(g, cfg) if diagnostics else None
+    needs_prefix = mode in ("exact", "noisy") or diagnostics or on_step is not None
+    prefix = None
     records: list = []
     for step, block in enumerate(blocks, start=1):
         try:
-            estimates = _step_estimates(h, block, g, mode, step)
+            if needs_prefix:
+                prefix = g.prefix(h.arrived + len(block))
+            estimates = _step_estimates(h, block, g, mode, step, prefix)
             h = resparsify(h, block, estimates, tape)
         except (StreamStepError, ConfigError):
             raise
@@ -487,10 +493,10 @@ def _run_stream(
             recorder.append(h)
         record = None
         if engine is not None:
-            record = engine.record(recorder.trace, h, step)
+            record = engine.record(recorder.trace, h, step, prefix)
             records.append(record)
         if on_step is not None:
-            on_step(step, h, g.prefix(h.arrived), record)
+            on_step(step, h, prefix, record)
     return h, records, recorder.trace if recorder is not None else None
 
 
@@ -624,8 +630,10 @@ class LoadedSparsifier:
         return laplacian_from_arrays(self.n, self.u, self.v, self.weight)
 
 
-def read_sparsifier(path, n: int | None = None) -> LoadedSparsifier:
-    """Read a sparsifier file, checking every row (against n when given).
+def read_sparsifier(
+    path, n: int | None = None, graph: WeightedGraph | None = None
+) -> LoadedSparsifier:
+    """Read a sparsifier file, checking every row (against n or graph when given).
 
     Blank lines and lines starting with '#' are skipped; the first comment
     holding 'respark sparsifier' is the header, whose step, N and seed must
@@ -633,10 +641,20 @@ def read_sparsifier(path, n: int | None = None) -> LoadedSparsifier:
     64-bit integers u, v, e, j and floats weight, p_tilde, all plain ASCII
     decimals (the grammar of np.loadtxt), with distinct vertex ids in
     [0, n), a finite weight > 0, an edge id e >= 0, a copy index j in
-    [0, N), p_tilde in (0, 1], and no (e, j) pair seen before. A bad row
-    raises ValueError starting 'path:lineno:', a bad or missing header one
-    starting 'path:'.
+    [0, N), p_tilde in (0, 1], and no (e, j) pair seen before.
+
+    With graph, n is graph.n and the rows must also be what write_sparsifier
+    writes for it: e < graph.m, u v are edge e's endpoints in the graph's
+    order, all rows of an edge agree in u, v, weight and p_tilde, and, when
+    the header gives N, the weight is a_e / (N * p_tilde) bit for bit.
+
+    A bad row raises ValueError starting 'path:lineno:', a bad or missing
+    header one starting 'path:'.
     """
+    if graph is not None:
+        if n is not None and n != graph.n:
+            raise ValueError(f"n={n} differs from the graph's {graph.n} vertices")
+        n = graph.n
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -649,8 +667,8 @@ def read_sparsifier(path, n: int | None = None) -> LoadedSparsifier:
     budget = (header or {}).get("N", math.inf)
     if _hash_inside_row(text):
         rows = None
-    if rows is None or _first_bad_row(rows, bound, budget):
-        raise _row_error(path, text, rows, bound, budget)
+    if rows is None or _first_bad_row(rows, bound, budget, graph):
+        raise _row_error(path, text, rows, bound, budget, graph)
     if header is None:
         raise ValueError(f"{path}: missing sparsifier header comment")
     if n is None:
@@ -724,39 +742,93 @@ _ROW_ERRORS = {
              "in (0, 1], got {line!r}",
     "copy": "need an edge id e >= 0 and a copy index j in [0, {budget}), got {line!r}",
     "repeat": "copy j={j} of edge e={e} repeats line {earlier}",
+    "edge": "need an edge id e < {m} and graph edge e's endpoints in its order, got {line!r}",
+    "weight": "need the weight a_e / (N * p_tilde) of graph edge e at N={budget}, "
+              "got {line!r}",
+    "mixed": "edge e={e} differs from line {earlier} in u v, weight or p_tilde",
 }
 
 
-def _first_bad_row(rows: np.ndarray, bound, budget) -> tuple[int, str, int] | None:
+def _first_bad_row(
+    rows: np.ndarray, bound, budget, graph: WeightedGraph | None = None
+) -> tuple[int, str, int] | None:
     """The one row contract: (index, check, earlier) for the first row in
     file order that breaks it, or None. check names the _ROW_ERRORS entry;
-    earlier is the index of the row a "repeat" repeats (else -1).
+    earlier is the index of the row a "repeat" repeats or a "mixed" row
+    differs from (else -1). The graph checks run only with a graph.
     """
     u, v, w, e, j, p = (rows[k] for k in _ROW_DTYPE.names)
     in_range = (
         (0 <= u) & (u < bound) & (0 <= v) & (v < bound) & (u != v)
         & (0.0 < w) & (w < math.inf) & (0.0 < p) & (p <= 1.0)
     )
-    bad = np.flatnonzero(~(in_range & (0 <= e) & (0 <= j) & (j < budget)))
-    first = int(bad[0]) if len(bad) else len(rows)
+    ok = in_range & (0 <= e) & (0 <= j) & (j < budget)
+    # (index, rank, check, earlier) per broken rule: the earliest row wins,
+    # then the lowest rank
+    found = []
+    bad = np.flatnonzero(~ok)
+    if len(bad):
+        found.append((int(bad[0]), 0, "range" if not in_range[bad[0]] else "copy", -1))
     de, dj = np.diff(e), np.diff(j)
     if not ((de > 0) | ((de == 0) & (dj > 0))).all():
         # not in the writer's (e, j) order: a stable sort keeps each pair's
         # rows together and in file order
         order = np.lexsort((j, e))
         same = np.flatnonzero((np.diff(e[order]) == 0) & (np.diff(j[order]) == 0))
-        if len(same) and order[same + 1].min() < first:
+        if len(same):
             k = same[np.argmin(order[same + 1])]
-            return int(order[k + 1]), "repeat", int(order[k])
-    if len(bad):
-        return first, "range" if not in_range[first] else "copy", -1
-    return None
+            found.append((int(order[k + 1]), 1, "repeat", int(order[k])))
+    if graph is not None and len(rows):
+        found += _graph_breaks(u, v, w, e, p, ok, de, budget, graph)
+    if not found:
+        return None
+    index, _, check, earlier = min(found)
+    return index, check, earlier
+
+
+def _graph_breaks(u, v, w, e, p, ok, de, budget, graph: WeightedGraph) -> list[tuple]:
+    """_first_bad_row's graph rules, as (index, rank, check, earlier) entries.
+
+    Every row of an edge must equal the edge's first row in all but j, so
+    the graph rules are checked on first rows only (those that pass the row
+    checks; the row checks report the others).
+    """
+    # each edge's rows next to each other, in file order
+    order = None if (de >= 0).all() else np.argsort(e, kind="stable")
+    in_file = (lambda k: k) if order is None else order.__getitem__
+    cols = [c if order is None else c[order] for c in (u, v, w, p, e)]
+    same_edge = cols[4][1:] == cols[4][:-1]
+    differ = np.zeros_like(same_edge)
+    for c in cols[:4]:
+        differ |= c[1:] != c[:-1]
+    found = []
+    mixed = np.flatnonzero(same_edge & differ)
+    if len(mixed):
+        k = mixed[np.argmin(in_file(mixed + 1))]
+        found.append((int(in_file(k + 1)), 4, "mixed", int(in_file(k))))
+    firsts = in_file(np.flatnonzero(np.concatenate(([True], ~same_edge))))
+    firsts = firsts[ok[firsts]]
+    fe = e[firsts]
+    # an edge id past the graph reads the -1 sentinel
+    at = np.where(fe < graph.m, fe, graph.m)
+    gu, gv = (np.append(x, -1) for x in graph.endpoints())
+    rules = [("edge", (u[firsts] == gu[at]) & (v[firsts] == gv[at]))]
+    if budget < math.inf:
+        a = np.append(graph.weights(), np.nan)[at]
+        rules.append(("weight", w[firsts] == a / (budget * p[firsts])))
+    for rank, (check, rule_ok) in enumerate(rules, start=2):
+        broken = np.flatnonzero(~rule_ok)
+        if len(broken):
+            found.append((int(firsts[broken[0]]), rank, check, -1))
+    return found
 
 
 _WALK_BLOCK = 4096  # lines parsed together while looking for one that does not parse
 
 
-def _row_error(path, text: str, rows: np.ndarray | None, bound, budget) -> ValueError:
+def _row_error(
+    path, text: str, rows: np.ndarray | None, bound, budget, graph: WeightedGraph | None
+) -> ValueError:
     """The 'path:lineno:' error for the first bad row of a file.
 
     Without the `rows` of a whole-file parse, the data lines are walked up
@@ -784,8 +856,9 @@ def _row_error(path, text: str, rows: np.ndarray | None, bound, budget) -> Value
                 break
             parsed.append(rows)
         rows = np.concatenate(parsed)
-    k, check, earlier = _first_bad_row(rows, bound, budget) or (stop, "parse", -1)
-    e, j = rows[["e", "j"]][k].item() if check == "repeat" else (None, None)
+    k, check, earlier = _first_bad_row(rows, bound, budget, graph) or (stop, "parse", -1)
+    e, j = rows[["e", "j"]][k].item() if earlier >= 0 else (None, None)
+    m = graph.m if graph is not None else None
     return ValueError(f"{path}:{lines[k][0]}: " + _ROW_ERRORS[check].format(
-        line=lines[k][1], bound=bound, budget=budget, e=e, j=j, earlier=lines[earlier][0]
+        line=lines[k][1], bound=bound, budget=budget, m=m, e=e, j=j, earlier=lines[earlier][0]
     ))

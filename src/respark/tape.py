@@ -43,6 +43,8 @@ _ADDRESSED_COST = (25_000, 28)
 _PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
+_INT64 = np.dtype(np.int64)
+_UINT64 = np.dtype(np.uint64)
 _LO32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 # the kernel keeps words in row order (c0, c2, c1, c3); lane l sits in row _LANE_ROW[l]
@@ -85,17 +87,29 @@ def _philox_at(key: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def _copy_indices(at, count: int) -> np.ndarray:
-    """at as an int64 array, after checking it holds integers in [0, count)."""
-    given = np.asarray(at)
-    if given.ndim != 1:
-        raise ValueError(f"at must be a 1-D sequence of copy indices, got {given.ndim} dimensions")
-    if given.size and given.dtype.kind not in "iu":
-        raise ValueError(f"at must hold integers, got dtype {given.dtype}")
-    idx = given.astype(np.int64, copy=False)
-    # read as unsigned, a negative index (or a uint64 past 2**63) is >= 2**63,
-    # so one reduction checks both ends of the range
-    if idx.size and idx.view(np.uint64).max() >= count:
-        raise ValueError(f"at must lie in [0, {count}), got [{given.min()}, {given.max()}]")
+    """at as an int64 array, after checking it holds integers in [0, count).
+
+    A 1-D int64 ndarray, which is what resparsify passes, skips the
+    conversion and its dimension and dtype checks; only its range is checked.
+    """
+    if type(at) is np.ndarray and at.dtype == _INT64 and at.ndim == 1:
+        given = idx = at
+    else:
+        given = np.asarray(at)
+        if given.ndim != 1:
+            raise ValueError(
+                f"at must be a 1-D sequence of copy indices, got {given.ndim} dimensions"
+            )
+        if given.size and given.dtype.kind not in "iu":
+            raise ValueError(f"at must hold integers, got dtype {given.dtype}")
+        idx = given.astype(np.int64, copy=False)
+    if len(idx):
+        # read as unsigned, a negative index (or a uint64 past 2**63) is
+        # >= 2**63, so one bound checks both ends of the range; argmax skips
+        # the ufunc set-up that makes a max reduction cost microseconds
+        wide = idx.view(_UINT64)
+        if wide[wide.argmax()] >= count:
+            raise ValueError(f"at must lie in [0, {count}), got [{given.min()}, {given.max()}]")
     return idx
 
 

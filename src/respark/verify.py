@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import ProjectionContext, WeightedGraph, projection_context
+from .graph import ProjectionContext, WeightedGraph, laplacian_from_arrays, projection_context
 from .tape import RandomTape
 
 __all__ = [
@@ -128,11 +128,17 @@ def quadratic_variation(trace, ctx: ProjectionContext, upto: int | None = None) 
     W = (1/N^2) sum_s sum_e (alive_{s-1,e} / p_{s-1,e})
         (1/p_{s,e} - 1/p_{s-1,e}) (v_e'v_e) v_e v_e'
 
-    with v_e taken from ctx, which must be built from the whole input
-    graph: the variation compares every step against one fixed reference.
-    The trace rows carry the unseen-edge convention (p = 1, all N copies
-    alive), so an edge's arrival step contributes with exactly that
-    convention and the formula applies row-by-row with no casework.
+    with v_e = sqrt(a_e) S b_e taken from ctx (S its inverse square root),
+    which must be built from the whole input graph: the variation compares
+    every step against one fixed reference. The trace rows carry the
+    unseen-edge convention (p = 1, all N copies alive), so an edge's
+    arrival step contributes with exactly that convention and the formula
+    applies row-by-row with no casework.
+
+    Writing W = sum_e c_e v_e v_e' gives W = S L_c S, where L_c is the
+    Laplacian of the graph's own edge list with edge weights a_e c_e
+    (duplicate pairs add), so W costs two n x n products and no n x m
+    matrix of edge vectors. v_e'v_e = a_e r_e is ctx.leverages.
     """
     steps = trace.steps
     if upto is None:
@@ -141,11 +147,10 @@ def quadratic_variation(trace, ctx: ProjectionContext, upto: int | None = None) 
         raise ValueError(f"upto={upto} outside the recorded range [0, {steps}]")
     if len(trace.p_steps) != steps + 1 or len(trace.alive_steps) != steps + 1:
         raise ValueError("incomplete trace: per-step arrays disagree in length")
-    if ctx.n != trace.n or ctx.graph.m != len(trace.edges):
+    g = ctx.graph
+    if ctx.n != trace.n or g.m != len(trace.edges):
         raise ValueError("ctx does not match the traced stream")
-    vectors = ctx.edge_vectors()
-    sq_norms = (vectors * vectors).sum(axis=0)
-    coeff = np.zeros(len(trace.edges))
+    coeff = np.zeros(g.m)
     for s in range(1, upto + 1):
         p_prev = trace.p_steps[s - 1]
         p_cur = trace.p_steps[s]
@@ -154,8 +159,9 @@ def quadratic_variation(trace, ctx: ProjectionContext, upto: int | None = None) 
         # float rounding; clamp the rounding
         delta = np.clip(1.0 / p_cur - 1.0 / p_prev, 0.0, None)
         coeff += (alive_prev / p_prev) * delta
-    coeff *= sq_norms / trace.budget_n**2
-    w_mat = (vectors * coeff) @ vectors.T
+    coeff *= ctx.leverages / trace.budget_n**2
+    l_c = laplacian_from_arrays(g.n, *g.endpoints(), g.weights() * coeff)
+    w_mat = ctx.inv_sqrt @ l_c @ ctx.inv_sqrt
     return float(max(np.linalg.eigvalsh(w_mat).max(), 0.0))
 
 

@@ -308,8 +308,10 @@ def test_verify_rejects_bad_sparsifier_rows(tmp_path, capsys, row):
     ],
 )
 def test_verify_rejects_rows_breaking_the_copy_contract(tmp_path, capsys, body, where):
+    # edge 0 weighs 2.0, so the row '0 1 1.0 0 1 1.0' carries its weight
+    # a_e / (N p_tilde) = 2 / (2 * 1.0)
     graph = tmp_path / "g.edges"
-    graph.write_text("0 1 1.0\n1 2 1.0\n")
+    graph.write_text("0 1 2.0\n1 2 1.0\n")
     sp = tmp_path / "h.sparsifier"
     sp.write_text(f"# respark sparsifier step=1 N=2 seed=0\n{body}")
     code = main([
@@ -340,3 +342,39 @@ def test_verify_rejects_non_integer_header_fields(tmp_path, capsys, field):
     assert code == 2
     assert f"h.sparsifier: header {key}=" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "fields, body, where, message",
+    [
+        # edge 0 is 0-1 and edge 1 is 1-2, both of weight 1.0
+        ("N=2", "0 1 0.5 2 0 1.0\n", "h.sparsifier:2:", "edge id e < 2"),  # e = m
+        ("N=2", "1 2 0.5 0 0 1.0\n", "h.sparsifier:2:", "endpoints"),  # edge 1's pair
+        ("N=2", "1 0 0.5 0 0 1.0\n", "h.sparsifier:2:", "endpoints"),  # edge 0 reversed
+        ("N=2", "0 1 0.5 0 0 1.0\n0 1 1.0 0 1 0.5\n", "h.sparsifier:3:", "e=0 differs from line 2"),
+        ("N=2", "0 1 0.5 0 0 1.0\n1 0 0.5 0 1 1.0\n", "h.sparsifier:3:", "e=0 differs from line 2"),
+        # out of (e, j) order: edge 0's rows are lines 2 and 4
+        ("N=2", "0 1 0.5 0 0 1.0\n1 2 0.5 1 0 1.0\n0 1 1.0 0 1 0.5\n", "h.sparsifier:4:",
+         "e=0 differs from line 2"),
+        # without N no weight is implied, so only the one-p_tilde rule applies
+        ("", "0 1 0.5 0 0 1.0\n0 1 0.5 0 1 0.5\n", "h.sparsifier:3:",
+         "edge e=0 differs from line 2 in u v, weight or p_tilde"),
+        ("N=2", "0 1 1.0 0 0 1.0\n", "h.sparsifier:2:", "a_e / (N * p_tilde)"),  # 1/(2*1) = 0.5
+        ("N=2", "0 1 0.5000000000000001 0 0 1.0\n", "h.sparsifier:2:", "a_e / (N * p_tilde)"),
+    ],
+)
+def test_verify_rejects_rows_that_contradict_the_graph(
+    tmp_path, capsys, fields, body, where, message
+):
+    graph = tmp_path / "g.edges"
+    graph.write_text("0 1 1.0\n1 2 1.0\n")
+    sp = tmp_path / "h.sparsifier"
+    sp.write_text(f"# respark sparsifier step=1 {fields} seed=0\n{body}")
+    code = main([
+        "verify", "--graph", str(graph), "--sparsifier", str(sp), "--epsilon", "0.5",
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error:" in err and where in err and message in err
+    assert "Traceback" not in err
+

@@ -386,6 +386,37 @@ def test_single_edge_stream_is_block_one():
     _same_state(hs, hb)
 
 
+@pytest.mark.parametrize(
+    "mode, diagnostics, observe, builds",
+    [
+        ("exact", True, True, 1),  # estimates, diagnostics and on_step share one
+        ("noisy", False, False, 1),
+        ("sparsifier", True, False, 1),
+        ("sparsifier", False, True, 1),
+        ("sparsifier", False, False, 0),  # nothing reads it
+        ("nodrop", False, False, 0),
+    ],
+)
+def test_each_step_builds_its_prefix_at_most_once(monkeypatch, mode, diagnostics, observe, builds):
+    g = generate(GeneratorSpec("erdos-renyi", 10, p=0.5, seed=3))
+    cfg = _small_cfg(g, seed=2, budget=30)
+    calls = []
+    original = WeightedGraph.prefix
+
+    def counted(self, count):
+        calls.append(count)
+        return original(self, count)
+
+    monkeypatch.setattr(WeightedGraph, "prefix", counted)
+    seen = []
+    on_step = (lambda step, h, prefix, record: seen.append((h.arrived, prefix))) if observe else None
+    stream_sparsify(g, cfg, block_size=4, resistance_mode=mode, diagnostics=diagnostics,
+                    on_step=on_step)
+    steps = len(partition_stream(g, 4))
+    assert len(calls) == builds * steps
+    assert all(prefix.edges == g.edges[:arrived] for arrived, prefix in seen)
+
+
 def test_nodrop_reconstructs_input_exactly():
     g = generate(GeneratorSpec("erdos-renyi", 12, p=0.4, seed=9))
     cfg = _small_cfg(g, budget=7)
@@ -589,6 +620,11 @@ def test_sparsifier_file_round_trip(tmp_path):
     # without an explicit n the vertex count is inferred from endpoints
     inferred = read_sparsifier(path)
     assert inferred.n <= g.n
+    # the writer's rows pass every check against their graph
+    checked = read_sparsifier(path, graph=g)
+    assert checked.n == g.n and np.array_equal(checked.weight, loaded.weight)
+    with pytest.raises(ValueError, match="differs from the graph"):
+        read_sparsifier(path, n=g.n + 1, graph=g)
 
 
 def test_read_sparsifier_rejects_missing_header(tmp_path):

@@ -154,10 +154,15 @@ def test_addressed_draws_index_the_fresh_philox_stream(count, kernel, kernel_cal
 
 @pytest.mark.parametrize("count", [4_001, 200_003])
 @pytest.mark.parametrize(
-    "at", [[-1], [0, -5], "last+1", [0.0, 1.0], [True, False], [[0, 1]], [2**64 - 1]]
+    "at",
+    [
+        [-1], [0, -5], "last+1", [0.0, 1.0], [True, False], [[0, 1]], [2**64 - 1],
+        # 1-D int64 arrays skip the conversion, not the range check
+        np.array([-1]), np.array([0, 2**62]), np.array([2, -(2**63)]), np.array([[0, 1]]),
+    ],
 )
 def test_addressed_draws_reject_indices_outside_the_stream(count, at, kernel_calls):
-    at = [0, count] if at == "last+1" else at
+    at = [0, count] if isinstance(at, str) else at
     with pytest.raises(ValueError, match="at must"):
         RandomTape(1).uniforms(1, 1, count, at=at)
     assert kernel_calls == []

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from respark.graph import (
     GraphConnectivityError,
@@ -196,6 +198,65 @@ def test_quadratic_variation_validation():
     trace.p_steps.pop()
     with pytest.raises(ValueError, match="incomplete trace"):
         quadratic_variation(trace, ctx)
+
+
+def _reference_variation(trace, ctx, upto):
+    """W = V diag(c) V' from the n x m matrix of edge vectors, as the
+    variation was first computed."""
+    vectors = ctx.edge_vectors()
+    coeff = np.zeros(len(trace.edges))
+    for s in range(1, upto + 1):
+        p_prev, p_cur = trace.p_steps[s - 1], trace.p_steps[s]
+        delta = np.clip(1.0 / p_cur - 1.0 / p_prev, 0.0, None)
+        coeff += (trace.alive_steps[s - 1] / p_prev) * delta
+    coeff *= (vectors * vectors).sum(axis=0) / trace.budget_n**2
+    w_mat = (vectors * coeff) @ vectors.T
+    return float(max(np.linalg.eigvalsh(w_mat).max(), 0.0))
+
+
+@st.composite
+def multigraphs(draw):
+    """Connected graphs on 3-10 vertices with at least one repeated pair
+    and at least one edge stored as (u, v) with u > v."""
+    n = draw(st.integers(3, 10))
+    weights = st.floats(0.25, 1.0)
+    edges = [(draw(st.integers(0, v - 1)), v, draw(weights)) for v in range(1, n)]
+    for _ in range(draw(st.integers(0, 2 * n))):
+        u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if u != v:
+            edges.append((u, v, draw(weights)))
+    u, v, _ = edges[draw(st.integers(0, len(edges) - 1))]
+    edges.append((u, v, draw(weights)))  # the same pair again
+    edges.append((v, u, draw(weights)))  # and once more, reversed
+    order = draw(st.permutations(range(len(edges))))
+    return WeightedGraph.from_edges(n, [edges[k] for k in order])
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=multigraphs(), seed=st.integers(0, 2**32), budget=st.integers(2, 40), data=st.data())
+def test_laplacian_form_matches_edge_vector_form(g, seed, budget, data):
+    block = data.draw(st.integers(1, g.m))
+    _, _, trace = indicator_stream(g, _cfg(g, seed=seed, budget=budget), block_size=block,
+                                   resistance_mode="exact", diagnostics=False,
+                                   record_copies=False)
+    ctx = projection_context(g)
+    for upto in range(trace.steps + 1):
+        want = _reference_variation(trace, ctx, upto)
+        got = quadratic_variation(trace, ctx, upto=upto)
+        assert abs(got - want) <= 1e-12 * want, (upto, got, want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(multigraphs())
+def test_leverages_are_cached_and_read_only(g):
+    ctx = projection_context(g)
+    lev = ctx.leverages
+    want = g.weights() * ctx.factors.resistances([(e.u, e.v) for e in g.edges])
+    assert np.allclose(lev, want, rtol=1e-12, atol=0)
+    assert ctx.leverages is lev
+    assert not lev.flags.writeable
+    with pytest.raises(ValueError):
+        lev[0] = 0.0
 
 
 def test_quadratic_variation_stays_under_analysis_bound():
