@@ -14,8 +14,6 @@ from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "DEFAULT_NULL_TOLERANCE",
@@ -298,17 +296,36 @@ def projection_context(g: WeightedGraph) -> ProjectionContext:
     return ProjectionContext(g, factors, Qr @ Qr.T, factors.inv_sqrt())
 
 
-def _component_labels(g: WeightedGraph) -> np.ndarray:
-    if g.m == 0:
-        return np.arange(g.n)
-    us, vs = g.endpoints()
-    adj = coo_matrix((np.ones(g.m), (us, vs)), shape=(g.n, g.n))
-    _, labels = connected_components(adj, directed=False)
-    return labels
+class _UnionFind:
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, x: int, y: int) -> bool:
+        rx, ry = self.find(x), self.find(y)
+        if rx == ry:
+            return False
+        self.parent[ry] = rx
+        return True
 
 
 def component_count(g: WeightedGraph) -> int:
-    return int(_component_labels(g).max()) + 1 if g.n else 0
+    """Connected components of g, isolated vertices included. Unions g's
+    edges in stream order and stops once one component is left, so a graph
+    whose spanning tree comes first is answered from its tree."""
+    uf = _UnionFind(g.n)
+    count = g.n
+    for u, v, _ in g.edges:
+        if uf.union(u, v):
+            count -= 1
+            if count == 1:
+                break
+    return count
 
 
 def is_connected(g: WeightedGraph) -> bool:

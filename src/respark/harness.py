@@ -22,7 +22,7 @@ from typing import Sequence, get_args, get_origin, get_type_hints
 import numpy as np
 from scipy.special import betaincinv
 
-from .graph import WeightedGraph, is_connected
+from .graph import WeightedGraph, _UnionFind, is_connected
 from .sparsify import StreamConfig, _check_run_inputs, stream_sparsify
 from .tape import RandomTape
 from .verify import _read_rows, _write_rows, spectral_check
@@ -74,24 +74,6 @@ class GeneratorSpec:
             raise ValueError(
                 f"need 0 < weight_min <= weight_max, got [{self.weight_min}, {self.weight_max}]"
             )
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x: int, y: int) -> bool:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        self.parent[ry] = rx
-        return True
 
 
 def tree_first_order(g: WeightedGraph) -> WeightedGraph:

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import cg
 
 from .graph import (
     GraphConnectivityError,
@@ -62,12 +60,14 @@ def _check_same_component(factors: PseudoinverseFactors, pairs: Sequence[tuple[i
     null = factors.eigenvectors[:, factors.eigenvalues == 0]
     if null.shape[1] <= 1:
         return  # connected reference: b . 1 = 0 holds structurally
-    for u, v in pairs:
-        leak = null[u] - null[v]
-        if float(np.abs(leak).max()) > _CROSS_COMPONENT_TOL:
-            raise GraphConnectivityError(
-                f"endpoints ({u}, {v}) lie in different components; resistance is infinite"
-            )
+    ends = np.array(pairs, dtype=int).reshape(-1, 2)
+    leak = np.abs(null[ends[:, 0]] - null[ends[:, 1]]).max(axis=1)
+    bad = np.flatnonzero(leak > _CROSS_COMPONENT_TOL)
+    if len(bad):
+        u, v = pairs[bad[0]]
+        raise GraphConnectivityError(
+            f"endpoints ({u}, {v}) lie in different components; resistance is infinite"
+        )
 
 
 def _estimates(
@@ -159,6 +159,10 @@ def cg_resistances(g: WeightedGraph, pairs: Sequence[tuple[int, int]]) -> np.nda
     Laplacian solve stays in range(L) because the right-hand side of every
     resistance query is orthogonal to the all-ones null vector.
     """
+    # imported on first use, so that importing respark leaves scipy.sparse out
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.linalg import cg
+
     if not is_connected(g):
         raise GraphConnectivityError("iterative backend requires a connected graph")
     L = csr_matrix(build_laplacian(g))

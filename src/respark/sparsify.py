@@ -24,6 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import verify
 from .graph import (
     Edge,
     WeightedGraph,
@@ -367,30 +368,12 @@ class StreamTrace:
         )
         return ratios.max(axis=0)
 
-
-class _TraceRecorder:
-    """Builds the StreamTrace of a run, one row per step, from the sparse state.
-
-    Rows carry the unseen-edge convention (p = 1, all N copies alive).
-    Per-copy rows, when asked for, start all False for the seen edges and
-    are then set at each alive edge's surviving copy indices.
-    """
-
-    def __init__(self, g: WeightedGraph, cfg: StreamConfig, copies: bool):
-        m, N = g.m, cfg.budget_n
-        self.trace = StreamTrace(
-            n=g.n,
-            budget_n=N,
-            edges=g.edges,
-            arrived=[0],
-            p_steps=[np.ones(m)],
-            alive_steps=[np.full(m, float(N))],
-            copy_steps=[np.ones((m, N), dtype=bool)] if copies else None,
-        )
-
-    def append(self, h: Sparsifier) -> None:
-        trace = self.trace
-        m, N = len(trace.edges), trace.budget_n
+    def _append(self, h: Sparsifier) -> None:
+        """Add the row of state h, built from its sparse alive sets: unseen
+        edges get p = 1 and all N copies alive; per-copy rows start all
+        False for the seen edges and are then set at each alive edge's
+        surviving copy indices."""
+        m, N = len(self.edges), self.budget_n
         p = np.ones(m)
         alive = np.full(m, float(N))
         for e, val in h.p_tilde.items():
@@ -398,43 +381,15 @@ class _TraceRecorder:
             alive[e] = 0.0
         for e, js in h.alive.items():
             alive[e] = float(len(js))
-        trace.arrived.append(h.arrived)
-        trace.p_steps.append(p)
-        trace.alive_steps.append(alive)
-        if trace.copy_steps is not None:
+        self.arrived.append(h.arrived)
+        self.p_steps.append(p)
+        self.alive_steps.append(alive)
+        if self.copy_steps is not None:
             z = np.ones((m, N), dtype=bool)
             z[: h.arrived] = False
             for e, js in h.alive.items():
                 z[e, js] = True
-            trace.copy_steps.append(z)
-
-
-class _DiagnosticsEngine:
-    """Per-step measurement of the projection error, variation norm, and counts."""
-
-    def __init__(self, g: WeightedGraph, cfg: StreamConfig):
-        from . import verify
-
-        self._verify = verify
-        self.cfg = cfg
-        # the variation norm uses one fixed whole-graph reference; building
-        # it requires the input graph to be connected
-        self.ctx_full = projection_context(g)
-
-    def record(self, trace: StreamTrace, h: Sparsifier, step: int, prefix: WeightedGraph):
-        v = self._verify
-        if is_connected(prefix):
-            proj = v.projection_error(h, projection_context(prefix))
-        else:
-            proj = float("nan")
-        w_norm = v.quadratic_variation(trace, self.ctx_full, upto=step)
-        return v.DiagnosticsRecord.from_measurements(
-            step=step,
-            copy_count=h.copy_count(),
-            proj_error_norm=proj,
-            w_norm=w_norm,
-            cfg=self.cfg,
-        )
+            self.copy_steps.append(z)
 
 
 def _check_run_inputs(g: WeightedGraph, cfg: StreamConfig, mode: str) -> None:
@@ -474,8 +429,13 @@ def _run_stream(
     blocks = partition_stream(g, cfg.budget_n if block_size is None else block_size)
     tape = RandomTape(cfg.seed)
     h = Sparsifier.empty(g, cfg)
-    recorder = _TraceRecorder(g, cfg, copies) if trace or diagnostics else None
-    engine = _DiagnosticsEngine(g, cfg) if diagnostics else None
+    history = None
+    if trace or diagnostics:
+        history = StreamTrace(g.n, cfg.budget_n, g.edges, [], [], [], [] if copies else None)
+        history._append(h)  # row 0, before any edge is seen
+    # the variation norm uses one fixed whole-graph reference; building it
+    # requires the input graph to be connected
+    ctx_full = projection_context(g) if diagnostics else None
     needs_prefix = mode in ("exact", "noisy") or diagnostics or on_step is not None
     prefix = None
     records: list = []
@@ -489,15 +449,22 @@ def _run_stream(
             raise
         except Exception as exc:
             raise StreamStepError(step, str(exc)) from exc
-        if recorder is not None:
-            recorder.append(h)
+        if history is not None:
+            history._append(h)
         record = None
-        if engine is not None:
-            record = engine.record(recorder.trace, h, step, prefix)
+        if diagnostics:
+            if is_connected(prefix):
+                proj = verify.projection_error(h, projection_context(prefix))
+            else:
+                proj = float("nan")
+            w_norm = verify.quadratic_variation(history, ctx_full, upto=step)
+            record = verify.DiagnosticsRecord.from_measurements(
+                step, h.copy_count(), proj, w_norm, cfg
+            )
             records.append(record)
         if on_step is not None:
             on_step(step, h, prefix, record)
-    return h, records, recorder.trace if recorder is not None else None
+    return h, records, history
 
 
 def stream_sparsify(

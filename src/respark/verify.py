@@ -129,11 +129,12 @@ def quadratic_variation(trace, ctx: ProjectionContext, upto: int | None = None) 
         (1/p_{s,e} - 1/p_{s-1,e}) (v_e'v_e) v_e v_e'
 
     with v_e = sqrt(a_e) S b_e taken from ctx (S its inverse square root),
-    which must be built from the whole input graph: the variation compares
-    every step against one fixed reference. The trace rows carry the
-    unseen-edge convention (p = 1, all N copies alive), so an edge's
-    arrival step contributes with exactly that convention and the formula
-    applies row-by-row with no casework.
+    which must be built from the whole traced graph (its edges equal
+    trace.edges, else ValueError): the variation compares every step
+    against one fixed reference. The trace rows carry the unseen-edge
+    convention (p = 1, all N copies alive), so an edge's arrival step
+    contributes with exactly that convention and the formula applies
+    row-by-row with no casework.
 
     Writing W = sum_e c_e v_e v_e' gives W = S L_c S, where L_c is the
     Laplacian of the graph's own edge list with edge weights a_e c_e
@@ -148,7 +149,8 @@ def quadratic_variation(trace, ctx: ProjectionContext, upto: int | None = None) 
     if len(trace.p_steps) != steps + 1 or len(trace.alive_steps) != steps + 1:
         raise ValueError("incomplete trace: per-step arrays disagree in length")
     g = ctx.graph
-    if ctx.n != trace.n or g.m != len(trace.edges):
+    # identity first: the stream's own context shares the traced edge tuple
+    if ctx.n != trace.n or (g.edges is not trace.edges and g.edges != trace.edges):
         raise ValueError("ctx does not match the traced stream")
     coeff = np.zeros(g.m)
     for s in range(1, upto + 1):

@@ -181,9 +181,11 @@ def test_experiment_generates_its_graph_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_import_leaves_scipy_stats_out():
-    # scipy.stats dominates import time and nothing in the package needs it
-    code = "import sys, respark, respark.cli; print('scipy.stats' in sys.modules)"
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.sparse"])
+def test_import_leaves_scipy_stats_out(module):
+    # scipy.stats dominates import time and nothing in the package needs it;
+    # scipy.sparse is needed only by cg_resistances, which imports it itself
+    code = f"import sys, respark, respark.cli; print({module!r} in sys.modules)"
     src = str(Path(harness.__file__).parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}).stdout

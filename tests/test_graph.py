@@ -4,6 +4,8 @@ closed-form oracles and Moore-Penrose identities."""
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from respark.graph import (
     Edge,
@@ -162,6 +164,36 @@ def test_connectivity_basics():
     assert is_connected(P2)
     assert not is_connected(WeightedGraph(2, ()))
     assert component_count(WeightedGraph(3, ())) == 3
+
+
+@st.composite
+def forests_with_extras(draw):
+    """(n, forest, extras) on n vertices: a random spanning forest, where a
+    vertex without a parent starts a new tree, and extra edges with repeated
+    and reversed pairs. No extra edge touches the leaf that the forest's
+    last edge attaches, so with the forest last no count is final before
+    the last edge, and with it first a spanning tree ends the scan early."""
+    n = draw(st.integers(1, 10))
+    parents = [draw(st.none() | st.integers(0, v - 1)) for v in range(1, n)]
+    forest = [(p, v, 1.0) for v, p in enumerate(parents, start=1) if p is not None]
+    leaf = forest[-1][1] if forest else None
+    extras = [(v, u, 1.0) for u, v, _ in forest[:-1] if draw(st.booleans())]
+    others = [v for v in range(n) if v != leaf]
+    if len(others) >= 2:
+        pair = st.tuples(st.sampled_from(others), st.sampled_from(others))
+        extras += [(u, v, 1.0) for u, v in draw(st.lists(pair, max_size=2 * n)) if u != v]
+    return n, forest, draw(st.permutations(extras))
+
+
+@settings(max_examples=200, deadline=None)
+@given(forests_with_extras())
+def test_component_count_matches_csgraph(case):
+    n, forest, extras = case
+    ends = np.array([(u, v) for u, v, _ in forest + extras], dtype=int).reshape(-1, 2)
+    adj = coo_matrix((np.ones(len(ends)), (ends[:, 0], ends[:, 1])), shape=(n, n))
+    expected, _ = connected_components(adj, directed=False)
+    for edges in (forest + extras, extras + forest):
+        assert component_count(WeightedGraph.from_edges(n, edges)) == expected
 
 
 def test_projection_for_single_edge():

@@ -103,6 +103,10 @@ def test_cross_component_query_errors():
     factors = _factors(two)
     with pytest.raises(GraphConnectivityError):
         exact_resistance(factors, (0, 3))
+    # a batch names its first cross-component pair in input order
+    batch = [(0, 1), (3, 4), (4, 1), (2, 5), (5, 3)]
+    with pytest.raises(GraphConnectivityError, match=r"endpoints \(4, 1\) lie in different"):
+        exact_resistances(factors, batch)
     # within one component the query is fine even though the graph is not connected
     assert exact_resistance(factors, (3, 4)).r_tilde == pytest.approx(2 / 3, abs=1e-10)
 

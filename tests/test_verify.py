@@ -198,6 +198,13 @@ def test_quadratic_variation_validation():
     trace.p_steps.pop()
     with pytest.raises(ValueError, match="incomplete trace"):
         quadratic_variation(trace, ctx)
+    # a context from another graph with the same n and m
+    _, _, c4_trace = indicator_stream(C4, _cfg(C4, seed=3, budget=3), block_size=2,
+                                      resistance_mode="exact", diagnostics=False)
+    assert quadratic_variation(c4_trace, projection_context(C4)) == pytest.approx(0.75)
+    star = WeightedGraph.from_edges(4, [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0), (1, 2, 1.0)])
+    with pytest.raises(ValueError, match="does not match"):
+        quadratic_variation(c4_trace, projection_context(star))
 
 
 def _reference_variation(trace, ctx, upto):
