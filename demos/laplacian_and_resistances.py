@@ -36,12 +36,13 @@ print(f"edge (0,1) resistance: {r.r_tilde:.6f}  (expected {2 / 3:.6f})")
 # ## The projection the sparsifier chases
 #
 # P = S L S with S the inverse square root of L is the projection onto
-# the span of the scaled edge vectors. Its trace counts n - 1, one unit
-# per spanning-tree edge, which is the resistance sum identity in
-# disguise: sum_e a_e r_e = n - 1.
+# the span of the scaled edge vectors v_e = sqrt(a_e) S b_e, and it equals
+# their sum of outer products. Its trace counts n - 1, one unit per
+# spanning-tree edge, and the trace of each outer product is the edge's
+# leverage: the resistance sum identity sum_e a_e r_e = n - 1.
 
 ctx = projection_context(k3)
-print("projection trace:", round(np.trace(ctx.projection), 12))
+print("sum of leverages:", round(float(ctx.leverages.sum()), 12))
 
 pairs = [(e.u, e.v) for e in k3.edges]
 ests = exact_resistances(factors, pairs)

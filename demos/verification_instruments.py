@@ -27,15 +27,15 @@ from respark import (
 # ## Projection error vs the spectral sandwich
 #
 # For a sparsifier H of G, ||P - S L_H S|| <= eps implies the two-sided
-# bound (1-eps) x'L_G x <= x'L_H x <= (1+eps) x'L_G x. On a subgraph the
-# two numbers coincide exactly. Drop one edge of C4: the missing leverage
-# is 3/4, and that is both the projection error and the worst ratio.
+# bound (1-eps) x'L_G x <= x'L_H x <= (1+eps) x'L_G x. The projection error
+# is max |1 - lambda| over the grounded pencil (L_H, L_G), vertex 0's row
+# and column removed, and the worst ratio deviation is the same number.
+# Drop one edge of C4: the missing leverage is 3/4, and that is both.
 
 c4 = WeightedGraph.from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)])
 c4_minus = WeightedGraph.from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
-ctx = projection_context(c4)
 
-err = projection_error(c4_minus, ctx)
+err = projection_error(c4_minus, c4)
 ok, worst = spectral_check(c4_minus, c4, eps=0.5)
 print(f"C4 minus one edge: projection error {err:.6f}, worst ratio deviation {worst:.6f}")
 print(f"passes eps=0.5? {ok}  (the dropped edge had leverage 3/4)")

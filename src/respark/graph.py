@@ -235,15 +235,14 @@ def pseudo_factorize(l: np.ndarray) -> PseudoinverseFactors:
 
 @dataclass(frozen=True)
 class ProjectionContext:
-    """Reference-graph factors plus the projection P onto range(L).
+    """Reference-graph factors plus S = L^{-1/2}, the pseudoinverse square root.
 
-    P = sum_e v_e v_e^T over the reference edges; for a connected reference
-    it equals I - 11^T/n, has rank n - 1, and is idempotent.
+    The edge vectors v_e = sqrt(a_e) S b_e give sum_e v_e v_e^T = I - 11^T/n,
+    the projection onto range(L) of the connected reference.
     """
 
     graph: WeightedGraph
     factors: PseudoinverseFactors
-    projection: np.ndarray
     inv_sqrt: np.ndarray
 
     @property
@@ -292,8 +291,7 @@ def projection_context(g: WeightedGraph) -> ProjectionContext:
         raise GraphConnectivityError(
             f"expected exactly one null eigenvalue, found {factors.null_count}"
         )
-    Qr = factors.eigenvectors[:, factors.eigenvalues > 0]
-    return ProjectionContext(g, factors, Qr @ Qr.T, factors.inv_sqrt())
+    return ProjectionContext(g, factors, factors.inv_sqrt())
 
 
 class _UnionFind:

@@ -313,6 +313,8 @@ def run_experiment(
     _check_run_inputs(g, cfg, resistance_mode)
     if block_size is None:
         block_size = cfg.budget_n
+    elif block_size < 1:
+        raise ValueError(f"block size must be >= 1, got {block_size}")
     master = RandomTape(cfg.seed)
     trial_seeds = [master.child_seed(f"trial/{t}") for t in range(trials)]
     rows: list[TrialStepRow] = []

@@ -454,7 +454,7 @@ def _run_stream(
         record = None
         if diagnostics:
             if is_connected(prefix):
-                proj = verify.projection_error(h, projection_context(prefix))
+                proj = verify.projection_error(h, prefix)
             else:
                 proj = float("nan")
             w_norm = verify.quadratic_variation(history, ctx_full, upto=step)

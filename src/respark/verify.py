@@ -3,12 +3,13 @@
 Four quantities drive both the per-step diagnostics and the experiment
 harness: the sandwich spectral check (every generalized Rayleigh ratio of
 the sparsifier against the reference inside [1-eps, 1+eps]), the
-projection-error norm ||P - P_tilde||, the running copy count with its
-3N-overflow event, and the predictable quadratic variation ||W|| of the
-copy-indicator martingale. The dominating-variable sampler and the
-stochastic-dominance test back the concentration experiment: per-copy
-maxima of z/p_tilde are compared against the heavy-tailed variable with
-c.d.f. 1 - 1/a truncated at alpha^2/p.
+projection-error norm ||P - P_tilde||, read off the grounded pencil
+(L_H, L_G) with one Cholesky factor of the reference, the running copy
+count with its 3N-overflow event, and the predictable quadratic variation
+||W|| of the copy-indicator martingale. The dominating-variable sampler
+and the stochastic-dominance test back the concentration experiment:
+per-copy maxima of z/p_tilde are compared against the heavy-tailed
+variable with c.d.f. 1 - 1/a truncated at alpha^2/p.
 """
 
 from __future__ import annotations
@@ -20,7 +21,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import ProjectionContext, WeightedGraph, laplacian_from_arrays, projection_context
+from .graph import (
+    GraphConnectivityError,
+    ProjectionContext,
+    WeightedGraph,
+    build_laplacian,
+    component_count,
+    laplacian_from_arrays,
+    projection_context,
+)
 from .tape import RandomTape
 
 __all__ = [
@@ -109,17 +118,49 @@ def spectral_check(
     return worst <= eps + 1e-9, worst
 
 
-def projection_error(h, ctx: ProjectionContext) -> float:
-    """||P - S L_H S|| for the reference projection P carried by ctx.
+def _lower_inverse(c: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular matrix by recursive 2 x 2 blocks:
+    [[A, 0], [B, D]]^-1 = [[A^-1, 0], [-D^-1 B A^-1, D^-1]], two products a
+    level. np.linalg.inv, which runs a general LU, takes the small blocks."""
+    k = len(c)
+    if k <= 48:
+        return np.linalg.inv(c)
+    h = k // 2
+    a_inv = _lower_inverse(c[:h, :h])
+    d_inv = _lower_inverse(c[h:, h:])
+    out = np.zeros_like(c)
+    out[:h, :h] = a_inv
+    out[h:, h:] = d_inv
+    out[h:, :h] = -(d_inv @ c[h:, :h]) @ a_inv
+    return out
 
-    With copy weights a_e / (N p_tilde), S L_H S equals the indicator sum
-    (1/N) sum_j sum_e (z/p_tilde) v_e v_e' over the seen edges, so this is
-    the projection-error norm of the run at the step ctx was built from.
+
+def projection_error(h, g: WeightedGraph) -> float:
+    """||P - S L_H S||, the projection-error norm of h against reference g.
+
+    P is the projection onto range(L_G) and S the pseudoinverse square
+    root of L_G. With copy weights a_e / (N p_tilde), S L_H S equals the
+    indicator sum (1/N) sum_j sum_e (z/p_tilde) v_e v_e' over the seen
+    edges, so against a stream prefix this is the run's error at that step.
+
+    On range(L_G) its eigenvalues are 1 - lambda over the eigenvalues
+    lambda of the grounded pencil (L_H, L_G): both Laplacians with vertex
+    0's row and column removed, where L_G is positive definite. With L_G = C C' (C its
+    Cholesky factor) they are the eigenvalues of C^-1 L_H C^-T, so one
+    Cholesky factor and one eigvalsh replace an eigendecomposition of L_G.
+
+    Raises GraphConnectivityError when g is disconnected and ValueError on
+    a vertex-count mismatch or a g without edges.
     """
-    if h.n != ctx.n:
-        raise ValueError(f"vertex counts differ: h has {h.n}, ctx has {ctx.n}")
-    m_mat = ctx.inv_sqrt @ _laplacian_of(h) @ ctx.inv_sqrt
-    return float(np.abs(np.linalg.eigvalsh(ctx.projection - m_mat)).max())
+    if h.n != g.n:
+        raise ValueError(f"vertex counts differ: h has {h.n}, g has {g.n}")
+    if component_count(g) != 1:
+        raise GraphConnectivityError(
+            "reference graph is disconnected; projection error undefined"
+        )
+    c_inv = _lower_inverse(np.linalg.cholesky(build_laplacian(g)[1:, 1:]))
+    m_mat = c_inv @ _laplacian_of(h)[1:, 1:] @ c_inv.T
+    return float(np.abs(1.0 - np.linalg.eigvalsh(m_mat)).max())
 
 
 def quadratic_variation(trace, ctx: ProjectionContext, upto: int | None = None) -> float:

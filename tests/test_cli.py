@@ -181,10 +181,11 @@ def test_experiment_generates_its_graph_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("module", ["scipy.stats", "scipy.sparse"])
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.sparse", "scipy.linalg"])
 def test_import_leaves_scipy_stats_out(module):
     # scipy.stats dominates import time and nothing in the package needs it;
-    # scipy.sparse is needed only by cg_resistances, which imports it itself
+    # scipy.sparse is needed only by cg_resistances, which imports it itself;
+    # NumPy's dense linear algebra serves every instrument
     code = f"import sys, respark, respark.cli; print({module!r} in sys.modules)"
     src = str(Path(harness.__file__).parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -247,6 +248,22 @@ def test_bad_parameters_exit_2(tmp_path, capsys):
     ])
     assert code == 2
     assert "eps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sparsify", "experiment"])
+def test_block_size_below_one_exits_2(tmp_path, capsys, command):
+    # experiment rejects the block size before its first trial, as sparsify
+    # does, instead of reporting every trial as errored
+    out = tmp_path / "out"
+    if command == "sparsify":
+        args = ["sparsify", "--input", str(_gen(tmp_path)), "--output", str(out)]
+    else:
+        args = ["experiment", "--model", "path", "--n", "6", "--trials", "2",
+                "--report", str(out)]
+    code = main([*args, "--epsilon", "0.5", "--block-size", "0"])
+    assert code == 2
+    assert "error: block size must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_subcommand_exits_nonzero():

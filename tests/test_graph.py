@@ -197,16 +197,17 @@ def test_component_count_matches_csgraph(case):
 
 
 def test_projection_for_single_edge():
-    # n=2: P = I - ones/2
-    ctx = projection_context(P2)
-    assert np.allclose(ctx.projection, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-12)
+    # n=2: P = v v' = I - ones/2
+    v = projection_context(P2).edge_vectors()
+    assert np.allclose(v @ v.T, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
 @given(connected_graphs())
 def test_projection_invariants(g):
-    ctx = projection_context(g)
-    p = ctx.projection
+    # P = sum_e v_e v_e' is the projection onto range(L) = 1-perp
+    v = projection_context(g).edge_vectors()
+    p = v @ v.T
     assert np.linalg.norm(p @ p - p, ord=2) < 1e-8
     assert np.trace(p) == pytest.approx(g.n - 1, abs=1e-8)
     assert np.abs(p @ np.ones(g.n)).max() < 1e-8
@@ -225,10 +226,10 @@ def test_edge_vector_norms_and_projection_sum(g):
     vectors = ctx.edge_vectors()
     pairs = [(e.u, e.v) for e in g.edges]
     resist = ctx.factors.resistances(pairs)
-    # ||v_e||^2 = a_e r_e, and the v_e v_e' sum rebuilds P
+    # ||v_e||^2 = a_e r_e, and the v_e v_e' sum is I - 11'/n
     sq = (vectors * vectors).sum(axis=0)
     assert np.allclose(sq, g.weights() * resist, atol=1e-9)
-    assert np.allclose(vectors @ vectors.T, ctx.projection, atol=1e-8)
+    assert np.allclose(vectors @ vectors.T, np.eye(g.n) - 1.0 / g.n, atol=1e-8)
 
 
 @settings(max_examples=40, deadline=None)

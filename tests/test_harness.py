@@ -210,6 +210,8 @@ def test_run_experiment_validation():
         run_experiment(spec, cfg, trials=0)
     with pytest.raises(ValueError, match="resistance mode"):
         run_experiment(spec, cfg, trials=1, resistance_mode="bogus")
+    with pytest.raises(ValueError, match="block size must be >= 1, got 0"):
+        run_experiment(spec, cfg, trials=1, block_size=0)
     other = _cfg(generate(GeneratorSpec("path", 6)))
     with pytest.raises(ValueError, match="does not match graph.*StreamConfig.for_graph"):
         run_experiment(spec, other, trials=1)

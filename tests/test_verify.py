@@ -2,6 +2,7 @@
 count, quadratic variation) and the dominance machinery."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from respark.graph import (
     GraphConnectivityError,
     WeightedGraph,
+    laplacian_from_arrays,
     projection_context,
 )
 from respark.harness import GeneratorSpec, generate
@@ -25,6 +27,7 @@ from respark.tape import RandomTape
 from respark.verify import (
     DIAGNOSTICS_COLUMNS,
     DiagnosticsRecord,
+    _lower_inverse,
     dkw_epsilon,
     dominance_check,
     projection_error,
@@ -88,8 +91,6 @@ def test_spectral_check_validation():
     disconnected = WeightedGraph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
     with pytest.raises(GraphConnectivityError):
         spectral_check(disconnected, disconnected, eps=0.5)
-    from types import SimpleNamespace
-
     with pytest.raises(TypeError, match="laplacian"):
         spectral_check(SimpleNamespace(n=3), K3, eps=0.5)
 
@@ -114,20 +115,84 @@ def test_projection_error_zero_for_exact_reconstruction():
     g = generate(GeneratorSpec("erdos-renyi", 10, p=0.5, seed=3))
     h, _ = stream_sparsify(g, _cfg(g, budget=6), block_size=4,
                            resistance_mode="nodrop", diagnostics=False)
-    assert projection_error(h, projection_context(g)) <= 1e-10
+    assert projection_error(h, g) <= 1e-10
 
 
 def test_projection_error_of_one_dropped_edge():
     # removing edge e without reweighting subtracts v_e v_e', whose norm is
     # the leverage a_e r_e; on C4 that is 3/4
     three = WeightedGraph.from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
-    err = projection_error(three, projection_context(C4))
+    err = projection_error(three, C4)
     assert err == pytest.approx(3 / 4, abs=1e-10)
 
 
 def test_projection_error_vertex_mismatch():
     with pytest.raises(ValueError, match="vertex counts"):
-        projection_error(K3, projection_context(C4))
+        projection_error(K3, C4)
+
+
+def test_projection_error_needs_a_connected_reference():
+    disconnected = WeightedGraph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
+    with pytest.raises(GraphConnectivityError):
+        projection_error(disconnected, disconnected)
+
+
+def _congruence_error(h, g):
+    """(||P - S L_H S||, condition number of L_G on range(L_G)), both from the
+    eigendecomposition of L_G: P from the eigenvectors of its nonzero
+    eigenvalues, S its inverse square root."""
+    ctx = projection_context(g)
+    lam = ctx.factors.eigenvalues
+    q = ctx.factors.eigenvectors[:, lam > 0]
+    m_mat = ctx.inv_sqrt @ h.laplacian() @ ctx.inv_sqrt
+    return float(np.abs(np.linalg.eigvalsh(q @ q.T - m_mat)).max()), lam[-1] / lam[1]
+
+
+@st.composite
+def references_and_sparsifiers(draw, lo, hi):
+    """(g, h): a connected g on lo..hi vertices with weights in [1e-3, 1], a
+    repeated and a reversed pair, and h a reweighted subset of g's edges
+    in which some vertices lose every edge (so h may be disconnected)."""
+    n = draw(st.integers(lo, hi))
+    weights = st.floats(1e-3, 1.0)
+    edges = [(draw(st.integers(0, v - 1)), v, draw(weights)) for v in range(1, n)]
+    for _ in range(draw(st.integers(0, n))):
+        u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if u != v:
+            edges.append((u, v, draw(weights)))
+    u, v, _ = edges[draw(st.integers(0, len(edges) - 1))]
+    edges += [(u, v, draw(weights)), (v, u, draw(weights))]
+    g = WeightedGraph.from_edges(n, edges)
+    isolated = draw(st.sets(st.integers(0, n - 1), max_size=max(1, n // 10)))
+    kept = [(e.u, e.v, e.weight * draw(st.floats(0.25, 4.0))) for e in g.edges
+            if e.u not in isolated and e.v not in isolated and draw(st.booleans())]
+    us, vs, ws = (np.array(col) for col in zip(*kept)) if kept else ([], [], [])
+    h = SimpleNamespace(n=n, laplacian=lambda: laplacian_from_arrays(n, us, vs, ws))
+    return g, h
+
+
+# n - 1 grounded rows: the base case of the triangular inverse, then one and
+# two levels of its recursion
+@pytest.mark.parametrize("lo, hi", [(2, 49), (50, 97), (99, 130)])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_projection_error_matches_the_congruence(lo, hi, data):
+    g, h = data.draw(references_and_sparsifiers(lo, hi))
+    want, cond = _congruence_error(h, g)
+    # S carries the rounding of L_G's small eigenvalues, so the reference
+    # itself is off by up to about eps cond ||S L_H S||: at cond 9,233 it
+    # was 1.8e-12 relative from a 40-digit value, the pencil 9.8e-14
+    slack = 8 * np.finfo(float).eps * cond * (1.0 + want)
+    assert abs(projection_error(h, g) - want) <= 1e-12 * want + 1e-12 + slack
+
+
+@pytest.mark.parametrize("k", [47, 49, 97, 99, 201])
+def test_lower_inverse_matches_a_general_inverse(k):
+    a = np.random.default_rng(k).standard_normal((k, k))
+    c = np.linalg.cholesky(a @ a.T + k * np.eye(k))
+    got = _lower_inverse(c)
+    assert np.abs(got - np.linalg.inv(c)).max() <= 1e-12 * np.abs(got).max()
+    assert np.abs(got @ c - np.eye(k)).max() <= 1e-12
 
 
 def test_projection_error_agrees_with_spectral_worst():
@@ -136,7 +201,7 @@ def test_projection_error_agrees_with_spectral_worst():
     g = generate(GeneratorSpec("erdos-renyi", 12, p=0.5, seed=5))
     h, _ = stream_sparsify(g, _cfg(g, seed=9, budget=400), block_size=10,
                            resistance_mode="exact", diagnostics=False)
-    proj = projection_error(h, projection_context(g))
+    proj = projection_error(h, g)
     _, worst = spectral_check(h, g, eps=0.5)
     assert worst == pytest.approx(proj, abs=1e-9)
 
