@@ -51,14 +51,14 @@ print("sum of weighted resistances:", round(total, 12), "= n - 1 =", k3.n - 1)
 
 # ## Leverage is what sampling sees
 #
-# The norm of a scaled edge vector is the edge's leverage a_e r_e. On a
-# weighted star every edge is a bridge: r = 1/a and leverage 1, so every
-# edge is equally indispensable no matter its weight.
+# The squared norm of a scaled edge vector is the edge's leverage a_e r_e,
+# which the context caches as `leverages`. On a weighted star every edge is
+# a bridge: r = 1/a and leverage 1, so every edge is equally indispensable
+# no matter its weight.
 
 star = WeightedGraph.from_edges(4, [(0, 1, 2.0), (0, 2, 0.5), (0, 3, 4.0)])
 star_ctx = projection_context(star)
-for eid, e in enumerate(star.edges):
-    lev = np.sum(star_ctx.edge_vectors([eid]) ** 2)
+for e, lev in zip(star.edges, star_ctx.leverages):
     print(
         f"star edge ({e.u},{e.v}) weight {e.weight}: "
         f"r = {1 / e.weight:.4f}, leverage = {lev:.12f}"

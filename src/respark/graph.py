@@ -1,5 +1,8 @@
 """Weighted graphs, Laplacians, pseudoinverses, and projection contexts.
 
+A pseudoinverse is kept only as its eigenbasis, in which resistances and
+the verification congruences are read.
+
 Everything downstream (resistance estimation, resparsification, the
 verification instruments) consumes the objects defined here. All types are
 immutable after construction and all operations are pure functions, so they
@@ -161,28 +164,8 @@ class PseudoinverseFactors:
     eigenvectors: np.ndarray  # orthogonal, column i pairs with eigenvalues[i]
 
     @property
-    def n(self) -> int:
-        return len(self.eigenvalues)
-
-    @property
     def null_count(self) -> int:
         return int(np.count_nonzero(self.eigenvalues == 0.0))
-
-    def _nonzero(self) -> np.ndarray:
-        return self.eigenvalues > 0
-
-    def pinv(self) -> np.ndarray:
-        """Dense Moore-Penrose pseudoinverse."""
-        inv = np.where(self._nonzero(), 1.0 / np.where(self._nonzero(), self.eigenvalues, 1.0), 0.0)
-        Q = self.eigenvectors
-        return (Q * inv) @ Q.T
-
-    def inv_sqrt(self) -> np.ndarray:
-        """Dense pseudoinverse square root, the congruence map for spectral checks."""
-        nz = self._nonzero()
-        s = np.where(nz, 1.0 / np.sqrt(np.where(nz, self.eigenvalues, 1.0)), 0.0)
-        Q = self.eigenvectors
-        return (Q * s) @ Q.T
 
     def resistances(self, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
         """Effective resistances b^T L+ b for many (u, v) pairs at once."""
@@ -190,7 +173,7 @@ class PseudoinverseFactors:
             return np.zeros(0)
         us = np.array([p[0] for p in pairs])
         vs = np.array([p[1] for p in pairs])
-        nz = self._nonzero()
+        nz = self.eigenvalues > 0
         Q = self.eigenvectors[:, nz]
         D = Q[us] - Q[vs]  # one row per pair, coordinates in the nonzero eigenbasis
         return (D * D) @ (1.0 / self.eigenvalues[nz])
@@ -235,19 +218,12 @@ def pseudo_factorize(l: np.ndarray) -> PseudoinverseFactors:
 
 @dataclass(frozen=True)
 class ProjectionContext:
-    """Reference-graph factors plus S = L^{-1/2}, the pseudoinverse square root.
-
-    The edge vectors v_e = sqrt(a_e) S b_e give sum_e v_e v_e^T = I - 11^T/n,
-    the projection onto range(L) of the connected reference.
-    """
+    """A connected reference graph and the factors of its Laplacian L. The
+    instruments read congruences S A S by S = L^{-1/2} in L's eigenbasis, so
+    S is never formed; ||v_e||^2 = a_e r_e, v_e = sqrt(a_e) S b_e, is leverages."""
 
     graph: WeightedGraph
     factors: PseudoinverseFactors
-    inv_sqrt: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.graph.n
 
     @cached_property
     def leverages(self) -> np.ndarray:
@@ -257,18 +233,6 @@ class ProjectionContext:
         lev = g.weights() * self.factors.resistances([(e.u, e.v) for e in g.edges])
         lev.flags.writeable = False
         return lev
-
-    def edge_vectors(self, edge_ids: Sequence[int] | None = None) -> np.ndarray:
-        """Columns v_e = sqrt(a_e) L^{-1/2} b_e for the given edge ids (all
-        edges when omitted); ||v_e||^2 = a_e r_e is the edge's leverage."""
-        ids = range(self.graph.m) if edge_ids is None else edge_ids
-        es = [self.graph.edges[i] for i in ids]
-        if not es:
-            return np.zeros((self.n, 0))
-        us = np.array([e.u for e in es])
-        vs = np.array([e.v for e in es])
-        ws = np.array([e.weight for e in es])
-        return np.sqrt(ws) * (self.inv_sqrt[:, us] - self.inv_sqrt[:, vs])
 
 
 def projection_context(g: WeightedGraph) -> ProjectionContext:
@@ -291,7 +255,7 @@ def projection_context(g: WeightedGraph) -> ProjectionContext:
         raise GraphConnectivityError(
             f"expected exactly one null eigenvalue, found {factors.null_count}"
         )
-    return ProjectionContext(g, factors, factors.inv_sqrt())
+    return ProjectionContext(g, factors)
 
 
 class _UnionFind:

@@ -378,6 +378,8 @@ def _from_json(kind, value):
 
 
 def report_from_dict(data: dict) -> ExperimentReport:
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
     if data.get("schema_version") != REPORT_SCHEMA_VERSION:
         raise ValueError(
             f"unsupported report schema version {data.get('schema_version')!r}"
@@ -413,8 +415,14 @@ def emit_report(report: ExperimentReport, path, format: str = "json") -> str:
 
 
 def load_report_json(path) -> ExperimentReport:
-    with open(path, "r", encoding="utf-8") as fh:
-        return report_from_dict(json.load(fh))
+    """A report back from JSON; a malformed one raises ValueError starting 'path:'."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return report_from_dict(json.load(fh))
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def read_report_rows(path) -> list[TrialStepRow]:

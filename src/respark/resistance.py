@@ -50,7 +50,7 @@ class ResistanceEstimate:
     def __post_init__(self) -> None:
         if not self.r_tilde > 0:
             raise ValueError(f"resistance estimate must be positive, got {self.r_tilde}")
-        if self.alpha < 1.0:
+        if not self.alpha >= 1.0:  # NaN fails too
             raise ValueError(f"accuracy parameter must be >= 1, got {self.alpha}")
 
 
@@ -140,7 +140,7 @@ def inject_alpha_noise(
     RandomTape(seed), so a fixed (seed, estimate order) pair reproduces the
     same noise exactly.
     """
-    if alpha < 1.0:
+    if not alpha >= 1.0:
         raise ValueError(f"alpha must be >= 1, got {alpha}")
     lo, hi = 1.0 / alpha, alpha
     u = RandomTape(seed).labeled("alpha-noise", len(estimates))

@@ -80,9 +80,9 @@ def _validate_budget_params(eps, delta, alpha, kappa, n, m) -> None:
         raise ConfigError(f"eps must lie in (0, 1), got {eps}")
     if not 0.0 < delta < 1.0:
         raise ConfigError(f"delta must lie in (0, 1), got {delta}")
-    if alpha < 1.0:
+    if not alpha >= 1.0:  # NaN fails too
         raise ConfigError(f"alpha must be >= 1, got {alpha}")
-    if kappa < 1.0:
+    if not kappa >= 1.0:
         raise ConfigError(f"kappa must be >= 1, got {kappa}")
     if n < 2:
         raise ConfigError(f"need at least 2 vertices, got {n}")

@@ -6,7 +6,8 @@ the sparsifier against the reference inside [1-eps, 1+eps]), the
 projection-error norm ||P - P_tilde||, read off the grounded pencil
 (L_H, L_G) with one Cholesky factor of the reference, the running copy
 count with its 3N-overflow event, and the predictable quadratic variation
-||W|| of the copy-indicator martingale. The dominating-variable sampler
+||W|| of the copy-indicator martingale, both read in the reference's
+eigenbasis. The dominating-variable sampler
 and the stochastic-dominance test back the concentration experiment:
 per-copy maxima of z/p_tilde are compared against the heavy-tailed
 variable with c.d.f. 1 - 1/a truncated at alpha^2/p.
@@ -85,14 +86,24 @@ def _laplacian_of(h) -> np.ndarray:
         raise TypeError(f"{type(h).__name__} does not expose a laplacian()") from exc
 
 
+def _range_eigenvalues(ctx: ProjectionContext, l: np.ndarray) -> np.ndarray:
+    """Eigenvalues of S l S on range(L_G), S = L_G^{-1/2}: those of B' l B,
+    B the eigenvectors of L_G's nonzero eigenvalues over their square roots."""
+    lam = ctx.factors.eigenvalues
+    nz = lam > 0.0
+    b = ctx.factors.eigenvectors[:, nz] / np.sqrt(lam[nz])
+    return np.linalg.eigvalsh(b.T @ l @ b)
+
+
 def spectral_check(
     h, g: WeightedGraph, eps: float, ctx: ProjectionContext | None = None
 ) -> tuple[bool, float]:
     """Test (1-eps) x'L_G x <= x'L_H x <= (1+eps) x'L_G x for all x.
 
     h may be a sparsifier or a plain graph; anything with n and
-    laplacian(). The ratios are the eigenvalues of S L_H S (S the inverse
-    square root of L_G) restricted to the range of L_G; the check passes
+    laplacian(). The ratios are the eigenvalues of S L_H S (S the
+    pseudoinverse square root of L_G) on the range of L_G, read in
+    L_G's eigenbasis by _range_eigenvalues; the check passes
     when every one lies in [1-eps, 1+eps] with 1e-9 slack. Returns
     (passed, worst deviation |ratio - 1|).
 
@@ -102,7 +113,7 @@ def spectral_check(
     Raises GraphConnectivityError when g is disconnected and ValueError on
     a vertex-count mismatch or a ctx built from another graph.
     """
-    if eps < 0.0:
+    if not eps >= 0.0:  # NaN fails too
         raise ValueError(f"eps must be non-negative, got {eps}")
     if h.n != g.n:
         raise ValueError(f"vertex counts differ: h has {h.n}, g has {g.n}")
@@ -110,10 +121,7 @@ def spectral_check(
         ctx = projection_context(g)
     elif ctx.graph is not g and ctx.graph != g:
         raise ValueError("ctx was built from another graph than g")
-    m_mat = ctx.inv_sqrt @ _laplacian_of(h) @ ctx.inv_sqrt
-    nonnull = ctx.factors.eigenvalues > 0.0
-    q = ctx.factors.eigenvectors[:, nonnull]
-    ratios = np.linalg.eigvalsh(q.T @ m_mat @ q)
+    ratios = _range_eigenvalues(ctx, _laplacian_of(h))
     worst = float(np.abs(ratios - 1.0).max())
     return worst <= eps + 1e-9, worst
 
@@ -169,8 +177,8 @@ def quadratic_variation(trace, ctx: ProjectionContext, upto: int | None = None) 
     W = (1/N^2) sum_s sum_e (alive_{s-1,e} / p_{s-1,e})
         (1/p_{s,e} - 1/p_{s-1,e}) (v_e'v_e) v_e v_e'
 
-    with v_e = sqrt(a_e) S b_e taken from ctx (S its inverse square root),
-    which must be built from the whole traced graph (its edges equal
+    with v_e = sqrt(a_e) S b_e (S the pseudoinverse square root of ctx's
+    Laplacian). ctx must be built from the whole traced graph (its edges equal
     trace.edges, else ValueError): the variation compares every step
     against one fixed reference. The trace rows carry the unseen-edge
     convention (p = 1, all N copies alive), so an edge's arrival step
@@ -179,8 +187,8 @@ def quadratic_variation(trace, ctx: ProjectionContext, upto: int | None = None) 
 
     Writing W = sum_e c_e v_e v_e' gives W = S L_c S, where L_c is the
     Laplacian of the graph's own edge list with edge weights a_e c_e
-    (duplicate pairs add), so W costs two n x n products and no n x m
-    matrix of edge vectors. v_e'v_e = a_e r_e is ctx.leverages.
+    (duplicate pairs add); ||W|| is its top eigenvalue on range(L_G), from
+    _range_eigenvalues. v_e'v_e = a_e r_e is ctx.leverages.
     """
     steps = trace.steps
     if upto is None:
@@ -191,7 +199,7 @@ def quadratic_variation(trace, ctx: ProjectionContext, upto: int | None = None) 
         raise ValueError("incomplete trace: per-step arrays disagree in length")
     g = ctx.graph
     # identity first: the stream's own context shares the traced edge tuple
-    if ctx.n != trace.n or (g.edges is not trace.edges and g.edges != trace.edges):
+    if g.n != trace.n or (g.edges is not trace.edges and g.edges != trace.edges):
         raise ValueError("ctx does not match the traced stream")
     coeff = np.zeros(g.m)
     for s in range(1, upto + 1):
@@ -204,8 +212,7 @@ def quadratic_variation(trace, ctx: ProjectionContext, upto: int | None = None) 
         coeff += (alive_prev / p_prev) * delta
     coeff *= ctx.leverages / trace.budget_n**2
     l_c = laplacian_from_arrays(g.n, *g.endpoints(), g.weights() * coeff)
-    w_mat = ctx.inv_sqrt @ l_c @ ctx.inv_sqrt
-    return float(max(np.linalg.eigvalsh(w_mat).max(), 0.0))
+    return float(max(_range_eigenvalues(ctx, l_c).max(), 0.0))
 
 
 def sample_dominating_w0_batch(
@@ -213,11 +220,11 @@ def sample_dominating_w0_batch(
 ) -> np.ndarray:
     """Vector of `count` inverse-c.d.f. draws of 1/w0, keyed by (p_te, alpha):
     c.d.f. 1 - 1/a on [1, alpha^2 / p_te], the cap an atom."""
-    if p_te <= 0.0:
+    if not p_te > 0.0:  # NaN fails too
         raise ValueError(f"p_te must be positive, got {p_te}")
     if p_te > 1.0:
         raise ValueError(f"p_te must be at most 1, got {p_te}")
-    if alpha < 1.0:
+    if not alpha >= 1.0:
         raise ValueError(f"alpha must be >= 1, got {alpha}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -279,11 +286,18 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _parse_cell(kind: str, text: str):
-    # kind is the field's annotation string: int, float, bool or bool | None
+def _parse_cell(kind: str, text: str | None):
+    # kind is the field's annotation string: int, float, bool or bool | None;
+    # text is None when the row ended before this column
+    if text is None:
+        raise ValueError("no cell")
     text = text.strip()
     if kind.startswith("bool"):
-        return None if kind.endswith("None") and not text else text.lower() == "true"
+        if kind.endswith("None") and not text:
+            return None
+        if text not in ("true", "false"):
+            raise ValueError(f"expected true or false, got {text!r}")
+        return text == "true"
     return int(text) if kind == "int" else float(text)
 
 
@@ -296,13 +310,26 @@ def _write_rows(path, rows: Sequence, cls) -> None:
 
 
 def _read_rows(path, cls, what: str) -> list:
+    """A malformed row raises ValueError starting 'path:lineno:'."""
     kinds = {f.name: f.type for f in fields(cls)}
+    records = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         missing = set(kinds) - set(reader.fieldnames or ())
         if missing:
             raise ValueError(f"{path}: missing {what} columns {sorted(missing)}")
-        return [cls(**{k: _parse_cell(t, row[k]) for k, t in kinds.items()}) for row in reader]
+        for row in reader:
+            where = f"{path}:{reader.line_num}"
+            if None in row:
+                raise ValueError(f"{where}: more cells than columns")
+            values = {}
+            for k, t in kinds.items():
+                try:
+                    values[k] = _parse_cell(t, row[k])
+                except ValueError as exc:
+                    raise ValueError(f"{where}: column {k}: {exc}") from None
+            records.append(cls(**values))
+    return records
 
 
 def write_diagnostics(records: Sequence[DiagnosticsRecord], path) -> None:

@@ -266,6 +266,23 @@ def test_block_size_below_one_exits_2(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("override", [["--budget-override", "100"], []])
+@pytest.mark.parametrize("command", ["sparsify", "experiment"])
+def test_nan_alpha_exits_2(tmp_path, capsys, command, override):
+    # NaN fails no `alpha < 1` test; the budget checks must still reject it
+    # before a stream or trial runs
+    out = tmp_path / "out"
+    if command == "sparsify":
+        args = ["sparsify", "--input", str(_gen(tmp_path)), "--output", str(out)]
+    else:
+        args = ["experiment", "--model", "path", "--n", "6", "--trials", "2",
+                "--report", str(out)]
+    code = main([*args, "--epsilon", "0.5", "--alpha", "nan", *override])
+    assert code == 2
+    assert "error: alpha must be >= 1, got nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_subcommand_exits_nonzero():
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])

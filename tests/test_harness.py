@@ -370,6 +370,30 @@ def test_report_csv_keeps_none_spectral(tmp_path):
     assert rows[-1].spectral_ok == report.rows[-1].spectral_ok
 
 
+def test_report_csv_optional_bool_column(tmp_path):
+    # spectral_ok may be empty (None); otherwise only true and false parse
+    path = tmp_path / "rows.csv"
+    emit_report(_nan_free_report(), path, format="csv")
+    header, first = path.read_text().splitlines()[:2]
+    at = header.split(",").index("spectral_ok")
+
+    def write_cell(cell):
+        cells = first.split(",")
+        cells[at] = cell
+        path.write_text(f"{header}\n{','.join(cells)}\n")
+
+    for cell, want in [("", None), ("true", True), ("false", False)]:
+        write_cell(cell)
+        assert read_report_rows(path)[0].spectral_ok is want
+    for cell in ("True", "0"):
+        write_cell(cell)
+        with pytest.raises(ValueError) as info:
+            read_report_rows(path)
+        assert str(info.value) == (
+            f"{path}:2: column spectral_ok: expected true or false, got {cell!r}"
+        )
+
+
 def test_report_schema_guard():
     report = _nan_free_report()
     data = report_to_dict(report)
@@ -388,6 +412,27 @@ def test_report_budget_consistency_guard():
     data["config"]["budget_n"] = data["config"]["budget_n"] + 1
     with pytest.raises(ValueError, match="budget_n"):
         report_from_dict(data)
+
+
+def test_load_report_json_rejects_malformed_reports(tmp_path):
+    data = report_to_dict(_nan_free_report())
+    no_generator = {k: v for k, v in data.items() if k != "generator"}
+    no_budget = {**data, "config": {k: v for k, v in data["config"].items() if k != "budget_n"}}
+    cases = [
+        ("[]", "expected a JSON object, got list"),
+        (json.dumps(no_generator), "missing field 'generator'"),
+        (json.dumps(no_budget), "missing field 'budget_n'"),
+        (json.dumps({**data, "generator": [1, 2]}), "must be a mapping"),
+        (json.dumps({**data, "schema_version": 2}), "unsupported report schema version 2"),
+        ("{", "Expecting property name"),
+    ]
+    path = tmp_path / "report.json"
+    for text, error in cases:
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_report_json(path)
+        assert str(info.value).startswith(f"{path}: "), text
+        assert error in str(info.value), text
 
 
 def test_report_field_order_is_stable():

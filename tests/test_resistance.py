@@ -1,6 +1,8 @@
 """Resistance estimators against series-parallel closed forms and the
 dense pseudoinverse oracle."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,11 @@ def test_estimate_validation():
         ResistanceEstimate(0, 1.0, 0.5)
     with pytest.raises(ValueError):
         inject_alpha_noise([], 0.9, 0)
+    # NaN fails every comparison, so it must fail the guards too
+    with pytest.raises(ValueError, match="accuracy parameter"):
+        ResistanceEstimate(0, 1.0, math.nan)
+    with pytest.raises(ValueError, match="alpha"):
+        inject_alpha_noise([], math.nan, 0)
 
 
 def test_cross_component_query_errors():

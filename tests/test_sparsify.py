@@ -76,6 +76,8 @@ def test_budget_eps_scaling():
         dict(kappa=0.9),
         dict(n=1),
         dict(m=0),
+        dict(alpha=math.nan),
+        dict(kappa=math.nan),
     ],
 )
 def test_budget_rejects_bad_params(kwargs):

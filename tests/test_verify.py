@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -88,6 +89,8 @@ def test_spectral_check_validation():
         spectral_check(K3, C4, eps=0.5)
     with pytest.raises(ValueError, match="eps"):
         spectral_check(K3, K3, eps=-0.1)
+    with pytest.raises(ValueError, match="eps"):
+        spectral_check(K3, K3, eps=math.nan)
     disconnected = WeightedGraph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
     with pytest.raises(GraphConnectivityError):
         spectral_check(disconnected, disconnected, eps=0.5)
@@ -137,14 +140,23 @@ def test_projection_error_needs_a_connected_reference():
         projection_error(disconnected, disconnected)
 
 
+def _inv_sqrt(ctx):
+    """The dense pseudoinverse square root S = Q diag(lambda^-1/2) Q' of the
+    reference Laplacian, over the nonzero eigenvalues of ctx.factors."""
+    lam = ctx.factors.eigenvalues
+    q = ctx.factors.eigenvectors[:, lam > 0]
+    return (q / np.sqrt(lam[lam > 0])) @ q.T
+
+
 def _congruence_error(h, g):
     """(||P - S L_H S||, condition number of L_G on range(L_G)), both from the
     eigendecomposition of L_G: P from the eigenvectors of its nonzero
-    eigenvalues, S its inverse square root."""
+    eigenvalues, S its pseudoinverse square root."""
     ctx = projection_context(g)
     lam = ctx.factors.eigenvalues
     q = ctx.factors.eigenvectors[:, lam > 0]
-    m_mat = ctx.inv_sqrt @ h.laplacian() @ ctx.inv_sqrt
+    s = _inv_sqrt(ctx)
+    m_mat = s @ h.laplacian() @ s
     return float(np.abs(np.linalg.eigvalsh(q @ q.T - m_mat)).max()), lam[-1] / lam[1]
 
 
@@ -272,16 +284,23 @@ def test_quadratic_variation_validation():
         quadratic_variation(c4_trace, projection_context(star))
 
 
-def _reference_variation(trace, ctx, upto):
-    """W = V diag(c) V' from the n x m matrix of edge vectors, as the
-    variation was first computed."""
-    vectors = ctx.edge_vectors()
+def _variation_coefficients(trace, leverages, upto):
+    """c_e of W = sum_e c_e v_e v_e' through step `upto`, given ||v_e||^2."""
     coeff = np.zeros(len(trace.edges))
     for s in range(1, upto + 1):
         p_prev, p_cur = trace.p_steps[s - 1], trace.p_steps[s]
         delta = np.clip(1.0 / p_cur - 1.0 / p_prev, 0.0, None)
         coeff += (trace.alive_steps[s - 1] / p_prev) * delta
-    coeff *= (vectors * vectors).sum(axis=0) / trace.budget_n**2
+    return coeff * leverages / trace.budget_n**2
+
+
+def _reference_variation(trace, ctx, upto):
+    """W = V diag(c) V' from the n x m matrix of edge vectors
+    v_e = sqrt(a_e) S b_e, as the variation was first computed."""
+    s = _inv_sqrt(ctx)
+    us, vs = ctx.graph.endpoints()
+    vectors = np.sqrt(ctx.graph.weights()) * (s[:, us] - s[:, vs])
+    coeff = _variation_coefficients(trace, (vectors * vectors).sum(axis=0), upto)
     w_mat = (vectors * coeff) @ vectors.T
     return float(max(np.linalg.eigvalsh(w_mat).max(), 0.0))
 
@@ -316,6 +335,61 @@ def test_laplacian_form_matches_edge_vector_form(g, seed, budget, data):
         want = _reference_variation(trace, ctx, upto)
         got = quadratic_variation(trace, ctx, upto=upto)
         assert abs(got - want) <= 1e-12 * want, (upto, got, want)
+
+
+def _dense_laplacian(n, triples):
+    """Laplacian summed edge by edge from (u, v, weight) triples."""
+    l = np.zeros((n, n))
+    for u, v, w in triples:
+        l[u, u] += w
+        l[v, v] += w
+        l[u, v] -= w
+        l[v, u] -= w
+    return l
+
+
+def _pencil_eigenvalues(a, l_g):
+    """Eigenvalues of the pencil (A, L_G) with vertex 0 grounded, where L_G
+    is positive definite: on range(L_G) they are those of S A S, S the
+    pseudoinverse square root of L_G. scipy solves the pencil without L_G's
+    eigenbasis."""
+    return scipy.linalg.eigh(a[1:, 1:], l_g[1:, 1:], eigvals_only=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_spectral_check_matches_the_grounded_pencil(data):
+    g, h = data.draw(references_and_sparsifiers(2, 40))
+    l_g = _dense_laplacian(g.n, g.edges)
+    want = float(np.abs(_pencil_eigenvalues(h.laplacian(), l_g) - 1.0).max())
+    _, worst = spectral_check(h, g, eps=0.5)
+    # relative to ||S L_H S||, at most 1 + worst: an h equal to g has worst 0
+    # up to rounding
+    assert abs(worst - want) <= 1e-10 * (1.0 + want), (worst, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=multigraphs(), seed=st.integers(0, 2**32), budget=st.integers(2, 40), data=st.data())
+def test_quadratic_variation_matches_the_grounded_pencil(g, seed, budget, data):
+    block = data.draw(st.integers(1, g.m))
+    _, _, trace = indicator_stream(g, _cfg(g, seed=seed, budget=budget), block_size=block,
+                                   resistance_mode="exact", diagnostics=False,
+                                   record_copies=False)
+    l_g = _dense_laplacian(g.n, g.edges)
+    us, vs = g.endpoints()
+    # leverages a_e b_e' L_G^+ b_e from grounded solves
+    b = np.zeros((g.n, g.m))
+    b[us, np.arange(g.m)] += 1.0
+    b[vs, np.arange(g.m)] -= 1.0
+    b = b[1:]
+    lev = g.weights() * (b * scipy.linalg.solve(l_g[1:, 1:], b, assume_a="pos")).sum(axis=0)
+    ctx = projection_context(g)
+    for upto in range(trace.steps + 1):
+        coeff = _variation_coefficients(trace, lev, upto)
+        l_c = _dense_laplacian(g.n, zip(us, vs, g.weights() * coeff))
+        want = max(float(_pencil_eigenvalues(l_c, l_g).max()), 0.0)
+        got = quadratic_variation(trace, ctx, upto=upto)
+        assert abs(got - want) <= 1e-10 * want, (upto, got, want)
 
 
 @settings(max_examples=30, deadline=None)
@@ -437,6 +511,10 @@ def test_w0_parameter_validation():
         sample_dominating_w0_batch(0.5, 0.9, tape, 10)
     with pytest.raises(ValueError):
         sample_dominating_w0_batch(0.5, 1.0, tape, 0)
+    with pytest.raises(ValueError, match="p_te"):
+        sample_dominating_w0_batch(math.nan, 1.0, tape, 10)
+    with pytest.raises(ValueError, match="alpha"):
+        sample_dominating_w0_batch(0.5, math.nan, tape, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +610,29 @@ def test_read_diagnostics_missing_column(tmp_path):
     path.write_text("step,copy_count\n1,2\n")
     with pytest.raises(ValueError, match="missing diagnostics columns"):
         read_diagnostics(path)
+
+
+@pytest.mark.parametrize(
+    "row, error",
+    [
+        ("1,20,0.25,0.017,10,false", "column b_event: no cell"),
+        ("1,20,0.25,0.017,10,false,false,7", "more cells than columns"),
+        ("1,20,0.25,x,10,false,false", "column w_norm: could not convert"),
+        ("1,2.5,0.25,0.017,10,false,false", "column copy_count: invalid literal"),
+        ("1,20,0.25,0.017,10,maybe,false", "column a_event: expected true or false, got 'maybe'"),
+        ("1,20,0.25,0.017,10,false,1", "column b_event: expected true or false, got '1'"),
+        ("1,20,0.25,0.017,10,,false", "column a_event: expected true or false, got ''"),
+    ],
+    ids=["short", "long", "float", "int", "word-bool", "digit-bool", "empty-bool"],
+)
+def test_read_diagnostics_names_the_bad_cell(tmp_path, row, error):
+    # the second data row is on line 3
+    path = tmp_path / "bad.csv"
+    good = "1,20,0.25,0.017,10,false,true"
+    path.write_text(f"{','.join(DIAGNOSTICS_COLUMNS)}\n{good}\n{row}\n")
+    with pytest.raises(ValueError) as info:
+        read_diagnostics(path)
+    assert str(info.value).startswith(f"{path}:3: {error}")
 
 
 def test_stream_records_are_writable(tmp_path):
