@@ -156,6 +156,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    if not 0.0 <= args.max_failure_rate <= 1.0:  # NaN fails too
+        raise ValueError(f"max failure rate must lie in [0, 1], got {args.max_failure_rate}")
     spec = _generator_spec(args)
     g = generate(spec)
     cfg = StreamConfig.for_graph(

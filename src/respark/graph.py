@@ -1,7 +1,8 @@
 """Weighted graphs, Laplacians, pseudoinverses, and projection contexts.
 
-A pseudoinverse is kept only as its eigenbasis, in which resistances and
-the verification congruences are read.
+A pseudoinverse is kept as the inverse Cholesky factor of the Laplacian
+grounded at one vertex per component, off which every resistance is read; its
+eigenbasis, for the verification congruences, only where one is read.
 
 Everything downstream (resistance estimation, resparsification, the
 verification instruments) consumes the objects defined here. All types are
@@ -34,9 +35,9 @@ __all__ = [
     "write_edge_list",
 ]
 
-# Relative eigenvalue cutoff separating the structural null space from
-# round-off. Well-conditioned desk-scale Laplacians have a spectral gap many
-# orders of magnitude above this.
+# Relative cutoff separating the structural null space from round-off, in
+# eigenvalues and in a Laplacian's row sums. Well-conditioned desk-scale
+# Laplacians have a spectral gap many orders of magnitude above this.
 DEFAULT_NULL_TOLERANCE = 1e-10
 
 
@@ -152,68 +153,108 @@ def laplacian_from_arrays(
     return L
 
 
+def _lower_inverse(c: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular matrix by recursive 2 x 2 blocks:
+    [[A, 0], [B, D]]^-1 = [[A^-1, 0], [-D^-1 B A^-1, D^-1]], two products a
+    level. np.linalg.inv, which runs a general LU, takes the small blocks."""
+    k = len(c)
+    if k <= 48:
+        return np.linalg.inv(c)
+    h = k // 2
+    a_inv = _lower_inverse(c[:h, :h])
+    d_inv = _lower_inverse(c[h:, h:])
+    out = np.zeros_like(c)
+    out[:h, :h] = a_inv
+    out[h:, h:] = d_inv
+    out[h:, :h] = -(d_inv @ c[h:, :h]) @ a_inv
+    return out
+
+
+def _component_labels(l: np.ndarray) -> np.ndarray:
+    """Each vertex's component, named by its smallest vertex, from l's
+    off-diagonal nonzeros: a Laplacian cell is nonzero, and negative, exactly
+    when an edge joins the pair. Each round hooks every root onto the least
+    label across its nonzeros, then jumps pointers to the roots."""
+    i, j = np.divmod(np.flatnonzero(l < 0.0), len(l))
+    labels = np.arange(len(l))
+    while True:
+        a, b = labels[i], labels[j]
+        if (a == b).all():
+            return labels
+        np.minimum.at(labels, np.maximum(a, b), np.minimum(a, b))
+        while not (labels[labels] == labels).all():
+            labels = labels[labels]
+
+
+def _grounded_inverse(l: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """C^-1, C the Cholesky factor of l with the vertices outside the mask
+    free, vertex 0 among them, grounded (their rows and columns removed)."""
+    grounded = l[1:, 1:] if free[1:].all() else l[np.ix_(free, free)]  # a slice copies less
+    return _lower_inverse(np.linalg.cholesky(grounded))
+
+
 @dataclass(frozen=True)
 class PseudoinverseFactors:
-    """Eigendecomposition of a Laplacian with the null space zeroed exactly.
+    """A Laplacian's pseudoinverse as a grounded Cholesky factor. Grounded at
+    one vertex per component, L is positive definite, C C'; rows[v] is C^-1's
+    column of vertex v (zero if grounded), so b'L+b for u, v in one component
+    is ||rows[u] - rows[v]||^2. The eigendecomposition, eigenvalues ascending
+    with those at most DEFAULT_NULL_TOLERANCE * lambda_max set to 0.0, is a
+    view: eigh runs on its first read, on laplacian, which is not copied."""
 
-    Eigenvalues below DEFAULT_NULL_TOLERANCE * lambda_max are treated as
-    exactly zero; for a connected graph exactly one eigenvalue is zeroed.
-    """
+    laplacian: np.ndarray
+    labels: np.ndarray  # component of each vertex, named by its smallest vertex
+    rows: np.ndarray  # (n, n - components)
 
-    eigenvalues: np.ndarray  # ascending, near-zero entries replaced by 0.0
-    eigenvectors: np.ndarray  # orthogonal, column i pairs with eigenvalues[i]
+    @cached_property
+    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        w, Q = np.linalg.eigh(self.laplacian)
+        cutoff = DEFAULT_NULL_TOLERANCE * max(float(w[-1]), 0.0)
+        return np.where(np.abs(w) <= cutoff, 0.0, w), Q
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self._eigh[0]
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        return self._eigh[1]
 
     @property
     def null_count(self) -> int:
         return int(np.count_nonzero(self.eigenvalues == 0.0))
 
     def resistances(self, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
-        """Effective resistances b^T L+ b for many (u, v) pairs at once."""
-        if not len(pairs):
-            return np.zeros(0)
-        us = np.array([p[0] for p in pairs])
-        vs = np.array([p[1] for p in pairs])
-        nz = self.eigenvalues > 0
-        Q = self.eigenvectors[:, nz]
-        D = Q[us] - Q[vs]  # one row per pair, coordinates in the nonzero eigenbasis
-        return (D * D) @ (1.0 / self.eigenvalues[nz])
+        """Effective resistances b^T L+ b for many (u, v) pairs at once; a
+        pair across components reads a finite, meaningless number."""
+        ends = np.array(pairs, dtype=int).reshape(-1, 2)
+        d = self.rows[ends[:, 0]] - self.rows[ends[:, 1]]
+        return np.square(d, out=d).sum(axis=1)
 
 
 def pseudo_factorize(l: np.ndarray) -> PseudoinverseFactors:
-    """Eigendecompose a symmetric PSD matrix, zeroing the numerical null space:
-    eigenvalues at most DEFAULT_NULL_TOLERANCE * lambda_max in magnitude.
-
-    Parameters
-    ----------
-    l : ndarray
-        Symmetric PSD matrix (a Laplacian).
-
-    Raises
-    ------
-    ValueError
-        If the input is not symmetric, or has an eigenvalue below
-        -DEFAULT_NULL_TOLERANCE * lambda_max (not PSD, an upstream bug).
-    """
+    """Factor a Laplacian (see PseudoinverseFactors): a symmetric matrix with
+    no positive off-diagonal cell whose rows sum to zero, so PSD. Anything
+    else (non-square, asymmetric, possibly not PSD) raises ValueError."""
     l = np.asarray(l, dtype=float)
     if l.ndim != 2 or l.shape[0] != l.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {l.shape}")
     scale = max(1.0, float(np.abs(l).max()) if l.size else 0.0)
     if float(np.abs(l - l.T).max()) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric")
-    w, Q = np.linalg.eigh(l)
-    lam_max = float(w[-1])
-    if lam_max <= 0.0:
-        # all-zero (or negative-definite, caught below) input: all-zero factors
-        if float(w[0]) < -DEFAULT_NULL_TOLERANCE * max(1.0, abs(lam_max)):
-            raise ValueError("matrix is not PSD")
-        return PseudoinverseFactors(np.zeros_like(w), Q)
-    cutoff = DEFAULT_NULL_TOLERANCE * lam_max
-    if float(w[0]) < -cutoff:
-        raise ValueError(
-            f"matrix is not PSD: eigenvalue {w[0]:.3e} below -{cutoff:.3e}"
-        )
-    w = np.where(np.abs(w) <= cutoff, 0.0, w)
-    return PseudoinverseFactors(w, Q)
+    if np.count_nonzero(l > 0.0) != np.count_nonzero(np.diagonal(l) > 0.0):
+        raise ValueError("matrix is not a Laplacian: a positive off-diagonal cell")
+    if not float(np.abs(l.sum(axis=1)).max()) <= DEFAULT_NULL_TOLERANCE * scale:
+        raise ValueError("matrix is not a Laplacian: a row does not sum to zero")
+    labels = _component_labels(l)
+    free = labels != np.arange(len(l))  # ground each component's smallest vertex
+    try:
+        c_inv = _grounded_inverse(l, free)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"grounded matrix is not positive definite: {exc}") from exc
+    rows = np.zeros((len(l), len(c_inv)))
+    rows[free] = c_inv.T
+    return PseudoinverseFactors(l, labels, rows)
 
 
 @dataclass(frozen=True)
@@ -238,7 +279,8 @@ class ProjectionContext:
 def projection_context(g: WeightedGraph) -> ProjectionContext:
     """Build the projection context for a connected reference graph.
 
-    Its factors zero the null space at DEFAULT_NULL_TOLERANCE (see pseudo_factorize).
+    Its factors' eigen view, which the instruments read, is built here; its
+    null space is zeroed at DEFAULT_NULL_TOLERANCE (see PseudoinverseFactors).
 
     Raises
     ------

@@ -3,7 +3,9 @@
 Three producers behind one contract: an exact dense oracle, the
 sparsifier-plus-block estimator used inside the streaming loop, and a
 seeded noise injector that stress-tests downstream tolerance to
-alpha-accurate (rather than exact) estimates.
+alpha-accurate (rather than exact) estimates. The first two read every
+resistance off one grounded Cholesky factor (see pseudo_factorize), and a
+pair's endpoints share a component exactly when their labels agree.
 """
 
 from __future__ import annotations
@@ -32,10 +34,6 @@ __all__ = [
     "resistances_from_sparsifier",
 ]
 
-# Null-space leakage above this in an endpoint indicator means the endpoints
-# sit in different components and the resistance is infinite.
-_CROSS_COMPONENT_TOL = 1e-8
-
 _CG_RTOL = 1e-10  # relative residual at which each conjugate-gradient solve stops
 
 
@@ -55,14 +53,8 @@ class ResistanceEstimate:
 
 
 def _check_same_component(factors: PseudoinverseFactors, pairs: Sequence[tuple[int, int]]) -> None:
-    # endpoints share a component iff the indicator b is orthogonal to the
-    # null space of the reference Laplacian
-    null = factors.eigenvectors[:, factors.eigenvalues == 0]
-    if null.shape[1] <= 1:
-        return  # connected reference: b . 1 = 0 holds structurally
-    ends = np.array(pairs, dtype=int).reshape(-1, 2)
-    leak = np.abs(null[ends[:, 0]] - null[ends[:, 1]]).max(axis=1)
-    bad = np.flatnonzero(leak > _CROSS_COMPONENT_TOL)
+    ends = factors.labels[np.array(pairs, dtype=int).reshape(-1, 2)]
+    bad = np.flatnonzero(ends[:, 0] != ends[:, 1])
     if len(bad):
         u, v = pairs[bad[0]]
         raise GraphConnectivityError(
@@ -84,7 +76,7 @@ def _estimates(
 def exact_resistance(
     factors: PseudoinverseFactors, edge: tuple[int, int], edge_id: int = 0
 ) -> ResistanceEstimate:
-    """Exact effective resistance b^T L+ b from a pseudoinverse factorization.
+    """Exact effective resistance b^T L+ b from a grounded factorization.
 
     Parameters
     ----------

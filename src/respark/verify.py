@@ -26,6 +26,7 @@ from .graph import (
     GraphConnectivityError,
     ProjectionContext,
     WeightedGraph,
+    _grounded_inverse,
     build_laplacian,
     component_count,
     laplacian_from_arrays,
@@ -67,7 +68,7 @@ class DiagnosticsRecord:
     def from_measurements(cls, step, copy_count, proj_error_norm, w_norm, cfg):
         proj = float(proj_error_norm)
         w = float(w_norm)
-        if w < 0.0:
+        if not w >= 0.0:  # NaN fails too
             raise ValueError(f"w_norm must be non-negative, got {w}")
         if not math.isnan(proj) and proj < 0.0:
             raise ValueError(f"proj_error_norm must be non-negative, got {proj}")
@@ -126,23 +127,6 @@ def spectral_check(
     return worst <= eps + 1e-9, worst
 
 
-def _lower_inverse(c: np.ndarray) -> np.ndarray:
-    """Inverse of a lower-triangular matrix by recursive 2 x 2 blocks:
-    [[A, 0], [B, D]]^-1 = [[A^-1, 0], [-D^-1 B A^-1, D^-1]], two products a
-    level. np.linalg.inv, which runs a general LU, takes the small blocks."""
-    k = len(c)
-    if k <= 48:
-        return np.linalg.inv(c)
-    h = k // 2
-    a_inv = _lower_inverse(c[:h, :h])
-    d_inv = _lower_inverse(c[h:, h:])
-    out = np.zeros_like(c)
-    out[:h, :h] = a_inv
-    out[h:, h:] = d_inv
-    out[h:, :h] = -(d_inv @ c[h:, :h]) @ a_inv
-    return out
-
-
 def projection_error(h, g: WeightedGraph) -> float:
     """||P - S L_H S||, the projection-error norm of h against reference g.
 
@@ -166,7 +150,7 @@ def projection_error(h, g: WeightedGraph) -> float:
         raise GraphConnectivityError(
             "reference graph is disconnected; projection error undefined"
         )
-    c_inv = _lower_inverse(np.linalg.cholesky(build_laplacian(g)[1:, 1:]))
+    c_inv = _grounded_inverse(build_laplacian(g), np.arange(g.n) > 0)
     m_mat = c_inv @ _laplacian_of(h)[1:, 1:] @ c_inv.T
     return float(np.abs(1.0 - np.linalg.eigvalsh(m_mat)).max())
 

@@ -59,6 +59,17 @@ def test_resistances_prints_sum_identity(tmp_path, capsys):
     assert printed_target == str(g.n - 1)
 
 
+def test_resistances_of_a_wide_weight_spread(tmp_path, capsys):
+    # the path 0-1-2 with weights 1 and 1e-12 is connected; the 1e-12
+    # eigenvalue of its Laplacian is not a second component
+    path = tmp_path / "spread.edges"
+    path.write_text("0 1 1.0\n1 2 1e-12\n", encoding="utf-8")
+    assert main(["resistances", "--graph", str(path)]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    r = [float(ln.split()[3]) for ln in lines if not ln.startswith("#")]
+    assert r == [pytest.approx(1.0, rel=1e-9), pytest.approx(1e12, rel=1e-9)]
+
+
 def test_sparsify_writes_outputs(tmp_path, capsys):
     graph = _gen(tmp_path)
     out = tmp_path / "h.sparsifier"
@@ -232,6 +243,22 @@ def test_experiment_gate_on_failure_rate(tmp_path, capsys):
     assert code == 1
     assert report.exists()  # the report is still written
     assert "failed=" in out
+
+
+@pytest.mark.parametrize("rate", ["nan", "-0.1", "1.5"])
+def test_max_failure_rate_outside_unit_interval_exits_2(tmp_path, capsys, rate):
+    # rejected before the first trial runs: no report is written
+    report = tmp_path / "report.json"
+    code = main([
+        "experiment", "--model", "path", "--n", "6", "--epsilon", "0.5",
+        "--trials", "2", "--budget-override", "20", "--report", str(report),
+        "--max-failure-rate", rate,
+    ])
+    assert code == 2
+    assert f"error: max failure rate must lie in [0, 1], got {float(rate)}" in (
+        capsys.readouterr().err
+    )
+    assert not report.exists()
 
 
 def test_missing_input_exits_2(tmp_path, capsys):

@@ -148,6 +148,12 @@ def test_factorize_rejects_bad_input():
         pseudo_factorize(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         pseudo_factorize(np.array([[-1.0, 0.0], [0.0, 1.0]]))
+    # symmetric with a positive diagonal but indefinite: its rows do not sum to 0
+    with pytest.raises(ValueError, match="does not sum to zero"):
+        pseudo_factorize(np.array([[1.0, -1.0], [-1.0, 0.5]]))
+    # PSD but no Laplacian, whose null space the grounding would misread
+    with pytest.raises(ValueError, match="positive off-diagonal"):
+        pseudo_factorize(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
 @settings(max_examples=40, deadline=None)

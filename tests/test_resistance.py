@@ -5,6 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from respark.graph import (
     GraphConnectivityError,
@@ -116,6 +120,50 @@ def test_cross_component_query_errors():
         exact_resistances(factors, batch)
     # within one component the query is fine even though the graph is not connected
     assert exact_resistance(factors, (3, 4)).r_tilde == pytest.approx(2 / 3, abs=1e-10)
+
+
+def test_wide_weight_spread_stays_connected():
+    # the path 0-1-2 with weights 1 and 1e-12: its small eigenvalue, about
+    # 1e-12 of the largest, is not a second component
+    path = WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1e-12)])
+    ests = exact_resistances(_factors(path), [(0, 1), (1, 2)])
+    assert [e.r_tilde for e in ests] == [
+        pytest.approx(1.0, rel=1e-9), pytest.approx(1e12, rel=1e-9)
+    ]
+    ests = resistances_from_sparsifier(path, [(0, 1), (1, 2)], eps=0.5)
+    assert ests[1].r_tilde == pytest.approx(1e12, rel=1e-9)
+
+
+@st.composite
+def loose_multigraphs(draw):
+    """Graphs on 2-12 vertices with 1-20 edges, repeated and reversed pairs
+    allowed, so that some are disconnected and some have isolated vertices."""
+    n = draw(st.integers(2, 12))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda p: p[0] != p[1]
+    )
+    edges = draw(st.lists(st.tuples(pairs, st.floats(0.25, 4.0)), min_size=1, max_size=20))
+    return WeightedGraph.from_edges(n, [(u, v, w) for (u, v), w in edges])
+
+
+@settings(max_examples=60, deadline=None)
+@given(loose_multigraphs())
+def test_resistances_match_the_eigen_pseudoinverse(g):
+    factors = _factors(g)
+    us, vs = g.endpoints()
+    _, comp = connected_components(coo_matrix((g.weights(), (us, vs)), shape=(g.n, g.n)))
+    lam = factors.eigenvalues
+    q = factors.eigenvectors[:, lam > 0]
+    pinv = (q / lam[lam > 0]) @ q.T
+    pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+    same = [(u, v) for u, v in pairs if comp[u] == comp[v]]
+    got = np.array([e.r_tilde for e in exact_resistances(factors, same)])
+    want = np.array([pinv[u, u] + pinv[v, v] - 2 * pinv[u, v] for u, v in same])
+    assert np.allclose(got, want, rtol=1e-9, atol=0)
+    for u, v in pairs:
+        if comp[u] != comp[v]:
+            with pytest.raises(GraphConnectivityError):
+                exact_resistance(factors, (u, v))
 
 
 def test_from_sparsifier_identity():

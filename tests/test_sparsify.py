@@ -14,6 +14,7 @@ from respark.graph import (
     GraphConnectivityError,
     WeightedGraph,
     build_laplacian,
+    projection_context,
     pseudo_factorize,
 )
 from respark.harness import GeneratorSpec, generate
@@ -417,6 +418,26 @@ def test_each_step_builds_its_prefix_at_most_once(monkeypatch, mode, diagnostics
     steps = len(partition_stream(g, 4))
     assert len(calls) == builds * steps
     assert all(prefix.edges == g.edges[:arrived] for arrived, prefix in seen)
+
+
+@pytest.mark.parametrize("mode", ["sparsifier", "exact"])
+def test_resistance_steps_run_no_eigendecomposition(monkeypatch, mode):
+    # every resistance is read off the grounded Cholesky factor; only the
+    # projection context's eigen view calls eigh
+    g = generate(GeneratorSpec("erdos-renyi", 30, p=0.3, seed=4))
+    calls = []
+    original = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    stream_sparsify(g, _small_cfg(g, seed=1, budget=40), block_size=20,
+                    resistance_mode=mode, diagnostics=False)
+    assert calls == []
+    projection_context(g).factors.eigenvalues
+    assert calls == [(g.n, g.n)]  # the spy sees the eigen view
 
 
 def test_nodrop_reconstructs_input_exactly():

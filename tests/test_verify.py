@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from respark.graph import (
     GraphConnectivityError,
     WeightedGraph,
+    _lower_inverse,
     laplacian_from_arrays,
     projection_context,
 )
@@ -28,7 +29,6 @@ from respark.tape import RandomTape
 from respark.verify import (
     DIAGNOSTICS_COLUMNS,
     DiagnosticsRecord,
-    _lower_inverse,
     dkw_epsilon,
     dominance_check,
     projection_error,
@@ -577,6 +577,9 @@ def test_from_measurements_events():
         DiagnosticsRecord.from_measurements(1, 5, -0.1, 0.0, cfg)
     with pytest.raises(ValueError):
         DiagnosticsRecord.from_measurements(1, 5, 0.1, -1e-9, cfg)
+    # NaN fails no `w < 0` test; a NaN variation must not reach a record
+    with pytest.raises(ValueError, match="w_norm must be non-negative, got nan"):
+        DiagnosticsRecord.from_measurements(1, 5, 0.1, math.nan, cfg)
 
 
 def _records_equal(a, b):
