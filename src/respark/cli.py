@@ -148,7 +148,7 @@ def _cmd_verify(args) -> int:
     sp = read_sparsifier(args.sparsifier, graph=g)
     ctx = projection_context(g)
     ok, worst = spectral_check(sp, g, args.epsilon, ctx)
-    proj = projection_error(sp, g)
+    proj = projection_error(sp, g, ctx)
     print(f"worst_ratio {worst!r}")
     print(f"projection_error {proj!r}")
     print(f"spectral_check {'pass' if ok else 'fail'} at epsilon={args.epsilon}")

@@ -240,7 +240,9 @@ def pseudo_factorize(l: np.ndarray) -> PseudoinverseFactors:
     if l.ndim != 2 or l.shape[0] != l.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {l.shape}")
     scale = max(1.0, float(np.abs(l).max()) if l.size else 0.0)
-    if float(np.abs(l - l.T).max()) > 1e-12 * scale:
+    # bitwise symmetry, which laplacian_from_arrays builds, is the cheap
+    # test; only a matrix that fails it (a NaN cell does) takes the tolerance
+    if not np.array_equal(l, l.T) and float(np.abs(l - l.T).max()) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric")
     if np.count_nonzero(l > 0.0) != np.count_nonzero(np.diagonal(l) > 0.0):
         raise ValueError("matrix is not a Laplacian: a positive off-diagonal cell")
@@ -274,6 +276,17 @@ class ProjectionContext:
         lev = g.weights() * self.factors.resistances([(e.u, e.v) for e in g.edges])
         lev.flags.writeable = False
         return lev
+
+    @cached_property
+    def range_basis(self) -> np.ndarray:
+        """Read-only B, the eigenvectors of L's nonzero eigenvalues over their
+        square roots, so that S A S on range(L) is B' A B; computed on first
+        use and kept with the context."""
+        lam = self.factors.eigenvalues
+        nz = lam > 0.0
+        b = self.factors.eigenvectors[:, nz] / np.sqrt(lam[nz])
+        b.flags.writeable = False
+        return b
 
 
 def projection_context(g: WeightedGraph) -> ProjectionContext:

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import betaincinv
 
 from .graph import WeightedGraph, _UnionFind, is_connected
-from .sparsify import StreamConfig, _check_run_inputs, stream_sparsify
+from .sparsify import StreamConfig, _check_run_inputs, _References, stream_sparsify
 from .tape import RandomTape
 from .verify import _read_rows, _write_rows, spectral_check
 
@@ -305,6 +305,11 @@ def run_experiment(
     disconnected). A trial counts as failed when any step raises a_event
     or b_event, or when the run errors; errored trials keep their error
     message and trial index in the report and contribute no rows.
+
+    What a step reads of its prefix does not depend on the tape seed: the
+    prefix graph, its exact estimates, its grounded factors and its
+    projection context are built once per step index, like the whole-graph
+    context of the variation norm, and every trial reads the same ones.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -319,13 +324,14 @@ def run_experiment(
     trial_seeds = [master.child_seed(f"trial/{t}") for t in range(trials)]
     rows: list[TrialStepRow] = []
     errors: list[TrialError] = []
+    references = _References(g)
     for t, seed in enumerate(trial_seeds):
         cfg_t = cfg.with_seed(seed)
         trial_rows: list[TrialStepRow] = []
 
         def collect(step, h, prefix, record, _trial=t, _seed=seed, _rows=trial_rows):
             if is_connected(prefix):
-                ok, worst = spectral_check(h, prefix, cfg.eps)
+                ok, worst = spectral_check(h, references.prefix(prefix.m).spectral, cfg.eps)
             else:
                 ok, worst = None, float("nan")
             _rows.append(
@@ -340,6 +346,7 @@ def run_experiment(
                 resistance_mode=resistance_mode,
                 diagnostics=True,
                 on_step=collect,
+                references=references,
             )
         except Exception as exc:
             step = getattr(exc, "step", -1)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,6 +28,7 @@ import numpy as np
 from . import verify
 from .graph import (
     Edge,
+    ProjectionContext,
     WeightedGraph,
     build_laplacian,
     laplacian_from_arrays,
@@ -225,10 +227,17 @@ class Sparsifier:
         return merged + [self.edges[e] for e in block]
 
     def laplacian(self) -> np.ndarray:
+        """Read-only Laplacian of the merged copies, built on first call."""
+        return self._laplacian
+
+    @cached_property
+    def _laplacian(self) -> np.ndarray:
         us, vs, ws = zip(*self._merged()) if self.alive else ((), (), ())
-        return laplacian_from_arrays(
+        lap = laplacian_from_arrays(
             self.n, np.array(us, dtype=int), np.array(vs, dtype=int), np.array(ws, dtype=float)
         )
+        lap.flags.writeable = False
+        return lap
 
     def combined_with(self, block: Sequence[int]) -> WeightedGraph:
         """The merged sparsifier plus the raw edges of the next block."""
@@ -299,22 +308,79 @@ def resparsify(
     )
 
 
+class _PrefixReference:
+    """What a step reads of the stream prefix through its block: the prefix
+    graph and, each built on first use, its connectivity, its grounded
+    factors (the exact estimates of every prefix edge and projection_error
+    read them) and the projection context spectral_check reads. All of it
+    depends on the graph and the prefix length alone, not on the tape."""
+
+    def __init__(self, g: WeightedGraph, count: int):
+        self.graph = g.prefix(count)
+
+    @cached_property
+    def connected(self) -> bool:
+        return is_connected(self.graph)
+
+    @cached_property
+    def grounded(self) -> ProjectionContext:
+        """The prefix with its grounded factors; its eigen view stays unbuilt
+        unless a caller reads it, and it is a projection context only when
+        the prefix is connected."""
+        return ProjectionContext(self.graph, pseudo_factorize(build_laplacian(self.graph)))
+
+    @cached_property
+    def exact(self) -> list[ResistanceEstimate]:
+        """The oracle's estimate of every prefix edge, indexed by edge id."""
+        pairs = [(e.u, e.v) for e in self.graph.edges]
+        return exact_resistances(self.grounded.factors, pairs)
+
+    @cached_property
+    def spectral(self) -> ProjectionContext:
+        """projection_context of the prefix, eigen view included."""
+        return verify.projection_context(self.graph)
+
+
+class _References:
+    """The references of the runs over one graph g: the whole-graph projection
+    context the variation norm reads, and one _PrefixReference per prefix
+    length, each built on first use. With keep, every reference is held for
+    the references' lifetime, so that run_experiment's trials share them;
+    without, each prefix's is built afresh and dies with its step."""
+
+    def __init__(self, g: WeightedGraph, keep: bool = True):
+        self.graph = g
+        self.keep = keep
+        self._prefixes: dict[int, _PrefixReference] = {}
+
+    @cached_property
+    def whole(self) -> ProjectionContext:
+        return projection_context(self.graph)
+
+    def prefix(self, count: int) -> _PrefixReference:
+        ref = self._prefixes.get(count)
+        if ref is None:
+            ref = _PrefixReference(self.graph, count)
+            if self.keep:
+                self._prefixes[count] = ref
+        return ref
+
+
 def _step_estimates(
     h_prev: Sparsifier,
     block: Sequence[int],
     g: WeightedGraph,
     mode: str,
     step: int,
-    prefix: WeightedGraph | None,
+    ref: _PrefixReference | None,
 ) -> list[ResistanceEstimate]:
     """Resistance estimates for alive(H_{s-1}) union block, per the configured
-    mode. prefix is the stream prefix through the block; only the "exact"
-    and "noisy" modes read it."""
+    mode. ref is the reference of the stream prefix through the block; only
+    the "exact" and "noisy" modes read it."""
     cfg = h_prev.config
     targets = sorted(set(h_prev.alive) | set(block))
     if not targets:
         return []
-    pairs = [(g.edges[e].u, g.edges[e].v) for e in targets]
     if mode == "nodrop":
         # inflated estimates pin every probability at 1; exercises the
         # exact-reconstruction path
@@ -324,9 +390,9 @@ def _step_estimates(
         ]
     if mode == "sparsifier":
         combined = h_prev.combined_with(block)
+        pairs = [(g.edges[e].u, g.edges[e].v) for e in targets]
         return resistances_from_sparsifier(combined, pairs, cfg.eps, targets)
-    factors = pseudo_factorize(build_laplacian(prefix))
-    exact = exact_resistances(factors, pairs, targets)
+    exact = [ref.exact[e] for e in targets]
     if mode == "exact":
         return exact
     # "noisy": the oracle perturbed within the declared accuracy band
@@ -417,15 +483,21 @@ def _run_stream(
     diagnostics: bool,
     trace: bool,
     copies: bool = False,
+    references: _References | None = None,
 ) -> tuple[Sparsifier, list, StreamTrace | None]:
     """The one step loop: estimate, resparsify, record, then call on_step.
 
     A trace is recorded when asked for or when diagnostics need one (the
     variation norm reads it); per-copy rows only when `copies` is set. Each
-    step's prefix graph is built once, and only when the estimates, the
+    step's prefix reference is taken from references (built for g) when
+    given, else built for the step alone, and only when the estimates, the
     diagnostics or on_step read it.
     """
     _check_run_inputs(g, cfg, mode)
+    if references is None:
+        references = _References(g, keep=False)
+    elif references.graph is not g and references.graph != g:
+        raise ValueError("references were built for another graph")
     blocks = partition_stream(g, cfg.budget_n if block_size is None else block_size)
     tape = RandomTape(cfg.seed)
     h = Sparsifier.empty(g, cfg)
@@ -435,15 +507,15 @@ def _run_stream(
         history._append(h)  # row 0, before any edge is seen
     # the variation norm uses one fixed whole-graph reference; building it
     # requires the input graph to be connected
-    ctx_full = projection_context(g) if diagnostics else None
+    ctx_full = references.whole if diagnostics else None
     needs_prefix = mode in ("exact", "noisy") or diagnostics or on_step is not None
-    prefix = None
+    ref = None
     records: list = []
     for step, block in enumerate(blocks, start=1):
         try:
             if needs_prefix:
-                prefix = g.prefix(h.arrived + len(block))
-            estimates = _step_estimates(h, block, g, mode, step, prefix)
+                ref = references.prefix(h.arrived + len(block))
+            estimates = _step_estimates(h, block, g, mode, step, ref)
             h = resparsify(h, block, estimates, tape)
         except (StreamStepError, ConfigError):
             raise
@@ -453,8 +525,8 @@ def _run_stream(
             history._append(h)
         record = None
         if diagnostics:
-            if is_connected(prefix):
-                proj = verify.projection_error(h, prefix)
+            if ref.connected:
+                proj = verify.projection_error(h, ref.graph, ref.grounded)
             else:
                 proj = float("nan")
             w_norm = verify.quadratic_variation(history, ctx_full, upto=step)
@@ -463,7 +535,7 @@ def _run_stream(
             )
             records.append(record)
         if on_step is not None:
-            on_step(step, h, prefix, record)
+            on_step(step, h, None if ref is None else ref.graph, record)
     return h, records, history
 
 
@@ -474,6 +546,8 @@ def stream_sparsify(
     resistance_mode: str = "sparsifier",
     diagnostics: bool = True,
     on_step: Callable | None = None,
+    *,
+    references: _References | None = None,
 ) -> tuple[Sparsifier, list]:
     """Run the block-stream driver over the whole edge stream.
 
@@ -499,13 +573,21 @@ def stream_sparsify(
     on_step : callable, optional
         Called as on_step(step, sparsifier, prefix_graph, record) after
         each step; record is None when diagnostics are off.
+    references : optional, keyword only
+        The prefix references of g that run_experiment builds once and
+        shares between its trials: each step's prefix graph (the one
+        on_step gets), its exact estimates, its grounded factors and its
+        projection context, and the whole-graph context. They change no
+        output. Without them, each step builds its own reference and drops
+        it when the step ends.
 
     Returns
     -------
     (Sparsifier, list of DiagnosticsRecord)
     """
     h, records, _ = _run_stream(
-        g, cfg, block_size, resistance_mode, on_step, diagnostics, trace=False
+        g, cfg, block_size, resistance_mode, on_step, diagnostics, trace=False,
+        references=references,
     )
     return h, records
 

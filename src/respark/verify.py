@@ -26,11 +26,11 @@ from .graph import (
     GraphConnectivityError,
     ProjectionContext,
     WeightedGraph,
-    _grounded_inverse,
     build_laplacian,
     component_count,
     laplacian_from_arrays,
     projection_context,
+    pseudo_factorize,
 )
 from .tape import RandomTape
 
@@ -89,15 +89,13 @@ def _laplacian_of(h) -> np.ndarray:
 
 def _range_eigenvalues(ctx: ProjectionContext, l: np.ndarray) -> np.ndarray:
     """Eigenvalues of S l S on range(L_G), S = L_G^{-1/2}: those of B' l B,
-    B the eigenvectors of L_G's nonzero eigenvalues over their square roots."""
-    lam = ctx.factors.eigenvalues
-    nz = lam > 0.0
-    b = ctx.factors.eigenvectors[:, nz] / np.sqrt(lam[nz])
+    B = ctx.range_basis."""
+    b = ctx.range_basis
     return np.linalg.eigvalsh(b.T @ l @ b)
 
 
 def spectral_check(
-    h, g: WeightedGraph, eps: float, ctx: ProjectionContext | None = None
+    h, g: WeightedGraph | ProjectionContext, eps: float, ctx: ProjectionContext | None = None
 ) -> tuple[bool, float]:
     """Test (1-eps) x'L_G x <= x'L_H x <= (1+eps) x'L_G x for all x.
 
@@ -109,11 +107,14 @@ def spectral_check(
     (passed, worst deviation |ratio - 1|).
 
     ctx, when given, must be projection_context(g) (ctx.graph equal to g);
-    it spares a caller that already holds it a second factorisation.
+    it spares a caller that already holds it a second factorisation. g may
+    also be that context itself, which then stands for its graph.
 
     Raises GraphConnectivityError when g is disconnected and ValueError on
     a vertex-count mismatch or a ctx built from another graph.
     """
+    if isinstance(g, ProjectionContext):
+        g, ctx = g.graph, (g if ctx is None else ctx)
     if not eps >= 0.0:  # NaN fails too
         raise ValueError(f"eps must be non-negative, got {eps}")
     if h.n != g.n:
@@ -127,7 +128,7 @@ def spectral_check(
     return worst <= eps + 1e-9, worst
 
 
-def projection_error(h, g: WeightedGraph) -> float:
+def projection_error(h, g: WeightedGraph, ctx: ProjectionContext | None = None) -> float:
     """||P - S L_H S||, the projection-error norm of h against reference g.
 
     P is the projection onto range(L_G) and S the pseudoinverse square
@@ -141,8 +142,14 @@ def projection_error(h, g: WeightedGraph) -> float:
     Cholesky factor) they are the eigenvalues of C^-1 L_H C^-T, so one
     Cholesky factor and one eigvalsh replace an eigendecomposition of L_G.
 
+    C^-1 is read off g's grounded factors as rows[1:].T. ctx, when given, is
+    a context of g (ctx.graph equal to g) whose factors are read instead of
+    factorising L_G here; only those rows are read, so its eigen view is
+    never started.
+
     Raises GraphConnectivityError when g is disconnected and ValueError on
-    a vertex-count mismatch or a g without edges.
+    a vertex-count mismatch, a g without edges or a ctx built from another
+    graph.
     """
     if h.n != g.n:
         raise ValueError(f"vertex counts differ: h has {h.n}, g has {g.n}")
@@ -150,7 +157,11 @@ def projection_error(h, g: WeightedGraph) -> float:
         raise GraphConnectivityError(
             "reference graph is disconnected; projection error undefined"
         )
-    c_inv = _grounded_inverse(build_laplacian(g), np.arange(g.n) > 0)
+    if ctx is None:
+        ctx = ProjectionContext(g, pseudo_factorize(build_laplacian(g)))
+    elif ctx.graph is not g and ctx.graph != g:
+        raise ValueError("ctx was built from another graph than g")
+    c_inv = ctx.factors.rows[1:].T  # g is connected, so grounded at vertex 0 alone
     m_mat = c_inv @ _laplacian_of(h)[1:, 1:] @ c_inv.T
     return float(np.abs(1.0 - np.linalg.eigvalsh(m_mat)).max())
 

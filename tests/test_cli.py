@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from respark import harness
@@ -130,11 +131,15 @@ def test_verify_builds_one_projection_context(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "projection_context", counted)
     monkeypatch.setattr(verify, "projection_context", counted)
+    choleskies = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: choleskies.append(a) or cholesky(a))
     code = main([
         "verify", "--graph", str(graph), "--sparsifier", str(out), "--epsilon", "0.5",
     ])
     assert code == 0
     assert len(calls) == 1
+    assert len(choleskies) == 1  # projection_error reads the context's factor
 
 
 def test_verify_fails_at_tight_epsilon(tmp_path, capsys):

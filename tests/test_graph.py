@@ -156,6 +156,25 @@ def test_factorize_rejects_bad_input():
         pseudo_factorize(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
+@pytest.mark.parametrize("weight", [0.5, 1e3])
+def test_symmetry_tolerance_is_relative_to_the_largest_cell(weight):
+    # a matrix that is not bitwise symmetric still passes within 1e-12 of
+    # max(1, largest cell), and a NaN cell still fails on its row sum
+    l = build_laplacian(WeightedGraph.from_edges(4, [(u, v, weight) for u, v, _ in C4.edges]))
+    scale = max(1.0, float(np.abs(l).max()))
+    near = l.copy()
+    near[0, 1] += 1e-13 * scale
+    assert pseudo_factorize(near).rows.shape == (4, 3)
+    far = l.copy()
+    far[0, 1] += 1e-11 * scale
+    with pytest.raises(ValueError, match="not symmetric"):
+        pseudo_factorize(far)
+    nan = l.copy()
+    nan[0, 1] = np.nan
+    with pytest.raises(ValueError, match="does not sum to zero"):
+        pseudo_factorize(nan)
+
+
 @settings(max_examples=40, deadline=None)
 @given(connected_graphs())
 def test_moore_penrose_identities(g):

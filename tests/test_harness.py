@@ -2,14 +2,17 @@
 
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.stats import binom
 
+from respark import graph as graph_mod, sparsify as sparsify_mod
 from respark.graph import is_connected
 from respark.harness import (
     GeneratorSpec,
+    TrialStepRow,
     _pair_topology,
     clopper_pearson,
     emit_report,
@@ -21,7 +24,8 @@ from respark.harness import (
     run_experiment,
     tree_first_order,
 )
-from respark.sparsify import StreamConfig, StreamStepError
+from respark.sparsify import StreamConfig, StreamStepError, stream_sparsify
+from respark.verify import spectral_check
 
 
 def _cfg(g, seed=0, budget=50, eps=0.5):
@@ -278,6 +282,62 @@ def test_run_experiment_disconnected_prefixes_skip_spectral():
     assert not first.a_event
     last = report.rows[-1]
     assert last.spectral_ok is not None
+
+
+# the acceptance suite's stress run: 201 edges in five blocks of 50, every
+# prefix connected (the 39 tree edges come first)
+STRESS_SPEC = GeneratorSpec("erdos-renyi", 40, p=0.25, seed=1234)
+
+
+def _stress_cfg(alpha=1.0):
+    g = generate(STRESS_SPEC)
+    return StreamConfig.for_graph(g, 0.5, 0.1, alpha, seed=1234, budget_override=2000)
+
+
+@pytest.mark.parametrize("mode", ["exact", "noisy", "sparsifier"])
+def test_shared_references_change_no_bit(mode):
+    # each trial's rows equal those of an independent stream with its own
+    # references and a spectral check that builds its own context; alpha
+    # 1.5 gives the noisy mode a real noise band
+    g, cfg = generate(STRESS_SPEC), _stress_cfg(alpha=1.5)
+    report = run_experiment(STRESS_SPEC, cfg, trials=3, block_size=50, resistance_mode=mode)
+    assert report.errors == ()
+    rebuilt = []
+    for t, seed in enumerate(report.trial_seeds):
+
+        def collect(step, h, prefix, record, t=t, seed=seed):
+            ok, worst = spectral_check(h, prefix, cfg.eps)
+            rebuilt.append(TrialStepRow(t, seed, **vars(record), spectral_ok=ok, worst_ratio=worst))
+
+        stream_sparsify(g, cfg.with_seed(seed), block_size=50, resistance_mode=mode,
+                        diagnostics=True, on_step=collect)
+    assert len(rebuilt) == 3 * 5
+    assert report.rows == tuple(rebuilt)  # field by field, floats by ==
+
+
+def test_reference_work_does_not_grow_with_the_trials(monkeypatch):
+    # per run: one whole-graph context, and per step index one exact factor
+    # and one spectral-check context, whatever the trial count
+    calls = []
+
+    def spy(owner, name, label):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(label)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    spy(graph_mod, "pseudo_factorize", "factorize")
+    spy(sparsify_mod, "pseudo_factorize", "factorize")
+    spy(np.linalg, "eigh", "eigh")
+    counts = {}
+    for trials in (1, 4):
+        calls.clear()
+        run_experiment(STRESS_SPEC, _stress_cfg(), trials=trials, block_size=50)
+        counts[trials] = Counter(calls)
+    assert counts[1] == counts[4] == Counter(factorize=2 * 5 + 1, eigh=5 + 1)
 
 
 def test_run_experiment_records_trial_errors(monkeypatch):

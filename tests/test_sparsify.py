@@ -3,6 +3,7 @@ their agreement with an independent dense-indicator reference."""
 
 import math
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -438,6 +439,53 @@ def test_resistance_steps_run_no_eigendecomposition(monkeypatch, mode):
     assert calls == []
     projection_context(g).factors.eigenvalues
     assert calls == [(g.n, g.n)]  # the spy sees the eigen view
+
+
+@pytest.mark.parametrize("mode", ["sparsifier", "exact"])
+def test_a_single_stream_holds_one_step_reference_at_a_time(monkeypatch, mode):
+    # step s's prefix reference (graph, factors, contexts) is dead by step
+    # s + 1, so a long stream's memory does not grow with its steps
+    import respark.sparsify as sparsify_mod
+
+    refs = []
+
+    class Watched(sparsify_mod._PrefixReference):
+        def __init__(self, g, count):
+            super().__init__(g, count)
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(sparsify_mod, "_PrefixReference", Watched)
+    alive = []
+    g = generate(GeneratorSpec("erdos-renyi", 12, p=0.5, seed=5))
+    stream_sparsify(g, _small_cfg(g, seed=3, budget=40), block_size=6, resistance_mode=mode,
+                    on_step=lambda *_: alive.append([r() is not None for r in refs]))
+    steps = len(partition_stream(g, 6))
+    assert alive == [[False] * (s - 1) + [True] for s in range(1, steps + 1)]
+    assert not any(r() for r in refs)
+
+
+def test_references_of_another_graph_are_refused():
+    import respark.sparsify as sparsify_mod
+
+    g = generate(GeneratorSpec("erdos-renyi", 12, p=0.5, seed=5))
+    other = generate(GeneratorSpec("erdos-renyi", 12, p=0.5, seed=6))
+    with pytest.raises(ValueError, match="another graph"):
+        stream_sparsify(g, _small_cfg(g), references=sparsify_mod._References(other))
+    twin = sparsify_mod._References(WeightedGraph(g.n, g.edges))  # an equal graph is g
+    (h, records), (h_own, records_own) = (
+        stream_sparsify(g, _small_cfg(g), references=refs) for refs in (twin, None)
+    )
+    assert records == records_own and h.p_tilde == h_own.p_tilde
+
+
+def test_sparsifier_laplacian_is_built_once_and_read_only():
+    g = generate(GeneratorSpec("erdos-renyi", 12, p=0.4, seed=9))
+    h, _ = stream_sparsify(g, _small_cfg(g, budget=7), block_size=5, resistance_mode="exact",
+                           diagnostics=False)
+    lap = h.laplacian()
+    assert lap is h.laplacian()
+    with pytest.raises(ValueError, match="read-only"):
+        lap[0, 0] = 0.0
 
 
 def test_nodrop_reconstructs_input_exactly():

@@ -12,10 +12,14 @@ from hypothesis import strategies as st
 
 from respark.graph import (
     GraphConnectivityError,
+    ProjectionContext,
     WeightedGraph,
+    _grounded_inverse,
     _lower_inverse,
+    build_laplacian,
     laplacian_from_arrays,
     projection_context,
+    pseudo_factorize,
 )
 from respark.harness import GeneratorSpec, generate
 from respark.sparsify import (
@@ -104,10 +108,14 @@ def test_spectral_check_with_a_given_context():
     g = generate(GeneratorSpec("erdos-renyi", 12, p=0.5, seed=5))
     h, _ = stream_sparsify(g, _cfg(g, seed=9, budget=400), block_size=10,
                            resistance_mode="exact", diagnostics=False)
-    assert spectral_check(h, g, 0.5, projection_context(g)) == spectral_check(h, g, 0.5)
+    ctx = projection_context(g)
+    assert spectral_check(h, g, 0.5, ctx) == spectral_check(h, g, 0.5)
+    assert spectral_check(h, ctx, 0.5) == spectral_check(h, g, 0.5)  # ctx stands for g
     other = generate(GeneratorSpec("erdos-renyi", 12, p=0.5, seed=6))
     with pytest.raises(ValueError, match="another graph"):
         spectral_check(h, g, 0.5, projection_context(other))
+    with pytest.raises(ValueError, match="another graph"):
+        spectral_check(h, ctx, 0.5, projection_context(other))
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +140,30 @@ def test_projection_error_of_one_dropped_edge():
 def test_projection_error_vertex_mismatch():
     with pytest.raises(ValueError, match="vertex counts"):
         projection_error(K3, C4)
+
+
+@pytest.mark.parametrize("n, p", [(40, 0.25), (400, 0.05)])
+def test_projection_error_reads_the_grounded_inverse_off_a_context(monkeypatch, n, p):
+    # rows[1:].T of a connected reference's factors is C^-1 grounded at
+    # vertex 0, bit for bit, and so are the congruence and the norm taken
+    # with it; the context's eigen view is never started
+    g = generate(GeneratorSpec("erdos-renyi", n, p=p, seed=1234))
+    rng = np.random.default_rng(n)
+    h = WeightedGraph.from_edges(
+        n, [(e.u, e.v, e.weight * rng.uniform(0.5, 2.0)) for e in g.edges if rng.random() < 0.6]
+    )
+    l_g = build_laplacian(g)
+    ctx = ProjectionContext(g, pseudo_factorize(l_g))
+    c_inv, read = _grounded_inverse(l_g, np.arange(n) > 0), ctx.factors.rows[1:].T
+    assert np.array_equal(read, c_inv)
+    l_h = build_laplacian(h)[1:, 1:]
+    assert np.array_equal(read @ l_h @ read.T, c_inv @ l_h @ c_inv.T)
+    want = float(np.abs(1.0 - np.linalg.eigvalsh(c_inv @ l_h @ c_inv.T)).max())
+    monkeypatch.setattr(np.linalg, "eigh", None)  # any eigh call would raise
+    assert projection_error(h, g, ctx) == projection_error(h, g) == want
+    other = generate(GeneratorSpec("erdos-renyi", n, p=p, seed=1235))
+    with pytest.raises(ValueError, match="another graph"):
+        projection_error(h, other, ctx)
 
 
 def test_projection_error_needs_a_connected_reference():
