@@ -3,12 +3,12 @@ the stream step loop.
 
 Every stream driver runs one loop: estimate resistances on the current
 state, resparsify (thin the surviving copies by probability ratios and
-sample the new block), record, then call the observer. The state stays
-sparse (only surviving copies are stored); three entry points differ only
-in what the loop records. `stream_sparsify` returns the final sparsifier
-and, with diagnostics on, one DiagnosticsRecord per step.
-`indicator_stream` also returns the per-step StreamTrace, with unseen
-edges conventionally holding probability 1 and all copies alive, and
+sample the new block), record, then call the observer. The state is
+per-edge columns (probability, surviving copy count) plus the surviving
+copy ids; three entry points differ only in what the loop records.
+`stream_sparsify` returns the final sparsifier and, with diagnostics on,
+one DiagnosticsRecord per step. `indicator_stream` also returns the
+per-step StreamTrace, whose rows are the states' own columns, and
 optionally the full (m, N) copy-indicator row per step.
 `single_edge_stream` is `indicator_stream` with block size 1. All of them
 consume the same keyed random tape, so for a fixed block partition they
@@ -21,7 +21,8 @@ import math
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -183,16 +184,25 @@ def partition_stream(g: WeightedGraph, block_size: int) -> list[list[int]]:
     ]
 
 
-@dataclass(frozen=True)
-class Sparsifier:
-    """State after step `step`: surviving copies and their probabilities.
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
-    Treated as immutable; resparsify returns a new instance. p_tilde keeps
-    an entry for every edge seen so far, frozen at its last value once the
-    edge has no surviving copies (a dead edge never re-enters the graph, so
-    its probability is never consulted again). alive maps an edge id to the
-    ascending copy indices still present; each such copy carries weight
-    a_e / (N * p_tilde[e]).
+
+_MERGED_DTYPE = np.dtype([("u", "i8"), ("v", "i8"), ("weight", "f8")])
+_NO_COPIES = _read_only(np.empty(0, dtype=np.int64))
+
+
+@dataclass(frozen=True, eq=False)
+class Sparsifier:
+    """State after step `step`, as read-only columns over the m stream edges.
+
+    p and count hold each edge's probability and surviving copies; an unseen
+    edge holds p = 1 with all N copies, and a dead edge keeps its last p
+    (it never re-enters the graph). copies holds the surviving copy ids of
+    the seen edges in CSR order: edge after edge, ascending within an edge.
+    Each copy of edge e carries weight a_e / (N * p[e]). resparsify returns
+    a new instance; alive and p_tilde are mappings derived from the columns.
     """
 
     config: StreamConfig
@@ -200,31 +210,51 @@ class Sparsifier:
     n: int
     edges: tuple[Edge, ...]
     arrived: int
-    p_tilde: dict[int, float]
-    alive: dict[int, np.ndarray]
+    p: np.ndarray
+    count: np.ndarray
+    copies: np.ndarray
+
+    def __post_init__(self) -> None:
+        for column in (self.p, self.count, self.copies):
+            _read_only(column)
 
     @classmethod
     def empty(cls, g: WeightedGraph, cfg: StreamConfig) -> "Sparsifier":
-        return cls(cfg, 0, g.n, g.edges, 0, {}, {})
+        return cls(cfg, 0, g.n, g.edges, 0, np.ones(g.m), np.full(g.m, cfg.budget_n), _NO_COPIES)
 
     @property
     def budget_n(self) -> int:
         return self.config.budget_n
 
+    @cached_property
+    def p_tilde(self) -> Mapping[int, float]:
+        """Each seen edge's probability."""
+        return MappingProxyType(dict(enumerate(self.p[: self.arrived].tolist())))
+
+    @cached_property
+    def alive(self) -> Mapping[int, np.ndarray]:
+        """Each edge with surviving copies, in id order, to its copy ids (views of copies)."""
+        ends = self.count[: self.arrived].cumsum().tolist()
+        runs = enumerate(zip([0] + ends, ends))
+        return MappingProxyType({e: self.copies[i:j] for e, (i, j) in runs if i < j})
+
     def copy_count(self) -> int:
-        return int(sum(len(js) for js in self.alive.values()))
+        return len(self.copies)
 
     def copy_weight(self, edge_id: int) -> float:
         return self.edges[edge_id].weight / (self.budget_n * self.p_tilde[edge_id])
 
-    def _merged(self, block: Sequence[int] = ()) -> list[tuple[int, int, float]]:
-        """(u, v, weight) per alive edge with its copies merged, in id
-        order, followed by the raw edges of `block`."""
-        merged = [
-            (self.edges[e].u, self.edges[e].v, len(self.alive[e]) * self.copy_weight(e))
-            for e in sorted(self.alive)
-        ]
-        return merged + [self.edges[e] for e in block]
+    def _targets(self, block: Sequence[int]) -> list[int]:
+        """The alive edges in id order, then `block` (unseen, so ascending)."""
+        return [*self.alive, *block]
+
+    def _merged(self, block: Sequence[int] = ()) -> np.ndarray:
+        """(u, v, weight) rows: each alive edge's merged copies, then `block`'s raw edges."""
+        ids = self._targets(block)
+        rows = np.array([self.edges[e] for e in ids], dtype=_MERGED_DTYPE)
+        alive, a = ids[: len(ids) - len(block)], rows["weight"]
+        a[: len(alive)] = self.count[alive] * (a[: len(alive)] / (self.budget_n * self.p[alive]))
+        return rows
 
     def laplacian(self) -> np.ndarray:
         """Read-only Laplacian of the merged copies, built on first call."""
@@ -232,16 +262,12 @@ class Sparsifier:
 
     @cached_property
     def _laplacian(self) -> np.ndarray:
-        us, vs, ws = zip(*self._merged()) if self.alive else ((), (), ())
-        lap = laplacian_from_arrays(
-            self.n, np.array(us, dtype=int), np.array(vs, dtype=int), np.array(ws, dtype=float)
-        )
-        lap.flags.writeable = False
-        return lap
+        rows = self._merged()
+        return _read_only(laplacian_from_arrays(self.n, rows["u"], rows["v"], rows["weight"]))
 
     def combined_with(self, block: Sequence[int]) -> WeightedGraph:
         """The merged sparsifier plus the raw edges of the next block."""
-        return WeightedGraph.from_edges(self.n, self._merged(block))
+        return WeightedGraph.from_edges(self.n, self._merged(block).tolist())
 
 
 def resparsify(
@@ -263,10 +289,9 @@ def resparsify(
         Must cover every edge that has surviving copies plus every edge of
         the block.
     tape : RandomTape
-        Supplies u_{s,e,j}; copy j of edge e survives iff
-        u_{s,e,j} <= p_new / p_prev, and new edges start from the
-        all-alive, probability-1 convention so the same ratio test
-        performs their N Bernoulli(p_new) trials.
+        Supplies u_{s,e,j}; copy j of edge e survives iff u_{s,e,j} <=
+        p_new / p_prev. A block edge starts at its column values p = 1 with
+        all N copies, so the same test performs its N Bernoulli(p_new) trials.
     """
     cfg = h_prev.config
     s = h_prev.step + 1
@@ -276,36 +301,25 @@ def resparsify(
     if block != expected:
         raise ValueError(f"block must be the next stream slice {expected}, got {block}")
     rmap = {est.edge_id: est.r_tilde for est in estimates}
-    needed = sorted(set(h_prev.alive) | set(block))
-    missing = [e for e in needed if e not in rmap]
+    targets = h_prev._targets(block)
+    missing = [e for e in targets if e not in rmap]
     if missing:
         raise ValueError(f"missing resistance estimates for edges {missing}")
 
-    block_set = set(block)
-    p_new: dict[int, float] = dict(h_prev.p_tilde)
-    alive_new: dict[int, np.ndarray] = {}
-    for e in needed:
-        prev = h_prev.p_tilde.get(e, 1.0)
+    p, count = h_prev.p.copy(), h_prev.count.copy()
+    kept = []
+    for e, prev in zip(targets, h_prev.p[targets].tolist()):
         # min rule: p <= prev makes the survival ratio p / prev <= 1 exactly
-        p = min(h_prev.edges[e].weight * rmap[e] / (alpha * (n - 1)), 1.0, prev)
-        if e in block_set:
-            kept = np.flatnonzero(tape.uniforms(s, e, N) <= p / prev)
+        p_e = min(h_prev.edges[e].weight * rmap[e] / (alpha * (n - 1)), 1.0, prev)
+        if e >= h_prev.arrived:
+            kept.append(np.flatnonzero(tape.uniforms(s, e, N) <= p_e / prev))
         else:
             # dead copies stay dead, so only the alive copies' draws are read
             js = h_prev.alive[e]
-            kept = js[tape.uniforms(s, e, N, at=js) <= p / prev]
-        p_new[e] = p
-        if len(kept):
-            alive_new[e] = kept
-    return Sparsifier(
-        config=cfg,
-        step=s,
-        n=n,
-        edges=h_prev.edges,
-        arrived=h_prev.arrived + len(block),
-        p_tilde=p_new,
-        alive=alive_new,
-    )
+            kept.append(js[tape.uniforms(s, e, N, at=js) <= p_e / prev])
+        p[e], count[e] = p_e, len(kept[-1])
+    copies = np.concatenate([_NO_COPIES, *kept])
+    return Sparsifier(cfg, s, n, h_prev.edges, h_prev.arrived + len(block), p, count, copies)
 
 
 class _PrefixReference:
@@ -378,7 +392,7 @@ def _step_estimates(
     mode. ref is the reference of the stream prefix through the block; only
     the "exact" and "noisy" modes read it."""
     cfg = h_prev.config
-    targets = sorted(set(h_prev.alive) | set(block))
+    targets = h_prev._targets(block)
     if not targets:
         return []
     if mode == "nodrop":
@@ -403,10 +417,11 @@ def _step_estimates(
 class StreamTrace:
     """Per-step probability and aliveness history of one stream run.
 
-    Row s describes the state after step s (row 0 is the initial state).
-    Unseen edges hold the convention p = 1 with all N copies alive, so the
-    analysis formulas apply verbatim to every row. copy_steps, when
-    recorded, holds the full (m, N) indicator matrix per step.
+    Row s describes the state after step s (row 0 is the initial state);
+    p_steps[s] and alive_steps[s] are that state's own p and count columns,
+    so unseen edges hold p = 1 with all N copies alive and the analysis
+    formulas apply verbatim to every row. copy_steps, when recorded, holds
+    the full (m, N) indicator matrix per step.
     """
 
     n: int
@@ -435,26 +450,14 @@ class StreamTrace:
         return ratios.max(axis=0)
 
     def _append(self, h: Sparsifier) -> None:
-        """Add the row of state h, built from its sparse alive sets: unseen
-        edges get p = 1 and all N copies alive; per-copy rows start all
-        False for the seen edges and are then set at each alive edge's
-        surviving copy indices."""
-        m, N = len(self.edges), self.budget_n
-        p = np.ones(m)
-        alive = np.full(m, float(N))
-        for e, val in h.p_tilde.items():
-            p[e] = val
-            alive[e] = 0.0
-        for e, js in h.alive.items():
-            alive[e] = float(len(js))
+        """Add state h's row: its p and count columns and, with copies, its indicators."""
         self.arrived.append(h.arrived)
-        self.p_steps.append(p)
-        self.alive_steps.append(alive)
+        self.p_steps.append(h.p)
+        self.alive_steps.append(h.count)
         if self.copy_steps is not None:
-            z = np.ones((m, N), dtype=bool)
-            z[: h.arrived] = False
-            for e, js in h.alive.items():
-                z[e, js] = True
+            z = np.zeros((len(self.edges), self.budget_n), dtype=bool)
+            z[h.arrived :] = True  # the N copies of each unseen edge
+            z[np.repeat(np.arange(h.arrived), h.count[: h.arrived]), h.copies] = True
             self.copy_steps.append(z)
 
 
@@ -525,10 +528,7 @@ def _run_stream(
             history._append(h)
         record = None
         if diagnostics:
-            if ref.connected:
-                proj = verify.projection_error(h, ref.graph, ref.grounded)
-            else:
-                proj = float("nan")
+            proj = verify.projection_error(h, ref.grounded) if ref.connected else float("nan")
             w_norm = verify.quadratic_variation(history, ctx_full, upto=step)
             record = verify.DiagnosticsRecord.from_measurements(
                 step, h.copy_count(), proj, w_norm, cfg
@@ -603,10 +603,9 @@ def indicator_stream(
 ) -> tuple[Sparsifier, list, StreamTrace]:
     """The same stream computation, returning its complete per-step trace.
 
-    Trace rows carry the unseen-edge convention (probability 1, all copies
-    alive); with record_copies each row also holds the full (m, N)
-    copy-indicator matrix. The copy sets are exactly those of
-    stream_sparsify for the same partition and tape.
+    Trace rows are the states' p and count columns; with record_copies each
+    row also holds the full (m, N) copy-indicator matrix. The copy sets are
+    exactly those of stream_sparsify for the same partition and tape.
     """
     return _run_stream(
         g, cfg, block_size, resistance_mode, on_step, diagnostics, trace=True,
@@ -641,17 +640,12 @@ _ROW_DTYPE = np.dtype(
 def write_sparsifier(h: Sparsifier, path) -> None:
     """Write alive copies: header comment, then 'u v weight e j p_tilde' rows."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            f"# respark sparsifier step={h.step} N={h.budget_n} seed={h.config.seed}\n"
-        )
-        for e in sorted(h.alive):
-            js = h.alive[e]
-            if len(js):
-                edge = h.edges[e]
-                # every copy of an edge shares all fields but j
-                head = f"{edge.u} {edge.v} {h.copy_weight(e)!r} {e} "
-                tail = f" {h.p_tilde[e]!r}\n"
-                fh.write(head + (tail + head).join(map(str, js.tolist())) + tail)
+        fh.write(f"# respark sparsifier step={h.step} N={h.budget_n} seed={h.config.seed}\n")
+        for e, js in h.alive.items():
+            # every copy of an edge shares all fields but j
+            head = f"{h.edges[e].u} {h.edges[e].v} {h.copy_weight(e)!r} {e} "
+            tail = f" {h.p_tilde[e]!r}\n"
+            fh.write(head + (tail + head).join(map(str, js.tolist())) + tail)
 
 
 @dataclass(frozen=True, eq=False)
@@ -676,7 +670,12 @@ class LoadedSparsifier:
         return len(self.u)
 
     def laplacian(self) -> np.ndarray:
-        return laplacian_from_arrays(self.n, self.u, self.v, self.weight)
+        """Read-only Laplacian of the rows, built on first call."""
+        return self._laplacian
+
+    @cached_property
+    def _laplacian(self) -> np.ndarray:
+        return _read_only(laplacian_from_arrays(self.n, self.u, self.v, self.weight))
 
 
 def read_sparsifier(

@@ -95,41 +95,35 @@ def _range_eigenvalues(ctx: ProjectionContext, l: np.ndarray) -> np.ndarray:
 
 
 def spectral_check(
-    h, g: WeightedGraph | ProjectionContext, eps: float, ctx: ProjectionContext | None = None
+    h, reference: WeightedGraph | ProjectionContext, eps: float
 ) -> tuple[bool, float]:
     """Test (1-eps) x'L_G x <= x'L_H x <= (1+eps) x'L_G x for all x.
 
     h may be a sparsifier or a plain graph; anything with n and
-    laplacian(). The ratios are the eigenvalues of S L_H S (S the
-    pseudoinverse square root of L_G) on the range of L_G, read in
-    L_G's eigenbasis by _range_eigenvalues; the check passes
-    when every one lies in [1-eps, 1+eps] with 1e-9 slack. Returns
-    (passed, worst deviation |ratio - 1|).
+    laplacian(). reference is G itself or a projection context of G, which
+    spares a caller that already holds one a second factorisation. The
+    ratios are the eigenvalues of S L_H S (S the pseudoinverse square root
+    of L_G) on the range of L_G, read in L_G's eigenbasis by
+    _range_eigenvalues; the check passes when every one lies in
+    [1-eps, 1+eps] with 1e-9 slack. Returns (passed, worst deviation
+    |ratio - 1|).
 
-    ctx, when given, must be projection_context(g) (ctx.graph equal to g);
-    it spares a caller that already holds it a second factorisation. g may
-    also be that context itself, which then stands for its graph.
-
-    Raises GraphConnectivityError when g is disconnected and ValueError on
-    a vertex-count mismatch or a ctx built from another graph.
+    Raises GraphConnectivityError when G is disconnected and ValueError on
+    a vertex-count mismatch.
     """
-    if isinstance(g, ProjectionContext):
-        g, ctx = g.graph, (g if ctx is None else ctx)
+    g = reference.graph if isinstance(reference, ProjectionContext) else reference
     if not eps >= 0.0:  # NaN fails too
         raise ValueError(f"eps must be non-negative, got {eps}")
     if h.n != g.n:
         raise ValueError(f"vertex counts differ: h has {h.n}, g has {g.n}")
-    if ctx is None:
-        ctx = projection_context(g)
-    elif ctx.graph is not g and ctx.graph != g:
-        raise ValueError("ctx was built from another graph than g")
+    ctx = projection_context(g) if reference is g else reference
     ratios = _range_eigenvalues(ctx, _laplacian_of(h))
     worst = float(np.abs(ratios - 1.0).max())
     return worst <= eps + 1e-9, worst
 
 
-def projection_error(h, g: WeightedGraph, ctx: ProjectionContext | None = None) -> float:
-    """||P - S L_H S||, the projection-error norm of h against reference g.
+def projection_error(h, reference: WeightedGraph | ProjectionContext) -> float:
+    """||P - S L_H S||, the projection-error norm of h against reference G.
 
     P is the projection onto range(L_G) and S the pseudoinverse square
     root of L_G. With copy weights a_e / (N p_tilde), S L_H S equals the
@@ -142,26 +136,23 @@ def projection_error(h, g: WeightedGraph, ctx: ProjectionContext | None = None) 
     Cholesky factor) they are the eigenvalues of C^-1 L_H C^-T, so one
     Cholesky factor and one eigvalsh replace an eigendecomposition of L_G.
 
-    C^-1 is read off g's grounded factors as rows[1:].T. ctx, when given, is
-    a context of g (ctx.graph equal to g) whose factors are read instead of
-    factorising L_G here; only those rows are read, so its eigen view is
-    never started.
+    C^-1 is read off G's grounded factors as rows[1:].T. reference is G
+    itself, whose factors are built here, or a context of G whose factors
+    are read instead; only those rows are read, so its eigen view is never
+    started.
 
-    Raises GraphConnectivityError when g is disconnected and ValueError on
-    a vertex-count mismatch, a g without edges or a ctx built from another
-    graph.
+    Raises GraphConnectivityError when G is disconnected and ValueError on
+    a vertex-count mismatch or a G without edges.
     """
+    g = reference.graph if isinstance(reference, ProjectionContext) else reference
     if h.n != g.n:
         raise ValueError(f"vertex counts differ: h has {h.n}, g has {g.n}")
     if component_count(g) != 1:
         raise GraphConnectivityError(
             "reference graph is disconnected; projection error undefined"
         )
-    if ctx is None:
-        ctx = ProjectionContext(g, pseudo_factorize(build_laplacian(g)))
-    elif ctx.graph is not g and ctx.graph != g:
-        raise ValueError("ctx was built from another graph than g")
-    c_inv = ctx.factors.rows[1:].T  # g is connected, so grounded at vertex 0 alone
+    factors = pseudo_factorize(build_laplacian(g)) if reference is g else reference.factors
+    c_inv = factors.rows[1:].T  # G is connected, so grounded at vertex 0 alone
     m_mat = c_inv @ _laplacian_of(h)[1:, 1:] @ c_inv.T
     return float(np.abs(1.0 - np.linalg.eigvalsh(m_mat)).max())
 

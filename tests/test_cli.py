@@ -113,7 +113,8 @@ def test_verify_passes_on_faithful_sparsifier(tmp_path, capsys):
 
 def test_verify_builds_one_projection_context(tmp_path, capsys, monkeypatch):
     # spectral_check and projection_error share the context verify builds
-    from respark import cli, verify
+    # and the sparsifier's Laplacian
+    from respark import cli, sparsify, verify
 
     graph = _gen(tmp_path)
     out = tmp_path / "h.sparsifier"
@@ -134,12 +135,17 @@ def test_verify_builds_one_projection_context(tmp_path, capsys, monkeypatch):
     choleskies = []
     cholesky = np.linalg.cholesky
     monkeypatch.setattr(np.linalg, "cholesky", lambda a: choleskies.append(a) or cholesky(a))
+    laplacians = []
+    build = sparsify.laplacian_from_arrays
+    monkeypatch.setattr(sparsify, "laplacian_from_arrays",
+                        lambda *args: laplacians.append(args) or build(*args))
     code = main([
         "verify", "--graph", str(graph), "--sparsifier", str(out), "--epsilon", "0.5",
     ])
     assert code == 0
     assert len(calls) == 1
     assert len(choleskies) == 1  # projection_error reads the context's factor
+    assert len(laplacians) == 1  # both instruments read the file's one Laplacian
 
 
 def test_verify_fails_at_tight_epsilon(tmp_path, capsys):

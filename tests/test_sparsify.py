@@ -4,7 +4,6 @@ their agreement with an independent dense-indicator reference."""
 import math
 import warnings
 import weakref
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -488,6 +487,27 @@ def test_sparsifier_laplacian_is_built_once_and_read_only():
         lap[0, 0] = 0.0
 
 
+def test_state_columns_are_read_only_and_are_the_trace_rows():
+    g = generate(GeneratorSpec("erdos-renyi", 10, p=0.6, seed=4))
+    states = []
+    h, _, trace = indicator_stream(
+        g, _small_cfg(g, seed=8, budget=30), 4, "exact", diagnostics=False,
+        record_copies=False, on_step=lambda step, h, prefix, record: states.append(h),
+    )
+    assert states[-1] is h and any(0 in hs.count[: hs.arrived] for hs in states)
+    for s, hs in enumerate(states, start=1):
+        assert trace.p_steps[s] is hs.p and trace.alive_steps[s] is hs.count
+        assert hs.copy_count() == sum(len(js) for js in hs.alive.values())
+    for column in (h.p, h.count, h.copies, *h.alive.values()):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 1
+    with pytest.raises(TypeError):
+        h.alive[0] = h.copies
+    with pytest.raises(TypeError):
+        h.p_tilde[0] = 0.5
+    assert (h == states[0]) is False and h == h
+
+
 def test_nodrop_reconstructs_input_exactly():
     g = generate(GeneratorSpec("erdos-renyi", 12, p=0.4, seed=9))
     cfg = _small_cfg(g, budget=7)
@@ -797,13 +817,14 @@ def test_writer_bytes_match_reference_without_copies(tmp_path):
     empty = Sparsifier.empty(g, cfg)
     ours, ref = _written_pair(tmp_path, empty)
     assert ours == ref == b"# respark sparsifier step=0 N=20 seed=42\n"
-    # an edge listed with no surviving copies writes no row
+    # a seen edge whose copies all died writes no row
     h, _ = stream_sparsify(g, cfg, block_size=3, resistance_mode="exact", diagnostics=False)
-    gone = min(h.alive)
-    h_gone = replace(h, alive={**h.alive, gone: np.array([], dtype=np.int64)})
-    ours, ref = _written_pair(tmp_path, h_gone)
+    dead = [e for e in range(h.arrived) if h.count[e] == 0]
+    assert dead and all(e in h.p_tilde and e not in h.alive for e in dead)
+    ours, ref = _written_pair(tmp_path, h)
     assert ours == ref
-    assert len(ours.splitlines()) == 1 + h_gone.copy_count()
+    assert len(ours.splitlines()) == 1 + h.copy_count()
+    assert {int(line.split()[3]) for line in ours.splitlines()[1:]}.isdisjoint(dead)
 
 
 def _reference_read(path, n=None):
