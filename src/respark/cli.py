@@ -21,6 +21,7 @@ from .resistance import exact_resistances
 from .sparsify import (
     RESISTANCE_MODES,
     StreamConfig,
+    StreamStepError,
     read_sparsifier,
     stream_sparsify,
     write_sparsifier,
@@ -202,7 +203,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError) as exc:  # ConfigError and GraphConnectivityError included
+    except (OSError, ValueError, StreamStepError) as exc:  # ConfigError included
+        if isinstance(exc, StreamStepError) and not isinstance(exc.__cause__, ValueError):
+            raise  # a step failing on a ValueError failed on its input; others are bugs
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

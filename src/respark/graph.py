@@ -361,7 +361,6 @@ def read_edge_list(path) -> WeightedGraph:
     """
     declared_n = None
     triples: list[tuple[int, int, float]] = []
-    first_data_line = True
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raws = fh.readlines()
@@ -373,13 +372,11 @@ def read_edge_list(path) -> WeightedGraph:
             continue
         tokens = line.split()
         try:
-            if first_data_line and tokens[0] == "n":
+            if tokens[0] == "n" and declared_n is None and not triples:  # the first data line
                 if len(tokens) != 2:
                     raise ValueError(f"malformed size line {line!r}")
                 declared_n = int(tokens[1])
-                first_data_line = False
                 continue
-            first_data_line = False
             if len(tokens) != 3:
                 raise ValueError(f"expected 'u v w', got {line!r}")
             triples.append((int(tokens[0]), int(tokens[1]), float(tokens[2])))

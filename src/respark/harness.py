@@ -20,7 +20,6 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from typing import Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .graph import WeightedGraph, _UnionFind, is_connected
 from .sparsify import StreamConfig, _check_run_inputs, _References, stream_sparsify
@@ -138,14 +137,13 @@ def clopper_pearson(failures: int, trials: int, confidence: float = 0.95) -> tup
         raise ValueError(f"failures must lie in [0, {trials}], got {failures}")
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
-    # quantiles of Beta(a, b) by the inverse regularized incomplete beta
+    # Beta quantiles of a failures and b successes by the inverse regularized
+    # incomplete beta, imported here so that only experiments load SciPy
+    from scipy.special import betaincinv
     tail = (1.0 - confidence) / 2.0
-    lo = 0.0 if failures == 0 else float(betaincinv(failures, trials - failures + 1, tail))
-    hi = (
-        1.0
-        if failures == trials
-        else float(betaincinv(failures + 1, trials - failures, 1.0 - tail))
-    )
+    a, b = failures, trials - failures
+    lo = 0.0 if a == 0 else float(betaincinv(a, b + 1, tail))
+    hi = 1.0 if b == 0 else float(betaincinv(a + 1, b, 1.0 - tail))
     return lo, hi
 
 

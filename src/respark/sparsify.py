@@ -64,6 +64,7 @@ __all__ = [
 ]
 
 RESISTANCE_MODES = ("sparsifier", "exact", "noisy", "nodrop")
+_MAX_BUDGET = 2**63  # the int64 count column holds N
 
 
 class ConfigError(ValueError):
@@ -108,7 +109,13 @@ def compute_budget(
     """
     _validate_budget_params(eps, delta, alpha, kappa, n, m)
     log_term = math.log(3.0 * kappa * m / delta)
-    return math.ceil(40.0 * alpha**2 * n * log_term**2 / eps**2)
+    try:
+        budget = 40.0 * alpha**2 * n * log_term**2 / eps**2
+    except (OverflowError, ZeroDivisionError):  # alpha**2 overflowed, or eps**2 underflowed to 0
+        budget = math.inf
+    if not budget < _MAX_BUDGET:
+        raise ConfigError(f"budget N = {budget:.6g} is not below 2**63; raise eps or delta")
+    return math.ceil(budget)
 
 
 @dataclass(frozen=True)
@@ -133,8 +140,8 @@ class StreamConfig:
     def __post_init__(self) -> None:
         _validate_budget_params(self.eps, self.delta, self.alpha, self.kappa, self.n, self.m)
         if self.budget_override is not None:
-            if int(self.budget_override) < 1:
-                raise ConfigError(f"budget override must be >= 1, got {self.budget_override}")
+            if not 1 <= self.budget_override < _MAX_BUDGET:  # NaN fails too
+                raise ConfigError(f"budget override {self.budget_override} is outside [1, 2**63)")
             budget = int(self.budget_override)
         else:
             budget = compute_budget(
@@ -318,19 +325,25 @@ def resparsify(
             js = h_prev.alive[e]
             kept.append(js[tape.uniforms(s, e, N, at=js) <= p_e / prev])
         p[e], count[e] = p_e, len(kept[-1])
-    copies = np.concatenate([_NO_COPIES, *kept])
+    copies = np.concatenate(kept)
     return Sparsifier(cfg, s, n, h_prev.edges, h_prev.arrived + len(block), p, count, copies)
 
 
 class _PrefixReference:
     """What a step reads of the stream prefix through its block: the prefix
-    graph and, each built on first use, its connectivity, its grounded
-    factors (the exact estimates of every prefix edge and projection_error
-    read them) and the projection context spectral_check reads. All of it
-    depends on the graph and the prefix length alone, not on the tape."""
+    graph, its connectivity, its grounded factors (the exact estimates of
+    every prefix edge and projection_error read them) and the projection
+    context spectral_check reads. Each piece, the graph included, is built
+    on first read, so a reference costs nothing to construct and a piece no
+    step reads is never built. All of it depends on the graph and the
+    prefix length alone, not on the tape."""
 
     def __init__(self, g: WeightedGraph, count: int):
-        self.graph = g.prefix(count)
+        self._source, self._count = g, count
+
+    @cached_property
+    def graph(self) -> WeightedGraph:
+        return self._source.prefix(self._count)
 
     @cached_property
     def connected(self) -> bool:
@@ -356,15 +369,13 @@ class _PrefixReference:
 
 
 class _References:
-    """The references of the runs over one graph g: the whole-graph projection
-    context the variation norm reads, and one _PrefixReference per prefix
-    length, each built on first use. With keep, every reference is held for
-    the references' lifetime, so that run_experiment's trials share them;
-    without, each prefix's is built afresh and dies with its step."""
+    """The references that run_experiment's trials over one graph g share:
+    the whole-graph projection context the variation norm reads, and one
+    _PrefixReference per prefix length, each built on first use and kept
+    for the references' lifetime."""
 
-    def __init__(self, g: WeightedGraph, keep: bool = True):
+    def __init__(self, g: WeightedGraph):
         self.graph = g
-        self.keep = keep
         self._prefixes: dict[int, _PrefixReference] = {}
 
     @cached_property
@@ -372,12 +383,7 @@ class _References:
         return projection_context(self.graph)
 
     def prefix(self, count: int) -> _PrefixReference:
-        ref = self._prefixes.get(count)
-        if ref is None:
-            ref = _PrefixReference(self.graph, count)
-            if self.keep:
-                self._prefixes[count] = ref
-        return ref
+        return self._prefixes.setdefault(count, _PrefixReference(self.graph, count))
 
 
 def _step_estimates(
@@ -386,15 +392,13 @@ def _step_estimates(
     g: WeightedGraph,
     mode: str,
     step: int,
-    ref: _PrefixReference | None,
+    ref: _PrefixReference,
 ) -> list[ResistanceEstimate]:
     """Resistance estimates for alive(H_{s-1}) union block, per the configured
     mode. ref is the reference of the stream prefix through the block; only
     the "exact" and "noisy" modes read it."""
     cfg = h_prev.config
     targets = h_prev._targets(block)
-    if not targets:
-        return []
     if mode == "nodrop":
         # inflated estimates pin every probability at 1; exercises the
         # exact-reconstruction path
@@ -492,14 +496,12 @@ def _run_stream(
 
     A trace is recorded when asked for or when diagnostics need one (the
     variation norm reads it); per-copy rows only when `copies` is set. Each
-    step's prefix reference is taken from references (built for g) when
-    given, else built for the step alone, and only when the estimates, the
-    diagnostics or on_step read it.
+    step reads its prefix reference from references (built for g) when
+    given, else from one built for the step alone; either way a piece of it
+    is built only when the estimates, the diagnostics or on_step read it.
     """
     _check_run_inputs(g, cfg, mode)
-    if references is None:
-        references = _References(g, keep=False)
-    elif references.graph is not g and references.graph != g:
+    if references is not None and references.graph is not g and references.graph != g:
         raise ValueError("references were built for another graph")
     blocks = partition_stream(g, cfg.budget_n if block_size is None else block_size)
     tape = RandomTape(cfg.seed)
@@ -510,18 +512,16 @@ def _run_stream(
         history._append(h)  # row 0, before any edge is seen
     # the variation norm uses one fixed whole-graph reference; building it
     # requires the input graph to be connected
-    ctx_full = references.whole if diagnostics else None
-    needs_prefix = mode in ("exact", "noisy") or diagnostics or on_step is not None
-    ref = None
+    ctx_full = None
+    if diagnostics:
+        ctx_full = projection_context(g) if references is None else references.whole
     records: list = []
     for step, block in enumerate(blocks, start=1):
+        count = h.arrived + len(block)
+        ref = _PrefixReference(g, count) if references is None else references.prefix(count)
         try:
-            if needs_prefix:
-                ref = references.prefix(h.arrived + len(block))
             estimates = _step_estimates(h, block, g, mode, step, ref)
             h = resparsify(h, block, estimates, tape)
-        except (StreamStepError, ConfigError):
-            raise
         except Exception as exc:
             raise StreamStepError(step, str(exc)) from exc
         if history is not None:
@@ -535,7 +535,7 @@ def _run_stream(
             )
             records.append(record)
         if on_step is not None:
-            on_step(step, h, None if ref is None else ref.graph, record)
+            on_step(step, h, ref.graph, record)
     return h, records, history
 
 
@@ -578,8 +578,8 @@ def stream_sparsify(
         shares between its trials: each step's prefix graph (the one
         on_step gets), its exact estimates, its grounded factors and its
         projection context, and the whole-graph context. They change no
-        output. Without them, each step builds its own reference and drops
-        it when the step ends.
+        output. Without them, each step builds its own reference, each
+        piece on first read, and drops it when the step ends.
 
     Returns
     -------

@@ -203,16 +203,37 @@ def test_experiment_generates_its_graph_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("module", ["scipy.stats", "scipy.sparse", "scipy.linalg"])
-def test_import_leaves_scipy_stats_out(module):
-    # scipy.stats dominates import time and nothing in the package needs it;
-    # scipy.sparse is needed only by cg_resistances, which imports it itself;
-    # NumPy's dense linear algebra serves every instrument
-    code = f"import sys, respark, respark.cli; print({module!r} in sys.modules)"
+def _python(code: str, cwd) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports this checkout's respark."""
     src = str(Path(harness.__file__).parents[1])
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
-    assert out.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=cwd, env={**os.environ, "PYTHONPATH": src})
+
+
+def test_only_experiments_load_scipy(tmp_path):
+    # the Clopper-Pearson interval imports SciPy on its first call and
+    # cg_resistances on its own, so importing the package and the other
+    # four commands load no scipy module at all
+    code = """if True:
+        import sys, respark, respark.cli
+        loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        print("scipy", loaded())
+        for argv in (
+            "gen --model erdos-renyi --n 12 --p 0.4 --seed 3 --output g.edges",
+            "resistances --graph g.edges",
+            "sparsify --input g.edges --epsilon 0.5 --budget-override 40 --output h.sp"
+            " --diagnostics d.csv",
+            "verify --graph g.edges --sparsifier h.sp --epsilon 0.9",
+        ):
+            code = respark.cli.main(argv.split())
+            print("scipy", argv.split()[0], code in (0, 1), loaded())
+    """
+    done = _python(code, tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert [line for line in done.stdout.splitlines() if line.startswith("scipy")] == [
+        "scipy []", "scipy gen True []", "scipy resistances True []",
+        "scipy sparsify True []", "scipy verify True []",
+    ]
 
 
 def test_experiment_csv_format(tmp_path):
@@ -319,6 +340,37 @@ def test_nan_alpha_exits_2(tmp_path, capsys, command, override):
     assert code == 2
     assert "error: alpha must be >= 1, got nan" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "graph, args, message",
+    [
+        ("er", ["--delta", "1e-310"], "budget N = inf is not below 2**63"),  # ln term inf
+        ("er", ["--epsilon", "1e-160"], "budget N = inf is not below 2**63"),  # N overflows
+        ("er", ["--epsilon", "1e-200"], "budget N = inf is not below 2**63"),  # eps**2 is 0
+        ("er", ["--epsilon", "1e-150"], "is not below 2**63"),  # finite N past int64
+        ("er", ["--budget-override", "99999999999999999999"],
+         "budget override 99999999999999999999 is outside [1, 2**63)"),
+        # the degree sums overflow, so the prefix Laplacian's rows do not sum to 0
+        ("big", [], "step 1: matrix is not a Laplacian: a row does not sum to zero"),
+    ],
+    ids=["tiny-delta", "n-overflows", "eps-squared-is-0", "n-past-int64", "huge-override",
+         "degree-sums-overflow"],
+)
+def test_extreme_arguments_exit_2_without_a_traceback(tmp_path, graph, args, message):
+    # in a fresh interpreter, as a user runs it: the warnings these inputs
+    # raise on the way are printed, not turned into errors
+    path = _gen(tmp_path) if graph == "er" else tmp_path / "big.edges"
+    if graph == "big":
+        path.write_text("0 1 1e308\n1 2 1e308\n0 2 1e308\n")
+    argv = ["sparsify", "--input", str(path), "--epsilon", "0.5", *args,
+            "--output", str(tmp_path / "h.sp")]
+    done = _python(f"import sys, respark.cli; sys.exit(respark.cli.main({argv!r}))", tmp_path)
+    errors = [line for line in done.stderr.splitlines() if line.startswith("error:")]
+    assert done.returncode == 2, done.stderr
+    assert len(errors) == 1 and message in errors[0]
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "h.sp").exists()
 
 
 def test_unknown_subcommand_exits_nonzero():

@@ -79,6 +79,12 @@ def test_budget_eps_scaling():
         dict(m=0),
         dict(alpha=math.nan),
         dict(kappa=math.nan),
+        # N must fit the int64 count column
+        dict(delta=1e-310),  # the log term is inf
+        dict(eps=1e-160),  # N overflows to inf
+        dict(eps=1e-200),  # eps**2 underflows to 0
+        dict(eps=1e-150),  # N is finite but past 2**63
+        dict(alpha=1e200, kappa=1e300, n=10**100),  # alpha**2 overflows
     ],
 )
 def test_budget_rejects_bad_params(kwargs):
@@ -114,6 +120,16 @@ def test_config_override():
     assert cfg.budget_n == 2000
     with pytest.raises(ConfigError):
         StreamConfig(0.5, 0.1, 1.0, 1.0, 10, 45, seed=0, budget_override=0)
+
+
+@pytest.mark.parametrize("override", [2**63, 10**20, math.inf, math.nan])
+def test_config_override_must_fit_the_count_column(override):
+    # N is an int64 count per edge; the largest one is accepted (nothing is
+    # allocated until a stream runs)
+    with pytest.raises(ConfigError, match="is outside \\[1, 2\\*\\*63\\)"):
+        StreamConfig(0.5, 0.1, 1.0, 1.0, 10, 45, seed=0, budget_override=override)
+    largest = StreamConfig(0.5, 0.1, 1.0, 1.0, 10, 45, seed=0, budget_override=2**63 - 1)
+    assert largest.budget_n == 2**63 - 1
 
 
 def test_config_equality_and_with_seed():
@@ -461,6 +477,27 @@ def test_a_single_stream_holds_one_step_reference_at_a_time(monkeypatch, mode):
     steps = len(partition_stream(g, 6))
     assert alive == [[False] * (s - 1) + [True] for s in range(1, steps + 1)]
     assert not any(r() for r in refs)
+
+
+def test_a_single_stream_builds_no_shared_references(monkeypatch):
+    # only run_experiment shares references between streams; a single one
+    # takes each step's reference alone, even with diagnostics and on_step
+    import respark.sparsify as sparsify_mod
+
+    built = []
+
+    class Watched(sparsify_mod._References):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(sparsify_mod, "_References", Watched)
+    g = generate(GeneratorSpec("erdos-renyi", 12, p=0.5, seed=5))
+    seen = []
+    _, records = stream_sparsify(g, _small_cfg(g, seed=3, budget=40), block_size=6,
+                                 diagnostics=True, on_step=lambda *args: seen.append(args))
+    assert len(records) == len(seen) == len(partition_stream(g, 6))
+    assert built == []
 
 
 def test_references_of_another_graph_are_refused():
