@@ -210,6 +210,17 @@ def _python(code: str, cwd) -> subprocess.CompletedProcess:
                           cwd=cwd, env={**os.environ, "PYTHONPATH": src})
 
 
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.sparse", "scipy.linalg"])
+def test_import_leaves_scipy_stats_out(module, tmp_path):
+    # scipy.stats dominates import time and nothing in the package needs it;
+    # scipy.sparse is needed only by cg_resistances, which imports it itself;
+    # NumPy's dense linear algebra serves every instrument
+    done = _python(f"import sys, respark, respark.cli; print({module!r} in sys.modules)",
+                   tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 def test_only_experiments_load_scipy(tmp_path):
     # the Clopper-Pearson interval imports SciPy on its first call and
     # cg_resistances on its own, so importing the package and the other
