@@ -204,8 +204,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (OSError, ValueError, StreamStepError) as exc:  # ConfigError included
-        if isinstance(exc, StreamStepError) and not isinstance(exc.__cause__, ValueError):
-            raise  # a step failing on a ValueError failed on its input; others are bugs
+        if isinstance(exc, StreamStepError) and not isinstance(
+            exc.__cause__, (ValueError, MemoryError)
+        ):
+            raise  # a ValueError is bad input, a MemoryError a budget too large; others are bugs
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

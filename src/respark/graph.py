@@ -149,7 +149,15 @@ def laplacian_from_arrays(
     # in place: a second n x n buffer costs more in page faults than the
     # arithmetic; 0.0 - mass keeps the empty cells +0.0
     np.subtract(0.0, L, out=L)
-    L.flat[:: n + 1] = np.bincount(lo, ws, n) + np.bincount(hi, ws, n)
+    with np.errstate(over="ignore"):  # reported below, naming the vertex
+        degree = np.bincount(lo, ws, n) + np.bincount(hi, ws, n)
+    finite = np.isfinite(degree)  # weights are >= 0, so an overflowing cell overflows a degree
+    if not finite.all():
+        raise ValueError(
+            f"weighted degree of vertex {int(finite.argmin())} is not finite: "
+            "its edge weights sum past the largest float"
+        )
+    L.flat[:: n + 1] = degree
     return L
 
 
@@ -281,7 +289,12 @@ class ProjectionContext:
     def range_basis(self) -> np.ndarray:
         """Read-only B, the eigenvectors of L's nonzero eigenvalues over their
         square roots, so that S A S on range(L) is B' A B; computed on first
-        use and kept with the context."""
+        use and kept with the context. As the eigen view's first read, it
+        raises GraphConnectivityError unless exactly one eigenvalue is null."""
+        if self.factors.null_count != 1:
+            raise GraphConnectivityError(
+                f"expected exactly one null eigenvalue, found {self.factors.null_count}"
+            )
         lam = self.factors.eigenvalues
         nz = lam > 0.0
         b = self.factors.eigenvectors[:, nz] / np.sqrt(lam[nz])
@@ -290,10 +303,9 @@ class ProjectionContext:
 
 
 def projection_context(g: WeightedGraph) -> ProjectionContext:
-    """Build the projection context for a connected reference graph.
-
-    Its factors' eigen view, which the instruments read, is built here; its
-    null space is zeroed at DEFAULT_NULL_TOLERANCE (see PseudoinverseFactors).
+    """Build the projection context for a connected reference graph: its
+    grounded factors, whose eigen view waits for its first read (see
+    ProjectionContext.range_basis).
 
     Raises
     ------
@@ -301,16 +313,11 @@ def projection_context(g: WeightedGraph) -> ProjectionContext:
         If g is disconnected (the projection would have multiple null
         vectors and the spectral instruments are not defined).
     """
-    if not is_connected(g):
+    if not is_connected(g):  # before the O(n^3) factor is paid
         raise GraphConnectivityError(
             "reference graph is disconnected; projection context undefined"
         )
-    factors = pseudo_factorize(build_laplacian(g))
-    if factors.null_count != 1:
-        raise GraphConnectivityError(
-            f"expected exactly one null eigenvalue, found {factors.null_count}"
-        )
-    return ProjectionContext(g, factors)
+    return ProjectionContext(g, pseudo_factorize(build_laplacian(g)))
 
 
 class _UnionFind:

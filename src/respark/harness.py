@@ -389,14 +389,16 @@ def report_from_dict(data: dict) -> ExperimentReport:
         raise ValueError(
             f"unsupported report schema version {data.get('schema_version')!r}"
         )
+    # StreamConfig derives budget_n from the other fields: compare, not pass
+    config = dict(data["config"])
+    budget_n = config.pop("budget_n")
+    data = {**data, "config": config}
     kinds = get_type_hints(ExperimentReport)
     report = ExperimentReport(**{
         f.name: _from_json(kinds[f.name], data[f.name])
         for f in fields(ExperimentReport)
         if f.name != "wall_clock_seconds"
     })
-    # StreamConfig derives budget_n from the other fields
-    budget_n = data["config"]["budget_n"]
     if report.config.budget_n != budget_n:
         raise ValueError(
             f"stored budget_n={budget_n} disagrees with recomputed {report.config.budget_n}"

@@ -18,6 +18,7 @@ produce bit-identical copy sets.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -122,9 +123,10 @@ def compute_budget(
 class StreamConfig:
     """All stream parameters plus the derived copy budget.
 
-    budget_n is derived from the other fields unless budget_override is
-    given; overridden runs exercise the drop path at desk scale and are
-    labeled "stress" (outside theorem constants) by the harness.
+    budget_n is no argument: it is derived from the other fields unless
+    budget_override is given. Overridden runs exercise the drop path at
+    desk scale and are labeled "stress" (outside theorem constants) by the
+    harness. seed must be an integer.
     """
 
     eps: float
@@ -135,10 +137,14 @@ class StreamConfig:
     m: int
     seed: int
     budget_override: int | None = None
-    budget_n: int = field(default=0, compare=False)
+    budget_n: int = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         _validate_budget_params(self.eps, self.delta, self.alpha, self.kappa, self.n, self.m)
+        try:
+            seed = operator.index(self.seed)  # NumPy integers too, but no float
+        except TypeError:
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}") from None
         if self.budget_override is not None:
             if not 1 <= self.budget_override < _MAX_BUDGET:  # NaN fails too
                 raise ConfigError(f"budget override {self.budget_override} is outside [1, 2**63)")
@@ -148,7 +154,7 @@ class StreamConfig:
                 self.eps, self.delta, self.alpha, self.kappa, self.n, self.m
             )
         object.__setattr__(self, "budget_n", budget)
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", seed)
 
     @classmethod
     def for_graph(
@@ -178,7 +184,7 @@ class StreamConfig:
         return cls(eps, delta, alpha, kappa, g.n, g.m, seed, budget_override)
 
     def with_seed(self, seed: int) -> "StreamConfig":
-        return replace(self, seed=int(seed))
+        return replace(self, seed=seed)
 
 
 def partition_stream(g: WeightedGraph, block_size: int) -> list[list[int]]:
@@ -364,7 +370,7 @@ class _PrefixReference:
 
     @cached_property
     def spectral(self) -> ProjectionContext:
-        """projection_context of the prefix, eigen view included."""
+        """projection_context of the prefix."""
         return verify.projection_context(self.graph)
 
 

@@ -26,11 +26,8 @@ from .graph import (
     GraphConnectivityError,
     ProjectionContext,
     WeightedGraph,
-    build_laplacian,
-    component_count,
     laplacian_from_arrays,
     projection_context,
-    pseudo_factorize,
 )
 from .tape import RandomTape
 
@@ -87,6 +84,14 @@ def _laplacian_of(h) -> np.ndarray:
         raise TypeError(f"{type(h).__name__} does not expose a laplacian()") from exc
 
 
+def _reference_context(h, reference: WeightedGraph | ProjectionContext) -> ProjectionContext:
+    """reference as a context, a graph through projection_context; h must share its n."""
+    g = reference.graph if isinstance(reference, ProjectionContext) else reference
+    if h.n != g.n:
+        raise ValueError(f"vertex counts differ: h has {h.n}, g has {g.n}")
+    return projection_context(g) if reference is g else reference
+
+
 def _range_eigenvalues(ctx: ProjectionContext, l: np.ndarray) -> np.ndarray:
     """Eigenvalues of S l S on range(L_G), S = L_G^{-1/2}: those of B' l B,
     B = ctx.range_basis."""
@@ -108,16 +113,12 @@ def spectral_check(
     [1-eps, 1+eps] with 1e-9 slack. Returns (passed, worst deviation
     |ratio - 1|).
 
-    Raises GraphConnectivityError when G is disconnected and ValueError on
-    a vertex-count mismatch.
+    Raises GraphConnectivityError when G (or its eigen view) is
+    disconnected and ValueError on a vertex-count mismatch.
     """
-    g = reference.graph if isinstance(reference, ProjectionContext) else reference
     if not eps >= 0.0:  # NaN fails too
         raise ValueError(f"eps must be non-negative, got {eps}")
-    if h.n != g.n:
-        raise ValueError(f"vertex counts differ: h has {h.n}, g has {g.n}")
-    ctx = projection_context(g) if reference is g else reference
-    ratios = _range_eigenvalues(ctx, _laplacian_of(h))
+    ratios = _range_eigenvalues(_reference_context(h, reference), _laplacian_of(h))
     worst = float(np.abs(ratios - 1.0).max())
     return worst <= eps + 1e-9, worst
 
@@ -136,22 +137,18 @@ def projection_error(h, reference: WeightedGraph | ProjectionContext) -> float:
     Cholesky factor) they are the eigenvalues of C^-1 L_H C^-T, so one
     Cholesky factor and one eigvalsh replace an eigendecomposition of L_G.
 
-    C^-1 is read off G's grounded factors as rows[1:].T. reference is G
-    itself, whose factors are built here, or a context of G whose factors
-    are read instead; only those rows are read, so its eigen view is never
-    started.
+    C^-1 is rows[1:].T of the grounded factors of reference's context, and
+    G is connected when their component labels are all 0 (vertex 0's); the
+    eigen view is never started.
 
     Raises GraphConnectivityError when G is disconnected and ValueError on
     a vertex-count mismatch or a G without edges.
     """
-    g = reference.graph if isinstance(reference, ProjectionContext) else reference
-    if h.n != g.n:
-        raise ValueError(f"vertex counts differ: h has {h.n}, g has {g.n}")
-    if component_count(g) != 1:
+    factors = _reference_context(h, reference).factors
+    if factors.labels.any():
         raise GraphConnectivityError(
             "reference graph is disconnected; projection error undefined"
         )
-    factors = pseudo_factorize(build_laplacian(g)) if reference is g else reference.factors
     c_inv = factors.rows[1:].T  # G is connected, so grounded at vertex 0 alone
     m_mat = c_inv @ _laplacian_of(h)[1:, 1:] @ c_inv.T
     return float(np.abs(1.0 - np.linalg.eigvalsh(m_mat)).max())

@@ -13,7 +13,7 @@ from respark import harness
 from respark.cli import main
 from respark.graph import is_connected, read_edge_list
 from respark.harness import load_report_json
-from respark.sparsify import read_sparsifier
+from respark.sparsify import StreamStepError, read_sparsifier
 from respark.verify import read_diagnostics
 
 
@@ -362,8 +362,8 @@ def test_nan_alpha_exits_2(tmp_path, capsys, command, override):
         ("er", ["--epsilon", "1e-150"], "is not below 2**63"),  # finite N past int64
         ("er", ["--budget-override", "99999999999999999999"],
          "budget override 99999999999999999999 is outside [1, 2**63)"),
-        # the degree sums overflow, so the prefix Laplacian's rows do not sum to 0
-        ("big", [], "step 1: matrix is not a Laplacian: a row does not sum to zero"),
+        # the degree sums overflow where the prefix Laplacian is built
+        ("big", [], "step 1: weighted degree of vertex 0 is not finite"),
     ],
     ids=["tiny-delta", "n-overflows", "eps-squared-is-0", "n-past-int64", "huge-override",
          "degree-sums-overflow"],
@@ -380,8 +380,72 @@ def test_extreme_arguments_exit_2_without_a_traceback(tmp_path, graph, args, mes
     errors = [line for line in done.stderr.splitlines() if line.startswith("error:")]
     assert done.returncode == 2, done.stderr
     assert len(errors) == 1 and message in errors[0]
-    assert "Traceback" not in done.stderr
+    assert "Traceback" not in done.stderr and "RuntimeWarning" not in done.stderr
     assert not (tmp_path / "h.sp").exists()
+
+
+def test_resistances_of_overflowing_degrees_exit_2(tmp_path):
+    # in a fresh interpreter, so that a NumPy warning would be printed
+    path = tmp_path / "big.edges"
+    path.write_text("0 1 1e308\n1 2 1e308\n0 2 1e308\n")
+    argv = ["resistances", "--graph", str(path)]
+    done = _python(f"import sys, respark.cli; sys.exit(respark.cli.main({argv!r}))", tmp_path)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.splitlines() == [
+        "error: weighted degree of vertex 0 is not finite: "
+        "its edge weights sum past the largest float"
+    ]
+
+
+def _sparsify_with_failing_draws(tmp_path, monkeypatch, exc):
+    from respark import tape
+
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(tape.RandomTape, "uniforms", fail)
+    return main([
+        "sparsify", "--input", str(_gen(tmp_path)), "--epsilon", "0.5",
+        "--budget-override", "100", "--resistance-mode", "exact",
+        "--output", str(tmp_path / "h.sp"),
+    ])
+
+
+def test_a_budget_too_large_to_allocate_exits_2(tmp_path, capsys, monkeypatch):
+    # the MemoryError NumPy raises for N draws it cannot allocate, injected:
+    # nothing that large is allocated here
+    message = "Unable to allocate 74.5 GiB for an array with shape (10000000000,)"
+    code = _sparsify_with_failing_draws(tmp_path, monkeypatch, MemoryError(message))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: step 1: {message}\n"
+    assert not (tmp_path / "h.sp").exists()
+
+
+def test_a_step_failing_on_a_bug_propagates(tmp_path, monkeypatch):
+    with pytest.raises(StreamStepError, match="step 1: synthetic") as info:
+        _sparsify_with_failing_draws(tmp_path, monkeypatch, RuntimeError("synthetic"))
+    assert isinstance(info.value.__cause__, RuntimeError)
+
+
+@pytest.mark.filterwarnings("ignore:weight spread")
+def test_a_gap_below_the_null_tolerance_exits_2_at_the_first_spectral_read(tmp_path, capsys):
+    # the path 0-1-2 with weights 1 and 1e-12 is connected, but its 1e-12
+    # eigenvalue reads as null: the sparsifier is written, and the
+    # instruments that read the eigen view refuse it
+    graph = tmp_path / "spread.edges"
+    graph.write_text("0 1 1.0\n1 2 1e-12\n", encoding="utf-8")
+    out = tmp_path / "h.sp"
+    args = ["sparsify", "--input", str(graph), "--epsilon", "0.5", "--budget-override", "50"]
+    assert main([*args, "--output", str(out)]) == 0
+    capsys.readouterr()
+    error = "error: expected exactly one null eigenvalue, found 2\n"
+    assert main(["verify", "--graph", str(graph), "--sparsifier", str(out),
+                 "--epsilon", "0.5"]) == 2
+    assert capsys.readouterr().err == error
+    again = tmp_path / "again.sp"
+    assert main([*args, "--output", str(again), "--diagnostics", str(tmp_path / "d.csv")]) == 2
+    assert capsys.readouterr().err == error
+    assert not again.exists()
 
 
 def test_unknown_subcommand_exits_nonzero():

@@ -1,6 +1,8 @@
 """Laplacian, pseudoinverse, and projection-context behavior against
 closed-form oracles and Moore-Penrose identities."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -86,6 +88,9 @@ def test_graph_accessors():
     assert np.array_equal(g.weights(), [1.0, 0.5, 2.0])
     assert g.prefix(2).edges == g.edges[:2]
     assert g.prefix(0).m == 0
+    for count in (-1, 4):
+        with pytest.raises(ValueError, match=f"prefix length {count} outside \\[0, 3\\]"):
+            g.prefix(count)
     # kappa = sqrt(a_max / a_min) = sqrt(2 / 0.5) = 2
     assert g.kappa() == pytest.approx(2.0)
     assert WeightedGraph(3, ()).kappa() == 1.0
@@ -110,6 +115,16 @@ def test_duplicate_edges_add():
 def test_build_laplacian_rejects_empty():
     with pytest.raises(ValueError):
         build_laplacian(WeightedGraph(3, ()))
+
+
+def test_an_overflowing_degree_names_its_vertex():
+    # each weight is finite but vertex 1's two sum past the largest float;
+    # the error names it, and NumPy's overflow warning does not escape
+    g = WeightedGraph.from_edges(3, [(0, 1, 1e308), (1, 2, 1e308)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="weighted degree of vertex 1 is not finite"):
+            build_laplacian(g)
 
 
 @settings(max_examples=40, deadline=None)
@@ -144,6 +159,8 @@ def test_zero_matrix_factorizes_to_zero():
 
 
 def test_factorize_rejects_bad_input():
+    with pytest.raises(ValueError, match="expected a square matrix, got shape \\(2, 3\\)"):
+        pseudo_factorize(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         pseudo_factorize(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
@@ -246,6 +263,31 @@ def test_projection_invariants(g):
     assert np.linalg.norm(p @ p - p, ord=2) < 1e-8
     assert np.trace(p) == pytest.approx(g.n - 1, abs=1e-8)
     assert np.abs(p @ np.ones(g.n)).max() < 1e-8
+
+
+def test_projection_context_defers_the_eigendecomposition(monkeypatch):
+    # the context holds the grounded factor; eigh runs on the first read of
+    # range_basis, once
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+    ctx = projection_context(C4)
+    assert calls == []
+    assert ctx.range_basis.shape == (4, 3)
+    assert ctx.range_basis is ctx.range_basis
+    assert len(calls) == 1
+
+
+def test_projection_context_of_a_gap_below_the_null_tolerance(monkeypatch):
+    # the path 0-1-2 with weights 1 and 1e-12 is connected, so its context is
+    # built; its 1e-12 eigenvalue reads as null, so the eigen view is refused
+    spread = WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1e-12)])
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", None)  # any eigh call would raise
+    ctx = projection_context(spread)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    with pytest.raises(GraphConnectivityError, match="exactly one null eigenvalue, found 2"):
+        ctx.range_basis
 
 
 def test_projection_rejects_disconnected():

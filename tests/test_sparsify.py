@@ -132,6 +132,22 @@ def test_config_override_must_fit_the_count_column(override):
     assert largest.budget_n == 2**63 - 1
 
 
+def test_config_takes_no_budget_argument():
+    # budget_n is derived; an argument for it would be silently replaced
+    with pytest.raises(TypeError, match="budget_n"):
+        StreamConfig(0.5, 0.1, 1.0, 1.0, 10, 45, seed=0, budget_n=500)
+
+
+def test_config_seed_must_be_an_integer():
+    # a float seed would be truncated onto another seed's stream
+    with pytest.raises(ConfigError, match="seed must be an integer, got 2.9"):
+        StreamConfig(0.5, 0.1, 1.0, 1.0, 10, 45, seed=2.9)
+    cfg = StreamConfig(0.5, 0.1, 1.0, 1.0, 10, 45, seed=np.int64(2))
+    assert type(cfg.seed) is int and cfg == StreamConfig(0.5, 0.1, 1.0, 1.0, 10, 45, seed=2)
+    with pytest.raises(ConfigError, match="seed must be an integer"):
+        cfg.with_seed(2.5)
+
+
 def test_config_equality_and_with_seed():
     a = StreamConfig(0.5, 0.1, 1.0, 1.0, 10, 45, seed=3)
     b = StreamConfig(0.5, 0.1, 1.0, 1.0, 10, 45, seed=3)
@@ -759,6 +775,13 @@ def test_read_sparsifier_rejects_missing_header(tmp_path):
     p = tmp_path / "bad.sparsifier"
     p.write_text("0 1 0.5 0 3 1.0\n")
     with pytest.raises(ValueError, match="missing sparsifier header"):
+        read_sparsifier(p)
+
+
+def test_read_sparsifier_rejects_text_that_is_not_utf8(tmp_path):
+    p = tmp_path / "bad.sparsifier"
+    p.write_bytes(b"# respark sparsifier step=1 N=5 seed=0\n0 1 0.5 0 \xff 1.0\n")
+    with pytest.raises(ValueError, match=f"^{p}: 'utf-8' codec can't decode"):
         read_sparsifier(p)
 
 

@@ -65,6 +65,14 @@ def test_labeled_streams():
     assert a.min() >= 0.0 and a.max() < 1.0
 
 
+def test_negative_counts_are_rejected():
+    tape = RandomTape(3)
+    with pytest.raises(ValueError, match="count must be non-negative"):
+        tape.uniforms(1, 1, -1)
+    with pytest.raises(ValueError, match="count must be non-negative"):
+        tape.labeled("alpha-noise", -1)
+
+
 def test_labeled_and_keyed_streams_disjoint():
     tape = RandomTape(3)
     assert not np.array_equal(tape.labeled("1", 8), tape.uniforms(1, 1, 8))

@@ -98,6 +98,10 @@ def test_spectral_check_validation():
     disconnected = WeightedGraph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
     with pytest.raises(GraphConnectivityError):
         spectral_check(disconnected, disconnected, eps=0.5)
+    # connected, but the 1e-12 eigenvalue reads as null at the first spectral read
+    spread = WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1e-12)])
+    with pytest.raises(GraphConnectivityError, match="exactly one null eigenvalue, found 2"):
+        spectral_check(spread, projection_context(spread), eps=0.5)
     with pytest.raises(TypeError, match="laplacian"):
         spectral_check(SimpleNamespace(n=3), K3, eps=0.5)
 
@@ -165,6 +169,11 @@ def test_projection_error_needs_a_connected_reference():
     disconnected = WeightedGraph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
     with pytest.raises(GraphConnectivityError):
         projection_error(disconnected, disconnected)
+    # a context of a disconnected graph, as a stream prefix's grounded
+    # factors can be, is refused on its component labels
+    grounded = ProjectionContext(disconnected, pseudo_factorize(build_laplacian(disconnected)))
+    with pytest.raises(GraphConnectivityError, match="projection error undefined"):
+        projection_error(disconnected, grounded)
 
 
 def _inv_sqrt(ctx):
