@@ -131,6 +131,9 @@ def build_laplacian(g: WeightedGraph) -> np.ndarray:
     return laplacian_from_arrays(g.n, *g.endpoints(), g.weights())
 
 
+_LAPLACIAN_CHUNK = 2**15  # rows whose cells and masses are accumulated together
+
+
 def laplacian_from_arrays(
     n: int, us: np.ndarray, vs: np.ndarray, ws: np.ndarray
 ) -> np.ndarray:
@@ -138,19 +141,32 @@ def laplacian_from_arrays(
 
     Each canonical (min, max) pair's mass is summed in edge order into both
     of its off-diagonal cells, so the result is bitwise symmetric
-    regardless of edge orientation.
+    regardless of edge orientation. The rows are accumulated
+    _LAPLACIAN_CHUNK at a time, so the temporaries stay a fixed size: the
+    first chunk by bincount, each later one by np.add.at, which adds every
+    cell's masses in the same order and so gives the same bits.
     """
     if not len(ws):
         return np.zeros((n, n))
-    lo = np.minimum(us, vs)
-    hi = np.maximum(us, vs)
-    cells = np.concatenate((lo * n + hi, hi * n + lo))
-    L = np.bincount(cells, np.concatenate((ws, ws)), n * n).reshape(n, n)
+    with np.errstate(over="ignore"):  # reported below, naming the vertex
+        for start in range(0, len(ws), _LAPLACIAN_CHUNK):
+            u, v, w = (a[start:start + _LAPLACIAN_CHUNK] for a in (us, vs, ws))
+            lo = np.minimum(u, v)
+            hi = np.maximum(u, v)
+            cells = np.concatenate((lo * n + hi, hi * n + lo))
+            masses = np.concatenate((w, w))
+            if start == 0:
+                L = np.bincount(cells, masses, n * n)
+                low, high = np.bincount(lo, w, n), np.bincount(hi, w, n)
+            else:
+                np.add.at(L, cells, masses)
+                np.add.at(low, lo, w)
+                np.add.at(high, hi, w)
+        degree = low + high
+    L = L.reshape(n, n)
     # in place: a second n x n buffer costs more in page faults than the
     # arithmetic; 0.0 - mass keeps the empty cells +0.0
     np.subtract(0.0, L, out=L)
-    with np.errstate(over="ignore"):  # reported below, naming the vertex
-        degree = np.bincount(lo, ws, n) + np.bincount(hi, ws, n)
     finite = np.isfinite(degree)  # weights are >= 0, so an overflowing cell overflows a degree
     if not finite.all():
         raise ValueError(

@@ -23,7 +23,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -119,6 +119,13 @@ def compute_budget(
     return math.ceil(budget)
 
 
+def _integer(name: str, value) -> int:
+    try:
+        return operator.index(value)  # NumPy integers too, but no float: it would be truncated
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class StreamConfig:
     """All stream parameters plus the derived copy budget.
@@ -126,7 +133,7 @@ class StreamConfig:
     budget_n is no argument: it is derived from the other fields unless
     budget_override is given. Overridden runs exercise the drop path at
     desk scale and are labeled "stress" (outside theorem constants) by the
-    harness. seed must be an integer.
+    harness. seed and budget_override must be integers.
     """
 
     eps: float
@@ -141,19 +148,18 @@ class StreamConfig:
 
     def __post_init__(self) -> None:
         _validate_budget_params(self.eps, self.delta, self.alpha, self.kappa, self.n, self.m)
-        try:
-            seed = operator.index(self.seed)  # NumPy integers too, but no float
-        except TypeError:
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}") from None
-        if self.budget_override is not None:
-            if not 1 <= self.budget_override < _MAX_BUDGET:  # NaN fails too
-                raise ConfigError(f"budget override {self.budget_override} is outside [1, 2**63)")
-            budget = int(self.budget_override)
+        seed = _integer("seed", self.seed)
+        override = self.budget_override
+        if override is not None:
+            if not 1 <= override < _MAX_BUDGET:  # NaN fails too
+                raise ConfigError(f"budget override {override} is outside [1, 2**63)")
+            budget = override = _integer("budget override", override)
         else:
             budget = compute_budget(
                 self.eps, self.delta, self.alpha, self.kappa, self.n, self.m
             )
         object.__setattr__(self, "budget_n", budget)
+        object.__setattr__(self, "budget_override", override)
         object.__setattr__(self, "seed", seed)
 
     @classmethod
@@ -704,36 +710,77 @@ def read_sparsifier(
 
     A bad row raises ValueError starting 'path:lineno:', a bad or missing
     header one starting 'path:'.
+
+    The file is read and parsed a chunk of whole lines at a time, so the
+    memory held is the columns plus one chunk; only a file that fails a
+    check is read again whole, to name its error.
     """
     if graph is not None:
         if n is not None and n != graph.n:
             raise ValueError(f"n={n} differs from the graph's {graph.n} vertices")
         n = graph.n
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-            fh.seek(0)
-            rows = _parse_rows(fh)
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    header = _read_header(path, text)
     bound = math.inf if n is None else n
+    header, cols = _read_columns(path)
     budget = (header or {}).get("N", math.inf)
-    if _hash_inside_row(text):
-        rows = None
-    if rows is None or _first_bad_row(rows, bound, budget, graph):
-        raise _row_error(path, text, rows, bound, budget, graph)
+    if cols is None or _first_bad_row(cols, bound, budget, graph):
+        _reject(path, cols, bound, graph)
     if header is None:
         raise ValueError(f"{path}: missing sparsifier header comment")
     if n is None:
-        n = 1 + int(max(rows["u"].max(), rows["v"].max())) if len(rows) else 0
+        n = 1 + int(max(cols["u"].max(), cols["v"].max())) if len(cols["u"]) else 0
     return LoadedSparsifier(
         n=int(n),
         step=header.get("step", 0),
         budget_n=header.get("N", 0),
         seed=header.get("seed", 0),
-        **{name: rows[name] for name in _ROW_DTYPE.names},
+        **cols,
     )
+
+
+_READ_CHUNK = 2**16  # characters read together, then through the end of a line
+
+
+def _read_columns(path) -> tuple[dict[str, int] | None, dict[str, np.ndarray] | None]:
+    """(header, columns) of a file read whole lines at a time, or (None,
+    None) at the first chunk that does not decode, holds a bad header or a
+    row that does not parse, or has a '#' inside a row.
+
+    Each field is copied out of a chunk's rows: a view would keep every
+    field of the chunk alive until the columns are joined.
+    """
+    header, pieces = None, {name: [np.empty(0, _ROW_DTYPE[name])] for name in _ROW_DTYPE.names}
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            while text := fh.read(_READ_CHUNK):
+                text += fh.readline()
+                if header is None:
+                    header = _read_header(path, text)
+                rows = None if _hash_inside_row(text) else _parse_rows(text.split("\n"))
+                if rows is None:
+                    return None, None
+                for name, piece in pieces.items():
+                    piece.append(rows[name].copy())
+    except ValueError:  # not UTF-8, or a header field that is not an integer
+        return None, None
+    # one field at a time: a field's pieces are freed once it is joined
+    return header, {name: np.concatenate(pieces.pop(name)) for name in _ROW_DTYPE.names}
+
+
+def _reject(
+    path, cols: dict[str, np.ndarray] | None, bound, graph: WeightedGraph | None
+) -> NoReturn:
+    """Raise the error of a file the chunked read refused, from its whole text.
+
+    The whole text gives every message exactly: its decode error (at the
+    file's own byte offset), else its header error, else its first bad row.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    budget = (_read_header(path, text) or {}).get("N", math.inf)
+    raise _row_error(path, text, cols, bound, budget, graph)
 
 
 def _parse_rows(lines, comments: str | None = "#") -> np.ndarray | None:
@@ -804,14 +851,14 @@ _ROW_ERRORS = {
 
 
 def _first_bad_row(
-    rows: np.ndarray, bound, budget, graph: WeightedGraph | None = None
+    cols: dict[str, np.ndarray], bound, budget, graph: WeightedGraph | None = None
 ) -> tuple[int, str, int] | None:
     """The one row contract: (index, check, earlier) for the first row in
     file order that breaks it, or None. check names the _ROW_ERRORS entry;
     earlier is the index of the row a "repeat" repeats or a "mixed" row
     differs from (else -1). The graph checks run only with a graph.
     """
-    u, v, w, e, j, p = (rows[k] for k in _ROW_DTYPE.names)
+    u, v, w, e, j, p = (cols[k] for k in _ROW_DTYPE.names)
     in_range = (
         (0 <= u) & (u < bound) & (0 <= v) & (v < bound) & (u != v)
         & (0.0 < w) & (w < math.inf) & (0.0 < p) & (p <= 1.0)
@@ -823,24 +870,24 @@ def _first_bad_row(
     bad = np.flatnonzero(~ok)
     if len(bad):
         found.append((int(bad[0]), 0, "range" if not in_range[bad[0]] else "copy", -1))
-    de, dj = np.diff(e), np.diff(j)
-    if not ((de > 0) | ((de == 0) & (dj > 0))).all():
+    if not ((e[1:] > e[:-1]) | ((e[1:] == e[:-1]) & (j[1:] > j[:-1]))).all():
         # not in the writer's (e, j) order: a stable sort keeps each pair's
         # rows together and in file order
         order = np.lexsort((j, e))
-        same = np.flatnonzero((np.diff(e[order]) == 0) & (np.diff(j[order]) == 0))
+        eo, jo = e[order], j[order]
+        same = np.flatnonzero((eo[1:] == eo[:-1]) & (jo[1:] == jo[:-1]))
         if len(same):
             k = same[np.argmin(order[same + 1])]
             found.append((int(order[k + 1]), 1, "repeat", int(order[k])))
-    if graph is not None and len(rows):
-        found += _graph_breaks(u, v, w, e, p, ok, de, budget, graph)
+    if graph is not None and len(u):
+        found += _graph_breaks(u, v, w, e, p, ok, budget, graph)
     if not found:
         return None
     index, _, check, earlier = min(found)
     return index, check, earlier
 
 
-def _graph_breaks(u, v, w, e, p, ok, de, budget, graph: WeightedGraph) -> list[tuple]:
+def _graph_breaks(u, v, w, e, p, ok, budget, graph: WeightedGraph) -> list[tuple]:
     """_first_bad_row's graph rules, as (index, rank, check, earlier) entries.
 
     Every row of an edge must equal the edge's first row in all but j, so
@@ -848,7 +895,7 @@ def _graph_breaks(u, v, w, e, p, ok, de, budget, graph: WeightedGraph) -> list[t
     checks; the row checks report the others).
     """
     # each edge's rows next to each other, in file order
-    order = None if (de >= 0).all() else np.argsort(e, kind="stable")
+    order = None if (e[1:] >= e[:-1]).all() else np.argsort(e, kind="stable")
     in_file = (lambda k: k) if order is None else order.__getitem__
     cols = [c if order is None else c[order] for c in (u, v, w, p, e)]
     same_edge = cols[4][1:] == cols[4][:-1]
@@ -881,11 +928,12 @@ _WALK_BLOCK = 4096  # lines parsed together while looking for one that does not 
 
 
 def _row_error(
-    path, text: str, rows: np.ndarray | None, bound, budget, graph: WeightedGraph | None
+    path, text: str, cols: dict[str, np.ndarray] | None, bound, budget,
+    graph: WeightedGraph | None,
 ) -> ValueError:
     """The 'path:lineno:' error for the first bad row of a file.
 
-    Without the `rows` of a whole-file parse, the data lines are walked up
+    Without the `cols` of a parse of every row, the data lines are walked up
     to the first that does not parse: through _parse_rows a block at a time,
     and a line at a time inside a failing block, with no '#' a comment.
     That line is reported unless _first_bad_row names a row before it.
@@ -896,9 +944,9 @@ def _row_error(
         if line and not line.startswith("#")
     ]
     # loadtxt skips exactly the blank and comment lines dropped here, so
-    # whole-file row k is data line k
+    # row k of the columns is data line k
     stop = None
-    if rows is None:
+    if cols is None:
         parsed = [np.empty(0, dtype=_ROW_DTYPE)]
         for start in range(0, len(lines), _WALK_BLOCK):
             block = [line for _, line in lines[start:start + _WALK_BLOCK]]
@@ -910,8 +958,9 @@ def _row_error(
                 break
             parsed.append(rows)
         rows = np.concatenate(parsed)
-    k, check, earlier = _first_bad_row(rows, bound, budget, graph) or (stop, "parse", -1)
-    e, j = rows[["e", "j"]][k].item() if earlier >= 0 else (None, None)
+        cols = {name: rows[name] for name in _ROW_DTYPE.names}
+    k, check, earlier = _first_bad_row(cols, bound, budget, graph) or (stop, "parse", -1)
+    e, j = (int(cols["e"][k]), int(cols["j"][k])) if earlier >= 0 else (None, None)
     m = graph.m if graph is not None else None
     return ValueError(f"{path}:{lines[k][0]}: " + _ROW_ERRORS[check].format(
         line=lines[k][1], bound=bound, budget=budget, m=m, e=e, j=j, earlier=lines[earlier][0]

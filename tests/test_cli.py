@@ -336,6 +336,22 @@ def test_block_size_below_one_exits_2(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["sparsify", "experiment"])
+def test_a_fractional_budget_override_exits_2(tmp_path, capsys, command):
+    # the flag takes integers only, as StreamConfig does
+    out = tmp_path / "out"
+    if command == "sparsify":
+        args = ["sparsify", "--input", str(_gen(tmp_path)), "--output", str(out)]
+    else:
+        args = ["experiment", "--model", "path", "--n", "6", "--trials", "2",
+                "--report", str(out)]
+    with pytest.raises(SystemExit) as info:
+        main([*args, "--epsilon", "0.5", "--budget-override", "2.5"])
+    assert info.value.code == 2
+    assert "argument --budget-override: invalid int value: '2.5'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("override", [["--budget-override", "100"], []])
 @pytest.mark.parametrize("command", ["sparsify", "experiment"])
 def test_nan_alpha_exits_2(tmp_path, capsys, command, override):

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
+from respark import graph as graph_mod
 from respark.graph import (
     Edge,
     GraphConnectivityError,
@@ -16,6 +17,7 @@ from respark.graph import (
     build_laplacian,
     component_count,
     is_connected,
+    laplacian_from_arrays,
     projection_context,
     pseudo_factorize,
     read_edge_list,
@@ -125,6 +127,50 @@ def test_an_overflowing_degree_names_its_vertex():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="weighted degree of vertex 1 is not finite"):
             build_laplacian(g)
+
+
+def _one_shot_laplacian(n, us, vs, ws):
+    # every row in one bincount: the Laplacian of a single chunk
+    lo, hi = np.minimum(us, vs), np.maximum(us, vs)
+    cells = np.concatenate((lo * n + hi, hi * n + lo))
+    l = 0.0 - np.bincount(cells, np.concatenate((ws, ws)), n * n).reshape(n, n)
+    l.flat[:: n + 1] = np.bincount(lo, ws, n) + np.bincount(hi, ws, n)
+    return l
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize("n", [2, 400])
+def test_laplacian_in_chunks_has_the_bits_of_one_pass(monkeypatch, n, chunk):
+    # at most 30 distinct pairs, each repeated in both orientations, with
+    # weights over 24 decades so that the order of each cell's additions
+    # shows in its bits
+    rows = 3 * graph_mod._LAPLACIAN_CHUNK + 5 if chunk is None else 200
+    if chunk is not None:
+        monkeypatch.setattr(graph_mod, "_LAPLACIAN_CHUNK", chunk)
+    rng = np.random.default_rng(n)
+    a = rng.integers(0, n, 30)
+    b = (a + rng.integers(1, n, 30)) % n
+    pick, flip = rng.integers(0, 30, rows), rng.random(rows) < 0.5
+    us = np.where(flip, b[pick], a[pick])
+    vs = np.where(flip, a[pick], b[pick])
+    ws = np.exp(rng.uniform(-28.0, 28.0, rows))
+    assert (us < vs).any() and (us > vs).any()
+    l = laplacian_from_arrays(n, us, vs, ws)
+    assert l.tobytes() == _one_shot_laplacian(n, us, vs, ws).tobytes()
+
+
+@pytest.mark.parametrize("chunk", [None, 4])
+def test_an_overflow_in_a_later_chunk_names_its_vertex(monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(graph_mod, "_LAPLACIAN_CHUNK", chunk)
+    first = graph_mod._LAPLACIAN_CHUNK
+    us = np.array([0] * first + [3, 1], dtype=np.int64)
+    vs = np.array([1] * first + [0, 3], dtype=np.int64)
+    ws = np.array([1.0] * first + [1e308, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="weighted degree of vertex 3 is not finite"):
+            laplacian_from_arrays(4, us, vs, ws)
 
 
 @settings(max_examples=40, deadline=None)

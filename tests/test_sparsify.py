@@ -2,6 +2,8 @@
 their agreement with an independent dense-indicator reference."""
 
 import math
+import re
+import tracemalloc
 import warnings
 import weakref
 
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from respark import sparsify as sparsify_mod
 from respark.graph import (
     GraphConnectivityError,
     WeightedGraph,
@@ -146,6 +149,20 @@ def test_config_seed_must_be_an_integer():
     assert type(cfg.seed) is int and cfg == StreamConfig(0.5, 0.1, 1.0, 1.0, 10, 45, seed=2)
     with pytest.raises(ConfigError, match="seed must be an integer"):
         cfg.with_seed(2.5)
+
+
+@pytest.mark.parametrize("override", [2.5, 2000.0, np.float64(3.0)])
+def test_config_override_must_be_an_integer(override):
+    # a float would be truncated: 2.5 ran with N = 2 and reported 2.5
+    with pytest.raises(ConfigError, match=re.escape(f"must be an integer, got {override!r}")):
+        StreamConfig(0.5, 0.1, 1.0, 1.0, 10, 45, seed=0, budget_override=override)
+
+
+def test_config_override_takes_a_numpy_integer():
+    cfg = StreamConfig(0.5, 0.1, 1.0, 1.0, 10, 45, seed=0, budget_override=np.int64(2000))
+    assert type(cfg.budget_override) is int and type(cfg.budget_n) is int
+    assert cfg == StreamConfig(0.5, 0.1, 1.0, 1.0, 10, 45, seed=0, budget_override=2000)
+    assert cfg.budget_n == 2000
 
 
 def test_config_equality_and_with_seed():
@@ -964,20 +981,23 @@ def _assert_reads_like_reference(path, n=None):
         assert loaded.n == (1 + max(max(r[0], r[1]) for r in rows) if rows else 0)
 
 
+_LOOSE = (
+    "\n"
+    "# a comment before the header\n"
+    "  # respark sparsifier step=4 N=9 seed=-3   \n"
+    "\n"
+    "0\t1 0.25 0 0 0.5\n"
+    "   \n"
+    "1 2\t\t0.1 2 8 1.0   \n"
+    "# trailing comment\n"
+    "2 0 3e-5 5 3 1e-3\t\n"
+    "\t0 2 1.5 5 4 0.75"
+)
+
+
 def test_reader_columns_match_reference_on_loose_layout(tmp_path):
     p = tmp_path / "loose.sparsifier"
-    p.write_text(
-        "\n"
-        "# a comment before the header\n"
-        "  # respark sparsifier step=4 N=9 seed=-3   \n"
-        "\n"
-        "0\t1 0.25 0 0 0.5\n"
-        "   \n"
-        "1 2\t\t0.1 2 8 1.0   \n"
-        "# trailing comment\n"
-        "2 0 3e-5 5 3 1e-3\t\n"
-        "\t0 2 1.5 5 4 0.75"
-    )
+    p.write_text(_LOOSE)
     _assert_reads_like_reference(p, n=3)
     _assert_reads_like_reference(p)
     loaded = read_sparsifier(p, n=3)
@@ -1114,9 +1134,13 @@ _BAD_LINES = st.one_of(
     header_first=st.sampled_from([True, True, True, False]),
     sep=st.sampled_from(["\n", "\r\n", " \t\n"]),
     n=st.sampled_from([None, 5]),
+    chunk=st.integers(1, 60),
 )
-def test_reader_fuzz_matches_reference(tmp_path_factory, rows, extra, header_first, sep, n):
-    # mostly valid files with up to two inserted lines that may break them
+def test_reader_fuzz_matches_reference(
+    tmp_path_factory, rows, extra, header_first, sep, n, chunk
+):
+    # mostly valid files with up to two inserted lines that may break them,
+    # read whole (the default chunk holds any of them) and in small chunks
     lines = list(rows)
     for pos, line in extra:
         lines.insert(pos, line)
@@ -1125,3 +1149,80 @@ def test_reader_fuzz_matches_reference(tmp_path_factory, rows, extra, header_fir
     p = tmp_path_factory.mktemp("fuzz") / "f.sparsifier"
     p.write_bytes(sep.join(lines).encode("utf-8"))
     _assert_reads_like_reference(p, n)
+    whole = _read_outcome(p, n=n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sparsify_mod, "_READ_CHUNK", chunk)
+        assert _read_outcome(p, n=n) == whole
+
+
+def _read_outcome(path, **kwargs):
+    """What read_sparsifier makes of a file: its error message, or its
+    header fields and the dtype and bytes of every column."""
+    try:
+        h = read_sparsifier(path, **kwargs)
+    except ValueError as exc:
+        return str(exc)
+    cols = (h.u, h.v, h.weight, h.e, h.j, h.p_tilde)
+    return (h.n, h.step, h.budget_n, h.seed, *((c.dtype.str, c.tobytes()) for c in cols))
+
+
+_ROWS = "".join(f"0 1 0.5 {e} 0 1.0\n" for e in range(6))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _LOOSE,  # the header, comments, blank lines and an unterminated last line
+        _LOOSE.replace("\n", "\r\n"),
+        f"{_HEADER}\n{_ROWS}0 1 0.5 6 0 1.0 # note\n{_ROWS}",
+        f"{_HEADER}\n{_ROWS}2 2 0.5 6 0 1.0\n{_ROWS}",
+        f"{_HEADER}\n{_ROWS}0 1 0.5 6 0\n{_ROWS}",
+        f"{_HEADER}\n{_ROWS}0 1 0.5 6 0 1.0\n0 1 0.5 2 0 1.0\n",
+        f"{_ROWS}# respark sparsifier step=x N=5\n{_ROWS}",
+        f"{_ROWS}# other\n{_ROWS}",
+    ],
+    ids=["loose", "crlf", "hash-in-row", "bad-row", "unparsed", "repeat", "bad-header",
+         "no-header"],
+)
+def test_any_chunk_reads_like_the_whole_file(tmp_path, monkeypatch, text):
+    # chunks of 1 to 60 characters put a chunk boundary inside every line
+    p = tmp_path / "chunked.sparsifier"
+    p.write_bytes(text.encode("utf-8"))
+    whole = _read_outcome(p, n=3)
+    for chunk in range(1, 61):
+        monkeypatch.setattr(sparsify_mod, "_READ_CHUNK", chunk)
+        assert _read_outcome(p, n=3) == whole, chunk
+        _assert_reads_like_reference(p, n=3)
+        _assert_reads_like_reference(p)
+
+
+@pytest.mark.parametrize("header", [_HEADER, "# respark sparsifier step=x N=5"])
+def test_a_decode_error_is_reported_at_its_file_offset(tmp_path, monkeypatch, header):
+    # the bad byte lies past the first buffer a chunked read decodes, and the
+    # whole text is decoded before a bad header is looked for
+    p = tmp_path / "bad.sparsifier"
+    head = f"{header}\n{_ROWS * 200}0 1 ".encode()
+    p.write_bytes(head + b"\xff\n")
+    whole = _read_outcome(p)
+    assert whole.startswith(f"{p}: 'utf-8' codec can't decode byte 0xff in position {len(head)}:")
+    monkeypatch.setattr(sparsify_mod, "_READ_CHUNK", 40)
+    assert _read_outcome(p) == whole
+
+
+def test_reading_a_writer_file_holds_little_beyond_its_columns(tmp_path):
+    # a chunk at a time: no whole-file text and no structured copy of every
+    # row, which together held 2.7 times the columns
+    g = generate(GeneratorSpec("erdos-renyi", 8, p=0.6, seed=1))
+    h, _ = stream_sparsify(g, _small_cfg(g, seed=3, budget=110_000), block_size=3,
+                           resistance_mode="exact", diagnostics=False)
+    path = tmp_path / "h.sparsifier"
+    write_sparsifier(h, path)
+    tracemalloc.start()
+    try:
+        loaded = read_sparsifier(path, graph=g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    cols = (loaded.u, loaded.v, loaded.weight, loaded.e, loaded.j, loaded.p_tilde)
+    assert loaded.copy_count() == h.copy_count() >= 100_000
+    assert peak < 1.5 * sum(c.nbytes for c in cols)
