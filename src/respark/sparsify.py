@@ -660,34 +660,49 @@ def write_sparsifier(h: Sparsifier, path) -> None:
             fh.write(head + (tail + head).join(map(str, js.tolist())) + tail)
 
 
+
+
 @dataclass(frozen=True, eq=False)
 class LoadedSparsifier:
-    """A sparsifier file read back: enough state to verify against a graph.
+    """A sparsifier file read back, shaped like Sparsifier.
 
-    The rows are held as columns, one array per field, in file order.
+    e, u, v, weight, p_tilde and count are read-only per-edge columns over
+    the edges with rows in the file, by ascending e: each edge's endpoints,
+    copy weight, probability and number of copies. copies holds the copy
+    ids in CSR order: edge after edge, ascending within an edge. So the
+    memory held is 8 bytes a copy plus the per-edge columns. The Laplacian
+    is built from the merged triples (u, v, count * weight), as Sparsifier
+    builds its own, so a written Sparsifier read back with its n has the
+    same Laplacian bit for bit.
     """
 
     n: int
     step: int
     budget_n: int
     seed: int
+    e: np.ndarray
     u: np.ndarray
     v: np.ndarray
     weight: np.ndarray
-    e: np.ndarray
-    j: np.ndarray
     p_tilde: np.ndarray
+    count: np.ndarray
+    copies: np.ndarray
+
+    def __post_init__(self) -> None:
+        for column in (self.e, self.u, self.v, self.weight, self.p_tilde, self.count, self.copies):
+            _read_only(column)
 
     def copy_count(self) -> int:
-        return len(self.u)
+        return len(self.copies)
 
     def laplacian(self) -> np.ndarray:
-        """Read-only Laplacian of the rows, built on first call."""
+        """Read-only Laplacian of the merged copies, built on first call."""
         return self._laplacian
 
     @cached_property
     def _laplacian(self) -> np.ndarray:
-        return _read_only(laplacian_from_arrays(self.n, self.u, self.v, self.weight))
+        merged = self.count * self.weight
+        return _read_only(laplacian_from_arrays(self.n, self.u, self.v, merged))
 
 
 def read_sparsifier(
@@ -701,86 +716,131 @@ def read_sparsifier(
     64-bit integers u, v, e, j and floats weight, p_tilde, all plain ASCII
     decimals (the grammar of np.loadtxt), with distinct vertex ids in
     [0, n), a finite weight > 0, an edge id e >= 0, a copy index j in
-    [0, N), p_tilde in (0, 1], and no (e, j) pair seen before.
+    [0, N), p_tilde in (0, 1], and no (e, j) pair seen before. All rows of
+    an edge agree in u, v, weight and p_tilde. The rows may come in any
+    order; the writer's is (e, j).
 
     With graph, n is graph.n and the rows must also be what write_sparsifier
     writes for it: e < graph.m, u v are edge e's endpoints in the graph's
-    order, all rows of an edge agree in u, v, weight and p_tilde, and, when
-    the header gives N, the weight is a_e / (N * p_tilde) bit for bit.
+    order, and, when the header gives N, the weight is a_e / (N * p_tilde)
+    bit for bit.
 
     A bad row raises ValueError starting 'path:lineno:', a bad or missing
     header one starting 'path:'.
 
-    The file is read and parsed a chunk of whole lines at a time, so the
-    memory held is the columns plus one chunk; only a file that fails a
-    check is read again whole, to name its error.
+    The file is read and parsed a chunk of whole lines at a time, and each
+    chunk's rows are kept as runs of one edge plus their copy ids, so the
+    memory held is 8 bytes a copy, the runs and one chunk. A file that fails
+    a check is walked again a chunk at a time to find the line at fault;
+    only one that is not UTF-8 is read again whole, to name its offset.
     """
     if graph is not None:
         if n is not None and n != graph.n:
             raise ValueError(f"n={n} differs from the graph's {graph.n} vertices")
         n = graph.n
     bound = math.inf if n is None else n
-    header, cols = _read_columns(path)
+    try:
+        header, runs, copies, stop = _read_runs(path)
+    except ValueError:  # not UTF-8, or a header field that is not an integer
+        _raise_decode_error(path)
+        raise
     budget = (header or {}).get("N", math.inf)
-    if cols is None or _first_bad_row(cols, bound, budget, graph):
-        _reject(path, cols, bound, graph)
+    bad = _first_bad_row(runs, copies, bound, budget, graph)
+    if bad is not None or stop is not None:
+        k, check, earlier = bad or (stop, "parse", -1)
+        raise _row_error(path, runs, copies, k, check, earlier, bound, budget, graph)
     if header is None:
         raise ValueError(f"{path}: missing sparsifier header comment")
+    edges, copies = _per_edge(runs, copies)
     if n is None:
-        n = 1 + int(max(cols["u"].max(), cols["v"].max())) if len(cols["u"]) else 0
+        n = 1 + int(max(edges["u"].max(), edges["v"].max())) if len(edges) else 0
     return LoadedSparsifier(
         n=int(n),
         step=header.get("step", 0),
         budget_n=header.get("N", 0),
         seed=header.get("seed", 0),
-        **cols,
+        **{name: edges[name].copy() for name in _RUN_DTYPE.names},
+        copies=copies,
     )
 
 
 _READ_CHUNK = 2**16  # characters read together, then through the end of a line
 
+# a run: consecutive rows equal in every field but j, held once with their number
+_RUN_DTYPE = np.dtype(
+    [("e", "i8"), ("u", "i8"), ("v", "i8"), ("weight", "f8"), ("p_tilde", "f8"), ("count", "i8")]
+)
 
-def _read_columns(path) -> tuple[dict[str, int] | None, dict[str, np.ndarray] | None]:
-    """(header, columns) of a file read whole lines at a time, or (None,
-    None) at the first chunk that does not decode, holds a bad header or a
-    row that does not parse, or has a '#' inside a row.
 
-    Each field is copied out of a chunk's rows: a view would keep every
-    field of the chunk alive until the columns are joined.
+def _read_runs(path) -> tuple[dict[str, int] | None, np.ndarray, np.ndarray, int | None]:
+    """(header, runs, copy ids, stop) of a file read whole lines at a time.
+
+    The rows are those before the first data line that does not parse or
+    has a '#' inside it; stop is that line's row index, or None when there
+    is no such line. The header is looked for through the whole file. A
+    header field that is not an integer raises its ValueError, and text
+    that is not UTF-8 raises UnicodeDecodeError (at a chunk's offset).
     """
-    header, pieces = None, {name: [np.empty(0, _ROW_DTYPE[name])] for name in _ROW_DTYPE.names}
+    header, stop, count = None, None, 0
+    runs, copies = [np.empty(0, _RUN_DTYPE)], [_NO_COPIES]
+    with open(path, "r", encoding="utf-8") as fh:
+        while text := fh.read(_READ_CHUNK):
+            text += fh.readline()
+            if header is None:
+                header = _read_header(path, text)
+            if stop is not None:
+                continue
+            rows = None if _hash_inside_row(text) else _parse_rows(text.split("\n"))
+            if rows is None:
+                rows = _rows_before_bad_line(text)
+                stop = count + len(rows)
+            count += len(rows)
+            runs.append(_runs(rows))
+            copies.append(rows["j"].copy())  # a view would keep the chunk's rows alive
+    return header, np.concatenate(runs), np.concatenate(copies), stop
+
+
+def _runs(rows: np.ndarray) -> np.ndarray:
+    """Rows as runs: each stretch of rows equal in all fields but j, held once."""
+    fields = _RUN_DTYPE.names[:-1]
+    starts = np.zeros(len(rows), dtype=bool)
+    starts[:1] = True
+    for name in fields:
+        starts[1:] |= rows[name][1:] != rows[name][:-1]
+    starts = np.flatnonzero(starts)
+    runs = np.empty(len(starts), _RUN_DTYPE)
+    for name in fields:
+        runs[name] = rows[name][starts]
+    runs["count"] = np.diff(starts, append=len(rows))
+    return runs
+
+
+def _rows_before_bad_line(text: str) -> np.ndarray:
+    """The rows of a chunk before its first data line that does not parse
+    alone, with no '#' a comment."""
+    lines = [line for line in map(str.strip, text.split("\n"))
+             if line and not line.startswith("#")]
+    good = next(
+        (k for k, line in enumerate(lines) if _parse_rows([line], comments=None) is None),
+        len(lines),
+    )
+    return _parse_rows(lines[:good], comments=None) if good else np.empty(0, _ROW_DTYPE)
+
+
+def _raise_decode_error(path) -> None:
+    """Raise the error of a file that is not UTF-8, at its byte offset in the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            while text := fh.read(_READ_CHUNK):
-                text += fh.readline()
-                if header is None:
-                    header = _read_header(path, text)
-                rows = None if _hash_inside_row(text) else _parse_rows(text.split("\n"))
-                if rows is None:
-                    return None, None
-                for name, piece in pieces.items():
-                    piece.append(rows[name].copy())
-    except ValueError:  # not UTF-8, or a header field that is not an integer
-        return None, None
-    # one field at a time: a field's pieces are freed once it is joined
-    return header, {name: np.concatenate(pieces.pop(name)) for name in _ROW_DTYPE.names}
-
-
-def _reject(
-    path, cols: dict[str, np.ndarray] | None, bound, graph: WeightedGraph | None
-) -> NoReturn:
-    """Raise the error of a file the chunked read refused, from its whole text.
-
-    The whole text gives every message exactly: its decode error (at the
-    file's own byte offset), else its header error, else its first bad row.
-    """
+            while fh.read(_READ_CHUNK):
+                pass
+        return
+    except UnicodeDecodeError:
+        pass
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            fh.read()  # decoded whole, the error names its offset in the file
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    budget = (_read_header(path, text) or {}).get("N", math.inf)
-    raise _row_error(path, text, cols, bound, budget, graph)
 
 
 def _parse_rows(lines, comments: str | None = "#") -> np.ndarray | None:
@@ -850,118 +910,141 @@ _ROW_ERRORS = {
 }
 
 
+def _in_writer_order(runs: np.ndarray, j: np.ndarray) -> bool:
+    """Whether the rows' (e, j) pairs strictly ascend, as the writer writes them."""
+    e = runs["e"]
+    up = j[1:] > j[:-1]
+    at = runs["count"].cumsum()[:-1] - 1  # the last row of each run but the last
+    up[at] = (e[1:] > e[:-1]) | ((e[1:] == e[:-1]) & up[at])
+    return bool(up.all())
+
+
 def _first_bad_row(
-    cols: dict[str, np.ndarray], bound, budget, graph: WeightedGraph | None = None
+    runs: np.ndarray, j: np.ndarray, bound, budget, graph: WeightedGraph | None = None
 ) -> tuple[int, str, int] | None:
-    """The one row contract: (index, check, earlier) for the first row in
-    file order that breaks it, or None. check names the _ROW_ERRORS entry;
-    earlier is the index of the row a "repeat" repeats or a "mixed" row
-    differs from (else -1). The graph checks run only with a graph.
+    """The one row contract, on rows held as runs and their copy ids j:
+    (index, check, earlier) for the first row in file order that breaks it,
+    or None. check names the _ROW_ERRORS entry; earlier is the index of the
+    row a "repeat" repeats or a "mixed" row differs from (else -1). The
+    graph checks run only with a graph.
     """
-    u, v, w, e, j, p = (cols[k] for k in _ROW_DTYPE.names)
+    u, v, w, e, p, count = (runs[k] for k in ("u", "v", "weight", "e", "p_tilde", "count"))
+    starts = count.cumsum() - count
     in_range = (
         (0 <= u) & (u < bound) & (0 <= v) & (v < bound) & (u != v)
         & (0.0 < w) & (w < math.inf) & (0.0 < p) & (p <= 1.0)
     )
-    ok = in_range & (0 <= e) & (0 <= j) & (j < budget)
+    run_ok = in_range & (0 <= e)
     # (index, rank, check, earlier) per broken rule: the earliest row wins,
     # then the lowest rank
     found = []
-    bad = np.flatnonzero(~ok)
+    bad = np.flatnonzero(~(np.repeat(run_ok, count) & (0 <= j) & (j < budget)))
     if len(bad):
-        found.append((int(bad[0]), 0, "range" if not in_range[bad[0]] else "copy", -1))
-    if not ((e[1:] > e[:-1]) | ((e[1:] == e[:-1]) & (j[1:] > j[:-1]))).all():
-        # not in the writer's (e, j) order: a stable sort keeps each pair's
-        # rows together and in file order
-        order = np.lexsort((j, e))
-        eo, jo = e[order], j[order]
+        k = int(bad[0])
+        run = np.searchsorted(starts, k, side="right") - 1
+        found.append((k, 0, "range" if not in_range[run] else "copy", -1))
+    if not _in_writer_order(runs, j):
+        # a stable sort keeps each pair's rows together and in file order
+        rows_e = np.repeat(e, count)
+        order = np.lexsort((j, rows_e))
+        eo, jo = rows_e[order], j[order]
         same = np.flatnonzero((eo[1:] == eo[:-1]) & (jo[1:] == jo[:-1]))
         if len(same):
             k = same[np.argmin(order[same + 1])]
             found.append((int(order[k + 1]), 1, "repeat", int(order[k])))
-    if graph is not None and len(u):
-        found += _graph_breaks(u, v, w, e, p, ok, budget, graph)
+    if len(runs):
+        found += _edge_breaks(runs, starts, run_ok, budget, graph)
     if not found:
         return None
     index, _, check, earlier = min(found)
     return index, check, earlier
 
 
-def _graph_breaks(u, v, w, e, p, ok, budget, graph: WeightedGraph) -> list[tuple]:
-    """_first_bad_row's graph rules, as (index, rank, check, earlier) entries.
+def _edge_breaks(runs, starts, run_ok, budget, graph: WeightedGraph | None) -> list[tuple]:
+    """_first_bad_row's per-edge rules, as (index, rank, check, earlier) entries.
 
-    Every row of an edge must equal the edge's first row in all but j, so
-    the graph rules are checked on first rows only (those that pass the row
-    checks; the row checks report the others).
+    On every read, each row of an edge must equal the edge's first row in
+    all but j ("mixed"), so the graph rules are checked on first rows only
+    (those whose own checks pass; the row checks report the others).
     """
-    # each edge's rows next to each other, in file order
+    # each edge's runs next to each other, in file order
+    e = runs["e"]
     order = None if (e[1:] >= e[:-1]).all() else np.argsort(e, kind="stable")
     in_file = (lambda k: k) if order is None else order.__getitem__
-    cols = [c if order is None else c[order] for c in (u, v, w, p, e)]
-    same_edge = cols[4][1:] == cols[4][:-1]
+    by_edge = runs if order is None else runs[order]
+    same_edge = by_edge["e"][1:] == by_edge["e"][:-1]
     differ = np.zeros_like(same_edge)
-    for c in cols[:4]:
-        differ |= c[1:] != c[:-1]
+    for name in ("u", "v", "weight", "p_tilde"):
+        differ |= by_edge[name][1:] != by_edge[name][:-1]
     found = []
     mixed = np.flatnonzero(same_edge & differ)
     if len(mixed):
         k = mixed[np.argmin(in_file(mixed + 1))]
-        found.append((int(in_file(k + 1)), 4, "mixed", int(in_file(k))))
+        later, earlier = in_file(k + 1), in_file(k)
+        last = starts[earlier] + runs["count"][earlier] - 1  # the earlier run's last row
+        found.append((int(starts[later]), 4, "mixed", int(last)))
+    if graph is None:
+        return found
     firsts = in_file(np.flatnonzero(np.concatenate(([True], ~same_edge))))
-    firsts = firsts[ok[firsts]]
+    firsts = firsts[run_ok[firsts]]
     fe = e[firsts]
     # an edge id past the graph reads the -1 sentinel
     at = np.where(fe < graph.m, fe, graph.m)
     gu, gv = (np.append(x, -1) for x in graph.endpoints())
-    rules = [("edge", (u[firsts] == gu[at]) & (v[firsts] == gv[at]))]
+    rules = [("edge", (runs["u"][firsts] == gu[at]) & (runs["v"][firsts] == gv[at]))]
     if budget < math.inf:
         a = np.append(graph.weights(), np.nan)[at]
-        rules.append(("weight", w[firsts] == a / (budget * p[firsts])))
+        rules.append(("weight", runs["weight"][firsts] == a / (budget * runs["p_tilde"][firsts])))
     for rank, (check, rule_ok) in enumerate(rules, start=2):
-        broken = np.flatnonzero(~rule_ok)
+        broken = firsts[~rule_ok]
         if len(broken):
-            found.append((int(firsts[broken[0]]), rank, check, -1))
+            found.append((int(starts[broken].min()), rank, check, -1))
     return found
 
 
-_WALK_BLOCK = 4096  # lines parsed together while looking for one that does not parse
+def _per_edge(runs: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows that keep the contract as one run per edge, by ascending e, and
+    their copy ids in CSR order: edge after edge, ascending within an edge."""
+    if not _in_writer_order(runs, j):
+        j = j[np.lexsort((j, np.repeat(runs["e"], runs["count"])))]
+        runs = runs[np.argsort(runs["e"], kind="stable")]
+    e = runs["e"]
+    firsts = np.flatnonzero(np.concatenate(([len(e) > 0], e[1:] != e[:-1])))
+    edges = runs[firsts]
+    edges["count"] = np.add.reduceat(runs["count"], firsts)
+    return edges, j
 
 
 def _row_error(
-    path, text: str, cols: dict[str, np.ndarray] | None, bound, budget,
+    path, runs: np.ndarray, j: np.ndarray, k: int, check: str, earlier: int, bound, budget,
     graph: WeightedGraph | None,
 ) -> ValueError:
-    """The 'path:lineno:' error for the first bad row of a file.
-
-    Without the `cols` of a parse of every row, the data lines are walked up
-    to the first that does not parse: through _parse_rows a block at a time,
-    and a line at a time inside a failing block, with no '#' a comment.
-    That line is reported unless _first_bad_row names a row before it.
-    """
-    lines = [
-        (lineno, line)
-        for lineno, line in enumerate((raw.strip() for raw in text.split("\n")), start=1)
-        if line and not line.startswith("#")
-    ]
-    # loadtxt skips exactly the blank and comment lines dropped here, so
-    # row k of the columns is data line k
-    stop = None
-    if cols is None:
-        parsed = [np.empty(0, dtype=_ROW_DTYPE)]
-        for start in range(0, len(lines), _WALK_BLOCK):
-            block = [line for _, line in lines[start:start + _WALK_BLOCK]]
-            rows = _parse_rows(block, comments=None)
-            if rows is None:
-                singles = [_parse_rows([line], comments=None) for line in block]
-                stop = start + next(k for k, row in enumerate(singles) if row is None)
-                parsed += singles[:stop - start]
-                break
-            parsed.append(rows)
-        rows = np.concatenate(parsed)
-        cols = {name: rows[name] for name in _ROW_DTYPE.names}
-    k, check, earlier = _first_bad_row(cols, bound, budget, graph) or (stop, "parse", -1)
-    e, j = (int(cols["e"][k]), int(cols["j"][k])) if earlier >= 0 else (None, None)
+    """The 'path:lineno:' error of row k, which breaks `check` (against row
+    `earlier`, when that is not -1)."""
+    e = copy = None
+    if earlier >= 0:
+        e = int(runs["e"][np.searchsorted(runs["count"].cumsum(), k, side="right")])
+        copy = int(j[k])
+    lines = _data_lines(path, {k, earlier} - {-1})
     m = graph.m if graph is not None else None
     return ValueError(f"{path}:{lines[k][0]}: " + _ROW_ERRORS[check].format(
-        line=lines[k][1], bound=bound, budget=budget, m=m, e=e, j=j, earlier=lines[earlier][0]
+        line=lines[k][1], bound=bound, budget=budget, m=m, e=e, j=copy,
+        earlier=lines.get(earlier, (None,))[0],
     ))
+
+
+def _data_lines(path, rows: set[int]) -> dict[int, tuple[int, str]]:
+    """(line number, stripped text) of the data lines with the given row
+    indices, read a chunk at a time. Row k is the k-th line that is neither
+    blank nor a comment: loadtxt skips exactly those lines."""
+    found, row, lineno = {}, 0, 0
+    with open(path, "r", encoding="utf-8") as fh:
+        while rows - found.keys() and (text := fh.read(_READ_CHUNK)):
+            text += fh.readline()
+            for line in map(str.strip, text.removesuffix("\n").split("\n")):
+                lineno += 1
+                if line and not line.startswith("#"):
+                    if row in rows:
+                        found[row] = (lineno, line)
+                    row += 1
+    return found

@@ -148,6 +148,35 @@ def test_verify_builds_one_projection_context(tmp_path, capsys, monkeypatch):
     assert len(laplacians) == 1  # both instruments read the file's one Laplacian
 
 
+def test_verify_prints_the_in_memory_sparsifiers_numbers(tmp_path, capsys, monkeypatch):
+    # the file reads back to the Laplacian of the sparsifier that was written,
+    # so both instruments print that sparsifier's numbers to the last bit
+    from respark import cli
+    from respark.graph import projection_context
+    from respark.verify import projection_error, spectral_check
+
+    written = []
+    write = cli.write_sparsifier
+    monkeypatch.setattr(cli, "write_sparsifier",
+                        lambda h, path: written.append(h) or write(h, path))
+    graph = _gen(tmp_path)
+    out = tmp_path / "h.sparsifier"
+    assert main([
+        "sparsify", "--input", str(graph), "--epsilon", "0.5",
+        "--budget-override", "3000", "--block-size", "30", "--seed", "5",
+        "--resistance-mode", "exact", "--output", str(out),
+    ]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--graph", str(graph), "--sparsifier", str(out),
+                 "--epsilon", "0.5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    (h,) = written
+    ctx = projection_context(read_edge_list(graph))
+    _, worst = spectral_check(h, ctx, 0.5)
+    proj = projection_error(h, ctx)
+    assert lines[:2] == [f"worst_ratio {worst!r}", f"projection_error {proj!r}"]
+
+
 def test_verify_fails_at_tight_epsilon(tmp_path, capsys):
     graph = _gen(tmp_path)
     out = tmp_path / "h.sparsifier"
@@ -568,6 +597,8 @@ def test_verify_rejects_non_integer_header_fields(tmp_path, capsys, field):
         ("N=2", "0 1 0.5 2 0 1.0\n", "h.sparsifier:2:", "edge id e < 2"),  # e = m
         ("N=2", "1 2 0.5 0 0 1.0\n", "h.sparsifier:2:", "endpoints"),  # edge 1's pair
         ("N=2", "1 0 0.5 0 0 1.0\n", "h.sparsifier:2:", "endpoints"),  # edge 0 reversed
+        # out of edge order, the first bad row in the file is named
+        ("N=2", "2 1 0.5 1 0 1.0\n1 0 0.5 0 0 1.0\n", "h.sparsifier:2:", "endpoints"),
         ("N=2", "0 1 0.5 0 0 1.0\n0 1 1.0 0 1 0.5\n", "h.sparsifier:3:", "e=0 differs from line 2"),
         ("N=2", "0 1 0.5 0 0 1.0\n1 0 0.5 0 1 1.0\n", "h.sparsifier:3:", "e=0 differs from line 2"),
         # out of (e, j) order: edge 0's rows are lines 2 and 4

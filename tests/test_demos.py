@@ -9,6 +9,13 @@ import pytest
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
+# what a demo must print, beyond something
+SAYS = {
+    # the file read back has the in-memory sparsifier's Laplacian bit for bit
+    "streaming_sparsification.py": "laplacians identical = True\n",
+}
+
+
 @pytest.mark.parametrize(
     "name, args",
     [
@@ -24,6 +31,7 @@ def test_demo_runs(name, args, tmp_path, monkeypatch, capsys):
     # the demos write their files under tempfile's directory
     monkeypatch.setattr("tempfile.tempdir", str(tmp_path))
     runpy.run_path(str(path), run_name="__main__")
-    assert capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert out and SAYS.get(name, "") in out
     # demos clean up what they write there
     assert list(tmp_path.iterdir()) == []

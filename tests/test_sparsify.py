@@ -777,7 +777,11 @@ def test_sparsifier_file_round_trip(tmp_path):
     loaded = read_sparsifier(path, n=g.n)
     assert (loaded.step, loaded.budget_n, loaded.seed) == (h.step, 20, 42)
     assert loaded.copy_count() == h.copy_count()
-    assert np.allclose(loaded.laplacian(), h.laplacian(), rtol=1e-12, atol=0)
+    assert np.array_equal(loaded.laplacian(), h.laplacian())
+    alive = list(h.alive)
+    assert loaded.e.tolist() == alive and np.array_equal(loaded.count, h.count[alive])
+    assert np.array_equal(loaded.p_tilde, h.p[alive])
+    assert np.array_equal(loaded.copies, h.copies)
     # without an explicit n the vertex count is inferred from endpoints
     inferred = read_sparsifier(path)
     assert inferred.n <= g.n
@@ -907,7 +911,7 @@ def test_writer_bytes_match_reference_without_copies(tmp_path):
 def _reference_read(path, n=None):
     """The row-at-a-time reader the columnar one replaced, with every check
     of the file contract. Returns (header, rows) or raises ValueError."""
-    header, rows, first_seen = None, [], {}
+    header, rows, first_seen, edge_fields = None, [], {}, {}
     bound = math.inf if n is None else n
 
     def number(kind, tok):
@@ -942,6 +946,8 @@ def _reference_read(path, n=None):
                 and 0 < p <= 1 and 0 <= e < 2**63 and 0 <= j < budget and j < 2**63
                 and u < 2**63 and v < 2**63 and (e, j) not in first_seen):
             raise ValueError(f"{path}:{lineno}: range")
+        if edge_fields.setdefault(e, (u, v, w, p)) != (u, v, w, p):
+            raise ValueError(f"{path}:{lineno}: mixed")  # differs from the edge's first row
         first_seen[e, j] = lineno
         rows.append((u, v, w, e, j, p))
     if header is None:
@@ -970,13 +976,18 @@ def _assert_reads_like_reference(path, n=None):
     assert (loaded.step, loaded.budget_n, loaded.seed) == (
         header.get("step", 0), header.get("N", 0), header.get("seed", 0)
     )
-    cols = list(zip(*rows)) if rows else [()] * 6
-    for got, want, dtype in zip(
-        (loaded.u, loaded.v, loaded.weight, loaded.e, loaded.j, loaded.p_tilde),
-        cols,
-        (np.int64, np.int64, float, np.int64, np.int64, float),
-    ):
-        assert np.array_equal(got, np.array(want, dtype=dtype))
+    # per edge by ascending e: its fields, its number of copies and its copy ids, ascending
+    ids = {}
+    for u, v, w, e, j, p in rows:
+        ids.setdefault((e, u, v, w, p), []).append(j)
+    edges = sorted(ids)  # one key per edge, as an edge's rows agree
+    want = dict(zip(("e", "u", "v", "weight", "p_tilde"), zip(*edges) if edges else [()] * 5),
+                count=[len(ids[k]) for k in edges],
+                copies=[j for k in edges for j in sorted(ids[k])])
+    for name, values in want.items():
+        dtype = float if name in ("weight", "p_tilde") else np.int64
+        got = getattr(loaded, name)
+        assert got.dtype == dtype and np.array_equal(got, np.array(values, dtype=dtype)), name
     if n is None:
         assert loaded.n == (1 + max(max(r[0], r[1]) for r in rows) if rows else 0)
 
@@ -991,7 +1002,7 @@ _LOOSE = (
     "1 2\t\t0.1 2 8 1.0   \n"
     "# trailing comment\n"
     "2 0 3e-5 5 3 1e-3\t\n"
-    "\t0 2 1.5 5 4 0.75"
+    "\t0 2 1.5 6 4 0.75"
 )
 
 
@@ -1002,7 +1013,7 @@ def test_reader_columns_match_reference_on_loose_layout(tmp_path):
     _assert_reads_like_reference(p)
     loaded = read_sparsifier(p, n=3)
     assert (loaded.step, loaded.budget_n, loaded.seed, loaded.copy_count()) == (4, 9, -3, 4)
-    assert loaded.j.tolist() == [0, 8, 3, 4]
+    assert loaded.e.tolist() == [0, 2, 5, 6] and loaded.copies.tolist() == [0, 8, 3, 4]
 
 
 def test_reader_reports_true_line_of_bad_row(tmp_path):
@@ -1109,13 +1120,16 @@ _TOKENS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
     st.sampled_from(["nan", "-inf", "inf", "1_0", "0x1", "1.0", "+2", "007", "٣", "#", "#c", "1e999"]),
 )
-# rows valid under the header '# respark sparsifier step=2 N=6 seed=1' and n = 5
-_GOOD_ROWS = st.lists(
-    st.tuples(st.integers(0, 4), st.integers(1, 4), st.floats(1e-6, 1e3), st.integers(0, 4),
-              st.integers(0, 5), st.floats(1e-6, 1.0)),
-    max_size=8,
-    unique_by=lambda r: (r[3], r[4]),
-).map(lambda rows: [f"{u} {(u + d) % 5} {w!r} {e} {j} {p!r}" for u, d, w, e, j, p in rows])
+# rows valid under the header '# respark sparsifier step=2 N=6 seed=1' and n = 5; u, v,
+# weight and p_tilde follow from e, so the rows of an edge agree and edges have several
+_GOOD_ROWS = st.tuples(
+    st.lists(st.tuples(st.integers(0, 4), st.integers(0, 5)), max_size=8, unique=True),
+    st.floats(1e-6, 1e3),
+    st.floats(1e-6, 1.0),
+).map(lambda drawn: [
+    f"{e} {(e + 1 + e % 3) % 5} {drawn[1] / (e + 1)!r} {e} {j} {drawn[2] / (e + 1)!r}"
+    for e, j in drawn[0]
+])
 _ROW = _GOOD_ROWS.filter(bool).map(lambda rows: rows[0])
 _BAD_LINES = st.one_of(
     _ROW,  # may repeat an (e, j) pair of the good rows
@@ -1162,11 +1176,14 @@ def _read_outcome(path, **kwargs):
         h = read_sparsifier(path, **kwargs)
     except ValueError as exc:
         return str(exc)
-    cols = (h.u, h.v, h.weight, h.e, h.j, h.p_tilde)
+    cols = (h.e, h.u, h.v, h.weight, h.p_tilde, h.count, h.copies, h.laplacian())
     return (h.n, h.step, h.budget_n, h.seed, *((c.dtype.str, c.tobytes()) for c in cols))
 
 
 _ROWS = "".join(f"0 1 0.5 {e} 0 1.0\n" for e in range(6))
+# three edges of five copies each, every edge wider than the smaller chunks
+_COPIES = [f"{e} {e + 1} {0.5 / (e + 1)!r} {e} {j} {1.0 / (e + 1)!r}\n"
+           for e in range(3) for j in range(5)]
 
 
 @pytest.mark.parametrize(
@@ -1180,9 +1197,12 @@ _ROWS = "".join(f"0 1 0.5 {e} 0 1.0\n" for e in range(6))
         f"{_HEADER}\n{_ROWS}0 1 0.5 6 0 1.0\n0 1 0.5 2 0 1.0\n",
         f"{_ROWS}# respark sparsifier step=x N=5\n{_ROWS}",
         f"{_ROWS}# other\n{_ROWS}",
+        f"{_HEADER}\n" + "".join(_COPIES),
+        f"{_HEADER}\n" + "".join(_COPIES[::-1]),
+        f"{_HEADER}\n" + "".join(_COPIES[:7]) + "1 2 0.25 1 3 0.75\n" + "".join(_COPIES[9:]),
     ],
     ids=["loose", "crlf", "hash-in-row", "bad-row", "unparsed", "repeat", "bad-header",
-         "no-header"],
+         "no-header", "copies", "copies-reversed", "mixed"],
 )
 def test_any_chunk_reads_like_the_whole_file(tmp_path, monkeypatch, text):
     # chunks of 1 to 60 characters put a chunk boundary inside every line
@@ -1209,20 +1229,82 @@ def test_a_decode_error_is_reported_at_its_file_offset(tmp_path, monkeypatch, he
     assert _read_outcome(p) == whole
 
 
-def test_reading_a_writer_file_holds_little_beyond_its_columns(tmp_path):
-    # a chunk at a time: no whole-file text and no structured copy of every
-    # row, which together held 2.7 times the columns
+def _large_writer_file(tmp_path):
+    """A graph and the file of its sparsifier with more than 100k copies."""
     g = generate(GeneratorSpec("erdos-renyi", 8, p=0.6, seed=1))
     h, _ = stream_sparsify(g, _small_cfg(g, seed=3, budget=110_000), block_size=3,
                            resistance_mode="exact", diagnostics=False)
     path = tmp_path / "h.sparsifier"
     write_sparsifier(h, path)
+    assert h.copy_count() >= 100_000
+    return g, h, path
+
+
+def _traced_peak(read):
+    """(result of read(), the peak memory traced while it ran)."""
     tracemalloc.start()
     try:
-        loaded = read_sparsifier(path, graph=g)
-        _, peak = tracemalloc.get_traced_memory()
+        result = read()
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    cols = (loaded.u, loaded.v, loaded.weight, loaded.e, loaded.j, loaded.p_tilde)
-    assert loaded.copy_count() == h.copy_count() >= 100_000
-    assert peak < 1.5 * sum(c.nbytes for c in cols)
+
+
+def test_reading_a_writer_file_holds_little_beyond_its_columns(tmp_path):
+    # a chunk at a time, each chunk's rows kept as runs of one edge plus their
+    # copy ids: joining the ids' pieces holds them twice
+    g, h, path = _large_writer_file(tmp_path)
+    loaded, peak = _traced_peak(lambda: read_sparsifier(path, graph=g))
+    assert loaded.copy_count() == h.copy_count()
+    assert peak < 2.5 * loaded.copies.nbytes
+
+
+@pytest.mark.parametrize(
+    "last", ["{u} {v} {w} {e} 110000 {p}", "{u} {v} {w} {e} 7", "{u} {v} 0.5 {e} 7 {p}"],
+    ids=["copy-index", "five-fields", "mixed"],
+)
+def test_a_bad_last_row_is_named_in_bounded_memory(tmp_path, last):
+    # the error path walks the file a chunk at a time, holding no object per line
+    g, h, path = _large_writer_file(tmp_path)
+    lines = path.read_text().splitlines()
+    u, v, w, e, _, p = lines[-1].split()
+    lines[-1] = last.format(u=u, v=v, w=w, e=e, p=p)
+    path.write_text("\n".join(lines) + "\n")
+    exc, peak = _traced_peak(lambda: pytest.raises(ValueError, read_sparsifier, path, graph=g))
+    assert str(exc.value).startswith(f"{path}:{len(lines)}: ")
+    assert peak < 2 * path.stat().st_size
+
+
+def test_a_shuffled_writer_file_reads_like_the_writers_order(tmp_path):
+    g = generate(GeneratorSpec("erdos-renyi", 8, p=0.6, seed=1))
+    h, _ = stream_sparsify(g, _small_cfg(g, seed=3, budget=40), block_size=3,
+                           resistance_mode="exact", diagnostics=False)
+    ordered, shuffled = tmp_path / "ordered.sparsifier", tmp_path / "shuffled.sparsifier"
+    write_sparsifier(h, ordered)
+    header, *rows = ordered.read_text().splitlines(keepends=True)
+    assert len(rows) == h.copy_count() > 2 * len(h.alive)
+    np.random.default_rng(0).shuffle(rows)
+    shuffled.write_text(header + "".join(rows))
+    whole = _read_outcome(ordered, graph=g)
+    assert _read_outcome(shuffled, graph=g) == whole
+    with pytest.MonkeyPatch.context() as mp:
+        for chunk in (1, 17, 60):
+            mp.setattr(sparsify_mod, "_READ_CHUNK", chunk)
+            assert _read_outcome(shuffled, graph=g) == whole
+
+
+@pytest.mark.parametrize("n", [None, 3])
+@pytest.mark.parametrize(
+    "body, lineno",
+    [
+        ("0 1 0.5 0 0 1.0\n0 1 0.5 0 1 0.5\n", 3),  # p_tilde
+        ("0 1 0.5 0 0 1.0\n\n# note\n1 0 0.5 0 1 1.0\n", 5),  # endpoints' order
+        ("0 1 0.5 0 0 1.0\n1 2 0.5 1 0 1.0\n0 1 0.25 0 1 1.0\n", 4),  # weight, out of order
+    ],
+)
+def test_a_disagreeing_edge_is_refused_without_a_graph(tmp_path, body, lineno, n):
+    p = tmp_path / "mixed.sparsifier"
+    p.write_text(f"{_HEADER}\n{body}")
+    with pytest.raises(ValueError, match=rf"mixed\.sparsifier:{lineno}: edge e=0 differs from "
+                                         r"line 2 in u v, weight or p_tilde$"):
+        read_sparsifier(p, n=n)
