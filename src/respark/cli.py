@@ -112,12 +112,12 @@ def _cmd_gen(args) -> int:
 def _cmd_resistances(args) -> int:
     g = read_edge_list(args.graph)
     factors = pseudo_factorize(build_laplacian(g))
-    pairs = [(e.u, e.v) for e in g.edges]
-    estimates = exact_resistances(factors, pairs, range(g.m))
+    us, vs = g.u.tolist(), g.v.tolist()
+    estimates = exact_resistances(factors, list(zip(us, vs)), range(g.m))
     total = 0.0
-    for e, est in zip(g.edges, estimates):
-        total += e.weight * est.r_tilde
-        print(f"{e.u} {e.v} {e.weight!r} {est.r_tilde!r}")
+    for u, v, a, est in zip(us, vs, g.weight.tolist(), estimates):
+        total += a * est.r_tilde
+        print(f"{u} {v} {a!r} {est.r_tilde!r}")
     print(f"# sum_check {total!r} {g.n - 1}")
     return 0
 

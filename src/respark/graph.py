@@ -39,6 +39,7 @@ __all__ = [
 # eigenvalues and in a Laplacian's row sums. Well-conditioned desk-scale
 # Laplacians have a spectral gap many orders of magnitude above this.
 DEFAULT_NULL_TOLERANCE = 1e-10
+_ENDPOINT_ERROR = "edge {}: endpoints ({}, {}) out of range for n={}"
 
 
 class GraphConnectivityError(ValueError):
@@ -51,66 +52,82 @@ class Edge(NamedTuple):
     weight: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedGraph:
-    """Undirected weighted graph with an ordered edge list.
-
-    The edge list order is the stream order and is preserved exactly.
-    Duplicate (u, v) pairs are permitted and remain distinct stream items;
-    their weights add in the Laplacian.
-    """
+    """Undirected weighted graph as read-only per-edge columns: int64
+    endpoints u, v in [0, n) and a finite float64 weight > 0, copied and
+    checked on construction, which names the first bad edge (its endpoints
+    checked first, then a self-loop, then its weight). The edge order is the
+    stream order; duplicate (u, v) pairs remain distinct stream items and
+    add in the Laplacian. edges, the Edge triples for callers that iterate,
+    is built on first read. Graphs are equal when n and every column are."""
 
     n: int
-    edges: tuple[Edge, ...]
+    u: np.ndarray
+    v: np.ndarray
+    weight: np.ndarray
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"vertex count must be positive, got {self.n}")
-        for k, (u, v, a) in enumerate(self.edges):
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(
-                    f"edge {k}: endpoints ({u}, {v}) out of range for n={self.n}"
-                )
-            if u == v:
-                raise ValueError(f"edge {k}: self-loop at vertex {u}")
-            if not 0 < a < math.inf:
-                raise ValueError(f"edge {k}: weight must be positive and finite, got {a}")
+        u, v = np.array(self.u, np.int64), np.array(self.v, np.int64)
+        w = np.array(self.weight, float)
+        if not u.ndim == 1 or not u.shape == v.shape == w.shape:
+            raise ValueError(f"need 3 columns of one length, got {u.shape} {v.shape} {w.shape}")
+        for name, column in (("u", u), ("v", v), ("weight", w)):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        bad_end = (u < 0) | (u >= self.n) | (v < 0) | (v >= self.n)
+        bad = bad_end | (u == v) | ~((0.0 < w) & (w < math.inf))
+        if bad.any():
+            k = int(bad.argmax())
+            if bad_end[k]:
+                raise ValueError(_ENDPOINT_ERROR.format(k, u[k], v[k], self.n))
+            if u[k] == v[k]:
+                raise ValueError(f"edge {k}: self-loop at vertex {int(u[k])}")
+            raise ValueError(f"edge {k}: weight must be positive and finite, got {float(w[k])}")
 
     @classmethod
     def from_edges(
         cls, n: int, edges: Iterable[tuple[int, int, float]]
     ) -> "WeightedGraph":
-        return cls(n, tuple(Edge(int(u), int(v), float(a)) for u, v, a in edges))
+        """A graph of (u, v, weight) triples, each converted by int() and float()."""
+        triples = [(int(u), int(v), float(a)) for u, v, a in edges]
+        try:
+            columns = np.array(triples, dtype=[("u", "i8"), ("v", "i8"), ("w", "f8")])
+        except OverflowError:  # an endpoint past int64, out of range for any usable n
+            k = next(k for k, (u, v, _) in enumerate(triples) if not -2**63 <= u < 2**63
+                     or not -2**63 <= v < 2**63)
+            cls.from_edges(n, triples[:k])  # an earlier bad edge is named first
+            raise ValueError(_ENDPOINT_ERROR.format(k, *triples[k][:2], n)) from None
+        return cls(n, columns["u"], columns["v"], columns["w"])
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, WeightedGraph) and self.n == other.n and all(map(
+            np.array_equal, (self.u, self.v, self.weight), (other.u, other.v, other.weight)))
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        return tuple(map(Edge, self.u.tolist(), self.v.tolist(), self.weight.tolist()))
 
     @property
     def m(self) -> int:
-        return len(self.edges)
-
-    def weights(self) -> np.ndarray:
-        return np.array([e.weight for e in self.edges], dtype=float)
-
-    def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
-        """Integer arrays (us, vs) of the edge endpoints, in edge order."""
-        return (
-            np.array([e.u for e in self.edges], dtype=int),
-            np.array([e.v for e in self.edges], dtype=int),
-        )
+        return len(self.u)
 
     def prefix(self, count: int) -> "WeightedGraph":
         """The partial graph formed by the first `count` stream items."""
         if not 0 <= count <= self.m:
             raise ValueError(f"prefix length {count} outside [0, {self.m}]")
-        return WeightedGraph(self.n, self.edges[:count])
+        return WeightedGraph(self.n, self.u[:count], self.v[:count], self.weight[:count])
 
     def laplacian(self) -> np.ndarray:
         return build_laplacian(self)
 
     def kappa(self) -> float:
         """Weight-spread parameter sqrt(a_max / a_min)."""
-        if not self.edges:
+        if not self.m:
             return 1.0
-        w = self.weights()
-        return float(np.sqrt(w.max() / w.min()))
+        return float(np.sqrt(self.weight.max() / self.weight.min()))
 
 
 def build_laplacian(g: WeightedGraph) -> np.ndarray:
@@ -128,7 +145,7 @@ def build_laplacian(g: WeightedGraph) -> np.ndarray:
     """
     if g.m == 0:
         raise ValueError("graph has no edges")
-    return laplacian_from_arrays(g.n, *g.endpoints(), g.weights())
+    return laplacian_from_arrays(g.n, g.u, g.v, g.weight)
 
 
 _LAPLACIAN_CHUNK = 2**15  # rows whose cells and masses are accumulated together
@@ -297,7 +314,7 @@ class ProjectionContext:
         """Read-only a_e r_e = ||v_e||^2 of every reference edge, in edge
         order; computed on first use and kept with the context."""
         g = self.graph
-        lev = g.weights() * self.factors.resistances([(e.u, e.v) for e in g.edges])
+        lev = g.weight * self.factors.resistances(np.column_stack((g.u, g.v)))
         lev.flags.writeable = False
         return lev
 
@@ -360,7 +377,7 @@ def component_count(g: WeightedGraph) -> int:
     whose spanning tree comes first is answered from its tree."""
     uf = _UnionFind(g.n)
     count = g.n
-    for u, v, _ in g.edges:
+    for u, v in zip(g.u.tolist(), g.v.tolist()):
         if uf.union(u, v):
             count -= 1
             if count == 1:

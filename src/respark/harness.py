@@ -83,29 +83,30 @@ def tree_first_order(g: WeightedGraph) -> WeightedGraph:
     driver generates graphs in this order.
     """
     uf = _UnionFind(g.n)
-    tree, rest = [], []
-    for e in g.edges:
-        (tree if uf.union(e.u, e.v) else rest).append(e)
-    return WeightedGraph(g.n, tuple(tree + rest))
+    tree = np.array([uf.union(u, v) for u, v in zip(g.u.tolist(), g.v.tolist())], dtype=bool)
+    order = np.concatenate((np.flatnonzero(tree), np.flatnonzero(~tree)))
+    return WeightedGraph(g.n, g.u[order], g.v[order], g.weight[order])
 
 
-def _pair_topology(spec: GeneratorSpec, rng: np.random.Generator) -> list[tuple[int, int]]:
+def _pair_topology(spec: GeneratorSpec, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The model's vertex pairs as endpoint columns (i, j)."""
     n = spec.n
-    if spec.model == "path":
-        return [(i, i + 1) for i in range(n - 1)]
-    if spec.model == "cycle":
-        return [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)]
+    if spec.model in ("path", "cycle"):
+        i = np.arange(n - 1)
+        if spec.model == "cycle":
+            return np.append(i, n - 1), np.append(i + 1, 0)
+        return i, i + 1
     if spec.model == "barbell":
         k = n // 2
-        left = [(i, j) for i in range(k) for j in range(i + 1, k)]
-        right = [(i, j) for i in range(k, n) for j in range(i + 1, n)]
-        return left + right + [(max(k - 1, 0), k)]
+        (li, lj), (ri, rj) = np.triu_indices(k, 1), np.triu_indices(n - k, 1)
+        return (np.concatenate((li, ri + k, [max(k - 1, 0)])),
+                np.concatenate((lj, rj + k, [k])))
     # complete, or erdos-renyi keeping each pair on one draw in row-major order
     i, j = np.triu_indices(n, 1)
     if spec.model == "erdos-renyi":
         keep = rng.random(len(i)) < spec.p
         i, j = i[keep], j[keep]
-    return list(zip(i.tolist(), j.tolist()))
+    return i, j
 
 
 @functools.lru_cache(maxsize=1)
@@ -118,15 +119,14 @@ def generate(spec: GeneratorSpec) -> WeightedGraph:
     driver it hands the spec to share one generation.
     """
     rng = np.random.default_rng(spec.seed)
-    pairs = _pair_topology(spec, rng)
+    i, j = _pair_topology(spec, rng)
     uf = _UnionFind(spec.n)
-    for u, v in pairs:
+    for u, v in zip(i.tolist(), j.tolist()):
         uf.union(u, v)
-    reps = sorted({uf.find(i) for i in range(spec.n)})
-    pairs.extend(zip(reps, reps[1:]))  # connectors between components
-    weights = rng.uniform(spec.weight_min, spec.weight_max, size=len(pairs))
-    g = WeightedGraph.from_edges(spec.n, [(u, v, float(w)) for (u, v), w in zip(pairs, weights)])
-    return tree_first_order(g)
+    reps = np.array(sorted({uf.find(x) for x in range(spec.n)}))
+    i, j = np.append(i, reps[:-1]), np.append(j, reps[1:])  # connectors between components
+    weights = rng.uniform(spec.weight_min, spec.weight_max, size=len(i))
+    return tree_first_order(WeightedGraph(spec.n, i, j, weights))
 
 
 def clopper_pearson(failures: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:

@@ -52,11 +52,11 @@ class ResistanceEstimate:
             raise ValueError(f"accuracy parameter must be >= 1, got {self.alpha}")
 
 
-def _check_same_component(factors: PseudoinverseFactors, pairs: Sequence[tuple[int, int]]) -> None:
-    ends = factors.labels[np.array(pairs, dtype=int).reshape(-1, 2)]
-    bad = np.flatnonzero(ends[:, 0] != ends[:, 1])
+def _check_same_component(factors: PseudoinverseFactors, ends: np.ndarray) -> None:
+    labels = factors.labels[ends]
+    bad = np.flatnonzero(labels[:, 0] != labels[:, 1])
     if len(bad):
-        u, v = pairs[bad[0]]
+        u, v = ends[bad[0]].tolist()
         raise GraphConnectivityError(
             f"endpoints ({u}, {v}) lie in different components; resistance is infinite"
         )
@@ -65,12 +65,13 @@ def _check_same_component(factors: PseudoinverseFactors, pairs: Sequence[tuple[i
 def _estimates(
     factors: PseudoinverseFactors, pairs: Sequence, edge_ids: Sequence[int] | None, alpha: float
 ) -> list[ResistanceEstimate]:
-    """Resistances b^T L+ b of endpoint pairs, tagged with accuracy alpha."""
-    pairs = [(int(p[0]), int(p[1])) for p in pairs]
-    ids = range(len(pairs)) if edge_ids is None else edge_ids
-    _check_same_component(factors, pairs)
-    rs = factors.resistances(pairs)
-    return [ResistanceEstimate(i, float(r), alpha) for i, r in zip(ids, rs)]
+    """Resistances b^T L+ b of endpoint pairs (a sequence of (u, v) or a
+    (k, 2) array), tagged with accuracy alpha."""
+    ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    ids = range(len(ends)) if edge_ids is None else edge_ids
+    _check_same_component(factors, ends)
+    rs = factors.resistances(ends)
+    return [ResistanceEstimate(i, r, alpha) for i, r in zip(ids, rs.tolist())]
 
 
 def exact_resistance(
@@ -92,7 +93,7 @@ def exact_resistance(
     GraphConnectivityError
         If the endpoints lie in different components (infinite resistance).
     """
-    return _estimates(factors, [edge], [edge_id], 1.0)[0]
+    return _estimates(factors, [edge[:2]], [edge_id], 1.0)[0]
 
 
 def exact_resistances(

@@ -8,8 +8,8 @@ per-edge columns (probability, surviving copy count) plus the surviving
 copy ids; three entry points differ only in what the loop records.
 `stream_sparsify` returns the final sparsifier and, with diagnostics on,
 one DiagnosticsRecord per step. `indicator_stream` also returns the
-per-step StreamTrace, whose rows are the states' own columns, and
-optionally the full (m, N) copy-indicator row per step.
+per-step StreamTrace, whose rows are the states' own columns, the copy
+ids included when asked for.
 `single_edge_stream` is `indicator_stream` with block size 1. All of them
 consume the same keyed random tape, so for a fixed block partition they
 produce bit-identical copy sets.
@@ -17,6 +17,7 @@ produce bit-identical copy sets.
 
 from __future__ import annotations
 
+import codecs
 import math
 import operator
 import warnings
@@ -29,7 +30,6 @@ import numpy as np
 
 from . import verify
 from .graph import (
-    Edge,
     ProjectionContext,
     WeightedGraph,
     build_laplacian,
@@ -173,7 +173,7 @@ class StreamConfig:
         budget_override: int | None = None,
     ) -> "StreamConfig":
         """Build a config whose n, m, kappa are taken from the graph."""
-        w = g.weights()
+        w = g.weight
         if len(w) and w.max() > 1.0:
             warnings.warn(
                 f"max edge weight {w.max():.3g} exceeds 1; the budget constants "
@@ -208,26 +208,25 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-_MERGED_DTYPE = np.dtype([("u", "i8"), ("v", "i8"), ("weight", "f8")])
 _NO_COPIES = _read_only(np.empty(0, dtype=np.int64))
 
 
 @dataclass(frozen=True, eq=False)
 class Sparsifier:
-    """State after step `step`, as read-only columns over the m stream edges.
+    """State after step `step`, as read-only columns over the m edges of graph.
 
     p and count hold each edge's probability and surviving copies; an unseen
     edge holds p = 1 with all N copies, and a dead edge keeps its last p
     (it never re-enters the graph). copies holds the surviving copy ids of
     the seen edges in CSR order: edge after edge, ascending within an edge.
     Each copy of edge e carries weight a_e / (N * p[e]). resparsify returns
-    a new instance; alive and p_tilde are mappings derived from the columns.
+    a new instance; alive and p_tilde are mappings derived from the columns,
+    n and edges the graph's.
     """
 
     config: StreamConfig
     step: int
-    n: int
-    edges: tuple[Edge, ...]
+    graph: WeightedGraph
     arrived: int
     p: np.ndarray
     count: np.ndarray
@@ -239,7 +238,10 @@ class Sparsifier:
 
     @classmethod
     def empty(cls, g: WeightedGraph, cfg: StreamConfig) -> "Sparsifier":
-        return cls(cfg, 0, g.n, g.edges, 0, np.ones(g.m), np.full(g.m, cfg.budget_n), _NO_COPIES)
+        return cls(cfg, 0, g, 0, np.ones(g.m), np.full(g.m, cfg.budget_n), _NO_COPIES)
+
+    n = property(lambda self: self.graph.n)
+    edges = property(lambda self: self.graph.edges)
 
     @property
     def budget_n(self) -> int:
@@ -261,19 +263,11 @@ class Sparsifier:
         return len(self.copies)
 
     def copy_weight(self, edge_id: int) -> float:
-        return self.edges[edge_id].weight / (self.budget_n * self.p_tilde[edge_id])
+        return float(self.graph.weight[edge_id]) / (self.budget_n * self.p_tilde[edge_id])
 
     def _targets(self, block: Sequence[int]) -> list[int]:
         """The alive edges in id order, then `block` (unseen, so ascending)."""
         return [*self.alive, *block]
-
-    def _merged(self, block: Sequence[int] = ()) -> np.ndarray:
-        """(u, v, weight) rows: each alive edge's merged copies, then `block`'s raw edges."""
-        ids = self._targets(block)
-        rows = np.array([self.edges[e] for e in ids], dtype=_MERGED_DTYPE)
-        alive, a = ids[: len(ids) - len(block)], rows["weight"]
-        a[: len(alive)] = self.count[alive] * (a[: len(alive)] / (self.budget_n * self.p[alive]))
-        return rows
 
     def laplacian(self) -> np.ndarray:
         """Read-only Laplacian of the merged copies, built on first call."""
@@ -281,12 +275,17 @@ class Sparsifier:
 
     @cached_property
     def _laplacian(self) -> np.ndarray:
-        rows = self._merged()
-        return _read_only(laplacian_from_arrays(self.n, rows["u"], rows["v"], rows["weight"]))
+        merged = self.combined_with(())  # no edges when no copy survives: all zeros
+        return _read_only(laplacian_from_arrays(self.n, merged.u, merged.v, merged.weight))
 
     def combined_with(self, block: Sequence[int]) -> WeightedGraph:
-        """The merged sparsifier plus the raw edges of the next block."""
-        return WeightedGraph.from_edges(self.n, self._merged(block).tolist())
+        """The merged sparsifier (each alive edge once, at weight
+        count * a_e / (N * p)) plus the raw edges of the next block."""
+        g, ids = self.graph, np.array(self._targets(block), dtype=np.int64)
+        alive = ids[: len(ids) - len(block)]
+        w = g.weight[ids]
+        w[: len(alive)] = self.count[alive] * (w[: len(alive)] / (self.budget_n * self.p[alive]))
+        return WeightedGraph(g.n, g.u[ids], g.v[ids], w)
 
 
 def resparsify(
@@ -327,9 +326,10 @@ def resparsify(
 
     p, count = h_prev.p.copy(), h_prev.count.copy()
     kept = []
-    for e, prev in zip(targets, h_prev.p[targets].tolist()):
+    weights, p_prev = h_prev.graph.weight[targets].tolist(), h_prev.p[targets].tolist()
+    for e, a, prev in zip(targets, weights, p_prev):
         # min rule: p <= prev makes the survival ratio p / prev <= 1 exactly
-        p_e = min(h_prev.edges[e].weight * rmap[e] / (alpha * (n - 1)), 1.0, prev)
+        p_e = min(a * rmap[e] / (alpha * (n - 1)), 1.0, prev)
         if e >= h_prev.arrived:
             kept.append(np.flatnonzero(tape.uniforms(s, e, N) <= p_e / prev))
         else:
@@ -338,7 +338,7 @@ def resparsify(
             kept.append(js[tape.uniforms(s, e, N, at=js) <= p_e / prev])
         p[e], count[e] = p_e, len(kept[-1])
     copies = np.concatenate(kept)
-    return Sparsifier(cfg, s, n, h_prev.edges, h_prev.arrived + len(block), p, count, copies)
+    return Sparsifier(cfg, s, h_prev.graph, h_prev.arrived + len(block), p, count, copies)
 
 
 class _PrefixReference:
@@ -371,8 +371,8 @@ class _PrefixReference:
     @cached_property
     def exact(self) -> list[ResistanceEstimate]:
         """The oracle's estimate of every prefix edge, indexed by edge id."""
-        pairs = [(e.u, e.v) for e in self.graph.edges]
-        return exact_resistances(self.grounded.factors, pairs)
+        g = self.graph
+        return exact_resistances(self.grounded.factors, np.column_stack((g.u, g.v)))
 
     @cached_property
     def spectral(self) -> ProjectionContext:
@@ -415,12 +415,12 @@ def _step_estimates(
         # inflated estimates pin every probability at 1; exercises the
         # exact-reconstruction path
         return [
-            ResistanceEstimate(e, cfg.alpha * (cfg.n - 1) / g.edges[e].weight, cfg.alpha)
-            for e in targets
+            ResistanceEstimate(e, cfg.alpha * (cfg.n - 1) / a, cfg.alpha)
+            for e, a in zip(targets, g.weight[targets].tolist())
         ]
     if mode == "sparsifier":
         combined = h_prev.combined_with(block)
-        pairs = [(g.edges[e].u, g.edges[e].v) for e in targets]
+        pairs = np.column_stack((g.u[targets], g.v[targets]))
         return resistances_from_sparsifier(combined, pairs, cfg.eps, targets)
     exact = [ref.exact[e] for e in targets]
     if mode == "exact":
@@ -431,18 +431,17 @@ def _step_estimates(
 
 @dataclass
 class StreamTrace:
-    """Per-step probability and aliveness history of one stream run.
+    """Per-step probability and aliveness history of one stream run over graph.
 
     Row s describes the state after step s (row 0 is the initial state);
     p_steps[s] and alive_steps[s] are that state's own p and count columns,
     so unseen edges hold p = 1 with all N copies alive and the analysis
     formulas apply verbatim to every row. copy_steps, when recorded, holds
-    the full (m, N) indicator matrix per step.
+    each state's own copies column, shared with it (CSR by alive_steps[s]).
     """
 
-    n: int
+    graph: WeightedGraph
     budget_n: int
-    edges: tuple[Edge, ...]
     arrived: list[int]
     p_steps: list[np.ndarray]
     alive_steps: list[np.ndarray]
@@ -457,24 +456,25 @@ class StreamTrace:
         return int(self.alive_steps[step][:seen].sum())
 
     def max_copy_ratios(self, edge_id: int) -> np.ndarray:
-        """max over steps of z_{s,e,j} / p_{s,e} for each copy j of one edge."""
+        """max over steps of z_{s,e,j} / p_{s,e} for each copy j of one edge:
+        1/p at its last alive row, as p never rises (every copy lives at row 0)."""
         if self.copy_steps is None:
             raise ValueError("trace was recorded without per-copy indicators")
-        ratios = np.stack(
-            [zs[edge_id] / ps[edge_id] for zs, ps in zip(self.copy_steps, self.p_steps)]
-        )
-        return ratios.max(axis=0)
+        ratios = np.ones(self.budget_n)
+        rows = zip(self.arrived, self.p_steps, self.alive_steps, self.copy_steps)
+        for arrived, p, count, copies in rows:  # an unseen edge has all N copies
+            start = int(count[:edge_id].sum())
+            alive = copies[start:start + int(count[edge_id])] if edge_id < arrived else slice(None)
+            ratios[alive] = 1.0 / p[edge_id]
+        return ratios
 
     def _append(self, h: Sparsifier) -> None:
-        """Add state h's row: its p and count columns and, with copies, its indicators."""
+        """Add state h's row: its p, count and, when recorded, copies columns."""
         self.arrived.append(h.arrived)
         self.p_steps.append(h.p)
         self.alive_steps.append(h.count)
         if self.copy_steps is not None:
-            z = np.zeros((len(self.edges), self.budget_n), dtype=bool)
-            z[h.arrived :] = True  # the N copies of each unseen edge
-            z[np.repeat(np.arange(h.arrived), h.count[: h.arrived]), h.copies] = True
-            self.copy_steps.append(z)
+            self.copy_steps.append(h.copies)
 
 
 def _check_run_inputs(g: WeightedGraph, cfg: StreamConfig, mode: str) -> None:
@@ -520,7 +520,7 @@ def _run_stream(
     h = Sparsifier.empty(g, cfg)
     history = None
     if trace or diagnostics:
-        history = StreamTrace(g.n, cfg.budget_n, g.edges, [], [], [], [] if copies else None)
+        history = StreamTrace(g, cfg.budget_n, [], [], [], [] if copies else None)
         history._append(h)  # row 0, before any edge is seen
     # the variation norm uses one fixed whole-graph reference; building it
     # requires the input graph to be connected
@@ -616,8 +616,8 @@ def indicator_stream(
     """The same stream computation, returning its complete per-step trace.
 
     Trace rows are the states' p and count columns; with record_copies each
-    row also holds the full (m, N) copy-indicator matrix. The copy sets are
-    exactly those of stream_sparsify for the same partition and tape.
+    row also holds the state's copies column. The copy sets are exactly
+    those of stream_sparsify for the same partition and tape.
     """
     return _run_stream(
         g, cfg, block_size, resistance_mode, on_step, diagnostics, trace=True,
@@ -653,9 +653,10 @@ def write_sparsifier(h: Sparsifier, path) -> None:
     """Write alive copies: header comment, then 'u v weight e j p_tilde' rows."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# respark sparsifier step={h.step} N={h.budget_n} seed={h.config.seed}\n")
+        us, vs = h.graph.u.tolist(), h.graph.v.tolist()
         for e, js in h.alive.items():
             # every copy of an edge shares all fields but j
-            head = f"{h.edges[e].u} {h.edges[e].v} {h.copy_weight(e)!r} {e} "
+            head = f"{us[e]} {vs[e]} {h.copy_weight(e)!r} {e} "
             tail = f" {h.p_tilde[e]!r}\n"
             fh.write(head + (tail + head).join(map(str, js.tolist())) + tail)
 
@@ -731,8 +732,8 @@ def read_sparsifier(
     The file is read and parsed a chunk of whole lines at a time, and each
     chunk's rows are kept as runs of one edge plus their copy ids, so the
     memory held is 8 bytes a copy, the runs and one chunk. A file that fails
-    a check is walked again a chunk at a time to find the line at fault;
-    only one that is not UTF-8 is read again whole, to name its offset.
+    a check is walked again a chunk at a time to find the line at fault or,
+    if it is not UTF-8, the offset of its first bad byte.
     """
     if graph is not None:
         if n is not None and n != graph.n:
@@ -828,19 +829,21 @@ def _rows_before_bad_line(text: str) -> np.ndarray:
 
 
 def _raise_decode_error(path) -> None:
-    """Raise the error of a file that is not UTF-8, at its byte offset in the file."""
+    """Raise the error of a file that is not UTF-8 as decoding it whole words
+    it, decoding a chunk of bytes at a time (an incomplete last character
+    waits in the decoder for the next chunk)."""
+    decoder, end = codecs.getincrementaldecoder("utf-8")(), 0  # end: of the bytes read
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            while fh.read(_READ_CHUNK):
-                pass
-        return
-    except UnicodeDecodeError:
-        pass
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            fh.read()  # decoded whole, the error names its offset in the file
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        with open(path, "rb") as fh:
+            while data := fh.read(_READ_CHUNK):
+                end += len(data)
+                decoder.decode(data)
+            decoder.decode(b"", final=True)
+    except UnicodeDecodeError as exc:  # exc.object: the bytes waiting, then the chunk
+        start, bad = end - len(exc.object) + exc.start, exc.object[exc.start:exc.end]
+        where = (f"byte 0x{bad[0]:02x} in position {start}" if len(bad) == 1
+                 else f"bytes in position {start}-{start + len(bad) - 1}")
+        raise ValueError(f"{path}: 'utf-8' codec can't decode {where}: {exc.reason}") from exc
 
 
 def _parse_rows(lines, comments: str | None = "#") -> np.ndarray | None:
@@ -990,10 +993,10 @@ def _edge_breaks(runs, starts, run_ok, budget, graph: WeightedGraph | None) -> l
     fe = e[firsts]
     # an edge id past the graph reads the -1 sentinel
     at = np.where(fe < graph.m, fe, graph.m)
-    gu, gv = (np.append(x, -1) for x in graph.endpoints())
+    gu, gv = (np.append(x, -1) for x in (graph.u, graph.v))
     rules = [("edge", (runs["u"][firsts] == gu[at]) & (runs["v"][firsts] == gv[at]))]
     if budget < math.inf:
-        a = np.append(graph.weights(), np.nan)[at]
+        a = np.append(graph.weight, np.nan)[at]
         rules.append(("weight", runs["weight"][firsts] == a / (budget * runs["p_tilde"][firsts])))
     for rank, (check, rule_ok) in enumerate(rules, start=2):
         broken = firsts[~rule_ok]

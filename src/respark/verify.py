@@ -161,8 +161,8 @@ def quadratic_variation(trace, ctx: ProjectionContext, upto: int | None = None) 
         (1/p_{s,e} - 1/p_{s-1,e}) (v_e'v_e) v_e v_e'
 
     with v_e = sqrt(a_e) S b_e (S the pseudoinverse square root of ctx's
-    Laplacian). ctx must be built from the whole traced graph (its edges equal
-    trace.edges, else ValueError): the variation compares every step
+    Laplacian). ctx must be built from the whole traced graph (equal to
+    trace.graph, else ValueError): the variation compares every step
     against one fixed reference. The trace rows carry the unseen-edge
     convention (p = 1, all N copies alive), so an edge's arrival step
     contributes with exactly that convention and the formula applies
@@ -181,8 +181,8 @@ def quadratic_variation(trace, ctx: ProjectionContext, upto: int | None = None) 
     if len(trace.p_steps) != steps + 1 or len(trace.alive_steps) != steps + 1:
         raise ValueError("incomplete trace: per-step arrays disagree in length")
     g = ctx.graph
-    # identity first: the stream's own context shares the traced edge tuple
-    if g.n != trace.n or (g.edges is not trace.edges and g.edges != trace.edges):
+    # identity first: the stream's own context shares the traced graph
+    if g is not trace.graph and g != trace.graph:
         raise ValueError("ctx does not match the traced stream")
     coeff = np.zeros(g.m)
     for s in range(1, upto + 1):
@@ -194,7 +194,7 @@ def quadratic_variation(trace, ctx: ProjectionContext, upto: int | None = None) 
         delta = np.clip(1.0 / p_cur - 1.0 / p_prev, 0.0, None)
         coeff += (alive_prev / p_prev) * delta
     coeff *= ctx.leverages / trace.budget_n**2
-    l_c = laplacian_from_arrays(g.n, *g.endpoints(), g.weights() * coeff)
+    l_c = laplacian_from_arrays(g.n, g.u, g.v, g.weight * coeff)
     return float(max(_range_eigenvalues(ctx, l_c).max(), 0.0))
 
 

@@ -1,6 +1,7 @@
 """Laplacian, pseudoinverse, and projection-context behavior against
 closed-form oracles and Moore-Penrose identities."""
 
+import math
 import warnings
 
 import numpy as np
@@ -43,8 +44,8 @@ def _edge_vectors(ctx):
     nz = ctx.factors.eigenvalues > 0
     q = ctx.factors.eigenvectors[:, nz]
     s = (q / np.sqrt(ctx.factors.eigenvalues[nz])) @ q.T
-    us, vs = ctx.graph.endpoints()
-    return np.sqrt(ctx.graph.weights()) * (s[:, us] - s[:, vs])
+    us, vs = ctx.graph.u, ctx.graph.v
+    return np.sqrt(ctx.graph.weight) * (s[:, us] - s[:, vs])
 
 
 @st.composite
@@ -77,17 +78,72 @@ def test_edge_validation():
     with pytest.raises(ValueError):
         WeightedGraph.from_edges(3, [(0, 3, 1.0)])
     with pytest.raises(ValueError):
-        WeightedGraph(0, ())
+        WeightedGraph.from_edges(0, ())
     for weight in (float("inf"), float("nan")):
         with pytest.raises(ValueError, match="edge 1: weight must be positive and finite"):
             WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 2, weight)])
+
+
+def _reference_validation(n, triples):
+    """The per-edge loop the column checks replaced: the message of the
+    first edge that breaks a rule, its endpoints checked first, else None."""
+    for k, (u, v, a) in enumerate(triples):
+        if not (0 <= u < n and 0 <= v < n):
+            return f"edge {k}: endpoints ({u}, {v}) out of range for n={n}"
+        if u == v:
+            return f"edge {k}: self-loop at vertex {u}"
+        if not 0 < a < math.inf:
+            return f"edge {k}: weight must be positive and finite, got {a}"
+    return None
+
+
+_ENDPOINTS = st.one_of(
+    st.integers(-2, 7), st.sampled_from([2**63 - 1, 2**63, 2**64, -(2**63), -(2**63) - 1])
+)
+_WEIGHTS = st.one_of(
+    st.floats(1e-3, 2.0),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, 1e-310]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 6), triples=st.lists(st.tuples(_ENDPOINTS, _ENDPOINTS, _WEIGHTS),
+                                             max_size=6))
+@example(n=3, triples=[(0, 1, 0.0), (0, 2**63, 1.0)])
+@example(n=3, triples=[(0, 1, 1.0), (0, 2**63, math.nan)])
+def test_column_checks_word_errors_as_the_per_edge_loop(n, triples):
+    want = _reference_validation(n, triples)
+    try:
+        g = WeightedGraph.from_edges(n, triples)
+    except ValueError as exc:
+        assert str(exc) == want
+        return
+    assert want is None
+    assert g.edges == tuple(Edge(*t) for t in triples)
+
+
+def test_columns_are_read_only_copies():
+    u, v, w = np.array([0, 1]), np.array([1, 2]), np.array([1.0, 0.5])
+    g = WeightedGraph(3, u, v, w)
+    u[0], v[0], w[0] = 2, 0, 9.0
+    assert g.edges == (Edge(0, 1, 1.0), Edge(1, 2, 0.5))
+    for column, given in zip((g.u, g.v, g.weight), (u, v, w)):
+        assert not np.shares_memory(column, given)
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 1
+    assert (g.u.dtype, g.v.dtype, g.weight.dtype) == (np.int64, np.int64, np.float64)
+    assert g == WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 0.5)])
+    assert g != WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 0.25)])
+    assert g != WeightedGraph.from_edges(4, [(0, 1, 1.0), (1, 2, 0.5)])
+    with pytest.raises(ValueError, match="3 columns of one length"):
+        WeightedGraph(3, u, v[:1], w)
 
 
 def test_graph_accessors():
     g = WeightedGraph.from_edges(4, [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 2.0)])
     assert g.m == 3
     assert g.edges[1] == Edge(1, 2, 0.5)
-    assert np.array_equal(g.weights(), [1.0, 0.5, 2.0])
+    assert np.array_equal(g.weight, [1.0, 0.5, 2.0])
     assert g.prefix(2).edges == g.edges[:2]
     assert g.prefix(0).m == 0
     for count in (-1, 4):
@@ -95,7 +151,7 @@ def test_graph_accessors():
             g.prefix(count)
     # kappa = sqrt(a_max / a_min) = sqrt(2 / 0.5) = 2
     assert g.kappa() == pytest.approx(2.0)
-    assert WeightedGraph(3, ()).kappa() == 1.0
+    assert WeightedGraph.from_edges(3, ()).kappa() == 1.0
 
 
 def test_single_edge_laplacian():
@@ -116,7 +172,7 @@ def test_duplicate_edges_add():
 
 def test_build_laplacian_rejects_empty():
     with pytest.raises(ValueError):
-        build_laplacian(WeightedGraph(3, ()))
+        build_laplacian(WeightedGraph.from_edges(3, ()))
 
 
 def test_an_overflowing_degree_names_its_vertex():
@@ -177,7 +233,7 @@ def test_an_overflow_in_a_later_chunk_names_its_vertex(monkeypatch, chunk):
 @given(connected_graphs())
 def test_laplacian_row_sums_and_psd(g):
     l = build_laplacian(g)
-    a_max = g.weights().max()
+    a_max = g.weight.max()
     assert np.abs(l.sum(axis=1)).max() <= 1e-12 * a_max * g.n
     assert np.abs(l - l.T).max() == 0.0
     w = np.linalg.eigvalsh(l)
@@ -260,8 +316,8 @@ def test_null_count_matches_components():
 
 def test_connectivity_basics():
     assert is_connected(P2)
-    assert not is_connected(WeightedGraph(2, ()))
-    assert component_count(WeightedGraph(3, ())) == 3
+    assert not is_connected(WeightedGraph.from_edges(2, ()))
+    assert component_count(WeightedGraph.from_edges(3, ())) == 3
 
 
 @st.composite
@@ -351,7 +407,7 @@ def test_edge_vector_norms_and_projection_sum(g):
     resist = ctx.factors.resistances(pairs)
     # ||v_e||^2 = a_e r_e, and the v_e v_e' sum is I - 11'/n
     sq = (vectors * vectors).sum(axis=0)
-    assert np.allclose(sq, g.weights() * resist, atol=1e-9)
+    assert np.allclose(sq, g.weight * resist, atol=1e-9)
     assert np.allclose(sq, ctx.leverages, atol=1e-9)
     assert np.allclose(vectors @ vectors.T, np.eye(g.n) - 1.0 / g.n, atol=1e-8)
 
@@ -361,7 +417,7 @@ def test_edge_vector_norms_and_projection_sum(g):
 def test_resistance_sum_identity(g):
     factors = pseudo_factorize(build_laplacian(g))
     resist = factors.resistances([(e.u, e.v) for e in g.edges])
-    assert (g.weights() * resist).sum() == pytest.approx(g.n - 1, abs=1e-8 * g.n)
+    assert (g.weight * resist).sum() == pytest.approx(g.n - 1, abs=1e-8 * g.n)
 
 
 @settings(max_examples=30, deadline=None)
@@ -374,7 +430,7 @@ def test_resistance_monotone_under_added_edge(g, pick):
     v = (pick // g.n) % g.n
     if u == v:
         v = (v + 1) % g.n
-    bigger = WeightedGraph(g.n, g.edges + (Edge(min(u, v), max(u, v), 1.0),))
+    bigger = WeightedGraph.from_edges(g.n, g.edges + (Edge(min(u, v), max(u, v), 1.0),))
     after = pseudo_factorize(build_laplacian(bigger)).resistances(pairs)
     assert np.all(after <= before + 1e-10)
 
@@ -436,8 +492,10 @@ def _reference_edge_list(lines):
         if not triples:
             raise ValueError(None)
         declared = 1 + max(max(u, v) for u, v, _ in triples)
+    # vertex ids are 64-bit integers, whatever n the file implies
     if declared < 1 or not all(
-        0 <= u < declared and 0 <= v < declared and u != v and 0 < w < float("inf")
+        0 <= u < min(declared, 2**63) and 0 <= v < min(declared, 2**63) and u != v
+        and 0 < w < float("inf")
         for u, v, w in triples
     ):
         raise ValueError(None)
@@ -465,6 +523,8 @@ _EDGE_LINES = st.one_of(
 @example(lines=["n 3", "0 3 1.0"])
 @example(lines=["0 1 nan"])
 @example(lines=["n 0"])
+@example(lines=["0 99999999999999999999 0.5"])
+@example(lines=["n 99999999999999999999", "0 1 0.5"])
 def test_edge_list_fuzz_matches_reference(tmp_path_factory, lines):
     # every input reads to the reference graph or fails naming the file
     path = tmp_path_factory.mktemp("fuzz") / "g.edges"

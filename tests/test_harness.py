@@ -99,11 +99,11 @@ def test_generation_is_deterministic():
 
 def test_weight_ranges():
     g = generate(GeneratorSpec("complete", 6, weight_min=0.5, weight_max=2.0, seed=3))
-    w = g.weights()
+    w = g.weight
     assert np.all((0.5 <= w) & (w <= 2.0))
     assert w.min() != w.max()
     unit = generate(GeneratorSpec("complete", 6))
-    assert np.all(unit.weights() == 1.0)
+    assert np.all(unit.weight == 1.0)
 
 
 def test_disconnected_draw_gets_connectors():
@@ -112,16 +112,28 @@ def test_disconnected_draw_gets_connectors():
     # a spanning tree up front
     spec = GeneratorSpec("erdos-renyi", 20, p=0.06, seed=5)
     g = generate(spec)
-    raw = _pair_topology(spec, np.random.default_rng(spec.seed))
+    raw = _pairs(spec, np.random.default_rng(spec.seed))
     assert g.m > len(raw)
     assert [(e.u, e.v) for e in g.edges[: len(raw)]] != raw
     assert is_connected(g)
     assert is_connected(g.prefix(g.n - 1))
 
 
+def _pairs(spec, rng):
+    return list(zip(*(a.tolist() for a in _pair_topology(spec, rng))))
+
+
 def _pair_loop(spec, rng):
-    # the per-pair loop the vectorized generator replaced: one draw per
+    # the per-pair loops the vectorized generator replaced: one draw per
     # pair (i < j) in row-major order for erdos-renyi
+    n = spec.n
+    if spec.model in ("path", "cycle"):
+        return [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)] * (spec.model == "cycle")
+    if spec.model == "barbell":
+        k = n // 2
+        left = [(i, j) for i in range(k) for j in range(i + 1, k)]
+        right = [(i, j) for i in range(k, n) for j in range(i + 1, n)]
+        return left + right + [(max(k - 1, 0), k)]
     pairs = []
     for i in range(spec.n):
         for j in range(i + 1, spec.n):
@@ -130,13 +142,13 @@ def _pair_loop(spec, rng):
     return pairs
 
 
-@pytest.mark.parametrize("model", ["complete", "erdos-renyi"])
+@pytest.mark.parametrize("model", ["complete", "erdos-renyi", "path", "cycle", "barbell"])
 @pytest.mark.parametrize("n", [2, 3, 7, 40, 101])
 def test_pair_topology_matches_the_per_pair_loop(model, n):
     for seed in range(3):
         spec = GeneratorSpec(model, n, p=(0.05, 0.3, 1.0)[seed], seed=seed)
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert _pair_topology(spec, ours) == _pair_loop(spec, theirs)
+        assert _pairs(spec, ours) == _pair_loop(spec, theirs)
         # the weights are drawn next, from the same generator state
         assert ours.random() == theirs.random()
 

@@ -150,8 +150,8 @@ def loose_multigraphs(draw):
 @given(loose_multigraphs())
 def test_resistances_match_the_eigen_pseudoinverse(g):
     factors = _factors(g)
-    us, vs = g.endpoints()
-    _, comp = connected_components(coo_matrix((g.weights(), (us, vs)), shape=(g.n, g.n)))
+    us, vs = g.u, g.v
+    _, comp = connected_components(coo_matrix((g.weight, (us, vs)), shape=(g.n, g.n)))
     lam = factors.eigenvalues
     q = factors.eigenvectors[:, lam > 0]
     pinv = (q / lam[lam > 0]) @ q.T
@@ -211,7 +211,7 @@ def test_estimates_monotone_in_added_edges():
     g = WeightedGraph.from_edges(5, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)])
     pairs = [(e.u, e.v) for e in g.edges]
     alone = [e.r_tilde for e in resistances_from_sparsifier(g, pairs, 0.5)]
-    richer = WeightedGraph(5, g.edges + (type(g.edges[0])(0, 4, 1.0),))
+    richer = WeightedGraph.from_edges(5, g.edges + (type(g.edges[0])(0, 4, 1.0),))
     combined = [e.r_tilde for e in resistances_from_sparsifier(richer, pairs, 0.5)]
     assert all(c <= a + 1e-10 for c, a in zip(combined, alone))
 

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from respark import graph as graph_mod
+from respark import harness
 from respark import sparsify as sparsify_mod
 from respark.graph import (
     GraphConnectivityError,
@@ -20,7 +22,7 @@ from respark.graph import (
     projection_context,
     pseudo_factorize,
 )
-from respark.harness import GeneratorSpec, generate
+from respark.harness import GeneratorSpec, generate, run_experiment
 from respark.resistance import ResistanceEstimate
 from respark.sparsify import (
     ConfigError,
@@ -355,12 +357,30 @@ def _matches_reference(h, rows):
         assert np.array_equal(h.alive[e], alive[e])
 
 
+def _copy_ids(trace, s):
+    """Each seen edge's surviving copy ids at row s, read off the row's
+    copies column, which holds them edge after edge."""
+    counts = trace.alive_steps[s][: trace.arrived[s]].tolist()
+    ends = np.cumsum([0] + counts).tolist()
+    assert ends[-1] == len(trace.copy_steps[s])
+    return {e: trace.copy_steps[s][ends[e]:ends[e + 1]].tolist() for e in range(len(counts))}
+
+
 def _trace_matches_reference(trace, rows):
     assert trace.arrived == [row[0] for row in rows]
-    for name, k in (("p_steps", 1), ("alive_steps", 2), ("copy_steps", 3)):
+    for name, k in (("p_steps", 1), ("alive_steps", 2)):
         got = getattr(trace, name)
         assert len(got) == len(rows)
         assert all(np.array_equal(a, row[k]) for a, row in zip(got, rows)), name
+    assert len(trace.copy_steps) == len(rows)
+    for s, (arrived, _, _, Z) in enumerate(rows):
+        assert Z[arrived:].all()  # the N copies of each unseen edge, which rows leave out
+        want = {e: np.flatnonzero(Z[e]).tolist() for e in range(arrived)}
+        assert _copy_ids(trace, s) == want, s
+    for e in range(trace.graph.m):
+        # the (m, N) indicator formula, max over rows of z / p, bit for bit
+        want = np.stack([Z[e] / p[e] for _, p, _, Z in rows]).max(axis=0)
+        assert np.array_equal(trace.max_copy_ratios(e), want), e
 
 
 def test_drivers_match_dense_reference_on_criterion_10_instances():
@@ -540,7 +560,7 @@ def test_references_of_another_graph_are_refused():
     other = generate(GeneratorSpec("erdos-renyi", 12, p=0.5, seed=6))
     with pytest.raises(ValueError, match="another graph"):
         stream_sparsify(g, _small_cfg(g), references=sparsify_mod._References(other))
-    twin = sparsify_mod._References(WeightedGraph(g.n, g.edges))  # an equal graph is g
+    twin = sparsify_mod._References(WeightedGraph(g.n, g.u, g.v, g.weight))  # an equal graph is g
     (h, records), (h_own, records_own) = (
         stream_sparsify(g, _small_cfg(g), references=refs) for refs in (twin, None)
     )
@@ -602,8 +622,11 @@ def test_alive_sets_only_shrink():
     cfg = _small_cfg(g, seed=8, budget=30)
     _, _, trace = indicator_stream(g, cfg, block_size=3, resistance_mode="exact",
                                    diagnostics=False)
-    for prev, cur in zip(trace.copy_steps, trace.copy_steps[1:]):
-        assert not np.any(cur & ~prev)
+    for s in range(1, trace.steps + 1):
+        prev = _copy_ids(trace, s - 1)
+        for e, ids in _copy_ids(trace, s).items():
+            # an edge unseen at s - 1 had all N copies
+            assert set(ids) <= set(prev.get(e, range(cfg.budget_n))), (s, e)
 
 
 def test_final_copy_weights():
@@ -741,6 +764,35 @@ def test_theorem_budget_stream_stays_under_3n(kernel_calls):
     thinned = sum(len(h.alive) for h in states[:-1])
     assert len(kernel_calls) == thinned > 0
     assert max(kernel_calls) < 0.03 * cfg.budget_n
+
+
+def test_a_trace_keeps_each_states_copies_not_an_indicator_matrix():
+    # at N = 50,000 an (m, N) indicator row of this graph is about 10 MB a
+    # step; each trace row shares its state's copies column instead
+    g = generate(THEOREM_ER)
+    cfg = StreamConfig.for_graph(g, 0.5, 0.1, 1.0, seed=7, budget_override=50_000)
+    (h, _, trace), peak = _traced_peak(lambda: indicator_stream(
+        g, cfg, block_size=67, resistance_mode="sparsifier", diagnostics=False))
+    assert trace.steps == math.ceil(g.m / 67) and trace.copy_steps[-1] is h.copies
+    assert peak < g.m * cfg.budget_n
+    e, js = next(iter(h.alive.items()))
+    assert np.all(trace.max_copy_ratios(e)[js] == 1.0 / h.p_tilde[e])
+
+
+def test_no_edge_triple_is_built_on_the_column_paths(monkeypatch):
+    # the step loop, its diagnostics and the experiment harness read the
+    # graph's columns; Edge triples are built only for callers that iterate
+    built, edge = [], graph_mod.Edge
+    monkeypatch.setattr(graph_mod, "Edge", lambda *fields: built.append(fields) or edge(*fields))
+    harness.generate.cache_clear()  # a cached graph may have built its edges already
+    spec = GeneratorSpec("erdos-renyi", 12, p=0.4, seed=6)
+    g = generate(spec)
+    cfg = _small_cfg(g, seed=2, budget=30)
+    for mode in sparsify_mod.RESISTANCE_MODES:
+        stream_sparsify(g, cfg, block_size=5, resistance_mode=mode, diagnostics=True)
+    run_experiment(spec, cfg, trials=2, block_size=5)
+    assert built == []
+    assert len(g.edges) == len(built) == g.m  # the counter does see the triples built
 
 
 def test_addressed_draws_leave_every_copy_set_unchanged(kernel_calls, monkeypatch):
@@ -1219,14 +1271,20 @@ def test_any_chunk_reads_like_the_whole_file(tmp_path, monkeypatch, text):
 @pytest.mark.parametrize("header", [_HEADER, "# respark sparsifier step=x N=5"])
 def test_a_decode_error_is_reported_at_its_file_offset(tmp_path, monkeypatch, header):
     # the bad byte lies past the first buffer a chunked read decodes, and the
-    # whole text is decoded before a bad header is looked for
+    # whole text is decoded before a bad header is looked for; small chunks
+    # split multibyte characters, the comment's and the bad one's
     p = tmp_path / "bad.sparsifier"
-    head = f"{header}\n{_ROWS * 200}0 1 ".encode()
-    p.write_bytes(head + b"\xff\n")
-    whole = _read_outcome(p)
-    assert whole.startswith(f"{p}: 'utf-8' codec can't decode byte 0xff in position {len(head)}:")
-    monkeypatch.setattr(sparsify_mod, "_READ_CHUNK", 40)
-    assert _read_outcome(p) == whole
+    head = f"{header}\n# é € 😀\n{_ROWS * 200}0 1 ".encode()
+    for tail, where in ((b"\xff\n", f"byte 0xff in position {len(head)}"),
+                        (b"\xe2\x82(\n", f"bytes in position {len(head)}-{len(head) + 1}"),
+                        (b"\xe2\x82", f"bytes in position {len(head)}-{len(head) + 1}")):
+        p.write_bytes(head + tail)
+        outcomes = set()
+        for chunk in (2**16, 1, 2, 3, 40):
+            monkeypatch.setattr(sparsify_mod, "_READ_CHUNK", chunk)
+            outcomes.add(_read_outcome(p))
+        assert len(outcomes) == 1
+        assert outcomes.pop().startswith(f"{p}: 'utf-8' codec can't decode {where}:")
 
 
 def _large_writer_file(tmp_path):
@@ -1260,18 +1318,25 @@ def test_reading_a_writer_file_holds_little_beyond_its_columns(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "last", ["{u} {v} {w} {e} 110000 {p}", "{u} {v} {w} {e} 7", "{u} {v} 0.5 {e} 7 {p}"],
-    ids=["copy-index", "five-fields", "mixed"],
+    "last",
+    ["{u} {v} {w} {e} 110000 {p}", "{u} {v} {w} {e} 7", "{u} {v} 0.5 {e} 7 {p}", None],
+    ids=["copy-index", "five-fields", "mixed", "0xff"],
 )
 def test_a_bad_last_row_is_named_in_bounded_memory(tmp_path, last):
     # the error path walks the file a chunk at a time, holding no object per line
     g, h, path = _large_writer_file(tmp_path)
-    lines = path.read_text().splitlines()
-    u, v, w, e, _, p = lines[-1].split()
-    lines[-1] = last.format(u=u, v=v, w=w, e=e, p=p)
-    path.write_text("\n".join(lines) + "\n")
+    if last is None:  # the last data byte, before the final newline, is not UTF-8
+        data = path.read_bytes()
+        path.write_bytes(data[:-2] + b"\xff\n")
+        where = f"{path}: 'utf-8' codec can't decode byte 0xff in position {len(data) - 2}: "
+    else:
+        lines = path.read_text().splitlines()
+        u, v, w, e, _, p = lines[-1].split()
+        lines[-1] = last.format(u=u, v=v, w=w, e=e, p=p)
+        path.write_text("\n".join(lines) + "\n")
+        where = f"{path}:{len(lines)}: "
     exc, peak = _traced_peak(lambda: pytest.raises(ValueError, read_sparsifier, path, graph=g))
-    assert str(exc.value).startswith(f"{path}:{len(lines)}: ")
+    assert str(exc.value).startswith(where)
     assert peak < 2 * path.stat().st_size
 
 

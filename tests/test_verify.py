@@ -261,9 +261,8 @@ def test_projection_error_agrees_with_spectral_worst():
 def _single_edge_trace(p_after):
     g = WeightedGraph.from_edges(2, [(0, 1, 1.0)])
     trace = StreamTrace(
-        n=2,
+        graph=g,
         budget_n=1,
-        edges=g.edges,
         arrived=[0, 1],
         p_steps=[np.ones(1), np.array([p_after])],
         alive_steps=[np.ones(1), np.ones(1)],
@@ -322,7 +321,7 @@ def test_quadratic_variation_validation():
 
 def _variation_coefficients(trace, leverages, upto):
     """c_e of W = sum_e c_e v_e v_e' through step `upto`, given ||v_e||^2."""
-    coeff = np.zeros(len(trace.edges))
+    coeff = np.zeros(trace.graph.m)
     for s in range(1, upto + 1):
         p_prev, p_cur = trace.p_steps[s - 1], trace.p_steps[s]
         delta = np.clip(1.0 / p_cur - 1.0 / p_prev, 0.0, None)
@@ -334,8 +333,8 @@ def _reference_variation(trace, ctx, upto):
     """W = V diag(c) V' from the n x m matrix of edge vectors
     v_e = sqrt(a_e) S b_e, as the variation was first computed."""
     s = _inv_sqrt(ctx)
-    us, vs = ctx.graph.endpoints()
-    vectors = np.sqrt(ctx.graph.weights()) * (s[:, us] - s[:, vs])
+    us, vs = ctx.graph.u, ctx.graph.v
+    vectors = np.sqrt(ctx.graph.weight) * (s[:, us] - s[:, vs])
     coeff = _variation_coefficients(trace, (vectors * vectors).sum(axis=0), upto)
     w_mat = (vectors * coeff) @ vectors.T
     return float(max(np.linalg.eigvalsh(w_mat).max(), 0.0))
@@ -412,17 +411,17 @@ def test_quadratic_variation_matches_the_grounded_pencil(g, seed, budget, data):
                                    resistance_mode="exact", diagnostics=False,
                                    record_copies=False)
     l_g = _dense_laplacian(g.n, g.edges)
-    us, vs = g.endpoints()
+    us, vs = g.u, g.v
     # leverages a_e b_e' L_G^+ b_e from grounded solves
     b = np.zeros((g.n, g.m))
     b[us, np.arange(g.m)] += 1.0
     b[vs, np.arange(g.m)] -= 1.0
     b = b[1:]
-    lev = g.weights() * (b * scipy.linalg.solve(l_g[1:, 1:], b, assume_a="pos")).sum(axis=0)
+    lev = g.weight * (b * scipy.linalg.solve(l_g[1:, 1:], b, assume_a="pos")).sum(axis=0)
     ctx = projection_context(g)
     for upto in range(trace.steps + 1):
         coeff = _variation_coefficients(trace, lev, upto)
-        l_c = _dense_laplacian(g.n, zip(us, vs, g.weights() * coeff))
+        l_c = _dense_laplacian(g.n, zip(us, vs, g.weight * coeff))
         want = max(float(_pencil_eigenvalues(l_c, l_g).max()), 0.0)
         got = quadratic_variation(trace, ctx, upto=upto)
         assert abs(got - want) <= 1e-10 * want, (upto, got, want)
@@ -433,7 +432,7 @@ def test_quadratic_variation_matches_the_grounded_pencil(g, seed, budget, data):
 def test_leverages_are_cached_and_read_only(g):
     ctx = projection_context(g)
     lev = ctx.leverages
-    want = g.weights() * ctx.factors.resistances([(e.u, e.v) for e in g.edges])
+    want = g.weight * ctx.factors.resistances([(e.u, e.v) for e in g.edges])
     assert np.allclose(lev, want, rtol=1e-12, atol=0)
     assert ctx.leverages is lev
     assert not lev.flags.writeable
