@@ -40,6 +40,7 @@ __all__ = [
 # Laplacians have a spectral gap many orders of magnitude above this.
 DEFAULT_NULL_TOLERANCE = 1e-10
 _ENDPOINT_ERROR = "edge {}: endpoints ({}, {}) out of range for n={}"
+_NOT_INT64_ERROR = "edge {}: endpoints ({}, {}) are not 64-bit integers"
 
 
 class GraphConnectivityError(ValueError):
@@ -57,7 +58,8 @@ class WeightedGraph:
     """Undirected weighted graph as read-only per-edge columns: int64
     endpoints u, v in [0, n) and a finite float64 weight > 0, copied and
     checked on construction, which names the first bad edge (its endpoints
-    checked first, then a self-loop, then its weight). The edge order is the
+    checked first, then a self-loop, then its weight); an endpoint that is
+    not a 64-bit integer is refused, not truncated. The edge order is the
     stream order; duplicate (u, v) pairs remain distinct stream items and
     add in the Laplacian. edges, the Edge triples for callers that iterate,
     is built on first read. Graphs are equal when n and every column are."""
@@ -68,21 +70,34 @@ class WeightedGraph:
     weight: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"vertex count must be positive, got {self.n}")
-        u, v = np.array(self.u, np.int64), np.array(self.v, np.int64)
+        import operator
+
+        try:
+            n = operator.index(self.n)  # NumPy integers too, but no float: it would be truncated
+        except TypeError:
+            raise ValueError(f"vertex count must be an integer, got {self.n!r}") from None
+        if n < 1:
+            raise ValueError(f"vertex count must be positive, got {n}")
+        given = np.asarray(self.u), np.asarray(self.v)
+        with np.errstate(invalid="ignore"):  # a NaN or inf endpoint is named below
+            u, v = (np.array(c, np.int64) for c in given)
         w = np.array(self.weight, float)
         if not u.ndim == 1 or not u.shape == v.shape == w.shape:
             raise ValueError(f"need 3 columns of one length, got {u.shape} {v.shape} {w.shape}")
+        object.__setattr__(self, "n", n)
         for name, column in (("u", u), ("v", v), ("weight", w)):
             column.flags.writeable = False
             object.__setattr__(self, name, column)
-        bad_end = (u < 0) | (u >= self.n) | (v < 0) | (v >= self.n)
+        bad_end = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+        if not all(np.can_cast(c.dtype, np.int64) for c in given):  # else the cast is exact
+            bad_end |= (u != given[0]) | (v != given[1])
         bad = bad_end | (u == v) | ~((0.0 < w) & (w < math.inf))
         if bad.any():
             k = int(bad.argmax())
+            if (u[k], v[k]) != (given[0][k], given[1][k]):
+                raise ValueError(_NOT_INT64_ERROR.format(k, given[0][k], given[1][k]))
             if bad_end[k]:
-                raise ValueError(_ENDPOINT_ERROR.format(k, u[k], v[k], self.n))
+                raise ValueError(_ENDPOINT_ERROR.format(k, u[k], v[k], n))
             if u[k] == v[k]:
                 raise ValueError(f"edge {k}: self-loop at vertex {int(u[k])}")
             raise ValueError(f"edge {k}: weight must be positive and finite, got {float(w[k])}")
@@ -95,11 +110,11 @@ class WeightedGraph:
         triples = [(int(u), int(v), float(a)) for u, v, a in edges]
         try:
             columns = np.array(triples, dtype=[("u", "i8"), ("v", "i8"), ("w", "f8")])
-        except OverflowError:  # an endpoint past int64, out of range for any usable n
+        except OverflowError:  # an endpoint past int64
             k = next(k for k, (u, v, _) in enumerate(triples) if not -2**63 <= u < 2**63
                      or not -2**63 <= v < 2**63)
             cls.from_edges(n, triples[:k])  # an earlier bad edge is named first
-            raise ValueError(_ENDPOINT_ERROR.format(k, *triples[k][:2], n)) from None
+            raise ValueError(_NOT_INT64_ERROR.format(k, *triples[k][:2])) from None
         return cls(n, columns["u"], columns["v"], columns["w"])
 
     def __eq__(self, other) -> bool:
@@ -234,6 +249,9 @@ def _grounded_inverse(l: np.ndarray, free: np.ndarray) -> np.ndarray:
     return _lower_inverse(np.linalg.cholesky(grounded))
 
 
+_RESISTANCE_BLOCK = 64  # pairs whose factor-row differences are held at once
+
+
 @dataclass(frozen=True)
 class PseudoinverseFactors:
     """A Laplacian's pseudoinverse as a grounded Cholesky factor. Grounded at
@@ -267,10 +285,16 @@ class PseudoinverseFactors:
 
     def resistances(self, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
         """Effective resistances b^T L+ b for many (u, v) pairs at once; a
-        pair across components reads a finite, meaningless number."""
+        pair across components reads a finite, meaningless number. The row
+        differences are formed _RESISTANCE_BLOCK pairs at a time, so the
+        temporaries stay O(block n); each pair's row is still one sum."""
         ends = np.array(pairs, dtype=int).reshape(-1, 2)
-        d = self.rows[ends[:, 0]] - self.rows[ends[:, 1]]
-        return np.square(d, out=d).sum(axis=1)
+        out = np.empty(len(ends))
+        for start in range(0, len(ends), _RESISTANCE_BLOCK):
+            u, v = ends[start:start + _RESISTANCE_BLOCK].T
+            d = self.rows[u] - self.rows[v]
+            np.square(d, out=d).sum(axis=1, out=out[start:start + _RESISTANCE_BLOCK])
+        return out
 
 
 def pseudo_factorize(l: np.ndarray) -> PseudoinverseFactors:

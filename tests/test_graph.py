@@ -2,6 +2,7 @@
 closed-form oracles and Moore-Penrose identities."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from respark import graph as graph_mod
+from respark.harness import GeneratorSpec, generate
 from respark.graph import (
     Edge,
     GraphConnectivityError,
@@ -88,6 +90,8 @@ def _reference_validation(n, triples):
     """The per-edge loop the column checks replaced: the message of the
     first edge that breaks a rule, its endpoints checked first, else None."""
     for k, (u, v, a) in enumerate(triples):
+        if not (-2**63 <= u < 2**63 and -2**63 <= v < 2**63):
+            return f"edge {k}: endpoints ({u}, {v}) are not 64-bit integers"
         if not (0 <= u < n and 0 <= v < n):
             return f"edge {k}: endpoints ({u}, {v}) out of range for n={n}"
         if u == v:
@@ -137,6 +141,36 @@ def test_columns_are_read_only_copies():
     assert g != WeightedGraph.from_edges(4, [(0, 1, 1.0), (1, 2, 0.5)])
     with pytest.raises(ValueError, match="3 columns of one length"):
         WeightedGraph(3, u, v[:1], w)
+
+
+@pytest.mark.parametrize(
+    "u, v, want",
+    [
+        (np.array([0.7]), [1], r"edge 0: endpoints \(0.7, 1\) are not 64-bit integers"),
+        ([0, 1], [1.0, 2.5], r"edge 1: endpoints \(1, 2.5\) are not 64-bit integers"),
+        ([math.nan], [1], r"edge 0: endpoints \(nan, 1\) are not 64-bit integers"),
+        ([0], [-math.inf], r"edge 0: endpoints \(0, -inf\) are not 64-bit integers"),
+        ([1e19], [1], r"edge 0: endpoints \(1e\+19, 1\) are not 64-bit integers"),
+        (np.array([2**63], np.uint64), [1], r"endpoints \(9223372036854775808, 1\) are not"),
+        ([5, 0.5], [1, 2], r"edge 0: endpoints \(5, 1\) out of range for n=3"),
+    ],
+)
+def test_endpoints_that_are_not_64_bit_integers_are_refused(u, v, want):
+    # a cast would truncate them (or name NaN as -2**63, with a warning)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=want):
+            WeightedGraph(3, u, v, np.ones(len(u)))
+
+
+def test_integral_endpoints_and_vertex_counts_of_any_type_are_taken_exactly():
+    g = WeightedGraph(np.int64(3), [0.0, 1.0], np.array([2, 2], np.uint8), [1.0, 1.0])
+    assert type(g.n) is int and g.n == 3
+    assert g.u.tolist() == [0, 1] and g.v.tolist() == [2, 2]
+    assert WeightedGraph(True, [], [], []).n == 1
+    for n in (2.5, 3.0, "3", None):
+        with pytest.raises(ValueError, match=f"vertex count must be an integer, got {n!r}"):
+            WeightedGraph(n, [0], [1], [1.0])
 
 
 def test_graph_accessors():
@@ -435,6 +469,49 @@ def test_resistance_monotone_under_added_edge(g, pick):
     assert np.all(after <= before + 1e-10)
 
 
+def _whole_array_resistances(factors, pairs):
+    """The unblocked read: every pair's factor-row difference held at once."""
+    ends = np.array(pairs, dtype=int).reshape(-1, 2)
+    d = factors.rows[ends[:, 0]] - factors.rows[ends[:, 1]]
+    return np.square(d, out=d).sum(axis=1)
+
+
+_BLOCK = graph_mod._RESISTANCE_BLOCK
+
+
+@pytest.mark.parametrize("k", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+def test_block_reads_give_the_whole_array_bits(k):
+    # two random components and an isolated vertex: a factor grounded at 3 vertices
+    a = generate(GeneratorSpec("erdos-renyi", 30, p=0.3, seed=2))
+    b = generate(GeneratorSpec("erdos-renyi", 25, p=0.3, seed=3))
+    g = WeightedGraph(56, np.concatenate((a.u, b.u + 30)), np.concatenate((a.v, b.v + 30)),
+                      np.concatenate((a.weight, 0.5 + b.weight)))
+    factors = pseudo_factorize(build_laplacian(g))
+    assert len(factors.rows[0]) == g.n - 3
+    ends = np.random.default_rng(k).integers(0, g.n, size=(k, 2))
+    want = _whole_array_resistances(factors, ends)
+    for pairs in (ends, ends.tolist(), [tuple(p) for p in ends.tolist()]):
+        got = factors.resistances(pairs)
+        assert got.dtype == np.float64 and got.shape == (k,)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_leverages_are_read_in_bounded_memory():
+    # all m = 3,983 edges at n = 400: the whole-array read holds two m x (n - 1)
+    # float64 arrays, 25.4 MB; a block of rows holds under 1 MB
+    g = generate(GeneratorSpec("erdos-renyi", 400, p=0.05, seed=1))
+    ctx = projection_context(g)
+    tracemalloc.start()
+    try:
+        lev = ctx.leverages
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lev.tobytes() == (g.weight * _whole_array_resistances(
+        ctx.factors, np.column_stack((g.u, g.v)))).tobytes()
+    assert peak < 3e6
+
+
 def test_edge_list_roundtrip(tmp_path):
     g = WeightedGraph.from_edges(5, [(0, 1, 1.25), (1, 2, 0.5), (2, 3, 1.0)])
     path = tmp_path / "g.edges"
@@ -470,7 +547,8 @@ def test_edge_list_errors(tmp_path):
 
 def _reference_edge_list(lines):
     """The edge-list format read line by line: (n, triples), or raises
-    ValueError holding the bad line's number (None for a bad graph)."""
+    ValueError holding the bad line's number (None for a bad graph), then any
+    words the reader's message must hold."""
     declared, triples, first = None, [], True
     for lineno, line in enumerate(lines, start=1):
         tokens = line.split()
@@ -492,13 +570,14 @@ def _reference_edge_list(lines):
         if not triples:
             raise ValueError(None)
         declared = 1 + max(max(u, v) for u, v, _ in triples)
-    # vertex ids are 64-bit integers, whatever n the file implies
-    if declared < 1 or not all(
-        0 <= u < min(declared, 2**63) and 0 <= v < min(declared, 2**63) and u != v
-        and 0 < w < float("inf")
-        for u, v, w in triples
-    ):
+    if declared < 1:
         raise ValueError(None)
+    for u, v, w in triples:
+        # vertex ids are 64-bit integers, whatever n the file implies
+        if not (-2**63 <= u < 2**63 and -2**63 <= v < 2**63):
+            raise ValueError(None, f"endpoints ({u}, {v}) are not 64-bit integers")
+        if not (0 <= u < declared and 0 <= v < declared and u != v and 0 < w < float("inf")):
+            raise ValueError(None)
     return declared, triples
 
 
@@ -532,11 +611,12 @@ def test_edge_list_fuzz_matches_reference(tmp_path_factory, lines):
     try:
         n, triples = _reference_edge_list(lines)
     except ValueError as ref_exc:
-        lineno = ref_exc.args[0]
+        lineno, *words = ref_exc.args
         with pytest.raises(ValueError) as info:
             read_edge_list(path)
         where = f"{path}:{lineno}: " if lineno else f"{path}: "
         assert str(info.value).startswith(where), str(info.value)
+        assert all(w in str(info.value) for w in words), str(info.value)
         return
     g = read_edge_list(path)
     assert g.n == n
