@@ -43,6 +43,19 @@ _ENDPOINT_ERROR = "edge {}: endpoints ({}, {}) out of range for n={}"
 _NOT_INT64_ERROR = "edge {}: endpoints ({}, {}) are not 64-bit integers"
 
 
+def _int64_column(values) -> tuple[np.ndarray, np.ndarray]:
+    """(values as given, values cast to int64). Python numbers are kept
+    exact (NumPy reads [1, 2**63] as floats); a value outside int64, NaN
+    included, casts to one it is not equal to, so the caller names it."""
+    given = np.asarray(values)
+    if given.dtype == object or given.dtype.kind == "f" and not isinstance(values, np.ndarray):
+        given = np.array(values, dtype=object)
+        cast = [x if -2**63 <= x < 2**63 else -1 for x in given.flat]
+        return given, np.array(cast, np.int64).reshape(given.shape)
+    with np.errstate(invalid="ignore"):  # a NaN or inf endpoint is named by the caller
+        return given, np.array(given, np.int64)
+
+
 class GraphConnectivityError(ValueError):
     """An operation that needs a connected reference graph got a disconnected one."""
 
@@ -78,9 +91,7 @@ class WeightedGraph:
             raise ValueError(f"vertex count must be an integer, got {self.n!r}") from None
         if n < 1:
             raise ValueError(f"vertex count must be positive, got {n}")
-        given = np.asarray(self.u), np.asarray(self.v)
-        with np.errstate(invalid="ignore"):  # a NaN or inf endpoint is named below
-            u, v = (np.array(c, np.int64) for c in given)
+        given, (u, v) = zip(*map(_int64_column, (self.u, self.v)))
         w = np.array(self.weight, float)
         if not u.ndim == 1 or not u.shape == v.shape == w.shape:
             raise ValueError(f"need 3 columns of one length, got {u.shape} {v.shape} {w.shape}")
@@ -108,14 +119,8 @@ class WeightedGraph:
     ) -> "WeightedGraph":
         """A graph of (u, v, weight) triples, each converted by int() and float()."""
         triples = [(int(u), int(v), float(a)) for u, v, a in edges]
-        try:
-            columns = np.array(triples, dtype=[("u", "i8"), ("v", "i8"), ("w", "f8")])
-        except OverflowError:  # an endpoint past int64
-            k = next(k for k, (u, v, _) in enumerate(triples) if not -2**63 <= u < 2**63
-                     or not -2**63 <= v < 2**63)
-            cls.from_edges(n, triples[:k])  # an earlier bad edge is named first
-            raise ValueError(_NOT_INT64_ERROR.format(k, *triples[k][:2])) from None
-        return cls(n, columns["u"], columns["v"], columns["w"])
+        u, v, a = zip(*triples) if triples else ((), (), ())
+        return cls(n, u, v, a)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, WeightedGraph) and self.n == other.n and all(map(

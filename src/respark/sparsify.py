@@ -717,17 +717,17 @@ def read_sparsifier(
     64-bit integers u, v, e, j and floats weight, p_tilde, all plain ASCII
     decimals (the grammar of np.loadtxt), with distinct vertex ids in
     [0, n), a finite weight > 0, an edge id e >= 0, a copy index j in
-    [0, N), p_tilde in (0, 1], and no (e, j) pair seen before. All rows of
-    an edge agree in u, v, weight and p_tilde. The rows may come in any
-    order; the writer's is (e, j).
+    [0, N) and p_tilde in (0, 1]. The rows come in the writer's order,
+    strictly ascending in (e, j), and a row of the same edge as the row
+    before it agrees with it in u, v, weight and p_tilde.
 
     With graph, n is graph.n and the rows must also be what write_sparsifier
     writes for it: e < graph.m, u v are edge e's endpoints in the graph's
     order, and, when the header gives N, the weight is a_e / (N * p_tilde)
     bit for bit.
 
-    A bad row raises ValueError starting 'path:lineno:', a bad or missing
-    header one starting 'path:'.
+    n, when given, must be an integer >= 0. A bad row raises ValueError
+    starting 'path:lineno:', a bad or missing header one starting 'path:'.
 
     The file is read and parsed a chunk of whole lines at a time, and each
     chunk's rows are kept as runs of one edge plus their copy ids, so the
@@ -735,6 +735,10 @@ def read_sparsifier(
     a check is walked again a chunk at a time to find the line at fault or,
     if it is not UTF-8, the offset of its first bad byte.
     """
+    if n is not None:
+        n = _integer("vertex count", n)
+        if n < 0:
+            raise ValueError(f"vertex count must be >= 0, got {n}")
     if graph is not None:
         if n is not None and n != graph.n:
             raise ValueError(f"n={n} differs from the graph's {graph.n} vertices")
@@ -748,20 +752,18 @@ def read_sparsifier(
     budget = (header or {}).get("N", math.inf)
     bad = _first_bad_row(runs, copies, bound, budget, graph)
     if bad is not None or stop is not None:
-        k, check, earlier = bad or (stop, "parse", -1)
-        raise _row_error(path, runs, copies, k, check, earlier, bound, budget, graph)
+        k, check = bad or (stop, "parse")
+        raise _row_error(path, runs, copies, k, check, bound, budget, graph)
     if header is None:
         raise ValueError(f"{path}: missing sparsifier header comment")
-    edges, copies = _per_edge(runs, copies)
+    # in (e, j) order each edge's runs are adjacent and agree in all but count
+    firsts = np.flatnonzero(np.diff(runs["e"], prepend=-1))
+    edges = {name: runs[name][firsts] for name in _RUN_DTYPE.names[:-1]}
     if n is None:
-        n = 1 + int(max(edges["u"].max(), edges["v"].max())) if len(edges) else 0
+        n = 1 + int(max(edges["u"].max(), edges["v"].max())) if len(firsts) else 0
     return LoadedSparsifier(
-        n=int(n),
-        step=header.get("step", 0),
-        budget_n=header.get("N", 0),
-        seed=header.get("seed", 0),
-        **{name: edges[name].copy() for name in _RUN_DTYPE.names},
-        copies=copies,
+        n, *(header.get(key, 0) for key in ("step", "N", "seed")),
+        **edges, count=np.add.reduceat(runs["count"], firsts), copies=copies,
     )
 
 
@@ -776,25 +778,36 @@ _RUN_DTYPE = np.dtype(
 def _read_runs(path) -> tuple[dict[str, int] | None, np.ndarray, np.ndarray, int | None]:
     """(header, runs, copy ids, stop) of a file read whole lines at a time.
 
-    The rows are those before the first data line that does not parse or
-    has a '#' inside it; stop is that line's row index, or None when there
-    is no such line. The header is looked for through the whole file. A
-    header field that is not an integer raises its ValueError, and text
-    that is not UTF-8 raises UnicodeDecodeError (at a chunk's offset).
+    The rows are those before the first data line that does not parse; stop
+    is that line's row index, or None when there is no such line. A chunk
+    holding a '#' has its comment lines dropped before it is parsed, so a
+    '#' inside a row does not parse. The header is looked for through the
+    whole file. A header field that is not an integer raises its
+    ValueError, and text that is not UTF-8 raises UnicodeDecodeError (at a
+    chunk's offset).
     """
     header, stop, count = None, None, 0
     runs, copies = [np.empty(0, _RUN_DTYPE)], [_NO_COPIES]
     with open(path, "r", encoding="utf-8") as fh:
         while text := fh.read(_READ_CHUNK):
             text += fh.readline()
-            if header is None:
-                header = _read_header(path, text)
+            if stop is not None and header is not None:
+                continue  # only a decode error is left to find
+            lines = text.split("\n")
+            if "#" in text:
+                if header is None:
+                    header = _read_header(path, lines)
+                lines = [line for line in lines if not line.lstrip().startswith("#")]
             if stop is not None:
                 continue
-            rows = None if _hash_inside_row(text) else _parse_rows(text.split("\n"))
-            if rows is None:
-                rows = _rows_before_bad_line(text)
-                stop = count + len(rows)
+            rows = _parse_rows(lines)
+            if rows is None:  # the rows before the first line that does not parse alone
+                lines = [line for line in map(str.strip, lines) if line]
+                good = next(
+                    (k for k, line in enumerate(lines) if _parse_rows([line]) is None), len(lines)
+                )
+                rows = _parse_rows(lines[:good]) if good else np.empty(0, _ROW_DTYPE)
+                stop = count + good
             count += len(rows)
             runs.append(_runs(rows))
             copies.append(rows["j"].copy())  # a view would keep the chunk's rows alive
@@ -816,18 +829,6 @@ def _runs(rows: np.ndarray) -> np.ndarray:
     return runs
 
 
-def _rows_before_bad_line(text: str) -> np.ndarray:
-    """The rows of a chunk before its first data line that does not parse
-    alone, with no '#' a comment."""
-    lines = [line for line in map(str.strip, text.split("\n"))
-             if line and not line.startswith("#")]
-    good = next(
-        (k for k, line in enumerate(lines) if _parse_rows([line], comments=None) is None),
-        len(lines),
-    )
-    return _parse_rows(lines[:good], comments=None) if good else np.empty(0, _ROW_DTYPE)
-
-
 def _raise_decode_error(path) -> None:
     """Raise the error of a file that is not UTF-8 as decoding it whole words
     it, decoding a chunk of bytes at a time (an incomplete last character
@@ -846,8 +847,9 @@ def _raise_decode_error(path) -> None:
         raise ValueError(f"{path}: 'utf-8' codec can't decode {where}: {exc.reason}") from exc
 
 
-def _parse_rows(lines, comments: str | None = "#") -> np.ndarray | None:
-    """Rows parsed from a file or a list of lines, or None when one does not parse.
+def _parse_rows(lines) -> np.ndarray | None:
+    """Rows parsed from a list of lines with no comment, or None when one
+    does not parse.
 
     This is the one number grammar of the format. NumPy 1.23 to 1.26 parse a
     float in an integer field (say '0.7' or '1e0') with only a
@@ -860,27 +862,16 @@ def _parse_rows(lines, comments: str | None = "#") -> np.ndarray | None:
             warnings.filterwarnings(
                 "error", ".*Parsing an integer via a float", DeprecationWarning
             )
-            return np.loadtxt(lines, dtype=_ROW_DTYPE, comments=comments, ndmin=1)
+            return np.loadtxt(lines, dtype=_ROW_DTYPE, comments=None, ndmin=1)
     except (ValueError, DeprecationWarning):
         return None
 
 
-def _comment_lines(text: str):
-    """(line start, position of its first '#', line end) per line holding a '#'."""
-    pos = text.find("#")
-    while pos >= 0:
-        start = text.rfind("\n", 0, pos) + 1
-        end = text.find("\n", pos)
-        end = len(text) if end < 0 else end
-        yield start, pos, end
-        pos = text.find("#", end)
-
-
-def _read_header(path, text: str) -> dict[str, int] | None:
-    """The integer fields of the first 'respark sparsifier' comment, if any."""
-    for start, pos, end in _comment_lines(text):
-        line = text[pos:end]
-        if not text[start:pos].strip() and "respark sparsifier" in line:
+def _read_header(path, lines) -> dict[str, int] | None:
+    """The integer fields of the first comment line holding 'respark
+    sparsifier', if any."""
+    for line in lines:
+        if line.lstrip().startswith("#") and "respark sparsifier" in line:
             fields = dict(tok.split("=", 1) for tok in line.split() if "=" in tok)
             header = {}
             for key in ("step", "N", "seed"):
@@ -895,40 +886,29 @@ def _read_header(path, text: str) -> dict[str, int] | None:
     return None
 
 
-def _hash_inside_row(text: str) -> bool:
-    # loadtxt would drop such a '#' and the rest of its row as a comment
-    return any(text[start:pos].strip() for start, pos, _ in _comment_lines(text))
-
-
 _ROW_ERRORS = {
     "parse": "expected 'u v weight e j p_tilde' with 64-bit integers u, v, e, j, got {line!r}",
     "range": "need distinct vertex ids in [0, {bound}), a finite weight > 0 and p_tilde "
              "in (0, 1], got {line!r}",
     "copy": "need an edge id e >= 0 and a copy index j in [0, {budget}), got {line!r}",
     "repeat": "copy j={j} of edge e={e} repeats line {earlier}",
+    "order": "need rows in (e, j) order as the writer writes them; e={e} j={j} follows "
+             "line {earlier}",
+    "mixed": "edge e={e} differs from line {earlier} in u v, weight or p_tilde",
     "edge": "need an edge id e < {m} and graph edge e's endpoints in its order, got {line!r}",
     "weight": "need the weight a_e / (N * p_tilde) of graph edge e at N={budget}, "
               "got {line!r}",
-    "mixed": "edge e={e} differs from line {earlier} in u v, weight or p_tilde",
 }
-
-
-def _in_writer_order(runs: np.ndarray, j: np.ndarray) -> bool:
-    """Whether the rows' (e, j) pairs strictly ascend, as the writer writes them."""
-    e = runs["e"]
-    up = j[1:] > j[:-1]
-    at = runs["count"].cumsum()[:-1] - 1  # the last row of each run but the last
-    up[at] = (e[1:] > e[:-1]) | ((e[1:] == e[:-1]) & up[at])
-    return bool(up.all())
 
 
 def _first_bad_row(
     runs: np.ndarray, j: np.ndarray, bound, budget, graph: WeightedGraph | None = None
-) -> tuple[int, str, int] | None:
+) -> tuple[int, str] | None:
     """The one row contract, on rows held as runs and their copy ids j:
-    (index, check, earlier) for the first row in file order that breaks it,
-    or None. check names the _ROW_ERRORS entry; earlier is the index of the
-    row a "repeat" repeats or a "mixed" row differs from (else -1). The
+    (index, check) for the first row that breaks it, or None. check names
+    the _ROW_ERRORS entry; at one row the first of them in that order is
+    named. A rule on a run's fields breaks at the run's first row.
+    "repeat", "order" and "mixed" compare a row with the row before it. The
     graph checks run only with a graph.
     """
     u, v, w, e, p, count = (runs[k] for k in ("u", "v", "weight", "e", "p_tilde", "count"))
@@ -938,101 +918,56 @@ def _first_bad_row(
         & (0.0 < w) & (w < math.inf) & (0.0 < p) & (p <= 1.0)
     )
     run_ok = in_range & (0 <= e)
-    # (index, rank, check, earlier) per broken rule: the earliest row wins,
-    # then the lowest rank
-    found = []
-    bad = np.flatnonzero(~(np.repeat(run_ok, count) & (0 <= j) & (j < budget)))
-    if len(bad):
-        k = int(bad[0])
-        run = np.searchsorted(starts, k, side="right") - 1
-        found.append((k, 0, "range" if not in_range[run] else "copy", -1))
-    if not _in_writer_order(runs, j):
-        # a stable sort keeps each pair's rows together and in file order
-        rows_e = np.repeat(e, count)
-        order = np.lexsort((j, rows_e))
-        eo, jo = rows_e[order], j[order]
-        same = np.flatnonzero((eo[1:] == eo[:-1]) & (jo[1:] == jo[:-1]))
-        if len(same):
-            k = same[np.argmin(order[same + 1])]
-            found.append((int(order[k + 1]), 1, "repeat", int(order[k])))
-    if len(runs):
-        found += _edge_breaks(runs, starts, run_ok, budget, graph)
-    if not found:
-        return None
-    index, _, check, earlier = min(found)
-    return index, check, earlier
-
-
-def _edge_breaks(runs, starts, run_ok, budget, graph: WeightedGraph | None) -> list[tuple]:
-    """_first_bad_row's per-edge rules, as (index, rank, check, earlier) entries.
-
-    On every read, each row of an edge must equal the edge's first row in
-    all but j ("mixed"), so the graph rules are checked on first rows only
-    (those whose own checks pass; the row checks report the others).
-    """
-    # each edge's runs next to each other, in file order
-    e = runs["e"]
-    order = None if (e[1:] >= e[:-1]).all() else np.argsort(e, kind="stable")
-    in_file = (lambda k: k) if order is None else order.__getitem__
-    by_edge = runs if order is None else runs[order]
-    same_edge = by_edge["e"][1:] == by_edge["e"][:-1]
-    differ = np.zeros_like(same_edge)
-    for name in ("u", "v", "weight", "p_tilde"):
-        differ |= by_edge[name][1:] != by_edge[name][:-1]
-    found = []
-    mixed = np.flatnonzero(same_edge & differ)
-    if len(mixed):
-        k = mixed[np.argmin(in_file(mixed + 1))]
-        later, earlier = in_file(k + 1), in_file(k)
-        last = starts[earlier] + runs["count"][earlier] - 1  # the earlier run's last row
-        found.append((int(starts[later]), 4, "mixed", int(last)))
-    if graph is None:
-        return found
-    firsts = in_file(np.flatnonzero(np.concatenate(([True], ~same_edge))))
-    firsts = firsts[run_ok[firsts]]
-    fe = e[firsts]
-    # an edge id past the graph reads the -1 sentinel
-    at = np.where(fe < graph.m, fe, graph.m)
-    gu, gv = (np.append(x, -1) for x in (graph.u, graph.v))
-    rules = [("edge", (runs["u"][firsts] == gu[at]) & (runs["v"][firsts] == gv[at]))]
-    if budget < math.inf:
-        a = np.append(graph.weight, np.nan)[at]
-        rules.append(("weight", runs["weight"][firsts] == a / (budget * runs["p_tilde"][firsts])))
-    for rank, (check, rule_ok) in enumerate(rules, start=2):
-        broken = firsts[~rule_ok]
-        if len(broken):
-            found.append((int(starts[broken].min()), rank, check, -1))
-    return found
-
-
-def _per_edge(runs: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows that keep the contract as one run per edge, by ascending e, and
-    their copy ids in CSR order: edge after edge, ascending within an edge."""
-    if not _in_writer_order(runs, j):
-        j = j[np.lexsort((j, np.repeat(runs["e"], runs["count"])))]
-        runs = runs[np.argsort(runs["e"], kind="stable")]
-    e = runs["e"]
-    firsts = np.flatnonzero(np.concatenate(([len(e) > 0], e[1:] != e[:-1])))
-    edges = runs[firsts]
-    edges["count"] = np.add.reduceat(runs["count"], firsts)
-    return edges, j
+    found = []  # (index, check) per broken rule, in _ROW_ERRORS order
+    if not run_ok.all():
+        run = int(run_ok.argmin())
+        found.append((int(starts[run]), "range" if not in_range[run] else "copy"))
+    if len(j) and (j.min() < 0 or j.max() >= budget):
+        found.append((int(((j < 0) | (j >= budget)).argmax()), "copy"))
+    # down[k]: row k + 1 does not follow row k; within a run e is equal
+    down = j[1:] <= j[:-1]
+    at = starts[1:] - 1
+    down[at] = (e[1:] < e[:-1]) | ((e[1:] == e[:-1]) & down[at])
+    if down.any():
+        k = int(down.argmax())
+        e_k, e_next = e[np.searchsorted(starts, [k, k + 1], side="right") - 1]
+        found.append((k + 1, "repeat" if (e_k, j[k]) == (e_next, j[k + 1]) else "order"))
+    differ = (u[1:] != u[:-1]) | (v[1:] != v[:-1]) | (w[1:] != w[:-1]) | (p[1:] != p[:-1])
+    mixed = (e[1:] == e[:-1]) & differ
+    if mixed.any():
+        found.append((int(starts[mixed.argmax() + 1]), "mixed"))
+    if graph is not None:
+        # on the runs that keep the row rules; an edge id past the graph reads
+        # the -1 sentinel
+        ok = np.flatnonzero(run_ok)
+        at = np.minimum(e[ok], graph.m)
+        gu, gv = (np.append(x, -1) for x in (graph.u, graph.v))
+        rules = [("edge", (u[ok] == gu[at]) & (v[ok] == gv[at]))]
+        if 0 < budget < math.inf:
+            a = np.append(graph.weight, np.nan)[at]
+            rules.append(("weight", w[ok] == a / (budget * p[ok])))
+        for check, rule_ok in rules:
+            if not rule_ok.all():
+                found.append((int(starts[ok[rule_ok.argmin()]]), check))
+    # min keeps the first of equal indices, so the check first in order
+    return min(found, key=lambda found_at: found_at[0], default=None)
 
 
 def _row_error(
-    path, runs: np.ndarray, j: np.ndarray, k: int, check: str, earlier: int, bound, budget,
+    path, runs: np.ndarray, j: np.ndarray, k: int, check: str, bound, budget,
     graph: WeightedGraph | None,
 ) -> ValueError:
     """The 'path:lineno:' error of row k, which breaks `check` (against row
-    `earlier`, when that is not -1)."""
+    k - 1 for "repeat", "order" and "mixed")."""
     e = copy = None
-    if earlier >= 0:
+    if k < len(j):  # else the row did not parse
         e = int(runs["e"][np.searchsorted(runs["count"].cumsum(), k, side="right")])
         copy = int(j[k])
-    lines = _data_lines(path, {k, earlier} - {-1})
+    lines = _data_lines(path, {k - 1, k} if k else {k})
     m = graph.m if graph is not None else None
     return ValueError(f"{path}:{lines[k][0]}: " + _ROW_ERRORS[check].format(
         line=lines[k][1], bound=bound, budget=budget, m=m, e=e, j=copy,
-        earlier=lines.get(earlier, (None,))[0],
+        earlier=lines.get(k - 1, (None,))[0],
     ))
 
 

@@ -177,6 +177,25 @@ def test_verify_prints_the_in_memory_sparsifiers_numbers(tmp_path, capsys, monke
     assert lines[:2] == [f"worst_ratio {worst!r}", f"projection_error {proj!r}"]
 
 
+def test_verify_refuses_a_shuffled_writer_file(tmp_path, capsys):
+    graph = _gen(tmp_path)
+    out = tmp_path / "h.sparsifier"
+    main([
+        "sparsify", "--input", str(graph), "--epsilon", "0.5",
+        "--budget-override", "500", "--block-size", "30", "--seed", "5",
+        "--resistance-mode", "exact", "--output", str(out),
+    ])
+    header, *rows = out.read_text().splitlines(keepends=True)
+    np.random.default_rng(0).shuffle(rows)
+    out.write_text(header + "".join(rows))
+    capsys.readouterr()
+    code = main(["verify", "--graph", str(graph), "--sparsifier", str(out), "--epsilon", "0.5"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error: {out}:" in err and "need rows in (e, j) order" in err
+    assert "Traceback" not in err
+
+
 def test_verify_fails_at_tight_epsilon(tmp_path, capsys):
     graph = _gen(tmp_path)
     out = tmp_path / "h.sparsifier"
@@ -599,16 +618,21 @@ def test_verify_rejects_non_integer_header_fields(tmp_path, capsys, field):
         ("N=2", "1 0 0.5 0 0 1.0\n", "h.sparsifier:2:", "endpoints"),  # edge 0 reversed
         # out of edge order, the first bad row in the file is named
         ("N=2", "2 1 0.5 1 0 1.0\n1 0 0.5 0 0 1.0\n", "h.sparsifier:2:", "endpoints"),
+        # every edge is checked, not only the first
+        ("N=2", "0 1 0.5 0 0 1.0\n2 1 0.5 1 0 1.0\n", "h.sparsifier:3:", "endpoints"),
+        ("N=2", "0 1 0.5 0 0 1.0\n1 2 1.0 1 0 1.0\n", "h.sparsifier:3:", "a_e / (N * p_tilde)"),
         ("N=2", "0 1 0.5 0 0 1.0\n0 1 1.0 0 1 0.5\n", "h.sparsifier:3:", "e=0 differs from line 2"),
         ("N=2", "0 1 0.5 0 0 1.0\n1 0 0.5 0 1 1.0\n", "h.sparsifier:3:", "e=0 differs from line 2"),
         # out of (e, j) order: edge 0's rows are lines 2 and 4
         ("N=2", "0 1 0.5 0 0 1.0\n1 2 0.5 1 0 1.0\n0 1 1.0 0 1 0.5\n", "h.sparsifier:4:",
-         "e=0 differs from line 2"),
+         "e=0 j=1 follows line 3"),
         # without N no weight is implied, so only the one-p_tilde rule applies
         ("", "0 1 0.5 0 0 1.0\n0 1 0.5 0 1 0.5\n", "h.sparsifier:3:",
          "edge e=0 differs from line 2 in u v, weight or p_tilde"),
         ("N=2", "0 1 1.0 0 0 1.0\n", "h.sparsifier:2:", "a_e / (N * p_tilde)"),  # 1/(2*1) = 0.5
         ("N=2", "0 1 0.5000000000000001 0 0 1.0\n", "h.sparsifier:2:", "a_e / (N * p_tilde)"),
+        # N = 0 admits no copy; no weight a_e / (0 * p_tilde) is computed
+        ("N=0", "0 1 0.5 0 0 1.0\n", "h.sparsifier:2:", "copy index j in [0, 0)"),
     ],
 )
 def test_verify_rejects_rows_that_contradict_the_graph(

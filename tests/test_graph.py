@@ -153,6 +153,10 @@ def test_columns_are_read_only_copies():
         ([1e19], [1], r"edge 0: endpoints \(1e\+19, 1\) are not 64-bit integers"),
         (np.array([2**63], np.uint64), [1], r"endpoints \(9223372036854775808, 1\) are not"),
         ([5, 0.5], [1, 2], r"edge 0: endpoints \(5, 1\) out of range for n=3"),
+        # Python ints past 64 bits; an earlier bad edge is named first
+        ([2**70], [1], r"edge 0: endpoints \(1180591620717411303424, 1\) are not 64-bit"),
+        ([-1, 2**64], [1, 2], r"edge 0: endpoints \(-1, 1\) out of range for n=3"),
+        ([0], [2**70], r"edge 0: endpoints \(0, 1180591620717411303424\) are not 64-bit"),
     ],
 )
 def test_endpoints_that_are_not_64_bit_integers_are_refused(u, v, want):
@@ -161,6 +165,15 @@ def test_endpoints_that_are_not_64_bit_integers_are_refused(u, v, want):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=want):
             WeightedGraph(3, u, v, np.ones(len(u)))
+
+
+def test_from_edges_names_an_endpoint_past_64_bits_as_the_constructor_does():
+    for edges, want in (
+        ([(0, 1, 1.0), (2**64, 1, 1.0)], r"edge 1: endpoints \(18446744073709551616, 1\) are not"),
+        ([(0, 1, 1.0), (-1, 1, 1.0), (0, 2**70, 1.0)], r"edge 1: endpoints \(-1, 1\) out of range"),
+    ):
+        with pytest.raises(ValueError, match=want):
+            WeightedGraph.from_edges(3, edges)
 
 
 def test_integral_endpoints_and_vertex_counts_of_any_type_are_taken_exactly():

@@ -844,6 +844,21 @@ def test_sparsifier_file_round_trip(tmp_path):
         read_sparsifier(path, n=g.n + 1, graph=g)
 
 
+def test_read_sparsifier_takes_an_integer_vertex_count(tmp_path):
+    p = tmp_path / "h.sparsifier"
+    p.write_text("# respark sparsifier step=1 N=5 seed=0\n0 1 0.5 0 0 1.0\n1 2 0.5 1 0 1.0\n")
+    loaded = read_sparsifier(p, n=np.int64(3))
+    assert type(loaded.n) is int and loaded.n == 3
+    # were the file read, 2.5 would admit vertex 2 and "3" end in a NumPy type error
+    for n in (2.5, 3.0, "3"):
+        for graph in (None, PATH3):
+            with pytest.raises(ValueError, match=f"vertex count must be an integer, got {n!r}"):
+                read_sparsifier(p, n=n, graph=graph)
+    # a file without rows would load with n = -1, whose Laplacian cannot be built
+    with pytest.raises(ValueError, match="vertex count must be >= 0, got -1"):
+        read_sparsifier(p, n=-1)
+
+
 def test_read_sparsifier_rejects_missing_header(tmp_path):
     p = tmp_path / "bad.sparsifier"
     p.write_text("0 1 0.5 0 3 1.0\n")
@@ -963,7 +978,7 @@ def test_writer_bytes_match_reference_without_copies(tmp_path):
 def _reference_read(path, n=None):
     """The row-at-a-time reader the columnar one replaced, with every check
     of the file contract. Returns (header, rows) or raises ValueError."""
-    header, rows, first_seen, edge_fields = None, [], {}, {}
+    header, rows = None, []
     bound = math.inf if n is None else n
 
     def number(kind, tok):
@@ -996,11 +1011,12 @@ def _reference_read(path, n=None):
             raise ValueError(f"{path}:{lineno}: parse") from None
         if not (0 <= u < bound and 0 <= v < bound and u != v and 0 < w < math.inf
                 and 0 < p <= 1 and 0 <= e < 2**63 and 0 <= j < budget and j < 2**63
-                and u < 2**63 and v < 2**63 and (e, j) not in first_seen):
+                and u < 2**63 and v < 2**63):
             raise ValueError(f"{path}:{lineno}: range")
-        if edge_fields.setdefault(e, (u, v, w, p)) != (u, v, w, p):
-            raise ValueError(f"{path}:{lineno}: mixed")  # differs from the edge's first row
-        first_seen[e, j] = lineno
+        if rows and (e, j) <= rows[-1][3:5]:
+            raise ValueError(f"{path}:{lineno}: order")  # (e, j) ascends strictly
+        if rows and rows[-1][3] == e and rows[-1][:3] + rows[-1][5:] != (u, v, w, p):
+            raise ValueError(f"{path}:{lineno}: mixed")  # differs from the row before
         rows.append((u, v, w, e, j, p))
     if header is None:
         raise ValueError(f"{path}: missing header")
@@ -1146,23 +1162,30 @@ def test_earlier_bad_line_wins_across_walk_blocks(tmp_path, bad_at, unparsed_at)
 
 @pytest.mark.parametrize("tail", ["", "0 1 0.5\n"])
 def test_repeat_names_the_true_line_of_its_first_copy(tmp_path, tail):
-    # out of the writer's (e, j) order, so repeats are found by sorting; with
-    # the unparsed tail the rows come from the line walk
+    # blank and comment lines lie between the two copies; with the unparsed
+    # tail the rows come from the line walk
     p = tmp_path / "bad.sparsifier"
     p.write_text(
-        f"{_HEADER}\n\n# note\n0 1 0.5 1 0 1.0\n1 2 0.5 0 1 1.0\n\n  # more\n0 1 0.5 1 0 1.0\n"
-        + tail
+        f"{_HEADER}\n\n# note\n0 1 0.5 1 0 1.0\n\n\n  # more\n0 1 0.5 1 0 1.0\n" + tail
     )
     with pytest.raises(ValueError, match=r"bad\.sparsifier:8: copy j=0 of edge e=1 repeats line 4$"):
         read_sparsifier(p)
 
 
-def test_first_repeat_in_file_order_is_reported(tmp_path):
+_ORDER = r"need rows in \(e, j\) order as the writer writes them; "
+
+
+def test_the_first_row_out_of_order_is_reported(tmp_path):
     p = tmp_path / "bad.sparsifier"
+    # a lower edge id; the repeats of lines 2 and 3 come later
     rows = ["0 1 0.5 5 0 1.0", "0 1 0.5 1 0 1.0", "0 1 0.5 5 1 1.0", "0 1 0.5 5 0 1.0",
             "0 1 0.5 1 0 1.0"]
     p.write_text(f"{_HEADER}\n" + "\n".join(rows) + "\n")
-    with pytest.raises(ValueError, match=r"bad\.sparsifier:5: copy j=0 of edge e=5 repeats line 2$"):
+    with pytest.raises(ValueError, match=rf"bad\.sparsifier:3: {_ORDER}e=1 j=0 follows line 2$"):
+        read_sparsifier(p)
+    # a lower copy index of the same edge, past a comment and a blank line
+    p.write_text(f"{_HEADER}\n0 1 0.5 0 1 1.0\n# note\n\n0 1 0.5 0 0 1.0\n")
+    with pytest.raises(ValueError, match=rf"bad\.sparsifier:5: {_ORDER}e=0 j=0 follows line 2$"):
         read_sparsifier(p)
 
 
@@ -1340,17 +1363,22 @@ def test_a_bad_last_row_is_named_in_bounded_memory(tmp_path, last):
     assert peak < 2 * path.stat().st_size
 
 
-def test_a_shuffled_writer_file_reads_like_the_writers_order(tmp_path):
+def test_a_shuffled_writer_file_is_refused_at_its_first_row_out_of_order(tmp_path):
     g = generate(GeneratorSpec("erdos-renyi", 8, p=0.6, seed=1))
     h, _ = stream_sparsify(g, _small_cfg(g, seed=3, budget=40), block_size=3,
                            resistance_mode="exact", diagnostics=False)
     ordered, shuffled = tmp_path / "ordered.sparsifier", tmp_path / "shuffled.sparsifier"
     write_sparsifier(h, ordered)
+    assert read_sparsifier(ordered, graph=g).copy_count() == h.copy_count()
     header, *rows = ordered.read_text().splitlines(keepends=True)
     assert len(rows) == h.copy_count() > 2 * len(h.alive)
     np.random.default_rng(0).shuffle(rows)
     shuffled.write_text(header + "".join(rows))
-    whole = _read_outcome(ordered, graph=g)
+    pairs = [tuple(map(int, row.split()[3:5])) for row in rows]
+    k = next(k for k in range(1, len(pairs)) if pairs[k] <= pairs[k - 1])
+    # line k + 2 holds row k, after the header
+    whole = (f"{shuffled}:{k + 2}: need rows in (e, j) order as the writer writes them; "
+             f"e={pairs[k][0]} j={pairs[k][1]} follows line {k + 1}")
     assert _read_outcome(shuffled, graph=g) == whole
     with pytest.MonkeyPatch.context() as mp:
         for chunk in (1, 17, 60):
@@ -1358,18 +1386,23 @@ def test_a_shuffled_writer_file_reads_like_the_writers_order(tmp_path):
             assert _read_outcome(shuffled, graph=g) == whole
 
 
+_MIXED = r"edge e=0 differs from line 2 in u v, weight or p_tilde"
+
+
 @pytest.mark.parametrize("n", [None, 3])
 @pytest.mark.parametrize(
-    "body, lineno",
+    "body, lineno, message",
     [
-        ("0 1 0.5 0 0 1.0\n0 1 0.5 0 1 0.5\n", 3),  # p_tilde
-        ("0 1 0.5 0 0 1.0\n\n# note\n1 0 0.5 0 1 1.0\n", 5),  # endpoints' order
-        ("0 1 0.5 0 0 1.0\n1 2 0.5 1 0 1.0\n0 1 0.25 0 1 1.0\n", 4),  # weight, out of order
+        ("0 1 0.5 0 0 1.0\n0 1 0.5 0 1 0.5\n", 3, _MIXED),  # p_tilde
+        ("0 1 0.5 0 0 1.0\n\n# note\n1 0 0.5 0 1 1.0\n", 5, _MIXED),  # endpoints' order
+        ("0 1 0.5 0 0 1.0\n\n0 1 0.25 0 1 1.0\n1 2 0.5 1 0 1.0\n", 4, _MIXED),  # weight
+        # weight, out of order: refused for its place before its fields are compared
+        ("0 1 0.5 0 0 1.0\n1 2 0.5 1 0 1.0\n0 1 0.25 0 1 1.0\n", 4,
+         _ORDER + "e=0 j=1 follows line 3"),
     ],
 )
-def test_a_disagreeing_edge_is_refused_without_a_graph(tmp_path, body, lineno, n):
+def test_a_disagreeing_edge_is_refused_without_a_graph(tmp_path, body, lineno, message, n):
     p = tmp_path / "mixed.sparsifier"
     p.write_text(f"{_HEADER}\n{body}")
-    with pytest.raises(ValueError, match=rf"mixed\.sparsifier:{lineno}: edge e=0 differs from "
-                                         r"line 2 in u v, weight or p_tilde$"):
+    with pytest.raises(ValueError, match=rf"mixed\.sparsifier:{lineno}: {message}$"):
         read_sparsifier(p, n=n)
