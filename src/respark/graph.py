@@ -224,10 +224,12 @@ def _lower_inverse(c: np.ndarray) -> np.ndarray:
     h = k // 2
     a_inv = _lower_inverse(c[:h, :h])
     d_inv = _lower_inverse(c[h:, h:])
-    out = np.zeros_like(c)
+    off = d_inv @ c[h:, :h]
+    off = np.negative(off, out=off) @ a_inv
+    out = np.zeros_like(c)  # after the blocks, so no product is alive beside it
     out[:h, :h] = a_inv
+    out[h:, :h] = off
     out[h:, h:] = d_inv
-    out[h:, :h] = -(d_inv @ c[h:, :h]) @ a_inv
     return out
 
 
@@ -250,11 +252,21 @@ def _component_labels(l: np.ndarray) -> np.ndarray:
 def _grounded_inverse(l: np.ndarray, free: np.ndarray) -> np.ndarray:
     """C^-1, C the Cholesky factor of l with the vertices outside the mask
     free, vertex 0 among them, grounded (their rows and columns removed)."""
-    grounded = l[1:, 1:] if free[1:].all() else l[np.ix_(free, free)]  # a slice copies less
-    return _lower_inverse(np.linalg.cholesky(grounded))
+    # a slice copies less; either way nothing holds the grounded matrix
+    # while its factor is inverted
+    c = np.linalg.cholesky(l[1:, 1:] if free[1:].all() else l[np.ix_(free, free)])
+    return _lower_inverse(c)
 
 
 _RESISTANCE_BLOCK = 64  # pairs whose factor-row differences are held at once
+
+
+def _spectrum(l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of the Laplacian l, ascending, with those at most
+    DEFAULT_NULL_TOLERANCE * lambda_max set to 0.0, and its eigenvectors."""
+    w, q = np.linalg.eigh(l)
+    cutoff = DEFAULT_NULL_TOLERANCE * max(float(w[-1]), 0.0)
+    return np.where(np.abs(w) <= cutoff, 0.0, w), q
 
 
 @dataclass(frozen=True)
@@ -262,8 +274,7 @@ class PseudoinverseFactors:
     """A Laplacian's pseudoinverse as a grounded Cholesky factor. Grounded at
     one vertex per component, L is positive definite, C C'; rows[v] is C^-1's
     column of vertex v (zero if grounded), so b'L+b for u, v in one component
-    is ||rows[u] - rows[v]||^2. The eigendecomposition, eigenvalues ascending
-    with those at most DEFAULT_NULL_TOLERANCE * lambda_max set to 0.0, is a
+    is ||rows[u] - rows[v]||^2. The eigendecomposition (see _spectrum) is a
     view: eigh runs on its first read, on laplacian, which is not copied."""
 
     laplacian: np.ndarray
@@ -272,9 +283,7 @@ class PseudoinverseFactors:
 
     @cached_property
     def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        w, Q = np.linalg.eigh(self.laplacian)
-        cutoff = DEFAULT_NULL_TOLERANCE * max(float(w[-1]), 0.0)
-        return np.where(np.abs(w) <= cutoff, 0.0, w), Q
+        return _spectrum(self.laplacian)
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -331,43 +340,61 @@ def pseudo_factorize(l: np.ndarray) -> PseudoinverseFactors:
 
 @dataclass(frozen=True)
 class ProjectionContext:
-    """A connected reference graph and the factors of its Laplacian L. The
-    instruments read congruences S A S by S = L^{-1/2} in L's eigenbasis, so
-    S is never formed; ||v_e||^2 = a_e r_e, v_e = sqrt(a_e) S b_e, is leverages."""
+    """A connected reference graph and what the instruments read of its
+    Laplacian L, each piece built from the graph on its first read and kept:
+    factors, L's grounded factors (projection_error reads them), leverages
+    and range_basis (the variation reads both, spectral_check the basis).
+    No piece keeps what it was built from, so a context keeps only what was
+    read of it: one that has served the variation holds its leverages and
+    basis and no factorisation. given holds grounded factors the caller has
+    already made, read instead of a new factorisation: a stream's prefix
+    reference makes the one factorisation that its exact estimates and
+    projection_error share. The instruments read congruences S A S by
+    S = L^{-1/2} in L's eigenbasis, so S is never formed;
+    ||v_e||^2 = a_e r_e, v_e = sqrt(a_e) S b_e, is leverages."""
 
     graph: WeightedGraph
-    factors: PseudoinverseFactors
+    given: PseudoinverseFactors | None = None
+
+    def _factorize(self) -> PseudoinverseFactors:
+        """The factors given, else a new factorisation of the graph's Laplacian."""
+        if self.given is not None:
+            return self.given
+        return pseudo_factorize(build_laplacian(self.graph))
+
+    @cached_property
+    def factors(self) -> PseudoinverseFactors:
+        return self._factorize()
 
     @cached_property
     def leverages(self) -> np.ndarray:
         """Read-only a_e r_e = ||v_e||^2 of every reference edge, in edge
-        order; computed on first use and kept with the context."""
+        order, read off factors that are not kept unless given."""
         g = self.graph
-        lev = g.weight * self.factors.resistances(np.column_stack((g.u, g.v)))
+        lev = g.weight * self._factorize().resistances(np.column_stack((g.u, g.v)))
         lev.flags.writeable = False
         return lev
 
     @cached_property
     def range_basis(self) -> np.ndarray:
         """Read-only B, the eigenvectors of L's nonzero eigenvalues over their
-        square roots, so that S A S on range(L) is B' A B; computed on first
-        use and kept with the context. As the eigen view's first read, it
-        raises GraphConnectivityError unless exactly one eigenvalue is null."""
-        if self.factors.null_count != 1:
-            raise GraphConnectivityError(
-                f"expected exactly one null eigenvalue, found {self.factors.null_count}"
-            )
-        lam = self.factors.eigenvalues
+        square roots, so that S A S on range(L) is B' A B. Its eigh (see
+        _spectrum) is not kept. Raises GraphConnectivityError unless exactly
+        one eigenvalue is null."""
+        lam, q = _spectrum(build_laplacian(self.graph))
+        nulls = int(np.count_nonzero(lam == 0.0))
+        if nulls != 1:
+            raise GraphConnectivityError(f"expected exactly one null eigenvalue, found {nulls}")
         nz = lam > 0.0
-        b = self.factors.eigenvectors[:, nz] / np.sqrt(lam[nz])
+        b = q[:, nz]
+        b /= np.sqrt(lam[nz])  # in place: q and b are the only n x n arrays held
         b.flags.writeable = False
         return b
 
 
 def projection_context(g: WeightedGraph) -> ProjectionContext:
-    """Build the projection context for a connected reference graph: its
-    grounded factors, whose eigen view waits for its first read (see
-    ProjectionContext.range_basis).
+    """The projection context of a connected reference graph; each piece
+    waits for its first read (see ProjectionContext).
 
     Raises
     ------
@@ -375,11 +402,11 @@ def projection_context(g: WeightedGraph) -> ProjectionContext:
         If g is disconnected (the projection would have multiple null
         vectors and the spectral instruments are not defined).
     """
-    if not is_connected(g):  # before the O(n^3) factor is paid
+    if not is_connected(g):
         raise GraphConnectivityError(
             "reference graph is disconnected; projection context undefined"
         )
-    return ProjectionContext(g, pseudo_factorize(build_laplacian(g)))
+    return ProjectionContext(g)
 
 
 class _UnionFind:

@@ -363,9 +363,9 @@ class _PrefixReference:
 
     @cached_property
     def grounded(self) -> ProjectionContext:
-        """The prefix with its grounded factors; its eigen view stays unbuilt
-        unless a caller reads it, and it is a projection context only when
-        the prefix is connected."""
+        """The prefix given its grounded factors, which the exact estimates
+        and projection_error read; it is a projection context only when the
+        prefix is connected."""
         return ProjectionContext(self.graph, pseudo_factorize(build_laplacian(self.graph)))
 
     @cached_property
@@ -522,8 +522,9 @@ def _run_stream(
     if trace or diagnostics:
         history = StreamTrace(g, cfg.budget_n, [], [], [], [] if copies else None)
         history._append(h)  # row 0, before any edge is seen
-    # the variation norm uses one fixed whole-graph reference; building it
-    # requires the input graph to be connected
+    # the variation norm uses one fixed whole-graph reference, which keeps
+    # only its leverages and range basis; building it requires the input
+    # graph to be connected
     ctx_full = None
     if diagnostics:
         ctx_full = projection_context(g) if references is None else references.whole
@@ -540,8 +541,10 @@ def _run_stream(
             history._append(h)
         record = None
         if diagnostics:
-            proj = verify.projection_error(h, ref.grounded) if ref.connected else float("nan")
+            # the variation first: the prefix factors that projection_error
+            # builds are then not alive beside the variation's products
             w_norm = verify.quadratic_variation(history, ctx_full, upto=step)
+            proj = verify.projection_error(h, ref.grounded) if ref.connected else float("nan")
             record = verify.DiagnosticsRecord.from_measurements(
                 step, h.copy_count(), proj, w_norm, cfg
             )

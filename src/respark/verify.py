@@ -92,11 +92,15 @@ def _reference_context(h, reference: WeightedGraph | ProjectionContext) -> Proje
     return projection_context(g) if reference is g else reference
 
 
-def _range_eigenvalues(ctx: ProjectionContext, l: np.ndarray) -> np.ndarray:
+def _range_eigenvalues(b: np.ndarray, l: np.ndarray) -> np.ndarray:
     """Eigenvalues of S l S on range(L_G), S = L_G^{-1/2}: those of B' l B,
-    B = ctx.range_basis."""
-    b = ctx.range_basis
-    return np.linalg.eigvalsh(b.T @ l @ b)
+    B = b the range basis of a context of G. l is let go once B' l is
+    formed, so a caller that passes its only reference holds one n x n
+    array less."""
+    w = b.T @ l
+    del l
+    w = w @ b
+    return np.linalg.eigvalsh(w)
 
 
 def spectral_check(
@@ -113,12 +117,12 @@ def spectral_check(
     [1-eps, 1+eps] with 1e-9 slack. Returns (passed, worst deviation
     |ratio - 1|).
 
-    Raises GraphConnectivityError when G (or its eigen view) is
+    Raises GraphConnectivityError when G (or its range basis) is
     disconnected and ValueError on a vertex-count mismatch.
     """
     if not eps >= 0.0:  # NaN fails too
         raise ValueError(f"eps must be non-negative, got {eps}")
-    ratios = _range_eigenvalues(_reference_context(h, reference), _laplacian_of(h))
+    ratios = _range_eigenvalues(_reference_context(h, reference).range_basis, _laplacian_of(h))
     worst = float(np.abs(ratios - 1.0).max())
     return worst <= eps + 1e-9, worst
 
@@ -138,8 +142,8 @@ def projection_error(h, reference: WeightedGraph | ProjectionContext) -> float:
     Cholesky factor and one eigvalsh replace an eigendecomposition of L_G.
 
     C^-1 is rows[1:].T of the grounded factors of reference's context, and
-    G is connected when their component labels are all 0 (vertex 0's); the
-    eigen view is never started.
+    G is connected when their component labels are all 0 (vertex 0's); no
+    eigh is run.
 
     Raises GraphConnectivityError when G is disconnected and ValueError on
     a vertex-count mismatch or a G without edges.
@@ -184,6 +188,7 @@ def quadratic_variation(trace, ctx: ProjectionContext, upto: int | None = None) 
     # identity first: the stream's own context shares the traced graph
     if g is not trace.graph and g != trace.graph:
         raise ValueError("ctx does not match the traced stream")
+    b = ctx.range_basis  # first: on a first read its eigh runs before L_c exists
     coeff = np.zeros(g.m)
     for s in range(1, upto + 1):
         p_prev = trace.p_steps[s - 1]
@@ -194,8 +199,9 @@ def quadratic_variation(trace, ctx: ProjectionContext, upto: int | None = None) 
         delta = np.clip(1.0 / p_cur - 1.0 / p_prev, 0.0, None)
         coeff += (alive_prev / p_prev) * delta
     coeff *= ctx.leverages / trace.budget_n**2
-    l_c = laplacian_from_arrays(g.n, g.u, g.v, g.weight * coeff)
-    return float(max(_range_eigenvalues(ctx, l_c).max(), 0.0))
+    # L_c is passed as a temporary, for _range_eigenvalues to let go
+    ratios = _range_eigenvalues(b, laplacian_from_arrays(g.n, g.u, g.v, g.weight * coeff))
+    return float(max(ratios.max(), 0.0))
 
 
 def sample_dominating_w0_batch(

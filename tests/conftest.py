@@ -1,5 +1,7 @@
 """Fixtures shared by the test modules."""
 
+import tracemalloc
+
 import pytest
 
 from respark import tape
@@ -17,3 +19,19 @@ def kernel_calls(monkeypatch):
 
     monkeypatch.setattr(tape, "_philox_at", counted)
     return calls
+
+
+@pytest.fixture
+def traced_peak():
+    """A function that calls run() and returns (its result, the peak memory
+    tracemalloc traced while it ran)."""
+
+    def measure(run):
+        tracemalloc.start()
+        try:
+            result = run()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return measure

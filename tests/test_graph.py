@@ -2,7 +2,6 @@
 closed-form oracles and Moore-Penrose identities."""
 
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,6 +15,7 @@ from respark.harness import GeneratorSpec, generate
 from respark.graph import (
     Edge,
     GraphConnectivityError,
+    ProjectionContext,
     WeightedGraph,
     build_laplacian,
     component_count,
@@ -415,7 +415,7 @@ def test_projection_invariants(g):
 
 
 def test_projection_context_defers_the_eigendecomposition(monkeypatch):
-    # the context holds the grounded factor; eigh runs on the first read of
+    # the context builds nothing up front; eigh runs on the first read of
     # range_basis, once
     calls = []
     eigh = np.linalg.eigh
@@ -425,6 +425,24 @@ def test_projection_context_defers_the_eigendecomposition(monkeypatch):
     assert ctx.range_basis.shape == (4, 3)
     assert ctx.range_basis is ctx.range_basis
     assert len(calls) == 1
+
+
+def test_a_context_keeps_only_the_pieces_read_of_it():
+    # the leverages and the range basis are read off a factorisation and an
+    # eigendecomposition that the context does not keep, with the bits of
+    # those of a factorisation held apart; given factors are read, not rebuilt
+    g = generate(GeneratorSpec("erdos-renyi", 30, p=0.3, seed=4))
+    ctx = projection_context(g)
+    lev, b = ctx.leverages, ctx.range_basis
+    assert set(vars(ctx)) == {"graph", "given", "leverages", "range_basis"}
+    assert ctx.given is None
+    factors = pseudo_factorize(build_laplacian(g))
+    assert lev.tobytes() == (g.weight * factors.resistances(np.column_stack((g.u, g.v)))).tobytes()
+    nz = factors.eigenvalues > 0.0
+    assert b.tobytes() == (factors.eigenvectors[:, nz] / np.sqrt(factors.eigenvalues[nz])).tobytes()
+    given = ProjectionContext(g, factors)
+    assert given.factors is factors
+    assert given.leverages.tobytes() == lev.tobytes()
 
 
 def test_projection_context_of_a_gap_below_the_null_tolerance(monkeypatch):
@@ -509,17 +527,13 @@ def test_block_reads_give_the_whole_array_bits(k):
         assert got.tobytes() == want.tobytes()
 
 
-def test_leverages_are_read_in_bounded_memory():
+def test_leverages_are_read_in_bounded_memory(traced_peak):
     # all m = 3,983 edges at n = 400: the whole-array read holds two m x (n - 1)
-    # float64 arrays, 25.4 MB; a block of rows holds under 1 MB
+    # float64 arrays, 25.4 MB; a block of rows holds under 1 MB. The context
+    # is given its factors, so only the read is traced
     g = generate(GeneratorSpec("erdos-renyi", 400, p=0.05, seed=1))
-    ctx = projection_context(g)
-    tracemalloc.start()
-    try:
-        lev = ctx.leverages
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    ctx = ProjectionContext(g, pseudo_factorize(build_laplacian(g)))
+    lev, peak = traced_peak(lambda: ctx.leverages)
     assert lev.tobytes() == (g.weight * _whole_array_resistances(
         ctx.factors, np.column_stack((g.u, g.v)))).tobytes()
     assert peak < 3e6

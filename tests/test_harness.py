@@ -328,8 +328,10 @@ def test_shared_references_change_no_bit(mode):
 
 
 def test_reference_work_does_not_grow_with_the_trials(monkeypatch):
-    # per run: one whole-graph context, and per step index one exact factor
-    # and one spectral-check context, whatever the trial count
+    # per run: one whole-graph context (a factorisation for its leverages,
+    # an eigh for its range basis), and per step index one exact factor and
+    # one spectral-check context (an eigh for its range basis, no factor),
+    # whatever the trial count
     calls = []
 
     def spy(owner, name, label):
@@ -349,7 +351,7 @@ def test_reference_work_does_not_grow_with_the_trials(monkeypatch):
         calls.clear()
         run_experiment(STRESS_SPEC, _stress_cfg(), trials=trials, block_size=50)
         counts[trials] = Counter(calls)
-    assert counts[1] == counts[4] == Counter(factorize=2 * 5 + 1, eigh=5 + 1)
+    assert counts[1] == counts[4] == Counter(factorize=5 + 1, eigh=5 + 1)
 
 
 def test_run_experiment_records_trial_errors(monkeypatch):

@@ -3,7 +3,6 @@ their agreement with an independent dense-indicator reference."""
 
 import math
 import re
-import tracemalloc
 import warnings
 import weakref
 
@@ -19,6 +18,7 @@ from respark.graph import (
     GraphConnectivityError,
     WeightedGraph,
     build_laplacian,
+    is_connected,
     projection_context,
     pseudo_factorize,
 )
@@ -39,6 +39,7 @@ from respark.sparsify import (
     write_sparsifier,
 )
 from respark.tape import RandomTape
+from respark.verify import projection_error, quadratic_variation
 
 PATH3 = WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
 
@@ -699,6 +700,45 @@ def test_diagnostics_require_connected_input():
     assert np.allclose(h.laplacian(), build_laplacian(g))
 
 
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@pytest.mark.parametrize("mode", ["sparsifier", "exact"])
+def test_diagnostics_records_are_the_instruments_bits(mode):
+    # each record holds, byte for byte, what the public instruments give when
+    # called step by step with fresh contexts: projection_error against the
+    # prefix, and the variation on the run's trace against a new context of
+    # the whole graph
+    g = generate(GeneratorSpec("erdos-renyi", 200, p=0.05, seed=7))
+    states = []
+    _, records, trace = indicator_stream(
+        g, _small_cfg(g, seed=5, budget=300), block_size=100, resistance_mode=mode,
+        record_copies=False, on_step=lambda step, h, prefix, record: states.append((h, prefix)),
+    )
+    assert len(records) == len(states) == trace.steps == len(partition_stream(g, 100))
+    for s, (record, (h, prefix)) in enumerate(zip(records, states), start=1):
+        proj = projection_error(h, prefix) if is_connected(prefix) else math.nan
+        w_norm = quadratic_variation(trace, projection_context(g), upto=s)
+        assert (record.step, record.copy_count) == (s, h.copy_count())
+        assert _bits(record.proj_error_norm) == _bits(proj), s
+        assert _bits(record.w_norm) == _bits(w_norm), s
+    # both kinds of step: a prefix still disconnected, and one connected
+    assert math.isnan(records[0].proj_error_norm) and not math.isnan(records[-1].proj_error_norm)
+
+
+def test_a_diagnostics_stream_holds_few_n_by_n_arrays(traced_peak):
+    # ER(400, 0.05) in blocks of 200 at N = 500: a step holds the whole
+    # graph's range basis, the trace, and the arrays of one factorisation or
+    # one instrument at a time, never 8 float64 n x n arrays
+    g = generate(GeneratorSpec("erdos-renyi", 400, p=0.05, seed=1))
+    (h, records), peak = traced_peak(lambda: stream_sparsify(
+        g, _small_cfg(g, seed=1234, budget=500), block_size=200, resistance_mode="sparsifier",
+    ))
+    assert len(records) == len(partition_stream(g, 200)) and h.arrived == g.m
+    assert peak <= 8 * g.n**2 * 8
+
+
 def test_config_graph_mismatch():
     g4 = generate(GeneratorSpec("path", 4))
     g5 = generate(GeneratorSpec("path", 5))
@@ -766,12 +806,12 @@ def test_theorem_budget_stream_stays_under_3n(kernel_calls):
     assert max(kernel_calls) < 0.03 * cfg.budget_n
 
 
-def test_a_trace_keeps_each_states_copies_not_an_indicator_matrix():
+def test_a_trace_keeps_each_states_copies_not_an_indicator_matrix(traced_peak):
     # at N = 50,000 an (m, N) indicator row of this graph is about 10 MB a
     # step; each trace row shares its state's copies column instead
     g = generate(THEOREM_ER)
     cfg = StreamConfig.for_graph(g, 0.5, 0.1, 1.0, seed=7, budget_override=50_000)
-    (h, _, trace), peak = _traced_peak(lambda: indicator_stream(
+    (h, _, trace), peak = traced_peak(lambda: indicator_stream(
         g, cfg, block_size=67, resistance_mode="sparsifier", diagnostics=False))
     assert trace.steps == math.ceil(g.m / 67) and trace.copy_steps[-1] is h.copies
     assert peak < g.m * cfg.budget_n
@@ -1195,10 +1235,11 @@ _TOKENS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
     st.sampled_from(["nan", "-inf", "inf", "1_0", "0x1", "1.0", "+2", "007", "٣", "#", "#c", "1e999"]),
 )
-# rows valid under the header '# respark sparsifier step=2 N=6 seed=1' and n = 5; u, v,
-# weight and p_tilde follow from e, so the rows of an edge agree and edges have several
+# rows valid under the header '# respark sparsifier step=2 N=6 seed=1' and n = 5, in the
+# writer's (e, j) order; u, v, weight and p_tilde follow from e, so the rows of an edge
+# agree and edges have several
 _GOOD_ROWS = st.tuples(
-    st.lists(st.tuples(st.integers(0, 4), st.integers(0, 5)), max_size=8, unique=True),
+    st.lists(st.tuples(st.integers(0, 4), st.integers(0, 5)), max_size=8, unique=True).map(sorted),
     st.floats(1e-6, 1e3),
     st.floats(1e-6, 1.0),
 ).map(lambda drawn: [
@@ -1237,6 +1278,21 @@ def test_reader_fuzz_matches_reference(
         lines.insert(0, "# respark sparsifier step=2 N=6 seed=1")
     p = tmp_path_factory.mktemp("fuzz") / "f.sparsifier"
     p.write_bytes(sep.join(lines).encode("utf-8"))
+    _assert_reads_like_reference(p, n)
+    whole = _read_outcome(p, n=n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sparsify_mod, "_READ_CHUNK", chunk)
+        assert _read_outcome(p, n=n) == whole
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=_GOOD_ROWS.flatmap(st.permutations), n=st.sampled_from([None, 5]),
+       chunk=st.integers(1, 60))
+def test_reader_fuzz_on_shuffled_rows(tmp_path_factory, rows, n, chunk):
+    # the rows of a valid file in any order: one out of (e, j) order is
+    # refused where the reference refuses it, read whole and in small chunks
+    p = tmp_path_factory.mktemp("fuzz") / "f.sparsifier"
+    p.write_text("\n".join(["# respark sparsifier step=2 N=6 seed=1", *rows]) + "\n")
     _assert_reads_like_reference(p, n)
     whole = _read_outcome(p, n=n)
     with pytest.MonkeyPatch.context() as mp:
@@ -1321,21 +1377,11 @@ def _large_writer_file(tmp_path):
     return g, h, path
 
 
-def _traced_peak(read):
-    """(result of read(), the peak memory traced while it ran)."""
-    tracemalloc.start()
-    try:
-        result = read()
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_reading_a_writer_file_holds_little_beyond_its_columns(tmp_path):
+def test_reading_a_writer_file_holds_little_beyond_its_columns(tmp_path, traced_peak):
     # a chunk at a time, each chunk's rows kept as runs of one edge plus their
     # copy ids: joining the ids' pieces holds them twice
     g, h, path = _large_writer_file(tmp_path)
-    loaded, peak = _traced_peak(lambda: read_sparsifier(path, graph=g))
+    loaded, peak = traced_peak(lambda: read_sparsifier(path, graph=g))
     assert loaded.copy_count() == h.copy_count()
     assert peak < 2.5 * loaded.copies.nbytes
 
@@ -1345,7 +1391,7 @@ def test_reading_a_writer_file_holds_little_beyond_its_columns(tmp_path):
     ["{u} {v} {w} {e} 110000 {p}", "{u} {v} {w} {e} 7", "{u} {v} 0.5 {e} 7 {p}", None],
     ids=["copy-index", "five-fields", "mixed", "0xff"],
 )
-def test_a_bad_last_row_is_named_in_bounded_memory(tmp_path, last):
+def test_a_bad_last_row_is_named_in_bounded_memory(tmp_path, traced_peak, last):
     # the error path walks the file a chunk at a time, holding no object per line
     g, h, path = _large_writer_file(tmp_path)
     if last is None:  # the last data byte, before the final newline, is not UTF-8
@@ -1358,7 +1404,7 @@ def test_a_bad_last_row_is_named_in_bounded_memory(tmp_path, last):
         lines[-1] = last.format(u=u, v=v, w=w, e=e, p=p)
         path.write_text("\n".join(lines) + "\n")
         where = f"{path}:{len(lines)}: "
-    exc, peak = _traced_peak(lambda: pytest.raises(ValueError, read_sparsifier, path, graph=g))
+    exc, peak = traced_peak(lambda: pytest.raises(ValueError, read_sparsifier, path, graph=g))
     assert str(exc.value).startswith(where)
     assert peak < 2 * path.stat().st_size
 
