@@ -27,8 +27,10 @@ L = build_laplacian(k3)
 print("K3 Laplacian:")
 print(L)
 
+# the null eigenvalue's round-off rounds to -0.0; adding 0.0 prints it as 0.
+print("eigenvalues:", np.round(np.linalg.eigvalsh(L), 12) + 0.0)
+
 factors = pseudo_factorize(L)
-print("eigenvalues:", np.round(factors.eigenvalues, 12))
 
 r = exact_resistance(factors, (0, 1))
 print(f"edge (0,1) resistance: {r.r_tilde:.6f}  (expected {2 / 3:.6f})")

@@ -1,8 +1,9 @@
 """Weighted graphs, Laplacians, pseudoinverses, and projection contexts.
 
 A pseudoinverse is kept as the inverse Cholesky factor of the Laplacian
-grounded at one vertex per component, off which every resistance is read; its
-eigenbasis, for the verification congruences, only where one is read.
+grounded at one vertex per component, off which every resistance is read; no
+Laplacian is kept past that read. A Laplacian's eigenbasis is taken in one
+place, _spectrum, for the range basis the verification congruences read.
 
 Everything downstream (resistance estimation, resparsification, the
 verification instruments) consumes the objects defined here. All types are
@@ -271,31 +272,14 @@ def _spectrum(l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class PseudoinverseFactors:
-    """A Laplacian's pseudoinverse as a grounded Cholesky factor. Grounded at
-    one vertex per component, L is positive definite, C C'; rows[v] is C^-1's
-    column of vertex v (zero if grounded), so b'L+b for u, v in one component
-    is ||rows[u] - rows[v]||^2. The eigendecomposition (see _spectrum) is a
-    view: eigh runs on its first read, on laplacian, which is not copied."""
+    """A Laplacian's pseudoinverse as a grounded Cholesky factor, and no more:
+    the Laplacian it was read from is not kept. Grounded at one vertex per
+    component, L is positive definite, C C'; rows[v] is C^-1's column of
+    vertex v (zero if grounded), so b'L+b for u, v in one component is
+    ||rows[u] - rows[v]||^2."""
 
-    laplacian: np.ndarray
     labels: np.ndarray  # component of each vertex, named by its smallest vertex
     rows: np.ndarray  # (n, n - components)
-
-    @cached_property
-    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        return _spectrum(self.laplacian)
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return self._eigh[0]
-
-    @property
-    def eigenvectors(self) -> np.ndarray:
-        return self._eigh[1]
-
-    @property
-    def null_count(self) -> int:
-        return int(np.count_nonzero(self.eigenvalues == 0.0))
 
     def resistances(self, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
         """Effective resistances b^T L+ b for many (u, v) pairs at once; a
@@ -335,7 +319,7 @@ def pseudo_factorize(l: np.ndarray) -> PseudoinverseFactors:
         raise ValueError(f"grounded matrix is not positive definite: {exc}") from exc
     rows = np.zeros((len(l), len(c_inv)))
     rows[free] = c_inv.T
-    return PseudoinverseFactors(l, labels, rows)
+    return PseudoinverseFactors(labels, rows)
 
 
 @dataclass(frozen=True)

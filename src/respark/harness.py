@@ -22,7 +22,7 @@ from typing import Sequence, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .graph import WeightedGraph, _UnionFind, is_connected
-from .sparsify import StreamConfig, _check_run_inputs, _References, stream_sparsify
+from .sparsify import StreamConfig, _block_size, _check_run_inputs, _References, stream_sparsify
 from .tape import RandomTape
 from .verify import _read_rows, _write_rows, spectral_check
 
@@ -311,13 +311,10 @@ def run_experiment(
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
+    block_size = cfg.budget_n if block_size is None else _block_size(block_size)
     start = time.perf_counter()
     g = generate(spec)
     _check_run_inputs(g, cfg, resistance_mode)
-    if block_size is None:
-        block_size = cfg.budget_n
-    elif block_size < 1:
-        raise ValueError(f"block size must be >= 1, got {block_size}")
     master = RandomTape(cfg.seed)
     trial_seeds = [master.child_seed(f"trial/{t}") for t in range(trials)]
     rows: list[TrialStepRow] = []

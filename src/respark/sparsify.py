@@ -193,10 +193,17 @@ class StreamConfig:
         return replace(self, seed=seed)
 
 
+def _block_size(value) -> int:
+    """value as a block size: an integer (NumPy's too, as an int) >= 1, else ConfigError."""
+    block_size = _integer("block size", value)
+    if block_size < 1:
+        raise ConfigError(f"block size must be >= 1, got {block_size}")
+    return block_size
+
+
 def partition_stream(g: WeightedGraph, block_size: int) -> list[list[int]]:
     """Split the stream into ceil(m / block_size) blocks of edge ids, in order."""
-    if block_size < 1:
-        raise ValueError(f"block size must be >= 1, got {block_size}")
+    block_size = _block_size(block_size)
     return [
         list(range(start, min(start + block_size, g.m)))
         for start in range(0, g.m, block_size)
@@ -270,13 +277,9 @@ class Sparsifier:
         return [*self.alive, *block]
 
     def laplacian(self) -> np.ndarray:
-        """Read-only Laplacian of the merged copies, built on first call."""
-        return self._laplacian
-
-    @cached_property
-    def _laplacian(self) -> np.ndarray:
+        """Laplacian of the merged copies, built anew on every call and not kept."""
         merged = self.combined_with(())  # no edges when no copy survives: all zeros
-        return _read_only(laplacian_from_arrays(self.n, merged.u, merged.v, merged.weight))
+        return laplacian_from_arrays(self.n, merged.u, merged.v, merged.weight)
 
     def combined_with(self, block: Sequence[int]) -> WeightedGraph:
         """The merged sparsifier (each alive edge once, at weight
@@ -700,13 +703,8 @@ class LoadedSparsifier:
         return len(self.copies)
 
     def laplacian(self) -> np.ndarray:
-        """Read-only Laplacian of the merged copies, built on first call."""
-        return self._laplacian
-
-    @cached_property
-    def _laplacian(self) -> np.ndarray:
-        merged = self.count * self.weight
-        return _read_only(laplacian_from_arrays(self.n, self.u, self.v, merged))
+        """Laplacian of the merged copies, built anew on every call and not kept."""
+        return laplacian_from_arrays(self.n, self.u, self.v, self.count * self.weight)
 
 
 def read_sparsifier(

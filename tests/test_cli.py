@@ -112,8 +112,8 @@ def test_verify_passes_on_faithful_sparsifier(tmp_path, capsys):
 
 
 def test_verify_builds_one_projection_context(tmp_path, capsys, monkeypatch):
-    # spectral_check and projection_error share the context verify builds
-    # and the sparsifier's Laplacian
+    # spectral_check and projection_error share the context verify builds;
+    # the loaded sparsifier keeps no Laplacian, so each instrument builds one
     from respark import cli, sparsify, verify
 
     graph = _gen(tmp_path)
@@ -145,7 +145,7 @@ def test_verify_builds_one_projection_context(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert len(calls) == 1
     assert len(choleskies) == 1  # projection_error reads the context's factor
-    assert len(laplacians) == 1  # both instruments read the file's one Laplacian
+    assert len(laplacians) == 2  # one for each instrument, none kept between them
 
 
 def test_verify_prints_the_in_memory_sparsifiers_numbers(tmp_path, capsys, monkeypatch):
@@ -495,7 +495,7 @@ def test_a_step_failing_on_a_bug_propagates(tmp_path, monkeypatch):
 def test_a_gap_below_the_null_tolerance_exits_2_at_the_first_spectral_read(tmp_path, capsys):
     # the path 0-1-2 with weights 1 and 1e-12 is connected, but its 1e-12
     # eigenvalue reads as null: the sparsifier is written, and the
-    # instruments that read the eigen view refuse it
+    # instruments that read the range basis refuse it
     graph = tmp_path / "spread.edges"
     graph.write_text("0 1 1.0\n1 2 1e-12\n", encoding="utf-8")
     out = tmp_path / "h.sp"

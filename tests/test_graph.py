@@ -1,6 +1,7 @@
 """Laplacian, pseudoinverse, and projection-context behavior against
 closed-form oracles and Moore-Penrose identities."""
 
+import dataclasses
 import math
 import warnings
 
@@ -32,20 +33,21 @@ C4 = WeightedGraph.from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 
 P2 = WeightedGraph.from_edges(2, [(0, 1, 1.0)])
 
 
-def _pinv(factors):
+def _pinv(l):
     """Dense Moore-Penrose pseudoinverse Q diag(1/lambda) Q' over the
-    nonzero eigenvalues of the factors."""
-    nz = factors.eigenvalues > 0
-    q = factors.eigenvectors[:, nz]
-    return (q / factors.eigenvalues[nz]) @ q.T
+    nonzero eigenvalues of the Laplacian l."""
+    lam, q = graph_mod._spectrum(l)
+    nz = lam > 0
+    return (q[:, nz] / lam[nz]) @ q[:, nz].T
 
 
 def _edge_vectors(ctx):
     """Columns v_e = sqrt(a_e) S b_e of every reference edge, S the dense
-    pseudoinverse square root Q diag(lambda^-1/2) Q' built from ctx.factors."""
-    nz = ctx.factors.eigenvalues > 0
-    q = ctx.factors.eigenvectors[:, nz]
-    s = (q / np.sqrt(ctx.factors.eigenvalues[nz])) @ q.T
+    pseudoinverse square root Q diag(lambda^-1/2) Q' of the reference
+    Laplacian's spectrum."""
+    lam, q = graph_mod._spectrum(build_laplacian(ctx.graph))
+    nz = lam > 0
+    s = (q[:, nz] / np.sqrt(lam[nz])) @ q[:, nz].T
     us, vs = ctx.graph.u, ctx.graph.v
     return np.sqrt(ctx.graph.weight) * (s[:, us] - s[:, vs])
 
@@ -290,21 +292,32 @@ def test_laplacian_row_sums_and_psd(g):
 def test_single_edge_pinv():
     # [[1,-1],[-1,1]] has nonzero eigenvalue 2 and pseudoinverse L/4
     l = build_laplacian(P2)
-    factors = pseudo_factorize(l)
-    assert factors.eigenvalues[-1] == pytest.approx(2.0)
-    assert np.allclose(_pinv(factors), l / 4.0, atol=1e-14)
+    assert graph_mod._spectrum(l)[0][-1] == pytest.approx(2.0)
+    assert np.allclose(_pinv(l), l / 4.0, atol=1e-14)
+    # the factors read the same pseudoinverse: r = b'(L/4)b = 1
+    assert pseudo_factorize(l).resistances([(0, 1)]) == pytest.approx([1.0], abs=1e-14)
 
 
 def test_k3_spectrum():
-    factors = pseudo_factorize(build_laplacian(K3))
-    assert np.allclose(factors.eigenvalues, [0.0, 3.0, 3.0], atol=1e-12)
-    assert factors.null_count == 1
+    lam, _ = graph_mod._spectrum(build_laplacian(K3))
+    assert np.allclose(lam, [0.0, 3.0, 3.0], atol=1e-12)
+    assert np.count_nonzero(lam == 0.0) == 1
 
 
 def test_zero_matrix_factorizes_to_zero():
+    # every vertex is its own component, so every vertex is grounded
     factors = pseudo_factorize(np.zeros((3, 3)))
-    assert np.array_equal(factors.eigenvalues, np.zeros(3))
-    assert np.array_equal(_pinv(factors), np.zeros((3, 3)))
+    assert np.array_equal(factors.labels, np.arange(3)) and factors.rows.shape == (3, 0)
+    assert np.array_equal(graph_mod._spectrum(np.zeros((3, 3)))[0], np.zeros(3))
+    assert np.array_equal(_pinv(np.zeros((3, 3))), np.zeros((3, 3)))
+
+
+def test_factors_hold_labels_and_rows_only():
+    # the Laplacian is not kept past its factorisation, nor any eigen view
+    assert [f.name for f in dataclasses.fields(graph_mod.PseudoinverseFactors)] == [
+        "labels", "rows"]
+    factors = pseudo_factorize(build_laplacian(C4))
+    assert set(vars(factors)) == {"labels", "rows"}
 
 
 def test_factorize_rejects_bad_input():
@@ -345,7 +358,11 @@ def test_symmetry_tolerance_is_relative_to_the_largest_cell(weight):
 @given(connected_graphs())
 def test_moore_penrose_identities(g):
     l = build_laplacian(g)
-    plus = _pinv(pseudo_factorize(l))
+    plus = _pinv(l)
+    # the factors read the same pseudoinverse
+    pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+    want = [plus[u, u] + plus[v, v] - 2 * plus[u, v] for u, v in pairs]
+    assert np.allclose(pseudo_factorize(l).resistances(pairs), want, rtol=1e-8, atol=0)
     scale = np.linalg.norm(l)
     assert np.linalg.norm(l @ plus @ l - l) <= 1e-8 * scale
     assert np.linalg.norm(plus @ l @ plus - plus) <= 1e-8 * np.linalg.norm(plus)
@@ -356,8 +373,10 @@ def test_null_count_matches_components():
         6,
         [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0), (3, 5, 1.0)],
     )
+    lam, _ = graph_mod._spectrum(build_laplacian(two_triangles))
+    assert np.count_nonzero(lam == 0.0) == component_count(two_triangles) == 2
     factors = pseudo_factorize(build_laplacian(two_triangles))
-    assert factors.null_count == component_count(two_triangles) == 2
+    assert len(set(factors.labels.tolist())) == 2 and factors.rows.shape == (6, 4)
     assert not is_connected(two_triangles)
 
 
@@ -438,8 +457,9 @@ def test_a_context_keeps_only_the_pieces_read_of_it():
     assert ctx.given is None
     factors = pseudo_factorize(build_laplacian(g))
     assert lev.tobytes() == (g.weight * factors.resistances(np.column_stack((g.u, g.v)))).tobytes()
-    nz = factors.eigenvalues > 0.0
-    assert b.tobytes() == (factors.eigenvectors[:, nz] / np.sqrt(factors.eigenvalues[nz])).tobytes()
+    lam, q = graph_mod._spectrum(build_laplacian(g))
+    nz = lam > 0.0
+    assert b.tobytes() == (q[:, nz] / np.sqrt(lam[nz])).tobytes()
     given = ProjectionContext(g, factors)
     assert given.factors is factors
     assert given.leverages.tobytes() == lev.tobytes()
@@ -447,7 +467,7 @@ def test_a_context_keeps_only_the_pieces_read_of_it():
 
 def test_projection_context_of_a_gap_below_the_null_tolerance(monkeypatch):
     # the path 0-1-2 with weights 1 and 1e-12 is connected, so its context is
-    # built; its 1e-12 eigenvalue reads as null, so the eigen view is refused
+    # built; its 1e-12 eigenvalue reads as null, so the range basis is refused
     spread = WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1e-12)])
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", None)  # any eigh call would raise

@@ -24,7 +24,7 @@ from respark.harness import (
     run_experiment,
     tree_first_order,
 )
-from respark.sparsify import StreamConfig, StreamStepError, stream_sparsify
+from respark.sparsify import ConfigError, StreamConfig, StreamStepError, stream_sparsify
 from respark.verify import spectral_check
 
 
@@ -228,6 +228,8 @@ def test_run_experiment_validation():
         run_experiment(spec, cfg, trials=1, resistance_mode="bogus")
     with pytest.raises(ValueError, match="block size must be >= 1, got 0"):
         run_experiment(spec, cfg, trials=1, block_size=0)
+    with pytest.raises(ConfigError, match="block size must be >= 1, got 0"):
+        run_experiment(spec, cfg, trials=1, block_size=np.int64(0))
     other = _cfg(generate(GeneratorSpec("path", 6)))
     with pytest.raises(ValueError, match="does not match graph.*StreamConfig.for_graph"):
         run_experiment(spec, other, trials=1)
@@ -236,6 +238,25 @@ def test_run_experiment_validation():
     assert (heavy.n, heavy.m) == (cfg.n, cfg.m) and heavy.kappa > 1.0
     with pytest.raises(ValueError, match="kappa.*StreamConfig.for_graph"):
         run_experiment(spec, heavy, trials=1)
+
+
+@pytest.mark.parametrize("block_size", [2.5, "3"])
+def test_run_experiment_refuses_a_block_size_that_is_no_integer(monkeypatch, block_size):
+    # the input is refused before any trial, not recorded as trial errors
+    spec = GeneratorSpec("path", 5)
+    monkeypatch.setattr("respark.harness.stream_sparsify", pytest.fail)
+    with pytest.raises(ConfigError, match="block size must be an integer"):
+        run_experiment(spec, _cfg(generate(spec)), trials=2, block_size=block_size)
+
+
+def test_run_experiment_stores_a_numpy_block_size_as_an_int(tmp_path):
+    spec = GeneratorSpec("erdos-renyi", 10, p=0.4, seed=2)
+    cfg = _cfg(generate(spec), seed=7, budget=40)
+    report = run_experiment(spec, cfg, trials=2, block_size=np.int64(12))
+    assert type(report.block_size) is int
+    assert report == run_experiment(spec, cfg, trials=2, block_size=12)
+    emit_report(report, tmp_path / "report.json", format="json")
+    assert load_report_json(tmp_path / "report.json") == report
 
 
 def test_run_experiment_shape_and_determinism():

@@ -39,7 +39,7 @@ from respark.sparsify import (
     write_sparsifier,
 )
 from respark.tape import RandomTape
-from respark.verify import projection_error, quadratic_variation
+from respark.verify import projection_error, quadratic_variation, spectral_check
 
 PATH3 = WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
 
@@ -207,8 +207,21 @@ def test_partition_shapes():
     assert partition_stream(g, 1) == [[e] for e in range(10)]
     assert partition_stream(g, 10) == [list(range(10))]
     assert partition_stream(g, 99) == [list(range(10))]
+    assert partition_stream(g, np.int64(3)) == partition_stream(g, 3)
     with pytest.raises(ValueError):
         partition_stream(g, 0)
+
+
+@pytest.mark.parametrize("block_size", [2.5, 3.0, "3"])
+def test_a_block_size_that_is_no_integer_is_refused(block_size):
+    # a float would be truncated, so it is refused like a str, before any step
+    g = generate(GeneratorSpec("path", 11))
+    message = f"block size must be an integer, got {block_size!r}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        partition_stream(g, block_size)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        stream_sparsify(g, _small_cfg(g, budget=10), block_size=block_size,
+                        resistance_mode="exact", on_step=pytest.fail)
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +505,8 @@ def test_each_step_builds_its_prefix_at_most_once(monkeypatch, mode, diagnostics
 
 @pytest.mark.parametrize("mode", ["sparsifier", "exact"])
 def test_resistance_steps_run_no_eigendecomposition(monkeypatch, mode):
-    # every resistance is read off the grounded Cholesky factor; only the
-    # projection context's eigen view calls eigh
+    # every resistance is read off the grounded Cholesky factor; only a
+    # projection context's range basis calls eigh
     g = generate(GeneratorSpec("erdos-renyi", 30, p=0.3, seed=4))
     calls = []
     original = np.linalg.eigh
@@ -506,8 +519,8 @@ def test_resistance_steps_run_no_eigendecomposition(monkeypatch, mode):
     stream_sparsify(g, _small_cfg(g, seed=1, budget=40), block_size=20,
                     resistance_mode=mode, diagnostics=False)
     assert calls == []
-    projection_context(g).factors.eigenvalues
-    assert calls == [(g.n, g.n)]  # the spy sees the eigen view
+    projection_context(g).range_basis
+    assert calls == [(g.n, g.n)]  # the spy sees the range basis's eigh
 
 
 @pytest.mark.parametrize("mode", ["sparsifier", "exact"])
@@ -568,14 +581,32 @@ def test_references_of_another_graph_are_refused():
     assert records == records_own and h.p_tilde == h_own.p_tilde
 
 
-def test_sparsifier_laplacian_is_built_once_and_read_only():
+def test_sparsifier_laplacian_is_built_on_every_read(tmp_path):
+    # no sparsifier keeps its Laplacian: two reads have the same bits, and
+    # writing into one changes neither the next read nor the state
     g = generate(GeneratorSpec("erdos-renyi", 12, p=0.4, seed=9))
     h, _ = stream_sparsify(g, _small_cfg(g, budget=7), block_size=5, resistance_mode="exact",
                            diagnostics=False)
-    lap = h.laplacian()
-    assert lap is h.laplacian()
-    with pytest.raises(ValueError, match="read-only"):
+    write_sparsifier(h, tmp_path / "h.sparsifier")
+    loaded = read_sparsifier(tmp_path / "h.sparsifier", n=g.n)
+    for state in (h, loaded):
+        lap = state.laplacian()
+        want = lap.tobytes()
+        assert lap is not state.laplacian() and state.laplacian().tobytes() == want
         lap[0, 0] = 0.0
+        assert state.laplacian().tobytes() == want
+        assert not [k for k, v in vars(state).items() if np.ndim(v) == 2]
+
+
+def test_a_diagnostics_stream_leaves_no_laplacian_on_its_state():
+    # neither the instruments nor spectral_check leave an n x n array on the
+    # final state
+    g = generate(GeneratorSpec("erdos-renyi", 20, p=0.4, seed=2))
+    h, records = stream_sparsify(g, _small_cfg(g, seed=5, budget=60), block_size=15,
+                                 resistance_mode="sparsifier")
+    assert records and h.arrived == g.m
+    spectral_check(h, g, 0.5)
+    assert not [k for k, v in vars(h).items() if np.ndim(v) == 2]
 
 
 def test_state_columns_are_read_only_and_are_the_trace_rows():
@@ -730,13 +761,14 @@ def test_diagnostics_records_are_the_instruments_bits(mode):
 def test_a_diagnostics_stream_holds_few_n_by_n_arrays(traced_peak):
     # ER(400, 0.05) in blocks of 200 at N = 500: a step holds the whole
     # graph's range basis, the trace, and the arrays of one factorisation or
-    # one instrument at a time, never 8 float64 n x n arrays
+    # one instrument at a time; no state keeps its Laplacian and no factors
+    # keep theirs, so never 7 float64 n x n arrays
     g = generate(GeneratorSpec("erdos-renyi", 400, p=0.05, seed=1))
     (h, records), peak = traced_peak(lambda: stream_sparsify(
         g, _small_cfg(g, seed=1234, budget=500), block_size=200, resistance_mode="sparsifier",
     ))
     assert len(records) == len(partition_stream(g, 200)) and h.arrived == g.m
-    assert peak <= 8 * g.n**2 * 8
+    assert peak <= 7 * g.n**2 * 8
 
 
 def test_config_graph_mismatch():

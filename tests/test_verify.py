@@ -16,6 +16,7 @@ from respark.graph import (
     WeightedGraph,
     _grounded_inverse,
     _lower_inverse,
+    _spectrum,
     build_laplacian,
     laplacian_from_arrays,
     projection_context,
@@ -146,7 +147,7 @@ def test_projection_error_vertex_mismatch():
 def test_projection_error_reads_the_grounded_inverse_off_a_context(monkeypatch, n, p):
     # rows[1:].T of a connected reference's factors is C^-1 grounded at
     # vertex 0, bit for bit, and so are the congruence and the norm taken
-    # with it; the context's eigen view is never started
+    # with it; no eigh is run
     g = generate(GeneratorSpec("erdos-renyi", n, p=p, seed=1234))
     rng = np.random.default_rng(n)
     h = WeightedGraph.from_edges(
@@ -176,11 +177,11 @@ def test_projection_error_needs_a_connected_reference():
         projection_error(disconnected, grounded)
 
 
-def _inv_sqrt(ctx):
+def _inv_sqrt(g):
     """The dense pseudoinverse square root S = Q diag(lambda^-1/2) Q' of the
-    reference Laplacian, over the nonzero eigenvalues of ctx.factors."""
-    lam = ctx.factors.eigenvalues
-    q = ctx.factors.eigenvectors[:, lam > 0]
+    reference Laplacian L_G, over its nonzero eigenvalues."""
+    lam, q = _spectrum(build_laplacian(g))
+    q = q[:, lam > 0]
     return (q / np.sqrt(lam[lam > 0])) @ q.T
 
 
@@ -188,10 +189,9 @@ def _congruence_error(h, g):
     """(||P - S L_H S||, condition number of L_G on range(L_G)), both from the
     eigendecomposition of L_G: P from the eigenvectors of its nonzero
     eigenvalues, S its pseudoinverse square root."""
-    ctx = projection_context(g)
-    lam = ctx.factors.eigenvalues
-    q = ctx.factors.eigenvectors[:, lam > 0]
-    s = _inv_sqrt(ctx)
+    lam, q = _spectrum(build_laplacian(g))
+    q = q[:, lam > 0]
+    s = _inv_sqrt(g)
     m_mat = s @ h.laplacian() @ s
     return float(np.abs(np.linalg.eigvalsh(q @ q.T - m_mat)).max()), lam[-1] / lam[1]
 
@@ -332,7 +332,7 @@ def _variation_coefficients(trace, leverages, upto):
 def _reference_variation(trace, ctx, upto):
     """W = V diag(c) V' from the n x m matrix of edge vectors
     v_e = sqrt(a_e) S b_e, as the variation was first computed."""
-    s = _inv_sqrt(ctx)
+    s = _inv_sqrt(ctx.graph)
     us, vs = ctx.graph.u, ctx.graph.v
     vectors = np.sqrt(ctx.graph.weight) * (s[:, us] - s[:, vs])
     coeff = _variation_coefficients(trace, (vectors * vectors).sum(axis=0), upto)
