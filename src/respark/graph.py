@@ -326,36 +326,36 @@ def pseudo_factorize(l: np.ndarray) -> PseudoinverseFactors:
 class ProjectionContext:
     """A connected reference graph and what the instruments read of its
     Laplacian L, each piece built from the graph on its first read and kept:
-    factors, L's grounded factors (projection_error reads them), leverages
-    and range_basis (the variation reads both, spectral_check the basis).
-    No piece keeps what it was built from, so a context keeps only what was
-    read of it: one that has served the variation holds its leverages and
-    basis and no factorisation. given holds grounded factors the caller has
-    already made, read instead of a new factorisation: a stream's prefix
-    reference makes the one factorisation that its exact estimates and
-    projection_error share. The instruments read congruences S A S by
-    S = L^{-1/2} in L's eigenbasis, so S is never formed;
-    ||v_e||^2 = a_e r_e, v_e = sqrt(a_e) S b_e, is leverages."""
+    factors, L's grounded factors (projection_error reads them, and the
+    variation above its crossover); leverages, read off factors (the
+    variation reads them); range_basis (spectral_check reads it, and the
+    variation up to its crossover). No piece but factors keeps what it was
+    built from, so a context keeps only what was read of it: one that has
+    served the variation above its crossover holds its factors and
+    leverages and no eigenvector matrix. given holds grounded factors the
+    caller has already made, read instead of a new factorisation: a
+    stream's prefix reference makes the one factorisation that its exact
+    estimates and projection_error share. The instruments read congruences
+    S A S by S = L^{-1/2} in L's eigenbasis or through the grounded factor,
+    so S is never formed; ||v_e||^2 = a_e r_e, v_e = sqrt(a_e) S b_e, is
+    leverages."""
 
     graph: WeightedGraph
     given: PseudoinverseFactors | None = None
 
-    def _factorize(self) -> PseudoinverseFactors:
+    @cached_property
+    def factors(self) -> PseudoinverseFactors:
         """The factors given, else a new factorisation of the graph's Laplacian."""
         if self.given is not None:
             return self.given
         return pseudo_factorize(build_laplacian(self.graph))
 
     @cached_property
-    def factors(self) -> PseudoinverseFactors:
-        return self._factorize()
-
-    @cached_property
     def leverages(self) -> np.ndarray:
         """Read-only a_e r_e = ||v_e||^2 of every reference edge, in edge
-        order, read off factors that are not kept unless given."""
+        order, read off factors."""
         g = self.graph
-        lev = g.weight * self._factorize().resistances(np.column_stack((g.u, g.v)))
+        lev = g.weight * self.factors.resistances(np.column_stack((g.u, g.v)))
         lev.flags.writeable = False
         return lev
 

@@ -19,7 +19,8 @@ compute just the blocks holding js instead of all ``count`` draws. The
 kernel costs a fixed 0.15-0.3 ms a call plus about 0.2 us a copy, against
 6-10 ns a draw for the full stream, so it is taken only when the cost rule
 ``count > per_call + per_copy * len(at)`` (``_ADDRESSED_COST``) says it is
-the cheaper path. Both paths return identical bits.
+the cheaper path. The other path draws the stream only through max(js),
+a prefix of the count draws. Both paths return identical bits.
 """
 
 from __future__ import annotations
@@ -86,8 +87,9 @@ def _philox_at(key: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return (words >> np.uint64(11)) * (1.0 / 9007199254740992.0)
 
 
-def _copy_indices(at, count: int) -> np.ndarray:
-    """at as an int64 array, after checking it holds integers in [0, count).
+def _copy_indices(at, count: int) -> tuple[np.ndarray, int]:
+    """(at as an int64 array, its largest index + 1 or 0 when empty), after
+    checking it holds integers in [0, count).
 
     A 1-D int64 ndarray, which is what resparsify passes, skips the
     conversion and its dimension and dtype checks; only its range is checked.
@@ -103,14 +105,16 @@ def _copy_indices(at, count: int) -> np.ndarray:
         if given.size and given.dtype.kind not in "iu":
             raise ValueError(f"at must hold integers, got dtype {given.dtype}")
         idx = given.astype(np.int64, copy=False)
-    if len(idx):
-        # read as unsigned, a negative index (or a uint64 past 2**63) is
-        # >= 2**63, so one bound checks both ends of the range; argmax skips
-        # the ufunc set-up that makes a max reduction cost microseconds
-        wide = idx.view(_UINT64)
-        if wide[wide.argmax()] >= count:
-            raise ValueError(f"at must lie in [0, {count}), got [{given.min()}, {given.max()}]")
-    return idx
+    if not len(idx):
+        return idx, 0
+    # read as unsigned, a negative index (or a uint64 past 2**63) is >= 2**63,
+    # so one bound checks both ends of the range; argmax skips the ufunc
+    # set-up that makes a max reduction cost microseconds
+    wide = idx.view(_UINT64)
+    top = int(wide[wide.argmax()])
+    if top >= count:
+        raise ValueError(f"at must lie in [0, {count}), got [{given.min()}, {given.max()}]")
+    return idx, top + 1
 
 
 class RandomTape:
@@ -118,15 +122,18 @@ class RandomTape:
 
     def __init__(self, seed: int):
         self.seed = int(seed)
+        # blake2b over (tag, seed) for each tag: a key copies one and adds its payload
+        self._prefix = {
+            tag: hashlib.blake2b(tag + _u64(self.seed), digest_size=16, person=_PERSON)
+            for tag in (b"c", b"l")
+        }
         self._bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
         self._gen = np.random.Generator(self._bitgen)
         # the state of a fresh Philox: counter 0, buffer empty; only the key changes
         self._fresh = self._bitgen.state
 
     def _key(self, tag: bytes, payload: bytes) -> np.ndarray:
-        h = hashlib.blake2b(digest_size=16, person=_PERSON)
-        h.update(tag)
-        h.update(_u64(self.seed))
+        h = self._prefix[tag].copy()
         h.update(payload)
         return np.frombuffer(h.digest(), dtype=np.uint64)
 
@@ -148,11 +155,12 @@ class RandomTape:
         payload = _u64(step) + _u64(edge)
         if at is None:
             return self._philox(b"c", payload).random(count)
-        idx = _copy_indices(at, count)
+        idx, stop = _copy_indices(at, count)
         per_call, per_copy = _ADDRESSED_COST
         if count > per_call + per_copy * len(idx):
             return _philox_at(self._key(b"c", payload), idx)
-        return self._philox(b"c", payload).random(count)[idx]
+        # draws are a prefix of the stream: none past the largest index asked for
+        return self._philox(b"c", payload).random(stop)[idx]
 
     def uniform(self, step: int, edge: int, copy: int) -> float:
         """Single u_{step,edge,copy}; equals uniforms(step, edge, n)[copy] for any n > copy."""

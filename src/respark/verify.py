@@ -6,8 +6,10 @@ the sparsifier against the reference inside [1-eps, 1+eps]), the
 projection-error norm ||P - P_tilde||, read off the grounded pencil
 (L_H, L_G) with one Cholesky factor of the reference, the running copy
 count with its 3N-overflow event, and the predictable quadratic variation
-||W|| of the copy-indicator martingale, both read in the reference's
-eigenbasis. The dominating-variable sampler
+||W|| of the copy-indicator martingale. The sandwich is read in the
+reference's eigenbasis, and so is the variation on graphs up to a measured
+size; above it, the variation's top eigenvalue is read by Lanczos
+iteration on the reference's grounded factor. The dominating-variable sampler
 and the stochastic-dominance test back the concentration experiment:
 per-copy maxima of z/p_tilde are compared against the heavy-tailed
 variable with c.d.f. 1 - 1/a truncated at alpha^2/p.
@@ -158,6 +160,15 @@ def projection_error(h, reference: WeightedGraph | ProjectionContext) -> float:
     return float(np.abs(1.0 - np.linalg.eigvalsh(m_mat)).max())
 
 
+# The variation's top eigenvalue is read by a dense eigvalsh in the range
+# basis on graphs of at most this many vertices, and by Lanczos on the
+# grounded factor above it (see quadratic_variation).
+_LANCZOS_ABOVE = 256
+_LANCZOS_CHECK = 8  # Lanczos steps between two reads of the top Ritz pair
+_LANCZOS_DENSE_EDGES = 16  # L is applied as an n x n array above n^2 / 16 edges
+_LANCZOS_ULPS = 4  # the residual, in units in the last place of the top Ritz value
+
+
 def quadratic_variation(trace, ctx: ProjectionContext, upto: int | None = None) -> float:
     """Norm of the predictable quadratic variation accumulated through `upto`.
 
@@ -167,19 +178,34 @@ def quadratic_variation(trace, ctx: ProjectionContext, upto: int | None = None) 
     with v_e = sqrt(a_e) S b_e (S the pseudoinverse square root of ctx's
     Laplacian). ctx must be built from the whole traced graph (equal to
     trace.graph, else ValueError): the variation compares every step
-    against one fixed reference. The trace rows carry the unseen-edge
-    convention (p = 1, all N copies alive), so an edge's arrival step
-    contributes with exactly that convention and the formula applies
-    row-by-row with no casework.
+    against one fixed reference. upto is an integer in [0, trace.steps]
+    (else ValueError). The trace rows carry the unseen-edge convention
+    (p = 1, all N copies alive), so an edge's arrival step contributes with
+    exactly that convention and the formula applies row-by-row with no
+    casework.
 
     Writing W = sum_e c_e v_e v_e' gives W = S L_c S, where L_c is the
     Laplacian of the graph's own edge list with edge weights a_e c_e
-    (duplicate pairs add); ||W|| is its top eigenvalue on range(L_G), from
-    _range_eigenvalues. v_e'v_e = a_e r_e is ctx.leverages.
+    (duplicate pairs add); v_e'v_e = a_e r_e is ctx.leverages. ||W|| is the
+    top eigenvalue of S L_c S on range(L_G). On a graph of at most
+    _LANCZOS_ABOVE vertices it is read from _range_eigenvalues. Above, it
+    is the top eigenvalue of the grounded pencil (L_c, L_G), that is of
+    C^-1 L_c C^-T with L_G = C C' grounded at vertex 0, read off
+    ctx.factors by _lanczos_top: Lanczos from the fixed start vector
+    RandomTape(0).labeled("lanczos", n - 1) - 1/2, stopped once the top
+    Ritz pair's residual is at most _LANCZOS_ULPS ulps of its value, or
+    after n - 1 steps. A GraphConnectivityError means ctx's graph is
+    disconnected.
     """
+    import operator
+
     steps = trace.steps
     if upto is None:
         upto = steps
+    try:
+        upto = operator.index(upto)  # NumPy integers too, but no float or string
+    except TypeError:
+        raise ValueError(f"upto must be an integer, got {upto!r}") from None
     if not 0 <= upto <= steps:
         raise ValueError(f"upto={upto} outside the recorded range [0, {steps}]")
     if len(trace.p_steps) != steps + 1 or len(trace.alive_steps) != steps + 1:
@@ -188,7 +214,11 @@ def quadratic_variation(trace, ctx: ProjectionContext, upto: int | None = None) 
     # identity first: the stream's own context shares the traced graph
     if g is not trace.graph and g != trace.graph:
         raise ValueError("ctx does not match the traced stream")
-    b = ctx.range_basis  # first: on a first read its eigh runs before L_c exists
+    dense = g.n <= _LANCZOS_ABOVE
+    # first: on a first read its eigh or factorisation runs before L_c exists
+    reference = ctx.range_basis if dense else ctx.factors
+    if not dense and reference.labels.any():
+        raise GraphConnectivityError("reference graph is disconnected; variation undefined")
     coeff = np.zeros(g.m)
     for s in range(1, upto + 1):
         p_prev = trace.p_steps[s - 1]
@@ -199,9 +229,68 @@ def quadratic_variation(trace, ctx: ProjectionContext, upto: int | None = None) 
         delta = np.clip(1.0 / p_cur - 1.0 / p_prev, 0.0, None)
         coeff += (alive_prev / p_prev) * delta
     coeff *= ctx.leverages / trace.budget_n**2
+    if not dense:
+        return _lanczos_top(reference.rows, g.u, g.v, g.weight * coeff)
     # L_c is passed as a temporary, for _range_eigenvalues to let go
-    ratios = _range_eigenvalues(b, laplacian_from_arrays(g.n, g.u, g.v, g.weight * coeff))
+    ratios = _range_eigenvalues(reference, laplacian_from_arrays(g.n, g.u, g.v, g.weight * coeff))
     return float(max(ratios.max(), 0.0))
+
+
+def _lanczos_top(rows: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> float:
+    """Top eigenvalue, clamped at 0.0, of rows' L rows, where rows are the
+    grounded factors' rows of a connected graph (rows[0] = 0, rows[1:] =
+    C^-T) and L is the Laplacian of the edges (u, v) with weights w >= 0.
+
+    Lanczos iteration with full reorthogonalisation (Golub and Van Loan,
+    Matrix Computations, ch. 10) from a fixed start vector, the uniforms of
+    RandomTape(0).labeled("lanczos", k) minus 1/2, so the result is a
+    function of the inputs alone; the all-ones vector would not do, being
+    orthogonal to every eigenvector antisymmetric about vertex 0. L is
+    applied from the edges with a positive weight, or as one n x n array
+    when they are dense enough for its product to be the cheaper. Every
+    _LANCZOS_CHECK steps the top Ritz pair (theta, s) of the tridiagonal T
+    is read, and the iteration stops once its residual beta |s_last| is at
+    most _LANCZOS_ULPS ulps of theta, or after k = n - 1 steps, the
+    operator's dimension. With no positive weight the result is exactly 0.0.
+    """
+    live = w > 0.0
+    if not live.any():
+        return 0.0
+    u, v, w = u[live], v[live], w[live]
+    n, k = rows.shape
+    if _LANCZOS_DENSE_EDGES * len(w) > n * n:
+        laplacian = laplacian_from_arrays(n, u, v, w).__matmul__
+    else:
+        def laplacian(y: np.ndarray) -> np.ndarray:
+            d = w * (y[u] - y[v])
+            return np.bincount(u, d, n) - np.bincount(v, d, n)
+    tol = _LANCZOS_ULPS * np.finfo(float).eps
+    basis = np.empty((min(k, 4 * _LANCZOS_CHECK), k))
+    alpha: list[float] = []
+    beta: list[float] = []
+    q = RandomTape(0).labeled("lanczos", k) - 0.5
+    q /= np.sqrt(q @ q)
+    for j in range(1, k + 1):
+        if j > len(basis):
+            basis = np.concatenate((basis, np.empty((min(j, k + 1 - j), k))))
+        basis[j - 1] = q
+        r = rows.T @ laplacian(rows @ q)  # rows @ q is C^-T q after vertex 0's zero
+        alpha.append(float(q @ r))
+        done = basis[:j]
+        r -= (done @ r) @ done  # twice is enough (Giraud et al., 2005)
+        r -= (done @ r) @ done
+        b = float(np.sqrt(r @ r))
+        # theta >= max(alpha), so a b below tol * max(alpha) meets the stop
+        # rule: the Krylov space is invariant to rounding, and r / b would
+        # be rounding noise, not a vector orthogonal to the basis
+        exhausted = b <= tol * max(alpha)
+        if exhausted or j == k or j % _LANCZOS_CHECK == 0:
+            theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+            if exhausted or j == k or b * abs(s[-1, -1]) <= tol * theta[-1]:
+                break
+        beta.append(b)
+        q = r / b
+    return max(float(theta[-1]), 0.0)
 
 
 def sample_dominating_w0_batch(

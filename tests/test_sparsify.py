@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from respark import graph as graph_mod
 from respark import harness
 from respark import sparsify as sparsify_mod
+from respark import verify as verify_mod
 from respark.graph import (
     GraphConnectivityError,
     WeightedGraph,
@@ -735,13 +736,7 @@ def _bits(x: float) -> bytes:
     return np.float64(x).tobytes()
 
 
-@pytest.mark.parametrize("mode", ["sparsifier", "exact"])
-def test_diagnostics_records_are_the_instruments_bits(mode):
-    # each record holds, byte for byte, what the public instruments give when
-    # called step by step with fresh contexts: projection_error against the
-    # prefix, and the variation on the run's trace against a new context of
-    # the whole graph
-    g = generate(GeneratorSpec("erdos-renyi", 200, p=0.05, seed=7))
+def _records_are_the_instruments_bits(g, mode):
     states = []
     _, records, trace = indicator_stream(
         g, _small_cfg(g, seed=5, budget=300), block_size=100, resistance_mode=mode,
@@ -758,11 +753,28 @@ def test_diagnostics_records_are_the_instruments_bits(mode):
     assert math.isnan(records[0].proj_error_norm) and not math.isnan(records[-1].proj_error_norm)
 
 
+@pytest.mark.parametrize("mode", ["sparsifier", "exact"])
+def test_diagnostics_records_are_the_instruments_bits(mode):
+    # each record holds, byte for byte, what the public instruments give when
+    # called step by step with fresh contexts: projection_error against the
+    # prefix, and the variation on the run's trace against a new context of
+    # the whole graph
+    _records_are_the_instruments_bits(generate(GeneratorSpec("erdos-renyi", 200, p=0.05, seed=7)), mode)
+
+
+@pytest.mark.parametrize("mode", ["sparsifier", "exact"])
+def test_diagnostics_records_are_the_instruments_bits_above_the_lanczos_crossover(mode):
+    # the same above the crossover, where the variation is read by Lanczos
+    n = verify_mod._LANCZOS_ABOVE + 44
+    _records_are_the_instruments_bits(generate(GeneratorSpec("erdos-renyi", n, p=0.05, seed=7)), mode)
+
+
 def test_a_diagnostics_stream_holds_few_n_by_n_arrays(traced_peak):
     # ER(400, 0.05) in blocks of 200 at N = 500: a step holds the whole
-    # graph's range basis, the trace, and the arrays of one factorisation or
-    # one instrument at a time; no state keeps its Laplacian and no factors
-    # keep theirs, so never 7 float64 n x n arrays
+    # graph's grounded factors (the variation reads them by Lanczos, above
+    # its crossover, and no range basis), the trace, and the arrays of one
+    # factorisation or one instrument at a time; no state keeps its
+    # Laplacian and no factors keep theirs, so never 7 float64 n x n arrays
     g = generate(GeneratorSpec("erdos-renyi", 400, p=0.05, seed=1))
     (h, records), peak = traced_peak(lambda: stream_sparsify(
         g, _small_cfg(g, seed=1234, budget=500), block_size=200, resistance_mode="sparsifier",

@@ -218,3 +218,26 @@ def test_cost_rule_keeps_small_budgets_on_the_full_path():
     # for the kernel, even for a single alive copy
     assert not _kernel_pays(2000, 1) and not _kernel_pays(500, 0)
     assert _kernel_pays(484_918, math.ceil(0.026 * 484_918))
+
+
+def test_full_path_draws_stop_at_the_largest_copy_asked_for(kernel_calls):
+    # below the cost rule, a call with at draws the stream only through
+    # max(at): a prefix of the count draws, so the same bits
+    count = 20_000
+    want = _keyed_reference(5, 2, 7, count)
+    tape = RandomTape(5)
+    drawn = []
+    generator = tape._gen
+
+    class Counting:
+        def random(self, size):
+            drawn.append(size)
+            return generator.random(size)
+
+    tape._gen = Counting()
+    cases = [[3], [17, 0, 17], np.array([40, 2], dtype=np.int64), [], [count - 1]]
+    for at in cases:
+        got = tape.uniforms(2, 7, count, at=at)
+        assert np.array_equal(got, want[np.asarray(at, dtype=np.int64)]), at
+    assert drawn == [4, 18, 41, 0, count]
+    assert kernel_calls == []

@@ -10,6 +10,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from respark import verify as verify_mod
 from respark.graph import (
     GraphConnectivityError,
     ProjectionContext,
@@ -298,6 +299,17 @@ def test_quadratic_variation_nondecreasing_in_upto():
         assert cur >= prev - 1e-12
 
 
+@pytest.mark.parametrize("upto", [1.5, 1.0, "1", [1]])
+def test_quadratic_variation_takes_only_an_integer_upto(upto):
+    g, trace = _single_edge_trace(0.5)
+    ctx = projection_context(g)
+    with pytest.raises(ValueError, match="upto must be an integer"):
+        quadratic_variation(trace, ctx, upto=upto)
+    # NumPy integers are integers
+    for whole in (np.int64(1), np.uint8(1)):
+        assert quadratic_variation(trace, ctx, upto=whole) == quadratic_variation(trace, ctx, 1)
+
+
 def test_quadratic_variation_validation():
     g, trace = _single_edge_trace(0.5)
     ctx = projection_context(g)
@@ -403,6 +415,21 @@ def test_spectral_check_matches_the_grounded_pencil(data):
     assert abs(worst - want) <= 1e-10 * (1.0 + want), (worst, want)
 
 
+def _pencil_variation(trace, upto):
+    """||W|| as the top eigenvalue of the grounded pencil (L_c, L_G), with
+    the leverages a_e b_e' L_G^+ b_e from a grounded solve: nothing of
+    respark's factors or range basis is read."""
+    g = trace.graph
+    l_g = _dense_laplacian(g.n, g.edges)
+    inv = np.zeros((g.n, g.n))  # L_G^+ up to the null space, grounded at vertex 0
+    inv[1:, 1:] = scipy.linalg.solve(l_g[1:, 1:], np.eye(g.n - 1), assume_a="pos")
+    us, vs = g.u, g.v
+    lev = g.weight * (inv[us, us] + inv[vs, vs] - inv[us, vs] - inv[vs, us])
+    coeff = _variation_coefficients(trace, lev, upto)
+    l_c = _dense_laplacian(g.n, zip(us, vs, g.weight * coeff))
+    return max(float(_pencil_eigenvalues(l_c, l_g).max()), 0.0)
+
+
 @settings(max_examples=40, deadline=None)
 @given(g=multigraphs(), seed=st.integers(0, 2**32), budget=st.integers(2, 40), data=st.data())
 def test_quadratic_variation_matches_the_grounded_pencil(g, seed, budget, data):
@@ -410,19 +437,9 @@ def test_quadratic_variation_matches_the_grounded_pencil(g, seed, budget, data):
     _, _, trace = indicator_stream(g, _cfg(g, seed=seed, budget=budget), block_size=block,
                                    resistance_mode="exact", diagnostics=False,
                                    record_copies=False)
-    l_g = _dense_laplacian(g.n, g.edges)
-    us, vs = g.u, g.v
-    # leverages a_e b_e' L_G^+ b_e from grounded solves
-    b = np.zeros((g.n, g.m))
-    b[us, np.arange(g.m)] += 1.0
-    b[vs, np.arange(g.m)] -= 1.0
-    b = b[1:]
-    lev = g.weight * (b * scipy.linalg.solve(l_g[1:, 1:], b, assume_a="pos")).sum(axis=0)
     ctx = projection_context(g)
     for upto in range(trace.steps + 1):
-        coeff = _variation_coefficients(trace, lev, upto)
-        l_c = _dense_laplacian(g.n, zip(us, vs, g.weight * coeff))
-        want = max(float(_pencil_eigenvalues(l_c, l_g).max()), 0.0)
+        want = _pencil_variation(trace, upto)
         got = quadratic_variation(trace, ctx, upto=upto)
         assert abs(got - want) <= 1e-10 * want, (upto, got, want)
 
@@ -450,6 +467,137 @@ def test_quadratic_variation_stays_under_analysis_bound():
                                        block_size=8, resistance_mode="exact",
                                        diagnostics=False, record_copies=False)
         assert quadratic_variation(trace, ctx) <= bound
+
+
+# ---------------------------------------------------------------------------
+# the variation above the Lanczos crossover
+
+_K = verify_mod._LANCZOS_ABOVE
+
+
+def _multi_edge_graph(n, seed):
+    """A connected ER graph on n vertices with some pairs repeated, some
+    reversed, so that L_c adds parallel edges."""
+    g = generate(GeneratorSpec("erdos-renyi", n, p=0.05, seed=seed))
+    pick = np.arange(0, g.m, 7)
+    return WeightedGraph(
+        n,
+        np.concatenate((g.u, g.u[pick], g.v[pick[::2]])),
+        np.concatenate((g.v, g.v[pick], g.u[pick[::2]])),
+        np.concatenate((g.weight, 0.5 * g.weight[pick], 0.25 * g.weight[pick[::2]])),
+    )
+
+
+def _dense_variation(trace, upto, monkeypatch):
+    """quadratic_variation on the dense path, whatever the graph's size."""
+    with monkeypatch.context() as patch:
+        patch.setattr(verify_mod, "_LANCZOS_ABOVE", trace.graph.n)
+        return quadratic_variation(trace, projection_context(trace.graph), upto=upto)
+
+
+# The barbell's top eigenvalue is ill-conditioned: at its first step W is
+# about 9 while the weights of L_c sum to about 37,000, over potentials that
+# nearly cancel on the clique edges. There the dense path and the pencil
+# reference differ from each other by 1.2e-11 relative (8.99999999991 and
+# 9.000000000015), against a 50-digit Rayleigh quotient of 9.0000000000123,
+# which Lanczos meets to 1.3e-12; so the barbell is held to the 1e-10 of the
+# small-graph pencil test, and every other graph to 1e-12.
+@pytest.mark.parametrize("mode", ["exact", "sparsifier"])
+@pytest.mark.parametrize("g, rtol", [
+    (generate(GeneratorSpec("cycle", _K + 8)), 1e-12),
+    (generate(GeneratorSpec("complete", _K + 1)), 1e-12),
+    (generate(GeneratorSpec("barbell", _K + 16)), 1e-10),
+    (_multi_edge_graph(_K + 20, seed=3), 1e-12),
+], ids=["cycle", "complete", "barbell", "multi-edges"])
+def test_lanczos_variation_matches_the_dense_path_and_the_pencil(g, rtol, mode, monkeypatch):
+    _, _, trace = indicator_stream(g, _cfg(g, seed=11, budget=30), block_size=-(-g.m // 3),
+                                   resistance_mode=mode, diagnostics=False,
+                                   record_copies=False)
+    ctx = projection_context(g)
+    for upto in range(1, trace.steps + 1):
+        got = quadratic_variation(trace, ctx, upto=upto)
+        assert got > 0.0
+        dense = _dense_variation(trace, upto, monkeypatch)
+        pencil = _pencil_variation(trace, upto)
+        assert abs(got - dense) <= rtol * dense, (upto, got, dense)
+        assert abs(got - pencil) <= rtol * pencil, (upto, got, pencil)
+    # the Lanczos path read the factors and never built a range basis
+    assert "factors" in vars(ctx) and "range_basis" not in vars(ctx)
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=multigraphs(), seed=st.integers(0, 2**32), budget=st.integers(2, 40), data=st.data())
+def test_lanczos_on_small_graphs_matches_the_edge_vector_form(g, seed, budget, data):
+    # with the crossover moved below every graph, Lanczos runs on operators
+    # of dimension 2 to 9, where its n - 1 step cap and an exhausted Krylov
+    # space end most runs
+    block = data.draw(st.integers(1, g.m))
+    _, _, trace = indicator_stream(g, _cfg(g, seed=seed, budget=budget), block_size=block,
+                                   resistance_mode="exact", diagnostics=False,
+                                   record_copies=False)
+    ctx = projection_context(g)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify_mod, "_LANCZOS_ABOVE", 0)
+        for upto in range(trace.steps + 1):
+            want = _reference_variation(trace, ctx, upto)
+            got = quadratic_variation(trace, ctx, upto=upto)
+            assert abs(got - want) <= 1e-12 * want, (upto, got, want)
+    assert "range_basis" not in vars(ctx)
+
+
+@pytest.mark.parametrize("n", [_K, _K + 1])
+def test_variation_at_the_crossover_matches_the_pencil(n):
+    g = generate(GeneratorSpec("erdos-renyi", n, p=0.05, seed=n))
+    _, _, trace = indicator_stream(g, _cfg(g, seed=2, budget=40), block_size=-(-g.m // 4),
+                                   resistance_mode="exact", diagnostics=False,
+                                   record_copies=False)
+    ctx = projection_context(g)
+    got = quadratic_variation(trace, ctx)
+    want = _pencil_variation(trace, trace.steps)
+    assert abs(got - want) <= 1e-12 * want, (got, want)
+    # n = K takes the dense path, and only n = K + 1 the Lanczos path
+    assert ("range_basis" in vars(ctx)) == (n <= _K)
+
+
+def test_lanczos_variation_of_a_zero_w_is_exactly_zero():
+    # nodrop keeps every p at 1, so every coefficient is 0.0 and W = 0
+    g = generate(GeneratorSpec("erdos-renyi", _K + 4, p=0.05, seed=5))
+    _, _, trace = indicator_stream(g, _cfg(g, budget=10), block_size=-(-g.m // 3),
+                                   resistance_mode="nodrop", diagnostics=False,
+                                   record_copies=False)
+    ctx = projection_context(g)
+    for upto in range(trace.steps + 1):
+        w = quadratic_variation(trace, ctx, upto=upto)
+        assert np.float64(w).tobytes() == np.float64(0.0).tobytes()
+
+
+def test_lanczos_variation_needs_a_connected_reference():
+    # a context built around projection_context's check: the factors name
+    # two components, and the variation is refused as the dense path's
+    # range basis refuses it
+    g = generate(GeneratorSpec("path", _K + 2))
+    cut = WeightedGraph(g.n, g.u[1:], g.v[1:], g.weight[1:])  # vertex 0 alone
+    _, _, trace = indicator_stream(cut, _cfg(cut, budget=10), block_size=cut.m,
+                                   resistance_mode="nodrop", diagnostics=False,
+                                   record_copies=False)
+    with pytest.raises(GraphConnectivityError, match="disconnected"):
+        quadratic_variation(trace, ProjectionContext(cut))
+
+
+def test_lanczos_variation_repeats_its_bits():
+    # a fixed start vector: a second call in the same process, on a new
+    # context and after other eigensolver calls, gives the same bits
+    g = generate(GeneratorSpec("erdos-renyi", _K + 40, p=0.05, seed=9))
+    _, _, trace = indicator_stream(g, _cfg(g, seed=4, budget=50), block_size=-(-g.m // 5),
+                                   resistance_mode="sparsifier", diagnostics=False,
+                                   record_copies=False)
+    first = [quadratic_variation(trace, projection_context(g), upto=s)
+             for s in range(trace.steps + 1)]
+    np.linalg.eigh(np.diag(np.arange(5.0)))
+    RandomTape(0).labeled("lanczos", g.n - 1)
+    again = [quadratic_variation(trace, projection_context(g), upto=s)
+             for s in range(trace.steps + 1)]
+    assert np.array(first).tobytes() == np.array(again).tobytes()
 
 
 # ---------------------------------------------------------------------------
