@@ -327,12 +327,14 @@ class ProjectionContext:
     """A connected reference graph and what the instruments read of its
     Laplacian L, each piece built from the graph on its first read and kept:
     factors, L's grounded factors (projection_error reads them, and the
-    variation above its crossover); leverages, read off factors (the
-    variation reads them); range_basis (spectral_check reads it, and the
-    variation up to its crossover). No piece but factors keeps what it was
-    built from, so a context keeps only what was read of it: one that has
-    served the variation above its crossover holds its factors and
-    leverages and no eigenvector matrix. given holds grounded factors the
+    variation above its crossover); leverages, read off factors once those
+    are read, else off factors that are not kept (the variation reads
+    them); range_basis (spectral_check reads it, and the variation up to
+    its crossover). No piece keeps what it was built from, so a context
+    keeps only what was read of it: one that has served the variation up
+    to its crossover holds its leverages and basis and no factorisation,
+    and one above it its factors and leverages and no eigenvector matrix,
+    the variation reading factors first. given holds grounded factors the
     caller has already made, read instead of a new factorisation: a
     stream's prefix reference makes the one factorisation that its exact
     estimates and projection_error share. The instruments read congruences
@@ -343,19 +345,26 @@ class ProjectionContext:
     graph: WeightedGraph
     given: PseudoinverseFactors | None = None
 
-    @cached_property
-    def factors(self) -> PseudoinverseFactors:
+    def _factorize(self) -> PseudoinverseFactors:
         """The factors given, else a new factorisation of the graph's Laplacian."""
         if self.given is not None:
             return self.given
         return pseudo_factorize(build_laplacian(self.graph))
 
     @cached_property
+    def factors(self) -> PseudoinverseFactors:
+        return self._factorize()
+
+    @cached_property
     def leverages(self) -> np.ndarray:
         """Read-only a_e r_e = ||v_e||^2 of every reference edge, in edge
-        order, read off factors."""
+        order, read off factors if they have been read, else off factors
+        that are not kept unless given."""
         g = self.graph
-        lev = g.weight * self.factors.resistances(np.column_stack((g.u, g.v)))
+        factors = vars(self).get("factors")
+        if factors is None:
+            factors = self._factorize()
+        lev = g.weight * factors.resistances(np.column_stack((g.u, g.v)))
         lev.flags.writeable = False
         return lev
 

@@ -165,7 +165,6 @@ def projection_error(h, reference: WeightedGraph | ProjectionContext) -> float:
 # grounded factor above it (see quadratic_variation).
 _LANCZOS_ABOVE = 256
 _LANCZOS_CHECK = 8  # Lanczos steps between two reads of the top Ritz pair
-_LANCZOS_DENSE_EDGES = 16  # L is applied as an n x n array above n^2 / 16 edges
 _LANCZOS_ULPS = 4  # the residual, in units in the last place of the top Ritz value
 
 
@@ -246,24 +245,22 @@ def _lanczos_top(rows: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray) 
     RandomTape(0).labeled("lanczos", k) minus 1/2, so the result is a
     function of the inputs alone; the all-ones vector would not do, being
     orthogonal to every eigenvector antisymmetric about vertex 0. L is
-    applied from the edges with a positive weight, or as one n x n array
-    when they are dense enough for its product to be the cheaper. Every
-    _LANCZOS_CHECK steps the top Ritz pair (theta, s) of the tridiagonal T
-    is read, and the iteration stops once its residual beta |s_last| is at
-    most _LANCZOS_ULPS ulps of theta, or after k = n - 1 steps, the
-    operator's dimension. With no positive weight the result is exactly 0.0.
+    applied from the edges with a positive weight. Every _LANCZOS_CHECK
+    steps the top Ritz pair (theta, s) of the tridiagonal T is read, and
+    the iteration stops once its residual beta |s_last| is at most
+    _LANCZOS_ULPS ulps of theta, or after k = n - 1 steps, the operator's
+    dimension. With no positive weight the result is exactly 0.0.
     """
     live = w > 0.0
     if not live.any():
         return 0.0
     u, v, w = u[live], v[live], w[live]
     n, k = rows.shape
-    if _LANCZOS_DENSE_EDGES * len(w) > n * n:
-        laplacian = laplacian_from_arrays(n, u, v, w).__matmul__
-    else:
-        def laplacian(y: np.ndarray) -> np.ndarray:
-            d = w * (y[u] - y[v])
-            return np.bincount(u, d, n) - np.bincount(v, d, n)
+
+    def laplacian(y: np.ndarray) -> np.ndarray:
+        d = w * (y[u] - y[v])
+        return np.bincount(u, d, n) - np.bincount(v, d, n)
+
     tol = _LANCZOS_ULPS * np.finfo(float).eps
     basis = np.empty((min(k, 4 * _LANCZOS_CHECK), k))
     alpha: list[float] = []

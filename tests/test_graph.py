@@ -447,16 +447,15 @@ def test_projection_context_defers_the_eigendecomposition(monkeypatch):
 
 
 def test_a_context_keeps_only_the_pieces_read_of_it():
-    # the leverages are read off the factors, which the context keeps; the
-    # range basis off an eigendecomposition that it does not keep; both with
-    # the bits of those held apart; given factors are read, not rebuilt
+    # the leverages and the range basis are read off a factorisation and an
+    # eigendecomposition that the context does not keep, with the bits of
+    # those of a factorisation held apart; given factors are read, not rebuilt
     g = generate(GeneratorSpec("erdos-renyi", 30, p=0.3, seed=4))
     ctx = projection_context(g)
     lev, b = ctx.leverages, ctx.range_basis
-    assert set(vars(ctx)) == {"graph", "given", "factors", "leverages", "range_basis"}
+    assert set(vars(ctx)) == {"graph", "given", "leverages", "range_basis"}
     assert ctx.given is None
     factors = pseudo_factorize(build_laplacian(g))
-    assert ctx.factors.rows.tobytes() == factors.rows.tobytes()
     assert lev.tobytes() == (g.weight * factors.resistances(np.column_stack((g.u, g.v)))).tobytes()
     lam, q = graph_mod._spectrum(build_laplacian(g))
     nz = lam > 0.0
@@ -464,6 +463,22 @@ def test_a_context_keeps_only_the_pieces_read_of_it():
     given = ProjectionContext(g, factors)
     assert given.factors is factors
     assert given.leverages.tobytes() == lev.tobytes()
+
+
+def test_leverages_read_the_factors_once_those_are_read(monkeypatch):
+    # factors read first are kept and the leverages read them, with one
+    # factorisation between the two and the bits of a context that kept none
+    g = generate(GeneratorSpec("erdos-renyi", 30, p=0.3, seed=4))
+    calls = []
+    factorize = graph_mod.pseudo_factorize
+    monkeypatch.setattr(graph_mod, "pseudo_factorize",
+                        lambda l: calls.append(1) or factorize(l))
+    ctx = projection_context(g)
+    factors, lev = ctx.factors, ctx.leverages
+    assert len(calls) == 1
+    assert set(vars(ctx)) == {"graph", "given", "factors", "leverages"}
+    assert ctx.factors is factors
+    assert lev.tobytes() == projection_context(g).leverages.tobytes()
 
 
 def test_projection_context_of_a_gap_below_the_null_tolerance(monkeypatch):

@@ -555,8 +555,10 @@ def test_variation_at_the_crossover_matches_the_pencil(n):
     got = quadratic_variation(trace, ctx)
     want = _pencil_variation(trace, trace.steps)
     assert abs(got - want) <= 1e-12 * want, (got, want)
-    # n = K takes the dense path, and only n = K + 1 the Lanczos path
+    # n = K takes the dense path, which keeps no factorisation, and only
+    # n = K + 1 the Lanczos path, which keeps no range basis
     assert ("range_basis" in vars(ctx)) == (n <= _K)
+    assert ("factors" in vars(ctx)) == (n > _K)
 
 
 def test_lanczos_variation_of_a_zero_w_is_exactly_zero():
