@@ -1,9 +1,10 @@
 """Weighted graphs, Laplacians, pseudoinverses, and projection contexts.
 
 A pseudoinverse is kept as the inverse Cholesky factor of the Laplacian
-grounded at one vertex per component, off which every resistance is read; no
-Laplacian is kept past that read. A Laplacian's eigenbasis is taken in one
-place, _spectrum, for the range basis the verification congruences read.
+grounded at one vertex per component, off which every resistance, the
+projection error and the variation are read; no Laplacian is kept past that
+read. A Laplacian's eigenbasis is taken in one place, _spectrum, for the
+range basis the spectral check reads.
 
 Everything downstream (resistance estimation, resparsification, the
 verification instruments) consumes the objects defined here. All types are
@@ -326,45 +327,34 @@ def pseudo_factorize(l: np.ndarray) -> PseudoinverseFactors:
 class ProjectionContext:
     """A connected reference graph and what the instruments read of its
     Laplacian L, each piece built from the graph on its first read and kept:
-    factors, L's grounded factors (projection_error reads them, and the
-    variation above its crossover); leverages, read off factors once those
-    are read, else off factors that are not kept (the variation reads
-    them); range_basis (spectral_check reads it, and the variation up to
-    its crossover). No piece keeps what it was built from, so a context
-    keeps only what was read of it: one that has served the variation up
-    to its crossover holds its leverages and basis and no factorisation,
-    and one above it its factors and leverages and no eigenvector matrix,
-    the variation reading factors first. given holds grounded factors the
-    caller has already made, read instead of a new factorisation: a
-    stream's prefix reference makes the one factorisation that its exact
-    estimates and projection_error share. The instruments read congruences
-    S A S by S = L^{-1/2} in L's eigenbasis or through the grounded factor,
-    so S is never formed; ||v_e||^2 = a_e r_e, v_e = sqrt(a_e) S b_e, is
-    leverages."""
+    factors, L's grounded factors (projection_error and the variation read
+    them); leverages, read off factors (the variation reads them);
+    range_basis (spectral_check reads it). No piece keeps what it was built
+    from, so a context keeps only what was read of it: one that has served
+    the variation holds its factors and leverages and no eigenvector matrix.
+    given holds grounded factors the caller has already made, read instead
+    of a new factorisation: a stream's prefix reference makes the one
+    factorisation that its exact estimates and projection_error share. The
+    instruments read congruences S A S by S = L^{-1/2} in L's eigenbasis or
+    through the grounded factor, so S is never formed; ||v_e||^2 = a_e r_e,
+    v_e = sqrt(a_e) S b_e, is leverages."""
 
     graph: WeightedGraph
     given: PseudoinverseFactors | None = None
 
-    def _factorize(self) -> PseudoinverseFactors:
+    @cached_property
+    def factors(self) -> PseudoinverseFactors:
         """The factors given, else a new factorisation of the graph's Laplacian."""
         if self.given is not None:
             return self.given
         return pseudo_factorize(build_laplacian(self.graph))
 
     @cached_property
-    def factors(self) -> PseudoinverseFactors:
-        return self._factorize()
-
-    @cached_property
     def leverages(self) -> np.ndarray:
         """Read-only a_e r_e = ||v_e||^2 of every reference edge, in edge
-        order, read off factors if they have been read, else off factors
-        that are not kept unless given."""
+        order, read off factors."""
         g = self.graph
-        factors = vars(self).get("factors")
-        if factors is None:
-            factors = self._factorize()
-        lev = g.weight * factors.resistances(np.column_stack((g.u, g.v)))
+        lev = g.weight * self.factors.resistances(np.column_stack((g.u, g.v)))
         lev.flags.writeable = False
         return lev
 

@@ -24,7 +24,7 @@ import numpy as np
 from .graph import WeightedGraph, _UnionFind, is_connected
 from .sparsify import StreamConfig, _block_size, _check_run_inputs, _References, stream_sparsify
 from .tape import RandomTape
-from .verify import _read_rows, _write_rows, spectral_check
+from .verify import _integer, _read_rows, _write_rows, spectral_check
 
 __all__ = [
     "ExperimentReport",
@@ -309,6 +309,7 @@ def run_experiment(
     projection context are built once per step index, like the whole-graph
     context of the variation norm, and every trial reads the same ones.
     """
+    trials = _integer("trials", trials)
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     block_size = cfg.budget_n if block_size is None else _block_size(block_size)

@@ -526,8 +526,8 @@ def _run_stream(
         history = StreamTrace(g, cfg.budget_n, [], [], [], [] if copies else None)
         history._append(h)  # row 0, before any edge is seen
     # the variation norm uses one fixed whole-graph reference, which keeps
-    # only its leverages and range basis; building it requires the input
-    # graph to be connected
+    # only its grounded factors and leverages; building it requires the
+    # input graph to be connected
     ctx_full = None
     if diagnostics:
         ctx_full = projection_context(g) if references is None else references.whole

@@ -3,16 +3,17 @@
 Four quantities drive both the per-step diagnostics and the experiment
 harness: the sandwich spectral check (every generalized Rayleigh ratio of
 the sparsifier against the reference inside [1-eps, 1+eps]), the
-projection-error norm ||P - P_tilde||, read off the grounded pencil
-(L_H, L_G) with one Cholesky factor of the reference, the running copy
-count with its 3N-overflow event, and the predictable quadratic variation
-||W|| of the copy-indicator martingale. The sandwich is read in the
-reference's eigenbasis, and so is the variation on graphs up to a measured
-size; above it, the variation's top eigenvalue is read by Lanczos
-iteration on the reference's grounded factor. The dominating-variable sampler
-and the stochastic-dominance test back the concentration experiment:
-per-copy maxima of z/p_tilde are compared against the heavy-tailed
-variable with c.d.f. 1 - 1/a truncated at alpha^2/p.
+projection-error norm ||P - P_tilde||, the running copy count with its
+3N-overflow event, and the predictable quadratic variation ||W|| of the
+copy-indicator martingale. The sandwich, the oracle, is read in the
+reference's eigenbasis. The projection error and the variation are read
+off the reference's grounded Cholesky factor alone: both are eigenvalues
+of a grounded pencil, formed densely and read by one eigvalsh, except the
+variation's top eigenvalue above a measured graph size, which Lanczos
+iteration reads. The dominating-variable sampler and the
+stochastic-dominance test back the concentration experiment: per-copy
+maxima of z/p_tilde are compared against the heavy-tailed variable with
+c.d.f. 1 - 1/a truncated at alpha^2/p.
 """
 
 from __future__ import annotations
@@ -79,6 +80,15 @@ class DiagnosticsRecord:
 DIAGNOSTICS_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 
+def _integer(name: str, value) -> int:
+    import operator
+
+    try:
+        return operator.index(value)  # NumPy integers too, but no float or string
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _laplacian_of(h) -> np.ndarray:
     try:
         return np.asarray(h.laplacian(), dtype=float)
@@ -94,17 +104,6 @@ def _reference_context(h, reference: WeightedGraph | ProjectionContext) -> Proje
     return projection_context(g) if reference is g else reference
 
 
-def _range_eigenvalues(b: np.ndarray, l: np.ndarray) -> np.ndarray:
-    """Eigenvalues of S l S on range(L_G), S = L_G^{-1/2}: those of B' l B,
-    B = b the range basis of a context of G. l is let go once B' l is
-    formed, so a caller that passes its only reference holds one n x n
-    array less."""
-    w = b.T @ l
-    del l
-    w = w @ b
-    return np.linalg.eigvalsh(w)
-
-
 def spectral_check(
     h, reference: WeightedGraph | ProjectionContext, eps: float
 ) -> tuple[bool, float]:
@@ -114,8 +113,8 @@ def spectral_check(
     laplacian(). reference is G itself or a projection context of G, which
     spares a caller that already holds one a second factorisation. The
     ratios are the eigenvalues of S L_H S (S the pseudoinverse square root
-    of L_G) on the range of L_G, read in L_G's eigenbasis by
-    _range_eigenvalues; the check passes when every one lies in
+    of L_G) on the range of L_G, those of B' L_H B with B the range basis
+    of G's context; the check passes when every one lies in
     [1-eps, 1+eps] with 1e-9 slack. Returns (passed, worst deviation
     |ratio - 1|).
 
@@ -124,7 +123,9 @@ def spectral_check(
     """
     if not eps >= 0.0:  # NaN fails too
         raise ValueError(f"eps must be non-negative, got {eps}")
-    ratios = _range_eigenvalues(_reference_context(h, reference).range_basis, _laplacian_of(h))
+    b = _reference_context(h, reference).range_basis
+    # L_H is a temporary, let go once B' L_H is formed
+    ratios = np.linalg.eigvalsh(b.T @ _laplacian_of(h) @ b)
     worst = float(np.abs(ratios - 1.0).max())
     return worst <= eps + 1e-9, worst
 
@@ -143,26 +144,39 @@ def projection_error(h, reference: WeightedGraph | ProjectionContext) -> float:
     Cholesky factor) they are the eigenvalues of C^-1 L_H C^-T, so one
     Cholesky factor and one eigvalsh replace an eigendecomposition of L_G.
 
-    C^-1 is rows[1:].T of the grounded factors of reference's context, and
-    G is connected when their component labels are all 0 (vertex 0's); no
-    eigh is run.
+    C^-1 is rows[1:].T of the grounded factors of reference's context (see
+    _grounded_rows); no eigh is run.
 
     Raises GraphConnectivityError when G is disconnected and ValueError on
     a vertex-count mismatch or a G without edges.
     """
-    factors = _reference_context(h, reference).factors
+    rows = _grounded_rows(_reference_context(h, reference), "projection error")
+    return float(np.abs(1.0 - _pencil_eigenvalues(rows, _laplacian_of(h))).max())
+
+
+def _grounded_rows(ctx: ProjectionContext, what: str) -> np.ndarray:
+    """ctx's grounded factors' rows, rows[1:] = C^-T with L_G = C C' grounded
+    at vertex 0. G is connected when their component labels are all 0."""
+    factors = ctx.factors
     if factors.labels.any():
-        raise GraphConnectivityError(
-            "reference graph is disconnected; projection error undefined"
-        )
-    c_inv = factors.rows[1:].T  # G is connected, so grounded at vertex 0 alone
-    m_mat = c_inv @ _laplacian_of(h)[1:, 1:] @ c_inv.T
-    return float(np.abs(1.0 - np.linalg.eigvalsh(m_mat)).max())
+        raise GraphConnectivityError(f"reference graph is disconnected; {what} undefined")
+    return factors.rows
 
 
-# The variation's top eigenvalue is read by a dense eigvalsh in the range
-# basis on graphs of at most this many vertices, and by Lanczos on the
-# grounded factor above it (see quadratic_variation).
+def _pencil_eigenvalues(rows: np.ndarray, l: np.ndarray) -> np.ndarray:
+    """Eigenvalues, ascending, of the grounded pencil (l, L_G): those of
+    C^-1 l C^-T, l grounded at vertex 0, rows from _grounded_rows. l is let
+    go once C^-1 l is formed, so a caller that passes its only reference
+    holds one n x n array less."""
+    c_inv = rows[1:].T
+    m = c_inv @ l[1:, 1:]
+    del l
+    return np.linalg.eigvalsh(m @ c_inv.T)
+
+
+# The variation's top eigenvalue is read by a dense eigvalsh of the grounded
+# pencil on graphs of at most this many vertices, and by Lanczos on the same
+# operator above it (see quadratic_variation).
 _LANCZOS_ABOVE = 256
 _LANCZOS_CHECK = 8  # Lanczos steps between two reads of the top Ritz pair
 _LANCZOS_ULPS = 4  # the residual, in units in the last place of the top Ritz value
@@ -186,25 +200,19 @@ def quadratic_variation(trace, ctx: ProjectionContext, upto: int | None = None) 
     Writing W = sum_e c_e v_e v_e' gives W = S L_c S, where L_c is the
     Laplacian of the graph's own edge list with edge weights a_e c_e
     (duplicate pairs add); v_e'v_e = a_e r_e is ctx.leverages. ||W|| is the
-    top eigenvalue of S L_c S on range(L_G). On a graph of at most
-    _LANCZOS_ABOVE vertices it is read from _range_eigenvalues. Above, it
-    is the top eigenvalue of the grounded pencil (L_c, L_G), that is of
-    C^-1 L_c C^-T with L_G = C C' grounded at vertex 0, read off
-    ctx.factors by _lanczos_top: Lanczos from the fixed start vector
-    RandomTape(0).labeled("lanczos", n - 1) - 1/2, stopped once the top
-    Ritz pair's residual is at most _LANCZOS_ULPS ulps of its value, or
-    after n - 1 steps. A GraphConnectivityError means ctx's graph is
+    top eigenvalue of S L_c S on range(L_G), that is of the grounded pencil
+    (L_c, L_G): of C^-1 L_c C^-T with L_G = C C' grounded at vertex 0, read
+    off ctx.factors, which with the leverages is all it reads of ctx. On a graph
+    of at most _LANCZOS_ABOVE vertices the pencil is formed and read by
+    _pencil_eigenvalues. Above, _lanczos_top reads its top eigenvalue by
+    Lanczos from the fixed start vector RandomTape(0).labeled("lanczos",
+    n - 1) - 1/2, stopped once the top Ritz pair's residual is at most
+    _LANCZOS_ULPS ulps of its value, or after n - 1 steps. The result is
+    clamped at 0.0. A GraphConnectivityError means ctx's graph is
     disconnected.
     """
-    import operator
-
     steps = trace.steps
-    if upto is None:
-        upto = steps
-    try:
-        upto = operator.index(upto)  # NumPy integers too, but no float or string
-    except TypeError:
-        raise ValueError(f"upto must be an integer, got {upto!r}") from None
+    upto = steps if upto is None else _integer("upto", upto)
     if not 0 <= upto <= steps:
         raise ValueError(f"upto={upto} outside the recorded range [0, {steps}]")
     if len(trace.p_steps) != steps + 1 or len(trace.alive_steps) != steps + 1:
@@ -213,11 +221,8 @@ def quadratic_variation(trace, ctx: ProjectionContext, upto: int | None = None) 
     # identity first: the stream's own context shares the traced graph
     if g is not trace.graph and g != trace.graph:
         raise ValueError("ctx does not match the traced stream")
-    dense = g.n <= _LANCZOS_ABOVE
-    # first: on a first read its eigh or factorisation runs before L_c exists
-    reference = ctx.range_basis if dense else ctx.factors
-    if not dense and reference.labels.any():
-        raise GraphConnectivityError("reference graph is disconnected; variation undefined")
+    # first: on a first read the factorisation runs before L_c exists
+    rows = _grounded_rows(ctx, "variation")
     coeff = np.zeros(g.m)
     for s in range(1, upto + 1):
         p_prev = trace.p_steps[s - 1]
@@ -228,11 +233,10 @@ def quadratic_variation(trace, ctx: ProjectionContext, upto: int | None = None) 
         delta = np.clip(1.0 / p_cur - 1.0 / p_prev, 0.0, None)
         coeff += (alive_prev / p_prev) * delta
     coeff *= ctx.leverages / trace.budget_n**2
-    if not dense:
-        return _lanczos_top(reference.rows, g.u, g.v, g.weight * coeff)
-    # L_c is passed as a temporary, for _range_eigenvalues to let go
-    ratios = _range_eigenvalues(reference, laplacian_from_arrays(g.n, g.u, g.v, g.weight * coeff))
-    return float(max(ratios.max(), 0.0))
+    w = g.weight * coeff
+    if g.n > _LANCZOS_ABOVE:
+        return _lanczos_top(rows, g.u, g.v, w)
+    return max(float(_pencil_eigenvalues(rows, laplacian_from_arrays(g.n, g.u, g.v, w))[-1]), 0.0)
 
 
 def _lanczos_top(rows: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> float:
@@ -301,6 +305,7 @@ def sample_dominating_w0_batch(
         raise ValueError(f"p_te must be at most 1, got {p_te}")
     if not alpha >= 1.0:
         raise ValueError(f"alpha must be >= 1, got {alpha}")
+    count = _integer("count", count)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     u = tape.labeled(f"w0/{float(p_te)!r}/{float(alpha)!r}", count)

@@ -494,8 +494,9 @@ def test_a_step_failing_on_a_bug_propagates(tmp_path, monkeypatch):
 @pytest.mark.filterwarnings("ignore:weight spread")
 def test_a_gap_below_the_null_tolerance_exits_2_at_the_first_spectral_read(tmp_path, capsys):
     # the path 0-1-2 with weights 1 and 1e-12 is connected, but its 1e-12
-    # eigenvalue reads as null: the sparsifier is written, and the
-    # instruments that read the range basis refuse it
+    # eigenvalue reads as null: the sparsifier is written, and verify, which
+    # reads the range basis, refuses it; the diagnostics read the grounded
+    # factors, which this gap does not trouble
     graph = tmp_path / "spread.edges"
     graph.write_text("0 1 1.0\n1 2 1e-12\n", encoding="utf-8")
     out = tmp_path / "h.sp"
@@ -506,10 +507,12 @@ def test_a_gap_below_the_null_tolerance_exits_2_at_the_first_spectral_read(tmp_p
     assert main(["verify", "--graph", str(graph), "--sparsifier", str(out),
                  "--epsilon", "0.5"]) == 2
     assert capsys.readouterr().err == error
-    again = tmp_path / "again.sp"
-    assert main([*args, "--output", str(again), "--diagnostics", str(tmp_path / "d.csv")]) == 2
-    assert capsys.readouterr().err == error
-    assert not again.exists()
+    again, diagnostics = tmp_path / "again.sp", tmp_path / "d.csv"
+    assert main([*args, "--output", str(again), "--diagnostics", str(diagnostics)]) == 0
+    assert capsys.readouterr().err == ""
+    assert again.read_bytes() == out.read_bytes()
+    (record,) = read_diagnostics(diagnostics)
+    assert record.proj_error_norm >= 0.0 and record.w_norm >= 0.0
 
 
 def test_unknown_subcommand_exits_nonzero():

@@ -447,13 +447,14 @@ def test_projection_context_defers_the_eigendecomposition(monkeypatch):
 
 
 def test_a_context_keeps_only_the_pieces_read_of_it():
-    # the leverages and the range basis are read off a factorisation and an
-    # eigendecomposition that the context does not keep, with the bits of
-    # those of a factorisation held apart; given factors are read, not rebuilt
+    # the leverages are read off the factors, which the context keeps, and
+    # the range basis off an eigendecomposition that it does not keep, with
+    # the bits of those of a factorisation held apart; given factors are
+    # read, not rebuilt
     g = generate(GeneratorSpec("erdos-renyi", 30, p=0.3, seed=4))
     ctx = projection_context(g)
     lev, b = ctx.leverages, ctx.range_basis
-    assert set(vars(ctx)) == {"graph", "given", "leverages", "range_basis"}
+    assert set(vars(ctx)) == {"graph", "given", "factors", "leverages", "range_basis"}
     assert ctx.given is None
     factors = pseudo_factorize(build_laplacian(g))
     assert lev.tobytes() == (g.weight * factors.resistances(np.column_stack((g.u, g.v)))).tobytes()
@@ -467,7 +468,8 @@ def test_a_context_keeps_only_the_pieces_read_of_it():
 
 def test_leverages_read_the_factors_once_those_are_read(monkeypatch):
     # factors read first are kept and the leverages read them, with one
-    # factorisation between the two and the bits of a context that kept none
+    # factorisation between the two and the bits of a context that read its
+    # leverages first
     g = generate(GeneratorSpec("erdos-renyi", 30, p=0.3, seed=4))
     calls = []
     factorize = graph_mod.pseudo_factorize

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
-from respark import graph as graph_mod, sparsify as sparsify_mod
+from respark import graph as graph_mod, sparsify as sparsify_mod, verify as verify_mod
 from respark.graph import is_connected
 from respark.harness import (
     GeneratorSpec,
@@ -249,11 +249,21 @@ def test_run_experiment_refuses_a_block_size_that_is_no_integer(monkeypatch, blo
         run_experiment(spec, _cfg(generate(spec)), trials=2, block_size=block_size)
 
 
+@pytest.mark.parametrize("trials", [2.5, "3"])
+def test_run_experiment_refuses_a_trial_count_that_is_no_integer(monkeypatch, trials):
+    # refused before the graph is generated
+    spec = GeneratorSpec("path", 5)
+    cfg = _cfg(generate(spec))
+    monkeypatch.setattr("respark.harness.generate", pytest.fail)
+    with pytest.raises(ValueError, match="trials must be an integer"):
+        run_experiment(spec, cfg, trials=trials)
+
+
 def test_run_experiment_stores_a_numpy_block_size_as_an_int(tmp_path):
     spec = GeneratorSpec("erdos-renyi", 10, p=0.4, seed=2)
     cfg = _cfg(generate(spec), seed=7, budget=40)
-    report = run_experiment(spec, cfg, trials=2, block_size=np.int64(12))
-    assert type(report.block_size) is int
+    report = run_experiment(spec, cfg, trials=np.int64(2), block_size=np.int64(12))
+    assert type(report.block_size) is int and type(report.trials) is int
     assert report == run_experiment(spec, cfg, trials=2, block_size=12)
     emit_report(report, tmp_path / "report.json", format="json")
     assert load_report_json(tmp_path / "report.json") == report
@@ -348,31 +358,48 @@ def test_shared_references_change_no_bit(mode):
     assert report.rows == tuple(rebuilt)  # field by field, floats by ==
 
 
+def _spy(monkeypatch, calls, owner, name, label):
+    """Append label to calls on every call of owner.name."""
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(label)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
 def test_reference_work_does_not_grow_with_the_trials(monkeypatch):
-    # per run: one whole-graph context (a factorisation for its leverages,
-    # an eigh for its range basis), and per step index one exact factor and
-    # one spectral-check context (an eigh for its range basis, no factor),
-    # whatever the trial count
+    # per run: one whole-graph context (a factorisation, which the
+    # variation and its leverages read), and per step index one exact factor
+    # and one spectral-check context (an eigh for its range basis, no
+    # factor), whatever the trial count
     calls = []
-
-    def spy(owner, name, label):
-        original = getattr(owner, name)
-
-        def counted(*args, **kwargs):
-            calls.append(label)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, counted)
-
-    spy(graph_mod, "pseudo_factorize", "factorize")
-    spy(sparsify_mod, "pseudo_factorize", "factorize")
-    spy(np.linalg, "eigh", "eigh")
+    _spy(monkeypatch, calls, graph_mod, "pseudo_factorize", "factorize")
+    _spy(monkeypatch, calls, sparsify_mod, "pseudo_factorize", "factorize")
+    _spy(monkeypatch, calls, np.linalg, "eigh", "eigh")
     counts = {}
     for trials in (1, 4):
         calls.clear()
         run_experiment(STRESS_SPEC, _stress_cfg(), trials=trials, block_size=50)
         counts[trials] = Counter(calls)
-    assert counts[1] == counts[4] == Counter(factorize=5 + 1, eigh=5 + 1)
+    assert counts[1] == counts[4] == Counter(factorize=5 + 1, eigh=5)
+
+
+def test_a_single_stream_reads_its_whole_graph_through_one_factorisation(monkeypatch):
+    # a diagnostics stream on a graph at or below the Lanczos crossover: the
+    # whole-graph context makes one factorisation, which the variation and
+    # its leverages read, and no eigh; each step makes its prefix's factor
+    g = generate(STRESS_SPEC)
+    assert g.n <= verify_mod._LANCZOS_ABOVE
+    calls = []
+    _spy(monkeypatch, calls, graph_mod, "pseudo_factorize", "context")
+    _spy(monkeypatch, calls, sparsify_mod, "pseudo_factorize", "prefix")
+    _spy(monkeypatch, calls, np.linalg, "eigh", "eigh")
+    _, records = stream_sparsify(g, _stress_cfg(), block_size=50, resistance_mode="exact",
+                                 diagnostics=True)
+    assert len(records) == 5
+    assert Counter(calls) == Counter(context=1, prefix=5)
 
 
 def test_run_experiment_records_trial_errors(monkeypatch):

@@ -497,11 +497,12 @@ def _dense_variation(trace, upto, monkeypatch):
 
 # The barbell's top eigenvalue is ill-conditioned: at its first step W is
 # about 9 while the weights of L_c sum to about 37,000, over potentials that
-# nearly cancel on the clique edges. There the dense path and the pencil
-# reference differ from each other by 1.2e-11 relative (8.99999999991 and
-# 9.000000000015), against a 50-digit Rayleigh quotient of 9.0000000000123,
-# which Lanczos meets to 1.3e-12; so the barbell is held to the 1e-10 of the
-# small-graph pencil test, and every other graph to 1e-12.
+# nearly cancel on the clique edges. There the dense path and Lanczos, both
+# on the grounded factor, read 9.000000000024 and agree to 1.2e-14 relative;
+# the pencil reference reads 9.000000000015, 1.0e-12 off them, against a
+# 50-digit Rayleigh quotient of 9.0000000000123. So every graph holds the two
+# paths to 1e-12 of each other, and the barbell is held to the 1e-10 of the
+# small-graph pencil test against the reference, every other graph to 1e-12.
 @pytest.mark.parametrize("mode", ["exact", "sparsifier"])
 @pytest.mark.parametrize("g, rtol", [
     (generate(GeneratorSpec("cycle", _K + 8)), 1e-12),
@@ -519,10 +520,31 @@ def test_lanczos_variation_matches_the_dense_path_and_the_pencil(g, rtol, mode, 
         assert got > 0.0
         dense = _dense_variation(trace, upto, monkeypatch)
         pencil = _pencil_variation(trace, upto)
-        assert abs(got - dense) <= rtol * dense, (upto, got, dense)
+        assert abs(got - dense) <= 1e-12 * dense, (upto, got, dense)
         assert abs(got - pencil) <= rtol * pencil, (upto, got, pencil)
     # the Lanczos path read the factors and never built a range basis
     assert "factors" in vars(ctx) and "range_basis" not in vars(ctx)
+
+
+@pytest.mark.parametrize("g", [
+    generate(GeneratorSpec("path", 200)),
+    generate(GeneratorSpec("barbell", 120)),
+], ids=["path", "barbell"])
+def test_dense_variation_matches_the_pencil(g):
+    # below the crossover the grounded factor reads the path to 3.4e-13 of
+    # the pencil reference and the barbell to 1.5e-13; the range basis read
+    # them to 4.2e-12 and 1.1e-12, scaling round-off by 1/sqrt of L_G's
+    # small eigenvalues
+    assert g.n <= _K
+    _, _, trace = indicator_stream(g, _cfg(g, seed=11, budget=30), block_size=-(-g.m // 3),
+                                   resistance_mode="exact", diagnostics=False,
+                                   record_copies=False)
+    ctx = projection_context(g)
+    for upto in range(1, trace.steps + 1):
+        got = quadratic_variation(trace, ctx, upto=upto)
+        want = _pencil_variation(trace, upto)
+        assert abs(got - want) <= 1e-12 * want, (upto, got, want)
+    assert "range_basis" not in vars(ctx)
 
 
 @settings(max_examples=40, deadline=None)
@@ -555,10 +577,10 @@ def test_variation_at_the_crossover_matches_the_pencil(n):
     got = quadratic_variation(trace, ctx)
     want = _pencil_variation(trace, trace.steps)
     assert abs(got - want) <= 1e-12 * want, (got, want)
-    # n = K takes the dense path, which keeps no factorisation, and only
-    # n = K + 1 the Lanczos path, which keeps no range basis
-    assert ("range_basis" in vars(ctx)) == (n <= _K)
-    assert ("factors" in vars(ctx)) == (n > _K)
+    # n = K takes the dense path and n = K + 1 the Lanczos path, both on the
+    # grounded factor, so neither builds a range basis
+    assert "range_basis" not in vars(ctx)
+    assert "factors" in vars(ctx)
 
 
 def test_lanczos_variation_of_a_zero_w_is_exactly_zero():
@@ -573,17 +595,27 @@ def test_lanczos_variation_of_a_zero_w_is_exactly_zero():
         assert np.float64(w).tobytes() == np.float64(0.0).tobytes()
 
 
-def test_lanczos_variation_needs_a_connected_reference():
-    # a context built around projection_context's check: the factors name
-    # two components, and the variation is refused as the dense path's
-    # range basis refuses it
-    g = generate(GeneratorSpec("path", _K + 2))
-    cut = WeightedGraph(g.n, g.u[1:], g.v[1:], g.weight[1:])  # vertex 0 alone
+def _variation_of_a_cut_path(n):
+    """The variation against a context built around projection_context's
+    check: the path on n vertices without its first edge, vertex 0 alone."""
+    g = generate(GeneratorSpec("path", n))
+    cut = WeightedGraph(g.n, g.u[1:], g.v[1:], g.weight[1:])
     _, _, trace = indicator_stream(cut, _cfg(cut, budget=10), block_size=cut.m,
                                    resistance_mode="nodrop", diagnostics=False,
                                    record_copies=False)
-    with pytest.raises(GraphConnectivityError, match="disconnected"):
-        quadratic_variation(trace, ProjectionContext(cut))
+    return quadratic_variation(trace, ProjectionContext(cut))
+
+
+def test_lanczos_variation_needs_a_connected_reference():
+    # the factors name two components, and the variation is refused
+    with pytest.raises(GraphConnectivityError, match="disconnected; variation undefined"):
+        _variation_of_a_cut_path(_K + 2)
+
+
+def test_dense_variation_needs_a_connected_reference():
+    # the dense path reads the same factors and refuses with the same message
+    with pytest.raises(GraphConnectivityError, match="disconnected; variation undefined"):
+        _variation_of_a_cut_path(_K - 2)
 
 
 def test_lanczos_variation_repeats_its_bits():
@@ -682,8 +714,8 @@ def test_w0_reproducible_and_indexed():
     a = sample_dominating_w0_batch(0.2, 1.5, RandomTape(9), 50)
     b = sample_dominating_w0_batch(0.2, 1.5, RandomTape(9), 50)
     assert np.array_equal(a, b)
-    # a shorter request reads a prefix of the same stream
-    assert sample_dominating_w0_batch(0.2, 1.5, RandomTape(9), 4)[3] == a[3]
+    # a shorter request, here of a NumPy count, reads a prefix of the same stream
+    assert sample_dominating_w0_batch(0.2, 1.5, RandomTape(9), np.int64(4))[3] == a[3]
 
 
 def test_w0_parameter_validation():
@@ -700,6 +732,9 @@ def test_w0_parameter_validation():
         sample_dominating_w0_batch(math.nan, 1.0, tape, 10)
     with pytest.raises(ValueError, match="alpha"):
         sample_dominating_w0_batch(0.5, math.nan, tape, 10)
+    for count in (2.5, "3", None):
+        with pytest.raises(ValueError, match="count must be an integer"):
+            sample_dominating_w0_batch(0.5, 1.0, tape, count)
 
 
 # ---------------------------------------------------------------------------
