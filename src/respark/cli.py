@@ -203,11 +203,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, StreamStepError) as exc:  # ConfigError included
+    except (OSError, ValueError, MemoryError, StreamStepError) as exc:  # ConfigError included
+        # a ValueError is bad input, a MemoryError a graph or budget too large
+        # to allocate; any other failure of a step is a bug
         if isinstance(exc, StreamStepError) and not isinstance(
             exc.__cause__, (ValueError, MemoryError)
         ):
-            raise  # a ValueError is bad input, a MemoryError a budget too large; others are bugs
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,6 +15,7 @@ are safe to share across threads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
@@ -58,6 +59,14 @@ def _int64_column(values) -> tuple[np.ndarray, np.ndarray]:
         return given, np.array(given, np.int64)
 
 
+def _integer(name: str, value, error: type[ValueError] = ValueError) -> int:
+    """value by operator.index: NumPy integers pass, a float (truncated) or string raises error."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+
+
 class GraphConnectivityError(ValueError):
     """An operation that needs a connected reference graph got a disconnected one."""
 
@@ -85,12 +94,7 @@ class WeightedGraph:
     weight: np.ndarray
 
     def __post_init__(self) -> None:
-        import operator
-
-        try:
-            n = operator.index(self.n)  # NumPy integers too, but no float: it would be truncated
-        except TypeError:
-            raise ValueError(f"vertex count must be an integer, got {self.n!r}") from None
+        n = _integer("vertex count", self.n)
         if n < 1:
             raise ValueError(f"vertex count must be positive, got {n}")
         given, (u, v) = zip(*map(_int64_column, (self.u, self.v)))

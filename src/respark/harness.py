@@ -21,10 +21,10 @@ from typing import Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .graph import WeightedGraph, _UnionFind, is_connected
+from .graph import WeightedGraph, _integer, _UnionFind, is_connected
 from .sparsify import StreamConfig, _block_size, _check_run_inputs, _References, stream_sparsify
 from .tape import RandomTape
-from .verify import _integer, _read_rows, _write_rows, spectral_check
+from .verify import _read_rows, _write_rows, spectral_check
 
 __all__ = [
     "ExperimentReport",

@@ -1,11 +1,12 @@
 """Effective-resistance estimation.
 
-Three producers behind one contract: an exact dense oracle, the
-sparsifier-plus-block estimator used inside the streaming loop, and a
-seeded noise injector that stress-tests downstream tolerance to
-alpha-accurate (rather than exact) estimates. The first two read every
-resistance off one grounded Cholesky factor (see pseudo_factorize), and a
-pair's endpoints share a component exactly when their labels agree.
+Three producers: an exact dense oracle, whose ResistanceEstimates carry
+edge ids, and two that return a float64 column in pair order, the
+sparsifier-plus-block estimator of the streaming loop and a seeded noise
+injector that stress-tests tolerance to alpha-accurate estimates. The
+first two read every resistance off one grounded Cholesky factor (see
+pseudo_factorize), and a pair's endpoints share a component exactly when
+their labels agree.
 """
 
 from __future__ import annotations
@@ -62,16 +63,12 @@ def _check_same_component(factors: PseudoinverseFactors, ends: np.ndarray) -> No
         )
 
 
-def _estimates(
-    factors: PseudoinverseFactors, pairs: Sequence, edge_ids: Sequence[int] | None, alpha: float
-) -> list[ResistanceEstimate]:
+def _resistances(factors: PseudoinverseFactors, pairs: Sequence) -> np.ndarray:
     """Resistances b^T L+ b of endpoint pairs (a sequence of (u, v) or a
-    (k, 2) array), tagged with accuracy alpha."""
+    (k, 2) array), in pair order."""
     ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    ids = range(len(ends)) if edge_ids is None else edge_ids
     _check_same_component(factors, ends)
-    rs = factors.resistances(ends)
-    return [ResistanceEstimate(i, r, alpha) for i, r in zip(ids, rs.tolist())]
+    return factors.resistances(ends)
 
 
 def exact_resistance(
@@ -93,7 +90,7 @@ def exact_resistance(
     GraphConnectivityError
         If the endpoints lie in different components (infinite resistance).
     """
-    return _estimates(factors, [edge[:2]], [edge_id], 1.0)[0]
+    return exact_resistances(factors, [edge[:2]], [edge_id])[0]
 
 
 def exact_resistances(
@@ -101,47 +98,41 @@ def exact_resistances(
     pairs: Sequence[tuple[int, int]],
     edge_ids: Sequence[int] | None = None,
 ) -> list[ResistanceEstimate]:
-    """Vectorized exact oracle over many endpoint pairs."""
-    return _estimates(factors, pairs, edge_ids, 1.0)
+    """Vectorized exact oracle over many endpoint pairs, tagged with
+    edge_ids (0, 1, ... by default) and accuracy 1."""
+    rs = _resistances(factors, pairs).tolist()
+    ids = range(len(rs)) if edge_ids is None else edge_ids
+    return [ResistanceEstimate(i, r, 1.0) for i, r in zip(ids, rs)]
 
 
 def resistances_from_sparsifier(
-    h_plus_block: WeightedGraph,
-    targets: Sequence[tuple[int, int]],
-    eps: float,
-    edge_ids: Sequence[int] | None = None,
-) -> list[ResistanceEstimate]:
-    """Resistance estimates computed on the combined sparsifier-plus-block graph.
+    h_plus_block: WeightedGraph, pairs: Sequence[tuple[int, int]], eps: float
+) -> np.ndarray:
+    """Resistance estimates of endpoint pairs, in pair order, computed on the
+    combined sparsifier-plus-block graph.
 
     The estimates are exact resistances of the combined graph; as estimates
     of the underlying stream prefix they are alpha-accurate with
     alpha = 1/(1 - eps) whenever the sparsifier part is a valid
-    (1 +- eps)-sparsifier, so they carry that tag.
+    (1 +- eps)-sparsifier.
     """
     if not 0 < eps < 1:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    factors = pseudo_factorize(build_laplacian(h_plus_block))
-    return _estimates(factors, targets, edge_ids, 1.0 / (1.0 - eps))
+    return _resistances(pseudo_factorize(build_laplacian(h_plus_block)), pairs)
 
 
-def inject_alpha_noise(
-    estimates: Sequence[ResistanceEstimate], alpha: float, seed: int
-) -> list[ResistanceEstimate]:
-    """Multiply each estimate by a seeded uniform factor in [1/alpha, alpha].
+def inject_alpha_noise(r_tilde, alpha: float, seed: int) -> np.ndarray:
+    """Multiply each estimate of the column r_tilde by a seeded uniform
+    factor in [1/alpha, alpha].
 
-    Multipliers are drawn in input order from a labeled stream of
-    RandomTape(seed), so a fixed (seed, estimate order) pair reproduces the
+    Multipliers are drawn in column order from a labeled stream of
+    RandomTape(seed), so a fixed (seed, column order) pair reproduces the
     same noise exactly.
     """
     if not alpha >= 1.0:
         raise ValueError(f"alpha must be >= 1, got {alpha}")
     lo, hi = 1.0 / alpha, alpha
-    u = RandomTape(seed).labeled("alpha-noise", len(estimates))
-    factors = lo + u * (hi - lo)
-    return [
-        ResistanceEstimate(est.edge_id, est.r_tilde * float(f), alpha)
-        for est, f in zip(estimates, factors)
-    ]
+    return r_tilde * (lo + RandomTape(seed).labeled("alpha-noise", len(r_tilde)) * (hi - lo))
 
 
 def cg_resistances(g: WeightedGraph, pairs: Sequence[tuple[int, int]]) -> np.ndarray:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import codecs
 import math
-import operator
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -32,6 +31,7 @@ from . import verify
 from .graph import (
     ProjectionContext,
     WeightedGraph,
+    _integer,
     build_laplacian,
     laplacian_from_arrays,
     is_connected,
@@ -119,13 +119,6 @@ def compute_budget(
     return math.ceil(budget)
 
 
-def _integer(name: str, value) -> int:
-    try:
-        return operator.index(value)  # NumPy integers too, but no float: it would be truncated
-    except TypeError:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
-
-
 @dataclass(frozen=True)
 class StreamConfig:
     """All stream parameters plus the derived copy budget.
@@ -148,12 +141,12 @@ class StreamConfig:
 
     def __post_init__(self) -> None:
         _validate_budget_params(self.eps, self.delta, self.alpha, self.kappa, self.n, self.m)
-        seed = _integer("seed", self.seed)
+        seed = _integer("seed", self.seed, ConfigError)
         override = self.budget_override
         if override is not None:
             if not 1 <= override < _MAX_BUDGET:  # NaN fails too
                 raise ConfigError(f"budget override {override} is outside [1, 2**63)")
-            budget = override = _integer("budget override", override)
+            budget = override = _integer("budget override", override, ConfigError)
         else:
             budget = compute_budget(
                 self.eps, self.delta, self.alpha, self.kappa, self.n, self.m
@@ -195,7 +188,7 @@ class StreamConfig:
 
 def _block_size(value) -> int:
     """value as a block size: an integer (NumPy's too, as an int) >= 1, else ConfigError."""
-    block_size = _integer("block size", value)
+    block_size = _integer("block size", value, ConfigError)
     if block_size < 1:
         raise ConfigError(f"block size must be >= 1, got {block_size}")
     return block_size
@@ -291,10 +284,25 @@ class Sparsifier:
         return WeightedGraph(g.n, g.u[ids], g.v[ids], w)
 
 
+def _estimate_column(estimates, targets: list[int]) -> np.ndarray:
+    """estimates as the r_tilde column of targets: an array already aligned
+    with them, or ResistanceEstimate objects matched by edge id."""
+    if isinstance(estimates, np.ndarray):
+        if estimates.shape == (len(targets),):
+            return estimates
+        raise ValueError(f"need {len(targets)} resistance estimates, one per target edge, "
+                         f"got an array of shape {estimates.shape}")
+    rmap = {est.edge_id: est.r_tilde for est in estimates}
+    missing = [e for e in targets if e not in rmap]
+    if missing:
+        raise ValueError(f"missing resistance estimates for edges {missing}")
+    return np.array([rmap[e] for e in targets], dtype=float)
+
+
 def resparsify(
     h_prev: Sparsifier,
     block: Sequence[int],
-    estimates: Sequence[ResistanceEstimate],
+    estimates: np.ndarray | Sequence[ResistanceEstimate],
     tape: RandomTape,
 ) -> Sparsifier:
     """One resparsification step: thin survivors, sample the new block.
@@ -306,9 +314,10 @@ def resparsify(
     block : sequence of int
         Edge ids of the arriving block; must be the next contiguous slice
         of the stream.
-    estimates : sequence of ResistanceEstimate
-        Must cover every edge that has surviving copies plus every edge of
-        the block.
+    estimates : float64 array, or sequence of ResistanceEstimate
+        The positive column r_tilde of h_prev._targets(block): every edge
+        with surviving copies, in id order, then the block. Objects are
+        matched to those edges by edge id.
     tape : RandomTape
         Supplies u_{s,e,j}; copy j of edge e survives iff u_{s,e,j} <=
         p_new / p_prev. A block edge starts at its column values p = 1 with
@@ -321,25 +330,23 @@ def resparsify(
     expected = list(range(h_prev.arrived, h_prev.arrived + len(block)))
     if block != expected:
         raise ValueError(f"block must be the next stream slice {expected}, got {block}")
-    rmap = {est.edge_id: est.r_tilde for est in estimates}
     targets = h_prev._targets(block)
-    missing = [e for e in targets if e not in rmap]
-    if missing:
-        raise ValueError(f"missing resistance estimates for edges {missing}")
+    r = _estimate_column(estimates, targets)
+    if not (r > 0).all():  # NaN fails too
+        k = int((r > 0).argmin())
+        raise ValueError(f"resistance estimate of edge {targets[k]} must be positive, got {r[k]}")
 
+    # min rule: p <= prev makes the survival ratio p / prev <= 1 exactly
+    prev = h_prev.p[targets]
+    p_new = h_prev.graph.weight[targets] * r / (alpha * (n - 1))
+    p_new = np.minimum(np.minimum(p_new, 1.0), prev)
+    qs = (p_new / prev).tolist()  # each target's survival ratio
+    # dead copies stay dead, so only an alive edge's copies' draws are read
+    kept = [js[tape.uniforms(s, e, N, at=js) <= q] for (e, js), q in zip(h_prev.alive.items(), qs)]
+    kept += [np.flatnonzero(tape.uniforms(s, e, N) <= q) for e, q in zip(block, qs[len(kept):])]
     p, count = h_prev.p.copy(), h_prev.count.copy()
-    kept = []
-    weights, p_prev = h_prev.graph.weight[targets].tolist(), h_prev.p[targets].tolist()
-    for e, a, prev in zip(targets, weights, p_prev):
-        # min rule: p <= prev makes the survival ratio p / prev <= 1 exactly
-        p_e = min(a * rmap[e] / (alpha * (n - 1)), 1.0, prev)
-        if e >= h_prev.arrived:
-            kept.append(np.flatnonzero(tape.uniforms(s, e, N) <= p_e / prev))
-        else:
-            # dead copies stay dead, so only the alive copies' draws are read
-            js = h_prev.alive[e]
-            kept.append(js[tape.uniforms(s, e, N, at=js) <= p_e / prev])
-        p[e], count[e] = p_e, len(kept[-1])
+    p[targets] = p_new
+    count[targets] = [len(ids) for ids in kept]
     copies = np.concatenate(kept)
     return Sparsifier(cfg, s, h_prev.graph, h_prev.arrived + len(block), p, count, copies)
 
@@ -351,10 +358,12 @@ class _PrefixReference:
     context spectral_check reads. Each piece, the graph included, is built
     on first read, so a reference costs nothing to construct and a piece no
     step reads is never built. All of it depends on the graph and the
-    prefix length alone, not on the tape."""
+    prefix length alone, not on the tape. The prefix of all m edges reads
+    the factors of whole, the stream's whole-graph context, when given."""
 
-    def __init__(self, g: WeightedGraph, count: int):
+    def __init__(self, g: WeightedGraph, count: int, whole: ProjectionContext | None = None):
         self._source, self._count = g, count
+        self._whole = whole if count == g.m else None
 
     @cached_property
     def graph(self) -> WeightedGraph:
@@ -369,13 +378,15 @@ class _PrefixReference:
         """The prefix given its grounded factors, which the exact estimates
         and projection_error read; it is a projection context only when the
         prefix is connected."""
-        return ProjectionContext(self.graph, pseudo_factorize(build_laplacian(self.graph)))
+        return self._whole or ProjectionContext(
+            self.graph, pseudo_factorize(build_laplacian(self.graph)))
 
     @cached_property
-    def exact(self) -> list[ResistanceEstimate]:
-        """The oracle's estimate of every prefix edge, indexed by edge id."""
+    def exact(self) -> np.ndarray:
+        """The oracle's resistance of every prefix edge, indexed by edge id."""
         g = self.graph
-        return exact_resistances(self.grounded.factors, np.column_stack((g.u, g.v)))
+        estimates = exact_resistances(self.grounded.factors, np.column_stack((g.u, g.v)))
+        return np.array([est.r_tilde for est in estimates])
 
     @cached_property
     def spectral(self) -> ProjectionContext:
@@ -386,8 +397,8 @@ class _PrefixReference:
 class _References:
     """The references that run_experiment's trials over one graph g share:
     the whole-graph projection context the variation norm reads, and one
-    _PrefixReference per prefix length, each built on first use and kept
-    for the references' lifetime."""
+    _PrefixReference per prefix length, given that context, built on first
+    use and kept for the references' lifetime."""
 
     def __init__(self, g: WeightedGraph):
         self.graph = g
@@ -398,7 +409,7 @@ class _References:
         return projection_context(self.graph)
 
     def prefix(self, count: int) -> _PrefixReference:
-        return self._prefixes.setdefault(count, _PrefixReference(self.graph, count))
+        return self._prefixes.setdefault(count, _PrefixReference(self.graph, count, self.whole))
 
 
 def _step_estimates(
@@ -408,24 +419,20 @@ def _step_estimates(
     mode: str,
     step: int,
     ref: _PrefixReference,
-) -> list[ResistanceEstimate]:
-    """Resistance estimates for alive(H_{s-1}) union block, per the configured
-    mode. ref is the reference of the stream prefix through the block; only
-    the "exact" and "noisy" modes read it."""
+) -> np.ndarray:
+    """The r_tilde column of h_prev._targets(block), per the configured mode.
+    ref is the reference of the stream prefix through the block; only the
+    "exact" and "noisy" modes read it."""
     cfg = h_prev.config
     targets = h_prev._targets(block)
     if mode == "nodrop":
-        # inflated estimates pin every probability at 1; exercises the
-        # exact-reconstruction path
-        return [
-            ResistanceEstimate(e, cfg.alpha * (cfg.n - 1) / a, cfg.alpha)
-            for e, a in zip(targets, g.weight[targets].tolist())
-        ]
+        # twice the r_e that makes a_e r_e / (alpha (n - 1)) one, so no rounding
+        # leaves p below 1: the exact-reconstruction path
+        return 2.0 * cfg.alpha * (cfg.n - 1) / g.weight[targets]
     if mode == "sparsifier":
-        combined = h_prev.combined_with(block)
         pairs = np.column_stack((g.u[targets], g.v[targets]))
-        return resistances_from_sparsifier(combined, pairs, cfg.eps, targets)
-    exact = [ref.exact[e] for e in targets]
+        return resistances_from_sparsifier(h_prev.combined_with(block), pairs, cfg.eps)
+    exact = ref.exact[targets]
     if mode == "exact":
         return exact
     # "noisy": the oracle perturbed within the declared accuracy band
@@ -534,7 +541,8 @@ def _run_stream(
     records: list = []
     for step, block in enumerate(blocks, start=1):
         count = h.arrived + len(block)
-        ref = _PrefixReference(g, count) if references is None else references.prefix(count)
+        ref = (_PrefixReference(g, count, ctx_full) if references is None
+               else references.prefix(count))
         try:
             estimates = _step_estimates(h, block, g, mode, step, ref)
             h = resparsify(h, block, estimates, tape)
@@ -737,7 +745,7 @@ def read_sparsifier(
     if it is not UTF-8, the offset of its first bad byte.
     """
     if n is not None:
-        n = _integer("vertex count", n)
+        n = _integer("vertex count", n, ConfigError)
         if n < 0:
             raise ValueError(f"vertex count must be >= 0, got {n}")
     if graph is not None:

@@ -29,6 +29,8 @@ import hashlib
 
 import numpy as np
 
+from .graph import _integer
+
 __all__ = ["RandomTape"]
 
 _MASK64 = (1 << 64) - 1
@@ -121,7 +123,7 @@ class RandomTape:
     """Deterministic uniform streams keyed by (step, edge, copy) or by label."""
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
+        self.seed = _integer("seed", seed)
         # blake2b over (tag, seed) for each tag: a key copies one and adds its payload
         self._prefix = {
             tag: hashlib.blake2b(tag + _u64(self.seed), digest_size=16, person=_PERSON)

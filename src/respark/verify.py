@@ -29,6 +29,7 @@ from .graph import (
     GraphConnectivityError,
     ProjectionContext,
     WeightedGraph,
+    _integer,
     laplacian_from_arrays,
     projection_context,
 )
@@ -78,15 +79,6 @@ class DiagnosticsRecord:
 
 
 DIAGNOSTICS_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
-
-
-def _integer(name: str, value) -> int:
-    import operator
-
-    try:
-        return operator.index(value)  # NumPy integers too, but no float or string
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _laplacian_of(h) -> np.ndarray:

@@ -485,6 +485,23 @@ def test_a_budget_too_large_to_allocate_exits_2(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "h.sp").exists()
 
 
+def test_a_graph_too_large_to_allocate_exits_2(tmp_path, capsys, monkeypatch):
+    # the MemoryError NumPy raises for `gen --model complete --n 100000`,
+    # injected: nothing that large is allocated here
+    from respark import cli
+
+    message = "Unable to allocate 37.3 GiB for an array with shape (4999950000,)"
+
+    def fail(spec):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "generate", fail)
+    out = tmp_path / "g.edges"
+    assert main(["gen", "--model", "complete", "--n", "100000", "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_a_step_failing_on_a_bug_propagates(tmp_path, monkeypatch):
     with pytest.raises(StreamStepError, match="step 1: synthetic") as info:
         _sparsify_with_failing_draws(tmp_path, monkeypatch, RuntimeError("synthetic"))

@@ -371,9 +371,9 @@ def _spy(monkeypatch, calls, owner, name, label):
 
 def test_reference_work_does_not_grow_with_the_trials(monkeypatch):
     # per run: one whole-graph context (a factorisation, which the
-    # variation and its leverages read), and per step index one exact factor
-    # and one spectral-check context (an eigh for its range basis, no
-    # factor), whatever the trial count
+    # variation, its leverages and the last prefix read), and per step index
+    # one spectral-check context (an eigh for its range basis, no factor)
+    # and, but for the last, one exact factor, whatever the trial count
     calls = []
     _spy(monkeypatch, calls, graph_mod, "pseudo_factorize", "factorize")
     _spy(monkeypatch, calls, sparsify_mod, "pseudo_factorize", "factorize")
@@ -383,13 +383,14 @@ def test_reference_work_does_not_grow_with_the_trials(monkeypatch):
         calls.clear()
         run_experiment(STRESS_SPEC, _stress_cfg(), trials=trials, block_size=50)
         counts[trials] = Counter(calls)
-    assert counts[1] == counts[4] == Counter(factorize=5 + 1, eigh=5)
+    assert counts[1] == counts[4] == Counter(factorize=4 + 1, eigh=5)
 
 
 def test_a_single_stream_reads_its_whole_graph_through_one_factorisation(monkeypatch):
     # a diagnostics stream on a graph at or below the Lanczos crossover: the
-    # whole-graph context makes one factorisation, which the variation and
-    # its leverages read, and no eigh; each step makes its prefix's factor
+    # whole-graph context makes one factorisation, which the variation, its
+    # leverages and the last step's prefix of all m edges read, and no eigh;
+    # each earlier step makes its prefix's factor
     g = generate(STRESS_SPEC)
     assert g.n <= verify_mod._LANCZOS_ABOVE
     calls = []
@@ -399,7 +400,7 @@ def test_a_single_stream_reads_its_whole_graph_through_one_factorisation(monkeyp
     _, records = stream_sparsify(g, _stress_cfg(), block_size=50, resistance_mode="exact",
                                  diagnostics=True)
     assert len(records) == 5
-    assert Counter(calls) == Counter(context=1, prefix=5)
+    assert Counter(calls) == Counter(context=1, prefix=4)
 
 
 def test_run_experiment_records_trial_errors(monkeypatch):

@@ -281,6 +281,37 @@ def test_resparsify_rejects_missing_estimates():
         resparsify(h0, [0, 1], [ResistanceEstimate(0, 2.0, 1.0)], RandomTape(0))
 
 
+def test_resparsify_rejects_a_column_that_does_not_match_the_targets():
+    cfg = _small_cfg(PATH3)
+    h0 = Sparsifier.empty(PATH3, cfg)
+    with pytest.raises(ValueError, match=r"need 2 resistance estimates, one per target edge, "
+                                         r"got an array of shape \(1,\)"):
+        resparsify(h0, [0, 1], np.array([2.0]), RandomTape(0))
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+def test_resparsify_rejects_an_estimate_that_is_not_positive(bad):
+    # the ResistanceEstimate check, made once over the column: NaN fails too
+    cfg = _small_cfg(PATH3)
+    h0 = Sparsifier.empty(PATH3, cfg)
+    with pytest.raises(ValueError, match=f"estimate of edge 1 must be positive, got {bad}"):
+        resparsify(h0, [0, 1], np.array([2.0, bad]), RandomTape(0))
+
+
+def test_a_column_and_estimate_objects_give_the_same_state():
+    # objects in any order are matched to the targets by edge id
+    g = generate(GeneratorSpec("erdos-renyi", 10, p=0.6, seed=4))
+    cfg = _small_cfg(g, seed=8, budget=300)
+    h1 = resparsify(Sparsifier.empty(g, cfg), range(5), np.full(5, 0.5), RandomTape(8))
+    targets = h1._targets(range(5, 9))
+    r = np.linspace(0.2, 0.9, len(targets))
+    ests = [ResistanceEstimate(e, x, 1.0) for e, x in zip(targets, r.tolist())][::-1]
+    by_column = resparsify(h1, range(5, 9), r, RandomTape(8))
+    by_objects = resparsify(h1, range(5, 9), ests, RandomTape(8))
+    for name in ("p", "count", "copies"):
+        assert getattr(by_column, name).tobytes() == getattr(by_objects, name).tobytes()
+
+
 def test_survival_count_is_binomial():
     # one edge thinned at p = 0.3: mean surviving copies over seeds must sit
     # within 3 standard errors of N*p
@@ -533,8 +564,8 @@ def test_a_single_stream_holds_one_step_reference_at_a_time(monkeypatch, mode):
     refs = []
 
     class Watched(sparsify_mod._PrefixReference):
-        def __init__(self, g, count):
-            super().__init__(g, count)
+        def __init__(self, *args):
+            super().__init__(*args)
             refs.append(weakref.ref(self))
 
     monkeypatch.setattr(sparsify_mod, "_PrefixReference", Watched)
@@ -639,6 +670,42 @@ def test_nodrop_reconstructs_input_exactly():
     assert h.copy_count() == g.m * 7
     L, LH = build_laplacian(g), h.laplacian()
     assert np.linalg.norm(LH - L) <= 1e-12 * np.linalg.norm(L)
+
+
+def test_nodrop_keeps_probability_one_on_weighted_graphs():
+    # at r_e = alpha (n - 1) / a_e, a_e r_e / (alpha (n - 1)) rounds to
+    # 1 - 2**-53 on some weights; the estimate nodrop gives leaves every p
+    # at 1.0, so the variation is exactly 0
+    spec = GeneratorSpec("erdos-renyi", 30, p=0.3, weight_min=0.5, weight_max=2.0, seed=3)
+    g = generate(spec)
+    with pytest.warns(UserWarning, match="exceeds 1"):
+        cfg = _small_cfg(g, budget=20)
+    _, _, trace = indicator_stream(g, cfg, block_size=40, resistance_mode="nodrop",
+                                   diagnostics=False, record_copies=False)
+    assert all((p == 1.0).all() for p in trace.p_steps)
+    assert quadratic_variation(trace, projection_context(g)) == 0.0
+
+
+@pytest.mark.parametrize("mode", ["sparsifier", "nodrop", "exact", "noisy"])
+def test_streams_build_resistance_estimates_only_for_the_oracle(monkeypatch, mode):
+    # the estimates go to resparsify as one column a step; the oracle's
+    # exact_resistances is the one producer of ResistanceEstimate objects,
+    # one per edge of each prefix, and only "exact" and "noisy" read it
+    built = []
+    check = ResistanceEstimate.__post_init__
+
+    def spy(est):
+        built.append(est.edge_id)
+        check(est)
+
+    monkeypatch.setattr(ResistanceEstimate, "__post_init__", spy)
+    g = generate(GeneratorSpec("erdos-renyi", 12, p=0.5, seed=5))
+    cfg = StreamConfig.for_graph(g, 0.5, 0.1, 1.5, seed=3, budget_override=40)
+    blocks = partition_stream(g, 6)
+    stream_sparsify(g, cfg, block_size=6, resistance_mode=mode)
+    prefixes = [range(b[-1] + 1) for b in blocks]
+    assert built == ([e for prefix in prefixes for e in prefix] if mode in ("exact", "noisy")
+                     else [])
 
 
 def test_probabilities_never_increase():

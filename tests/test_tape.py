@@ -1,6 +1,7 @@
 """The tape's contract: u_{s,e,j} is a pure function of (seed, s, e, j)."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,19 @@ from hypothesis import strategies as st
 
 from respark import tape as tape_module
 from respark.tape import RandomTape
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.0, "3", None])
+def test_a_seed_that_is_no_integer_is_refused(seed):
+    # a float would be truncated, so 1.5 and 1 would key one tape
+    with pytest.raises(ValueError, match=f"seed must be an integer, got {re.escape(repr(seed))}"):
+        RandomTape(seed)
+
+
+def test_a_numpy_integer_seed_is_taken_as_an_int():
+    tape = RandomTape(np.uint64(2**64 - 1))
+    assert type(tape.seed) is int and tape.seed == 2**64 - 1
+    assert tape.labeled("x", 3).tolist() == RandomTape(2**64 - 1).labeled("x", 3).tolist()
 
 
 def test_same_key_same_stream():
