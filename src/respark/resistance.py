@@ -21,21 +21,17 @@ from .graph import (
     PseudoinverseFactors,
     WeightedGraph,
     build_laplacian,
-    is_connected,
     pseudo_factorize,
 )
 from .tape import RandomTape
 
 __all__ = [
     "ResistanceEstimate",
-    "cg_resistances",
     "exact_resistance",
     "exact_resistances",
     "inject_alpha_noise",
     "resistances_from_sparsifier",
 ]
-
-_CG_RTOL = 1e-10  # relative residual at which each conjugate-gradient solve stops
 
 
 @dataclass(frozen=True)
@@ -133,30 +129,3 @@ def inject_alpha_noise(r_tilde, alpha: float, seed: int) -> np.ndarray:
         raise ValueError(f"alpha must be >= 1, got {alpha}")
     lo, hi = 1.0 / alpha, alpha
     return r_tilde * (lo + RandomTape(seed).labeled("alpha-noise", len(r_tilde)) * (hi - lo))
-
-
-def cg_resistances(g: WeightedGraph, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
-    """Iterative (conjugate-gradient) resistance backend.
-
-    Same contract as the dense oracle on connected graphs; validated against
-    it to 1e-6 relative. Each solve stops at relative residual _CG_RTOL. The
-    Laplacian solve stays in range(L) because the right-hand side of every
-    resistance query is orthogonal to the all-ones null vector.
-    """
-    # imported on first use, so that importing respark leaves scipy.sparse out
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.linalg import cg
-
-    if not is_connected(g):
-        raise GraphConnectivityError("iterative backend requires a connected graph")
-    L = csr_matrix(build_laplacian(g))
-    out = np.zeros(len(pairs))
-    for k, (u, v) in enumerate(pairs):
-        b = np.zeros(g.n)
-        b[int(u)], b[int(v)] = 1.0, -1.0
-        x, info = cg(L, b, rtol=_CG_RTOL, atol=0.0)
-        if info != 0:
-            raise RuntimeError(f"conjugate gradient did not converge (info={info})")
-        out[k] = float(b @ x)
-    return out
-

@@ -269,10 +269,15 @@ class Sparsifier:
         """The alive edges in id order, then `block` (unseen, so ascending)."""
         return [*self.alive, *block]
 
+    def merged_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(u, v, weight) of the merged copies: each alive edge once, at weight
+        count * a_e / (N * p); empty when no copy survives."""
+        merged = self.combined_with(())
+        return merged.u, merged.v, merged.weight
+
     def laplacian(self) -> np.ndarray:
-        """Laplacian of the merged copies, built anew on every call and not kept."""
-        merged = self.combined_with(())  # no edges when no copy survives: all zeros
-        return laplacian_from_arrays(self.n, merged.u, merged.v, merged.weight)
+        """Laplacian of merged_columns(), built anew on every call and not kept."""
+        return laplacian_from_arrays(self.n, *self.merged_columns())
 
     def combined_with(self, block: Sequence[int]) -> WeightedGraph:
         """The merged sparsifier (each alive edge once, at weight
@@ -686,9 +691,9 @@ class LoadedSparsifier:
     copy weight, probability and number of copies. copies holds the copy
     ids in CSR order: edge after edge, ascending within an edge. So the
     memory held is 8 bytes a copy plus the per-edge columns. The Laplacian
-    is built from the merged triples (u, v, count * weight), as Sparsifier
+    is built from merged_columns(), (u, v, count * weight), as Sparsifier
     builds its own, so a written Sparsifier read back with its n has the
-    same Laplacian bit for bit.
+    same merged columns and Laplacian bit for bit.
     """
 
     n: int
@@ -710,9 +715,13 @@ class LoadedSparsifier:
     def copy_count(self) -> int:
         return len(self.copies)
 
+    def merged_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(u, v, weight) of the merged copies: each edge once, at count * weight."""
+        return self.u, self.v, self.count * self.weight
+
     def laplacian(self) -> np.ndarray:
-        """Laplacian of the merged copies, built anew on every call and not kept."""
-        return laplacian_from_arrays(self.n, self.u, self.v, self.count * self.weight)
+        """Laplacian of merged_columns(), built anew on every call and not kept."""
+        return laplacian_from_arrays(self.n, *self.merged_columns())
 
 
 def read_sparsifier(

@@ -8,9 +8,12 @@ projection-error norm ||P - P_tilde||, the running copy count with its
 copy-indicator martingale. The sandwich, the oracle, is read in the
 reference's eigenbasis. The projection error and the variation are read
 off the reference's grounded Cholesky factor alone: both are eigenvalues
-of a grounded pencil, formed densely and read by one eigvalsh, except the
-variation's top eigenvalue above a measured graph size, which Lanczos
-iteration reads. The dominating-variable sampler and the
+of a grounded pencil, formed densely and read by one eigvalsh at or below
+one measured graph size, the crossover both share, and read at its top by
+Lanczos iteration above it. The variation is the top eigenvalue. The projection error is
+max |1 - lambda|, and every lambda >= 0, so a top eigenvalue of at least
+2 gives it as that eigenvalue less 1; a smaller one falls back to the
+dense pencil. The dominating-variable sampler and the
 stochastic-dominance test back the concentration experiment: per-copy
 maxima of z/p_tilde are compared against the heavy-tailed variable with
 c.d.f. 1 - 1/a truncated at alpha^2/p.
@@ -134,15 +137,28 @@ def projection_error(h, reference: WeightedGraph | ProjectionContext) -> float:
     lambda of the grounded pencil (L_H, L_G): both Laplacians with vertex
     0's row and column removed, where L_G is positive definite. With L_G = C C' (C its
     Cholesky factor) they are the eigenvalues of C^-1 L_H C^-T, so one
-    Cholesky factor and one eigvalsh replace an eigendecomposition of L_G.
-
-    C^-1 is rows[1:].T of the grounded factors of reference's context (see
+    Cholesky factor replaces an eigendecomposition of L_G. C^-1 is
+    rows[1:].T of the grounded factors of reference's context (see
     _grounded_rows); no eigh is run.
+
+    L_H is PSD, so every lambda >= 0 and 1 - lambda <= 1: once the top
+    eigenvalue lambda_max is >= 2 the norm is lambda_max - 1, whatever the
+    bottom of the pencil. Above _LANCZOS_ABOVE vertices, the variation's
+    crossover, _lanczos_top reads lambda_max from h's merged columns (a
+    graph's own columns, a sparsifier's merged_columns()); a Ritz value
+    never exceeds lambda_max, so a read >= 2 is returned less 1. Otherwise,
+    and at every size at or below the crossover, one eigvalsh of the formed
+    pencil C^-1 L_H C^-T gives the norm.
 
     Raises GraphConnectivityError when G is disconnected and ValueError on
     a vertex-count mismatch or a G without edges.
     """
     rows = _grounded_rows(_reference_context(h, reference), "projection error")
+    if h.n > _LANCZOS_ABOVE:
+        columns = (h.u, h.v, h.weight) if isinstance(h, WeightedGraph) else h.merged_columns()
+        top = _lanczos_top(rows, *columns)
+        if top >= 2.0:
+            return top - 1.0
     return float(np.abs(1.0 - _pencil_eigenvalues(rows, _laplacian_of(h))).max())
 
 
@@ -166,9 +182,9 @@ def _pencil_eigenvalues(rows: np.ndarray, l: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(m @ c_inv.T)
 
 
-# The variation's top eigenvalue is read by a dense eigvalsh of the grounded
-# pencil on graphs of at most this many vertices, and by Lanczos on the same
-# operator above it (see quadratic_variation).
+# Both pencil instruments read a dense eigvalsh of the grounded pencil on
+# graphs of at most this many vertices, and the top eigenvalue by Lanczos on
+# the same operator above it (see projection_error and quadratic_variation).
 _LANCZOS_ABOVE = 256
 _LANCZOS_CHECK = 8  # Lanczos steps between two reads of the top Ritz pair
 _LANCZOS_ULPS = 4  # the residual, in units in the last place of the top Ritz value

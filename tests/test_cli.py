@@ -177,6 +177,36 @@ def test_verify_prints_the_in_memory_sparsifiers_numbers(tmp_path, capsys, monke
     assert lines[:2] == [f"worst_ratio {worst!r}", f"projection_error {proj!r}"]
 
 
+def test_verify_above_the_crossover_prints_the_in_memory_value(tmp_path, capsys, monkeypatch):
+    # above 256 vertices the file's merged rows feed the same Lanczos read
+    # as the in-memory sparsifier's merged columns; an error above 1 means
+    # lambda_max > 2, so the top-end branch answered
+    from respark import cli
+    from respark.graph import projection_context
+    from respark.verify import projection_error
+
+    written = []
+    write = cli.write_sparsifier
+    monkeypatch.setattr(cli, "write_sparsifier",
+                        lambda h, path: written.append(h) or write(h, path))
+    graph, out = tmp_path / "g.edges", tmp_path / "h.sparsifier"
+    assert main(["gen", "--model", "erdos-renyi", "--n", "300", "--p", "0.05",
+                 "--seed", "3", "--output", str(graph)]) == 0
+    assert main([
+        "sparsify", "--input", str(graph), "--epsilon", "0.5",
+        "--budget-override", "200", "--block-size", "1000", "--seed", "5",
+        "--resistance-mode", "exact", "--output", str(out),
+    ]) == 0
+    capsys.readouterr()
+    main(["verify", "--graph", str(graph), "--sparsifier", str(out), "--epsilon", "0.5"])
+    (line,) = [x for x in capsys.readouterr().out.splitlines() if x.startswith("projection_error ")]
+    printed = float(line.split()[1])
+    (h,) = written
+    want = projection_error(h, projection_context(read_edge_list(graph)))
+    assert printed > 1.0
+    assert abs(printed - want) <= 1e-12 * want
+
+
 def test_verify_refuses_a_shuffled_writer_file(tmp_path, capsys):
     graph = _gen(tmp_path)
     out = tmp_path / "h.sparsifier"
@@ -261,8 +291,8 @@ def _python(code: str, cwd) -> subprocess.CompletedProcess:
 @pytest.mark.parametrize("module", ["scipy.stats", "scipy.sparse", "scipy.linalg"])
 def test_import_leaves_scipy_stats_out(module, tmp_path):
     # scipy.stats dominates import time and nothing in the package needs it;
-    # scipy.sparse is needed only by cg_resistances, which imports it itself;
-    # NumPy's dense linear algebra serves every instrument
+    # the package has no sparse code, and NumPy's dense linear algebra serves
+    # every instrument
     done = _python(f"import sys, respark, respark.cli; print({module!r} in sys.modules)",
                    tmp_path)
     assert done.returncode == 0, done.stderr
@@ -270,9 +300,9 @@ def test_import_leaves_scipy_stats_out(module, tmp_path):
 
 
 def test_only_experiments_load_scipy(tmp_path):
-    # the Clopper-Pearson interval imports SciPy on its first call and
-    # cg_resistances on its own, so importing the package and the other
-    # four commands load no scipy module at all
+    # the Clopper-Pearson interval, the package's one SciPy use, imports it
+    # on its first call, so importing the package and the other four
+    # commands load no scipy module at all
     code = """if True:
         import sys, respark, respark.cli
         loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")

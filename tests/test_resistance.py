@@ -19,7 +19,6 @@ from respark.graph import (
 )
 from respark.resistance import (
     ResistanceEstimate,
-    cg_resistances,
     exact_resistance,
     exact_resistances,
     inject_alpha_noise,
@@ -233,26 +232,3 @@ def test_inject_alpha_noise_bounds_and_determinism():
 def test_inject_alpha_one_is_identity():
     exact = [est.r_tilde for est in exact_resistances(_factors(K3), [(0, 1), (1, 2)])]
     assert inject_alpha_noise(exact, 1.0, 9).tolist() == exact
-
-
-def test_cg_matches_dense_oracle():
-    rng = np.random.default_rng(31)
-    n = 30
-    edges = [(v - 1, v, 1.0) for v in range(1, n)]
-    edges += [
-        (i, j, float(rng.uniform(0.5, 2.0)))
-        for i in range(n)
-        for j in range(i + 1, n)
-        if rng.random() < 0.2
-    ]
-    g = WeightedGraph.from_edges(n, edges)
-    pairs = [(e.u, e.v) for e in g.edges]
-    dense = np.array([e.r_tilde for e in exact_resistances(_factors(g), pairs)])
-    iterative = cg_resistances(g, pairs)
-    assert np.allclose(iterative, dense, rtol=1e-6, atol=1e-9)
-
-
-def test_cg_requires_connected():
-    g = WeightedGraph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
-    with pytest.raises(GraphConnectivityError):
-        cg_resistances(g, [(0, 1)])

@@ -147,8 +147,11 @@ def test_projection_error_vertex_mismatch():
 @pytest.mark.parametrize("n, p", [(40, 0.25), (400, 0.05)])
 def test_projection_error_reads_the_grounded_inverse_off_a_context(monkeypatch, n, p):
     # rows[1:].T of a connected reference's factors is C^-1 grounded at
-    # vertex 0, bit for bit, and so are the congruence and the norm taken
-    # with it; no eigh is run
+    # vertex 0, bit for bit, and so are the congruence and the norm the
+    # formed pencil takes with it; no eigh is run. The crossover is raised
+    # to n, so the pencil is formed at 400 vertices too (the top-end read
+    # above the crossover is tested below)
+    monkeypatch.setattr(verify_mod, "_LANCZOS_ABOVE", n)
     g = generate(GeneratorSpec("erdos-renyi", n, p=p, seed=1234))
     rng = np.random.default_rng(n)
     h = WeightedGraph.from_edges(
@@ -215,14 +218,35 @@ def references_and_sparsifiers(draw, lo, hi):
     isolated = draw(st.sets(st.integers(0, n - 1), max_size=max(1, n // 10)))
     kept = [(e.u, e.v, e.weight * draw(st.floats(0.25, 4.0))) for e in g.edges
             if e.u not in isolated and e.v not in isolated and draw(st.booleans())]
-    us, vs, ws = (np.array(col) for col in zip(*kept)) if kept else ([], [], [])
-    h = SimpleNamespace(n=n, laplacian=lambda: laplacian_from_arrays(n, us, vs, ws))
+    us, vs, ws = (np.array(col) for col in zip(*kept)) if kept else (
+        np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))
+    h = SimpleNamespace(n=n, merged_columns=lambda: (us, vs, ws),
+                        laplacian=lambda: laplacian_from_arrays(n, us, vs, ws))
     return g, h
 
 
+def _formed_pencil(h, ctx):
+    """(norm, top eigenvalue) of the formed grounded pencil (L_H, L_G): the
+    bits projection_error returns at or below the crossover."""
+    lam = verify_mod._pencil_eigenvalues(ctx.factors.rows, h.laplacian())
+    return float(np.abs(1.0 - lam).max()), float(lam[-1])
+
+
+def _top_end_read(h, ctx):
+    """Above the crossover, assert that a lambda_max >= 2 read agrees with
+    the formed pencil to 1e-12 relative and that a smaller one gives its
+    bits exactly; return lambda_max."""
+    got, (dense, top) = projection_error(h, ctx), _formed_pencil(h, ctx)
+    if top < 2.0:
+        assert got == dense
+    else:
+        assert abs(got - dense) <= 1e-12 * dense
+    return top
+
+
 # n - 1 grounded rows: the base case of the triangular inverse, then one and
-# two levels of its recursion
-@pytest.mark.parametrize("lo, hi", [(2, 49), (50, 97), (99, 130)])
+# two levels of its recursion, then above the crossover (_LANCZOS_ABOVE)
+@pytest.mark.parametrize("lo, hi", [(2, 49), (50, 97), (99, 130), (257, 300)])
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_projection_error_matches_the_congruence(lo, hi, data):
@@ -233,6 +257,41 @@ def test_projection_error_matches_the_congruence(lo, hi, data):
     # was 1.8e-12 relative from a 40-digit value, the pencil 9.8e-14
     slack = 8 * np.finfo(float).eps * cond * (1.0 + want)
     assert abs(projection_error(h, g) - want) <= 1e-12 * want + 1e-12 + slack
+    if g.n > verify_mod._LANCZOS_ABOVE:
+        # h takes either branch; g with every weight scaled into [2, 4] has
+        # every lambda there, so Lanczos answers, and into [2/3, 3/2] every
+        # lambda below 2, so the formed pencil does
+        ctx = projection_context(g)
+        _top_end_read(h, ctx)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        for lo_scale, hi_scale, branch in ((2.0, 4.0, True), (2 / 3, 1.5, False)):
+            k = WeightedGraph(g.n, g.u, g.v, g.weight * rng.uniform(lo_scale, hi_scale, g.m))
+            assert (_top_end_read(k, ctx) >= 2.0) == branch
+
+
+def test_projection_error_of_an_empty_sparsifier_is_one():
+    # no copy survives: L_H = 0, every lambda is 0, so the error is exactly
+    # 1, at or below the crossover and above it, where Lanczos reads 0.0
+    for n in (40, 300):
+        g = generate(GeneratorSpec("erdos-renyi", n, p=0.1, seed=n))
+        assert projection_error(Sparsifier.empty(g, _cfg(g, budget=20)), g) == 1.0
+
+
+def test_projection_error_forms_no_pencil_when_lambda_max_reaches_2(monkeypatch):
+    # above the crossover a lambda_max >= 2 is read by Lanczos, whose
+    # eigh runs on its small tridiagonal: no (n - 1) x (n - 1) eigenproblem
+    g = generate(GeneratorSpec("erdos-renyi", 300, p=0.05, seed=1234))
+    h, _ = stream_sparsify(g, _cfg(g, seed=9, budget=200), block_size=1000,
+                           resistance_mode="exact", diagnostics=False)
+    dense, top = _formed_pencil(h, projection_context(g))
+    assert top >= 2.0
+    sizes = []
+    for name in ("eigvalsh", "eigh"):
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, f=original: sizes.append(len(a)) or f(a))
+    got = projection_error(h, g)
+    assert sizes and max(sizes) < g.n - 1
+    assert abs(got - dense) <= 1e-12 * dense
 
 
 @pytest.mark.parametrize("k", [47, 49, 97, 99, 201])
