@@ -7,9 +7,11 @@ read. A Laplacian's eigenbasis is taken in one place, _spectrum, for the
 range basis the spectral check reads.
 
 Everything downstream (resistance estimation, resparsification, the
-verification instruments) consumes the objects defined here. All types are
-immutable after construction and all operations are pure functions, so they
-are safe to share across threads.
+verification instruments) consumes the objects defined here. All types here
+are immutable after construction and all operations are pure functions, so
+they are safe to share across threads. That does not extend to the random
+tape (respark.tape), which re-keys one generator on every call: each thread
+draws from its own.
 """
 
 from __future__ import annotations

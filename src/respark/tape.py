@@ -21,6 +21,17 @@ kernel costs a fixed 0.15-0.3 ms a call plus about 0.2 us a copy, against
 ``count > per_call + per_copy * len(at)`` (``_ADDRESSED_COST``) says it is
 the cheaper path. The other path draws the stream only through max(js),
 a prefix of the count draws. Both paths return identical bits.
+
+``uniforms(..., at=range(a, b))`` with step 1 and 0 <= a, b <= count is a
+window: the generator is re-keyed, advanced past the a // 4 counter blocks
+before the window (``Philox.advance``), and draws only the blocks that hold
+copies a to b - 1, so a caller can read a long stream a window at a time in
+bounded memory, bit for bit ``uniforms(step, edge, count)[a:b]``. Any other
+range is an index sequence like any other.
+
+A tape re-keys its one generator on every call, so it is not safe to share
+across threads: each thread draws from its own ``RandomTape(seed)``, whose
+draws are the same pure functions of their keys.
 """
 
 from __future__ import annotations
@@ -150,6 +161,8 @@ class RandomTape:
         With ``at``, a 1-D sequence of copy indices in [0, count) in any
         order and with repeats, returns ``uniforms(step, edge, count)[at]``
         bit for bit, computing only the requested draws when that is cheaper.
+        A ``range(a, b)`` with step 1 inside [0, count] is read as the window
+        ``uniforms(step, edge, count)[a:b]``, drawing only its counter blocks.
         Raises ValueError for a negative count or an index outside [0, count).
         """
         if count < 0:
@@ -157,6 +170,11 @@ class RandomTape:
         payload = _u64(step) + _u64(edge)
         if at is None:
             return self._philox(b"c", payload).random(count)
+        if type(at) is range and at.step == 1 and 0 <= at.start and at.stop <= count:
+            gen = self._philox(b"c", payload)
+            self._bitgen.advance(at.start // 4)  # counter blocks of 4 draws each
+            skip = at.start % 4
+            return gen.random(skip + len(at))[skip:]
         idx, stop = _copy_indices(at, count)
         per_call, per_copy = _ADDRESSED_COST
         if count > per_call + per_copy * len(idx):

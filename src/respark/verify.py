@@ -84,11 +84,22 @@ class DiagnosticsRecord:
 DIAGNOSTICS_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 
-def _laplacian_of(h) -> np.ndarray:
+def _columns_of(h) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """h's (u, v, weight) edge columns: a graph's own, else h.merged_columns()
+    (a sparsifier, in memory or read back). Edgeless h has empty columns."""
+    if isinstance(h, WeightedGraph):
+        return h.u, h.v, h.weight
     try:
-        return np.asarray(h.laplacian(), dtype=float)
+        return h.merged_columns()
     except AttributeError as exc:
-        raise TypeError(f"{type(h).__name__} does not expose a laplacian()") from exc
+        raise TypeError(
+            f"{type(h).__name__} is no graph and has no merged_columns() to build its laplacian"
+        ) from exc
+
+
+def _laplacian_of(h) -> np.ndarray:
+    """L_H from _columns_of(h); the zero matrix when h has no edges."""
+    return laplacian_from_arrays(h.n, *_columns_of(h))
 
 
 def _reference_context(h, reference: WeightedGraph | ProjectionContext) -> ProjectionContext:
@@ -104,14 +115,15 @@ def spectral_check(
 ) -> tuple[bool, float]:
     """Test (1-eps) x'L_G x <= x'L_H x <= (1+eps) x'L_G x for all x.
 
-    h may be a sparsifier or a plain graph; anything with n and
-    laplacian(). reference is G itself or a projection context of G, which
-    spares a caller that already holds one a second factorisation. The
-    ratios are the eigenvalues of S L_H S (S the pseudoinverse square root
-    of L_G) on the range of L_G, those of B' L_H B with B the range basis
-    of G's context; the check passes when every one lies in
-    [1-eps, 1+eps] with 1e-9 slack. Returns (passed, worst deviation
-    |ratio - 1|).
+    h may be a plain graph or a sparsifier (anything with n and
+    merged_columns()); L_H is built from its edge columns, so an h without
+    edges reads worst deviation exactly 1. reference is G itself or a
+    projection context of G, which spares a caller that already holds one
+    a second factorisation. The ratios are the eigenvalues of S L_H S (S
+    the pseudoinverse square root of L_G) on the range of L_G, those of
+    B' L_H B with B the range basis of G's context; the check passes when
+    every one lies in [1-eps, 1+eps] with 1e-9 slack. Returns (passed,
+    worst deviation |ratio - 1|).
 
     Raises GraphConnectivityError when G (or its range basis) is
     disconnected and ValueError on a vertex-count mismatch.
@@ -148,15 +160,15 @@ def projection_error(h, reference: WeightedGraph | ProjectionContext) -> float:
     graph's own columns, a sparsifier's merged_columns()); a Ritz value
     never exceeds lambda_max, so a read >= 2 is returned less 1. Otherwise,
     and at every size at or below the crossover, one eigvalsh of the formed
-    pencil C^-1 L_H C^-T gives the norm.
+    pencil C^-1 L_H C^-T gives the norm. Both read L_H from h's edge
+    columns, so an h without edges reads exactly 1.0.
 
     Raises GraphConnectivityError when G is disconnected and ValueError on
     a vertex-count mismatch or a G without edges.
     """
     rows = _grounded_rows(_reference_context(h, reference), "projection error")
     if h.n > _LANCZOS_ABOVE:
-        columns = (h.u, h.v, h.weight) if isinstance(h, WeightedGraph) else h.merged_columns()
-        top = _lanczos_top(rows, *columns)
+        top = _lanczos_top(rows, *_columns_of(h))
         if top >= 2.0:
             return top - 1.0
     return float(np.abs(1.0 - _pencil_eigenvalues(rows, _laplacian_of(h))).max())

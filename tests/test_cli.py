@@ -136,9 +136,10 @@ def test_verify_builds_one_projection_context(tmp_path, capsys, monkeypatch):
     cholesky = np.linalg.cholesky
     monkeypatch.setattr(np.linalg, "cholesky", lambda a: choleskies.append(a) or cholesky(a))
     laplacians = []
-    build = sparsify.laplacian_from_arrays
-    monkeypatch.setattr(sparsify, "laplacian_from_arrays",
-                        lambda *args: laplacians.append(args) or build(*args))
+    build = verify.laplacian_from_arrays  # L_H from the loaded merged columns
+    for module in (sparsify, verify):
+        monkeypatch.setattr(module, "laplacian_from_arrays",
+                            lambda *args: laplacians.append(args) or build(*args))
     code = main([
         "verify", "--graph", str(graph), "--sparsifier", str(out), "--epsilon", "0.5",
     ])
@@ -294,6 +295,15 @@ def test_import_leaves_scipy_stats_out(module, tmp_path):
     # the package has no sparse code, and NumPy's dense linear algebra serves
     # every instrument
     done = _python(f"import sys, respark, respark.cli; print({module!r} in sys.modules)",
+                   tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
+def test_import_leaves_the_thread_pool_out(tmp_path):
+    # resparsify's helper is a plain threading.Thread; importing
+    # concurrent.futures.thread would add about 10 ms to every start
+    done = _python("import sys, respark, respark.cli; print('concurrent.futures' in sys.modules)",
                    tmp_path)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"

@@ -3,6 +3,7 @@ their agreement with an independent dense-indicator reference."""
 
 import math
 import re
+import threading
 import warnings
 import weakref
 
@@ -472,6 +473,69 @@ def test_stream_is_deterministic_in_seed():
     flat1 = {(e, int(j)) for e, js in h1.alive.items() for j in js}
     flat3 = {(e, int(j)) for e, js in h3.alive.items() for j in js}
     assert flat1 != flat3
+
+
+def test_split_and_windowed_draws_keep_every_bit(monkeypatch):
+    # ER(40, 0.25) at its theorem budget N = 484,918 in blocks of 67: every
+    # step compares more than _SPLIT_DRAWS uniforms, and a block edge's N
+    # draws span several windows. Serial draws with one call per block edge
+    # (no windows), serial windows, and two threads give the same columns.
+    g = generate(GeneratorSpec("erdos-renyi", 40, p=0.25, seed=1234))
+    cfg = StreamConfig.for_graph(g, 0.5, 0.1, 1.0, seed=1234)
+    assert cfg.budget_n == 484_918 > sparsify_mod._WINDOW and g.m == 201
+    drawn_by = set()
+    kept = sparsify_mod._kept
+
+    def recorded(*args):
+        drawn_by.add(threading.current_thread().name)
+        return kept(*args)
+
+    monkeypatch.setattr(sparsify_mod, "_kept", recorded)
+    states = {}
+    for name, cpus, window in (("one call", 1, cfg.budget_n), ("windows", 1, None),
+                               ("split", 2, None)):
+        with monkeypatch.context() as patch:
+            patch.setattr(sparsify_mod, "_usable_cpus", lambda: cpus)
+            if window is not None:
+                patch.setattr(sparsify_mod, "_WINDOW", window)
+            drawn_by.clear()
+            states[name], _ = stream_sparsify(g, cfg, block_size=67, diagnostics=False)
+            assert len(drawn_by) == cpus
+    want = states.pop("one call")
+    for h in states.values():
+        for name in ("p", "count", "copies"):
+            assert getattr(h, name).tobytes() == getattr(want, name).tobytes()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_draw_that_fails_fails_its_step_and_leaves_no_thread(monkeypatch, cpus):
+    # the last edge of block 1 fails to draw; with two CPUs the helper pops
+    # it first (the caller waits for that), and the step fails as the
+    # serial one does, with the helper joined
+    g = generate(GeneratorSpec("erdos-renyi", 40, p=0.25, seed=1234))
+    cfg = _small_cfg(g, seed=3, budget=2**17)
+    assert 67 * cfg.budget_n >= sparsify_mod._SPLIT_DRAWS
+    failed = threading.Event()
+    failed_on = []
+
+    class FailingTape(RandomTape):
+        def uniforms(self, step, edge, count, at=None):
+            if edge == 66:
+                failed_on.append(threading.current_thread())
+                failed.set()
+                raise ValueError(f"no draws for edge {edge}")
+            if cpus == 2:
+                assert failed.wait(timeout=60)
+            return super().uniforms(step, edge, count, at)
+
+    monkeypatch.setattr(sparsify_mod, "RandomTape", FailingTape)
+    monkeypatch.setattr(sparsify_mod, "_usable_cpus", lambda: cpus)
+    threads = threading.active_count()
+    with pytest.raises(StreamStepError) as caught:
+        stream_sparsify(g, cfg, block_size=67, resistance_mode="nodrop", diagnostics=False)
+    assert (caught.value.step, str(caught.value)) == (1, "step 1: no draws for edge 66")
+    assert (failed_on[0] is threading.main_thread()) == (cpus == 1)
+    assert threading.active_count() == threads
 
 
 @settings(max_examples=20, deadline=None)

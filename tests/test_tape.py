@@ -255,3 +255,45 @@ def test_full_path_draws_stop_at_the_largest_copy_asked_for(kernel_calls):
         assert np.array_equal(got, want[np.asarray(at, dtype=np.int64)]), at
     assert drawn == [4, 18, 41, 0, count]
     assert kernel_calls == []
+
+
+class _CountingGenerator:
+    """Stands in for a tape's generator, recording the size of every fill."""
+
+    def __init__(self, generator):
+        self.generator, self.drawn = generator, []
+
+    def random(self, size):
+        self.drawn.append(size)
+        return self.generator.random(size)
+
+
+@pytest.mark.parametrize("count", [4_001, 200_003])
+def test_a_window_is_a_slice_of_the_stream(count, kernel_calls):
+    # range(a, b) draws the blocks from a's through b - 1's, then drops the
+    # a % 4 draws of a's block that come before a
+    want = _keyed_reference(9, 4, 13, count)
+    tape = RandomTape(9)
+    tape._gen = counting = _CountingGenerator(tape._gen)
+    windows = [(a, a + 1_000) for a in (40, 41, 42, 43)]  # a % 4 = 0, 1, 2, 3
+    windows += [(7, 7), (0, 0), (count, count), (0, 9), (count - 5, count), (0, count)]
+    for a, b in windows:
+        got = tape.uniforms(4, 13, count, at=range(a, b))
+        assert got.dtype == np.float64
+        assert np.array_equal(got, want[a:b]), (a, b)
+    assert counting.drawn == [a % 4 + b - a for a, b in windows]
+    assert kernel_calls == []
+
+
+@pytest.mark.parametrize("count", [4_001, 200_003])
+def test_a_range_outside_the_stream_or_with_a_step_is_an_index_sequence(count):
+    tape = RandomTape(3)
+    want = _keyed_reference(3, 1, 2, count)
+    for at in (range(0, 40, 3), range(50, 10, -1), range(count - 1, -1, -7)):
+        assert np.array_equal(tape.uniforms(1, 2, count, at=at), want[list(at)])
+    for at in (range(-1, 5), range(count - 2, count + 1), range(-3, 0)):
+        with pytest.raises(ValueError) as by_range:
+            tape.uniforms(1, 2, count, at=at)
+        with pytest.raises(ValueError) as by_list:
+            tape.uniforms(1, 2, count, at=list(at))
+        assert str(by_range.value) == str(by_list.value)

@@ -277,6 +277,17 @@ def test_projection_error_of_an_empty_sparsifier_is_one():
         assert projection_error(Sparsifier.empty(g, _cfg(g, budget=20)), g) == 1.0
 
 
+def test_an_edgeless_h_reads_exactly_one():
+    # a graph without edges and a sparsifier without copies both have
+    # L_H = 0, so every ratio and every pencil eigenvalue is 0: both
+    # instruments read exactly 1.0, at or below the crossover and above it
+    for n in (12, 300):
+        g = generate(GeneratorSpec("erdos-renyi", n, p=0.5 if n == 12 else 0.1, seed=n))
+        for h in (WeightedGraph(n, [], [], []), Sparsifier.empty(g, _cfg(g, budget=20))):
+            assert projection_error(h, g) == 1.0
+            assert spectral_check(h, g, eps=0.5) == (False, 1.0)
+
+
 def test_projection_error_forms_no_pencil_when_lambda_max_reaches_2(monkeypatch):
     # above the crossover a lambda_max >= 2 is read by Lanczos, whose
     # eigh runs on its small tridiagonal: no (n - 1) x (n - 1) eigenproblem
