@@ -9,6 +9,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .graph import (
     build_laplacian,
     projection_context,
@@ -17,7 +19,6 @@ from .graph import (
     write_edge_list,
 )
 from .harness import GENERATOR_MODELS, GeneratorSpec, emit_report, generate, run_experiment
-from .resistance import exact_resistances
 from .sparsify import (
     RESISTANCE_MODES,
     StreamConfig,
@@ -111,13 +112,12 @@ def _cmd_gen(args) -> int:
 
 def _cmd_resistances(args) -> int:
     g = read_edge_list(args.graph)
-    factors = pseudo_factorize(build_laplacian(g))
-    us, vs = g.u.tolist(), g.v.tolist()
-    estimates = exact_resistances(factors, list(zip(us, vs)), range(g.m))
+    # an edge's endpoints share a component, so every resistance is finite
+    rs = pseudo_factorize(build_laplacian(g)).resistances(np.column_stack((g.u, g.v)))
     total = 0.0
-    for u, v, a, est in zip(us, vs, g.weight.tolist(), estimates):
-        total += a * est.r_tilde
-        print(f"{u} {v} {a!r} {est.r_tilde!r}")
+    for u, v, a, r in zip(g.u.tolist(), g.v.tolist(), g.weight.tolist(), rs.tolist()):
+        total += a * r
+        print(f"{u} {v} {a!r} {r!r}")
     print(f"# sum_check {total!r} {g.n - 1}")
     return 0
 

@@ -25,6 +25,7 @@ import warnings
 from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import islice
 from types import MappingProxyType
 from typing import Callable, Mapping, NoReturn, Sequence
 
@@ -744,9 +745,10 @@ def single_edge_stream(
 # ---------------------------------------------------------------------------
 # sparsifier file format
 #
-# A header comment '# respark sparsifier step=S N=N seed=SEED', then one
-# 'u v weight e j p_tilde' row per alive copy in (e, j) order. Floats are
-# written by repr, so they read back bit for bit.
+# Line 1 is the header comment '# respark sparsifier step=S N=N seed=SEED',
+# and every later line one 'u v weight e j p_tilde' row per alive copy in
+# (e, j) order, so row k is line k + 2. Floats are written by repr, so they
+# read back bit for bit.
 
 _ROW_DTYPE = np.dtype(
     [("u", "i8"), ("v", "i8"), ("weight", "f8"), ("e", "i8"), ("j", "i8"), ("p_tilde", "f8")]
@@ -812,29 +814,31 @@ def read_sparsifier(
 ) -> LoadedSparsifier:
     """Read a sparsifier file, checking every row (against n or graph when given).
 
-    Blank lines and lines starting with '#' are skipped; the first comment
-    holding 'respark sparsifier' is the header, whose step, N and seed must
-    be integers. Every other line must be 'u v weight e j p_tilde' with
-    64-bit integers u, v, e, j and floats weight, p_tilde, all plain ASCII
-    decimals (the grammar of np.loadtxt), with distinct vertex ids in
-    [0, n), a finite weight > 0, an edge id e >= 0, a copy index j in
-    [0, N) and p_tilde in (0, 1]. The rows come in the writer's order,
-    strictly ascending in (e, j), and a row of the same edge as the row
-    before it agrees with it in u, v, weight and p_tilde.
+    The file must be laid out as write_sparsifier writes it. Line 1 is the
+    header, a comment holding 'respark sparsifier' whose step, N and seed
+    must be integers. Every later line is one row, so row k is line k + 2:
+    'u v weight e j p_tilde' with 64-bit integers u, v, e, j and floats
+    weight, p_tilde, all plain ASCII decimals (the grammar of np.loadtxt),
+    with distinct vertex ids in [0, n), a finite weight > 0, an edge id
+    e >= 0, a copy index j in [0, N) and p_tilde in (0, 1]. The rows come
+    in the writer's order, strictly ascending in (e, j), and a row of the
+    same edge as the row before it agrees with it in u, v, weight and
+    p_tilde.
 
     With graph, n is graph.n and the rows must also be what write_sparsifier
     writes for it: e < graph.m, u v are edge e's endpoints in the graph's
     order, and, when the header gives N, the weight is a_e / (N * p_tilde)
     bit for bit.
 
-    n, when given, must be an integer >= 0. A bad row raises ValueError
-    starting 'path:lineno:', a bad or missing header one starting 'path:'.
+    n, when given, must be an integer >= 0. A bad row, a blank line or a
+    comment after line 1 raises ValueError starting 'path:lineno:', a bad or
+    missing header one starting 'path:'.
 
     The file is read and parsed a chunk of whole lines at a time, and each
     chunk's rows are kept as runs of one edge plus their copy ids, so the
-    memory held is 8 bytes a copy, the runs and one chunk. A file that fails
-    a check is walked again a chunk at a time to find the line at fault or,
-    if it is not UTF-8, the offset of its first bad byte.
+    memory held is 8 bytes a copy, the runs and one chunk. The line at
+    fault is read again by its number; a file that is not UTF-8 is decoded
+    again a chunk at a time to find the offset of its first bad byte.
     """
     if n is not None:
         n = _integer("vertex count", n, ConfigError)
@@ -847,16 +851,14 @@ def read_sparsifier(
     bound = math.inf if n is None else n
     try:
         header, runs, copies, stop = _read_runs(path)
-    except ValueError:  # not UTF-8, or a header field that is not an integer
+    except ValueError:  # not UTF-8, or a missing or bad header
         _raise_decode_error(path)
         raise
-    budget = (header or {}).get("N", math.inf)
+    budget = header.get("N", math.inf)
     bad = _first_bad_row(runs, copies, bound, budget, graph)
     if bad is not None or stop is not None:
         k, check = bad or (stop, "parse")
         raise _row_error(path, runs, copies, k, check, bound, budget, graph)
-    if header is None:
-        raise ValueError(f"{path}: missing sparsifier header comment")
     # in (e, j) order each edge's runs are adjacent and agree in all but count
     firsts = np.flatnonzero(np.diff(runs["e"], prepend=-1))
     edges = {name: runs[name][firsts] for name in _RUN_DTYPE.names[:-1]}
@@ -876,37 +878,32 @@ _RUN_DTYPE = np.dtype(
 )
 
 
-def _read_runs(path) -> tuple[dict[str, int] | None, np.ndarray, np.ndarray, int | None]:
-    """(header, runs, copy ids, stop) of a file read whole lines at a time.
+def _read_runs(path) -> tuple[dict[str, int], np.ndarray, np.ndarray, int | None]:
+    """(header, runs, copy ids, stop) of a file: its header line, then its
+    rows read a chunk of whole lines at a time.
 
-    The rows are those before the first data line that does not parse; stop
-    is that line's row index, or None when there is no such line. A chunk
-    holding a '#' has its comment lines dropped before it is parsed, so a
-    '#' inside a row does not parse. The header is looked for through the
-    whole file. A header field that is not an integer raises its
-    ValueError, and text that is not UTF-8 raises UnicodeDecodeError (at a
-    chunk's offset).
+    The rows are those before the first line after the header that is not
+    a row (a blank line, a comment or text that does not parse); stop is
+    that line's row index, or None when there is no such line. A missing
+    header or a header field that is not an integer raises its ValueError,
+    and text that is not UTF-8 raises UnicodeDecodeError (at a chunk's
+    offset).
     """
-    header, stop, count = None, None, 0
+    stop, count = None, 0
     runs, copies = [np.empty(0, _RUN_DTYPE)], [_NO_COPIES]
     with open(path, "r", encoding="utf-8") as fh:
+        header = _read_header(path, fh.readline())
         while text := fh.read(_READ_CHUNK):
             text += fh.readline()
-            if stop is not None and header is not None:
+            if stop is not None:
                 continue  # only a decode error is left to find
             lines = text.split("\n")
-            if "#" in text:
-                if header is None:
-                    header = _read_header(path, lines)
-                lines = [line for line in lines if not line.lstrip().startswith("#")]
-            if stop is not None:
-                continue
+            if not lines[-1]:  # after the newline that ends the last line
+                lines.pop()
             rows = _parse_rows(lines)
-            if rows is None:  # the rows before the first line that does not parse alone
-                lines = [line for line in map(str.strip, lines) if line]
-                good = next(
-                    (k for k, line in enumerate(lines) if _parse_rows([line]) is None), len(lines)
-                )
+            if rows is None or len(rows) < len(lines):  # loadtxt skips blank lines
+                good = next(k for k, line in enumerate(lines)
+                            if not line.strip() or _parse_rows([line]) is None)
                 rows = _parse_rows(lines[:good]) if good else np.empty(0, _ROW_DTYPE)
                 stop = count + good
             count += len(rows)
@@ -949,8 +946,8 @@ def _raise_decode_error(path) -> None:
 
 
 def _parse_rows(lines) -> np.ndarray | None:
-    """Rows parsed from a list of lines with no comment, or None when one
-    does not parse.
+    """Rows parsed from a list of lines, or None when one does not parse (a
+    '#' included); a blank line is skipped.
 
     This is the one number grammar of the format. NumPy 1.23 to 1.26 parse a
     float in an integer field (say '0.7' or '1e0') with only a
@@ -968,23 +965,22 @@ def _parse_rows(lines) -> np.ndarray | None:
         return None
 
 
-def _read_header(path, lines) -> dict[str, int] | None:
-    """The integer fields of the first comment line holding 'respark
-    sparsifier', if any."""
-    for line in lines:
-        if line.lstrip().startswith("#") and "respark sparsifier" in line:
-            fields = dict(tok.split("=", 1) for tok in line.split() if "=" in tok)
-            header = {}
-            for key in ("step", "N", "seed"):
-                if key in fields:
-                    try:
-                        header[key] = int(fields[key])
-                    except ValueError:
-                        raise ValueError(
-                            f"{path}: header {key}={fields[key]!r} is not an integer"
-                        ) from None
-            return header
-    return None
+def _read_header(path, line: str) -> dict[str, int]:
+    """The integer fields of line 1, which must be the comment holding
+    'respark sparsifier'."""
+    if not (line.lstrip().startswith("#") and "respark sparsifier" in line):
+        raise ValueError(f"{path}: missing sparsifier header comment")
+    fields = dict(tok.split("=", 1) for tok in line.split() if "=" in tok)
+    header = {}
+    for key in ("step", "N", "seed"):
+        if key in fields:
+            try:
+                header[key] = int(fields[key])
+            except ValueError:
+                raise ValueError(
+                    f"{path}: header {key}={fields[key]!r} is not an integer"
+                ) from None
+    return header
 
 
 _ROW_ERRORS = {
@@ -1058,32 +1054,15 @@ def _row_error(
     path, runs: np.ndarray, j: np.ndarray, k: int, check: str, bound, budget,
     graph: WeightedGraph | None,
 ) -> ValueError:
-    """The 'path:lineno:' error of row k, which breaks `check` (against row
-    k - 1 for "repeat", "order" and "mixed")."""
+    """The 'path:lineno:' error of row k, line k + 2, which breaks `check`
+    (against row k - 1, line k + 1, for "repeat", "order" and "mixed")."""
     e = copy = None
     if k < len(j):  # else the row did not parse
         e = int(runs["e"][np.searchsorted(runs["count"].cumsum(), k, side="right")])
         copy = int(j[k])
-    lines = _data_lines(path, {k - 1, k} if k else {k})
+    with open(path, "r", encoding="utf-8") as fh:  # a line at a time
+        line = next(islice(fh, k + 1, None)).strip()
     m = graph.m if graph is not None else None
-    return ValueError(f"{path}:{lines[k][0]}: " + _ROW_ERRORS[check].format(
-        line=lines[k][1], bound=bound, budget=budget, m=m, e=e, j=copy,
-        earlier=lines.get(k - 1, (None,))[0],
+    return ValueError(f"{path}:{k + 2}: " + _ROW_ERRORS[check].format(
+        line=line, bound=bound, budget=budget, m=m, e=e, j=copy, earlier=k + 1,
     ))
-
-
-def _data_lines(path, rows: set[int]) -> dict[int, tuple[int, str]]:
-    """(line number, stripped text) of the data lines with the given row
-    indices, read a chunk at a time. Row k is the k-th line that is neither
-    blank nor a comment: loadtxt skips exactly those lines."""
-    found, row, lineno = {}, 0, 0
-    with open(path, "r", encoding="utf-8") as fh:
-        while rows - found.keys() and (text := fh.read(_READ_CHUNK)):
-            text += fh.readline()
-            for line in map(str.strip, text.removesuffix("\n").split("\n")):
-                lineno += 1
-                if line and not line.startswith("#"):
-                    if row in rows:
-                        found[row] = (lineno, line)
-                    row += 1
-    return found

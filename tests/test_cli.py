@@ -71,6 +71,22 @@ def test_resistances_of_a_wide_weight_spread(tmp_path, capsys):
     assert r == [pytest.approx(1.0, rel=1e-9), pytest.approx(1e12, rel=1e-9)]
 
 
+def test_resistances_prints_the_same_bytes(tmp_path, capsys):
+    # a fixed weighted graph with a cycle, printed as before the estimates
+    # became one column
+    path = tmp_path / "w.edges"
+    path.write_text("0 1 1.0\n1 2 0.5\n2 0 2.0\n2 3 0.25\n3 1 3.0\n", encoding="utf-8")
+    assert main(["resistances", "--graph", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "0 1 1.0 0.6513761467889913\n"
+        "1 2 0.5 0.7155963302752295\n"
+        "2 0 2.0 0.4128440366972476\n"
+        "2 3 0.25 0.9174311926605507\n"
+        "3 1 3.0 0.3119266055045872\n"
+        "# sum_check 3.000000000000001 3\n"
+    )
+
+
 def test_sparsify_writes_outputs(tmp_path, capsys):
     graph = _gen(tmp_path)
     out = tmp_path / "h.sparsifier"
@@ -625,11 +641,16 @@ def test_verify_rejects_bad_sparsifier_rows(tmp_path, capsys, row):
         ("0 1 1.0 0 2 1.0\n", "h.sparsifier:2:"),  # copy index j = N
         ("0 1 1.0 0 -1 1.0\n", "h.sparsifier:2:"),  # negative copy index
         ("0 1 1.0 -1 0 1.0\n", "h.sparsifier:2:"),  # negative edge id
-        ("0 1 1.0 0 1 1.0\n\n1 2 1.0 0 1 1.0\n", "h.sparsifier:4:"),  # (e, j) twice
+        ("0 1 1.0 0 1 1.0\n1 2 1.0 0 1 1.0\n", "h.sparsifier:3:"),  # (e, j) twice
         ("0 1 1.0 0 0 1.0 # note\n", "h.sparsifier:2:"),  # comment after six fields
         ("0 1 1.0 99999999999999999999 0 1.0\n", "h.sparsifier:2:"),  # beyond 64 bits
         ("0 1 1.0 0 0.5 1.0\n", "h.sparsifier:2:"),  # float copy index
         ("1e0 2 1.0 0 0 1.0\n", "h.sparsifier:2:"),  # float vertex id
+        # lines out of the writer's layout: one row a line after the header
+        ("0 1 1.0 0 0 1.0\n\n0 1 1.0 0 1 1.0\n", "h.sparsifier:3:"),  # blank line
+        ("0 1 1.0 0 0 1.0\n \t\n", "h.sparsifier:3:"),  # whitespace only
+        ("# note\n0 1 1.0 0 0 1.0\n", "h.sparsifier:2:"),  # comment after line 1
+        ("0 1 1.0 0 0 1.0\n\n", "h.sparsifier:3:"),  # blank last line
     ],
 )
 def test_verify_rejects_rows_breaking_the_copy_contract(tmp_path, capsys, body, where):
@@ -646,6 +667,24 @@ def test_verify_rejects_rows_breaking_the_copy_contract(tmp_path, capsys, body, 
     assert code == 2
     assert "error:" in err and where in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["0 1 1.0 0 0 1.0\n{header}\n", "\n{header}\n0 1 1.0 0 0 1.0\n", ""],
+    ids=["late-header", "header-on-line-2", "empty"],
+)
+def test_verify_rejects_a_file_whose_line_1_is_not_the_header(tmp_path, capsys, text):
+    graph = tmp_path / "g.edges"
+    graph.write_text("0 1 2.0\n1 2 1.0\n")
+    sp = tmp_path / "h.sparsifier"
+    sp.write_text(text.format(header="# respark sparsifier step=1 N=2 seed=0"))
+    code = main([
+        "verify", "--graph", str(graph), "--sparsifier", str(sp), "--epsilon", "0.5",
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: {sp}: missing sparsifier header comment\n"
 
 
 @pytest.mark.parametrize("field", ["step=1.5", "N=two", "seed=0x1"])

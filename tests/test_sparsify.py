@@ -1100,7 +1100,7 @@ def test_read_sparsifier_rejects_malformed_row(tmp_path):
 )
 def test_read_sparsifier_rejects_float_in_integer_field(tmp_path, row):
     p = tmp_path / "bad.sparsifier"
-    p.write_text(f"# respark sparsifier step=1 N=5 seed=0\n\n{row}\n")
+    p.write_text(f"# respark sparsifier step=1 N=5 seed=0\n0 1 0.5 0 0 1.0\n{row}\n")
     with pytest.raises(ValueError, match=r"bad\.sparsifier:3: .*64-bit integers"):
         read_sparsifier(p)
 
@@ -1191,9 +1191,9 @@ def test_writer_bytes_match_reference_without_copies(tmp_path):
 
 
 def _reference_read(path, n=None):
-    """The row-at-a-time reader the columnar one replaced, with every check
-    of the file contract. Returns (header, rows) or raises ValueError."""
-    header, rows = None, []
+    """A row-at-a-time reader of the writer's layout, with every check of the
+    file contract: line 1 the header, every later line one row. Returns
+    (header, rows) or raises ValueError."""
     bound = math.inf if n is None else n
 
     def number(kind, tok):
@@ -1203,20 +1203,18 @@ def _reference_read(path, n=None):
 
     with open(path, encoding="utf-8") as fh:
         lines = list(enumerate(fh, start=1))
-    for _, raw in lines:
-        line = raw.strip()
-        if header is None and line.startswith("#") and "respark sparsifier" in line:
-            fields = dict(tok.split("=", 1) for tok in line.split() if "=" in tok)
-            try:
-                header = {k: int(fields[k]) for k in ("step", "N", "seed") if k in fields}
-            except ValueError:
-                raise ValueError(f"{path}: header") from None
-    budget = math.inf if header is None else header.get("N", math.inf)
-    for lineno, raw in lines:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
+    first = lines[0][1].strip() if lines else ""
+    if not (first.startswith("#") and "respark sparsifier" in first):
+        raise ValueError(f"{path}: missing header")
+    fields = dict(tok.split("=", 1) for tok in first.split() if "=" in tok)
+    try:
+        header = {k: int(fields[k]) for k in ("step", "N", "seed") if k in fields}
+    except ValueError:
+        raise ValueError(f"{path}: header") from None
+    budget = header.get("N", math.inf)
+    rows = []
+    for lineno, raw in lines[1:]:
+        tokens = raw.split()  # a blank line has none, a comment a '#' token
         if len(tokens) != 6:
             raise ValueError(f"{path}:{lineno}: tokens")
         try:
@@ -1233,8 +1231,6 @@ def _reference_read(path, n=None):
         if rows and rows[-1][3] == e and rows[-1][:3] + rows[-1][5:] != (u, v, w, p):
             raise ValueError(f"{path}:{lineno}: mixed")  # differs from the row before
         rows.append((u, v, w, e, j, p))
-    if header is None:
-        raise ValueError(f"{path}: missing header")
     return header, rows
 
 
@@ -1275,15 +1271,12 @@ def _assert_reads_like_reference(path, n=None):
         assert loaded.n == (1 + max(max(r[0], r[1]) for r in rows) if rows else 0)
 
 
+# the writer's layout with loose whitespace: spaces around the header,
+# tabs and spaces around and between a row's fields, no final newline
 _LOOSE = (
-    "\n"
-    "# a comment before the header\n"
     "  # respark sparsifier step=4 N=9 seed=-3   \n"
-    "\n"
     "0\t1 0.25 0 0 0.5\n"
-    "   \n"
     "1 2\t\t0.1 2 8 1.0   \n"
-    "# trailing comment\n"
     "2 0 3e-5 5 3 1e-3\t\n"
     "\t0 2 1.5 6 4 0.75"
 )
@@ -1301,9 +1294,8 @@ def test_reader_columns_match_reference_on_loose_layout(tmp_path):
 
 def test_reader_reports_true_line_of_bad_row(tmp_path):
     p = tmp_path / "bad.sparsifier"
-    p.write_text(
-        "# respark sparsifier step=1 N=5 seed=0\n\n# note\n0 1 0.5 0 0 1.0\n0 1 0.5 0 9 1.0\n"
-    )
+    p.write_text("# respark sparsifier step=1 N=5 seed=0\n"
+                 + "".join(f"0 1 0.5 0 {j} 1.0\n" for j in (0, 1, 2, 9)))
     with pytest.raises(ValueError, match=r"bad\.sparsifier:5: .*copy index"):
         read_sparsifier(p)
 
@@ -1377,13 +1369,12 @@ def test_earlier_bad_line_wins_across_walk_blocks(tmp_path, bad_at, unparsed_at)
 
 @pytest.mark.parametrize("tail", ["", "0 1 0.5\n"])
 def test_repeat_names_the_true_line_of_its_first_copy(tmp_path, tail):
-    # blank and comment lines lie between the two copies; with the unparsed
-    # tail the rows come from the line walk
+    # edge 0's five copies come before the two of edge 1; with the unparsed
+    # tail the rows come from the line-by-line parse
     p = tmp_path / "bad.sparsifier"
-    p.write_text(
-        f"{_HEADER}\n\n# note\n0 1 0.5 1 0 1.0\n\n\n  # more\n0 1 0.5 1 0 1.0\n" + tail
-    )
-    with pytest.raises(ValueError, match=r"bad\.sparsifier:8: copy j=0 of edge e=1 repeats line 4$"):
+    p.write_text(f"{_HEADER}\n" + "".join(f"0 1 0.5 0 {j} 1.0\n" for j in range(5))
+                 + "0 1 0.5 1 0 1.0\n0 1 0.5 1 0 1.0\n" + tail)
+    with pytest.raises(ValueError, match=r"bad\.sparsifier:8: copy j=0 of edge e=1 repeats line 7$"):
         read_sparsifier(p)
 
 
@@ -1398,9 +1389,10 @@ def test_the_first_row_out_of_order_is_reported(tmp_path):
     p.write_text(f"{_HEADER}\n" + "\n".join(rows) + "\n")
     with pytest.raises(ValueError, match=rf"bad\.sparsifier:3: {_ORDER}e=1 j=0 follows line 2$"):
         read_sparsifier(p)
-    # a lower copy index of the same edge, past a comment and a blank line
-    p.write_text(f"{_HEADER}\n0 1 0.5 0 1 1.0\n# note\n\n0 1 0.5 0 0 1.0\n")
-    with pytest.raises(ValueError, match=rf"bad\.sparsifier:5: {_ORDER}e=0 j=0 follows line 2$"):
+    # a lower copy index of the same edge, past two higher ones
+    p.write_text(f"{_HEADER}\n0 1 0.5 0 1 1.0\n0 1 0.5 0 2 1.0\n0 1 0.5 0 3 1.0\n"
+                 "0 1 0.5 0 0 1.0\n")
+    with pytest.raises(ValueError, match=rf"bad\.sparsifier:5: {_ORDER}e=0 j=0 follows line 4$"):
         read_sparsifier(p)
 
 
@@ -1436,23 +1428,26 @@ _BAD_LINES = st.one_of(
 @given(
     rows=_GOOD_ROWS,
     extra=st.lists(st.tuples(st.integers(0, 8), _BAD_LINES), max_size=2),
-    header_first=st.sampled_from([True, True, True, False]),
+    header_at=st.sampled_from([0, 0, 0, 1, None]),
     sep=st.sampled_from(["\n", "\r\n", " \t\n"]),
+    end=st.booleans(),
     n=st.sampled_from([None, 5]),
     chunk=st.integers(1, 60),
 )
 def test_reader_fuzz_matches_reference(
-    tmp_path_factory, rows, extra, header_first, sep, n, chunk
+    tmp_path_factory, rows, extra, header_at, sep, end, n, chunk
 ):
-    # mostly valid files with up to two inserted lines that may break them,
-    # read whole (the default chunk holds any of them) and in small chunks
+    # mostly writer files (the header on line 1, with or without a final
+    # newline) with up to two inserted lines that may break them, the header
+    # sometimes on line 2 or missing, read whole (the default chunk holds
+    # any of them) and in small chunks
     lines = list(rows)
     for pos, line in extra:
         lines.insert(pos, line)
-    if header_first:
-        lines.insert(0, "# respark sparsifier step=2 N=6 seed=1")
+    if header_at is not None:
+        lines.insert(header_at, "# respark sparsifier step=2 N=6 seed=1")
     p = tmp_path_factory.mktemp("fuzz") / "f.sparsifier"
-    p.write_bytes(sep.join(lines).encode("utf-8"))
+    p.write_bytes((sep.join(lines) + (sep if end and lines else "")).encode("utf-8"))
     _assert_reads_like_reference(p, n)
     whole = _read_outcome(p, n=n)
     with pytest.MonkeyPatch.context() as mp:
@@ -1495,20 +1490,23 @@ _COPIES = [f"{e} {e + 1} {0.5 / (e + 1)!r} {e} {j} {1.0 / (e + 1)!r}\n"
 @pytest.mark.parametrize(
     "text",
     [
-        _LOOSE,  # the header, comments, blank lines and an unterminated last line
+        _LOOSE,  # loose whitespace in every line and an unterminated last line
         _LOOSE.replace("\n", "\r\n"),
         f"{_HEADER}\n{_ROWS}0 1 0.5 6 0 1.0 # note\n{_ROWS}",
         f"{_HEADER}\n{_ROWS}2 2 0.5 6 0 1.0\n{_ROWS}",
         f"{_HEADER}\n{_ROWS}0 1 0.5 6 0\n{_ROWS}",
         f"{_HEADER}\n{_ROWS}0 1 0.5 6 0 1.0\n0 1 0.5 2 0 1.0\n",
-        f"{_ROWS}# respark sparsifier step=x N=5\n{_ROWS}",
-        f"{_ROWS}# other\n{_ROWS}",
+        f"# respark sparsifier step=x N=5\n{_ROWS}{_ROWS}",
+        f"{_ROWS}{_HEADER}\n{_ROWS}",  # the header after rows
         f"{_HEADER}\n" + "".join(_COPIES),
         f"{_HEADER}\n" + "".join(_COPIES[::-1]),
         f"{_HEADER}\n" + "".join(_COPIES[:7]) + "1 2 0.25 1 3 0.75\n" + "".join(_COPIES[9:]),
+        f"{_HEADER}\n{_ROWS}\n{_ROWS}",
+        f"{_HEADER}\n{_ROWS} \t\n{_ROWS}",
+        f"{_HEADER}\n{_ROWS}# note\n{_ROWS}",
     ],
     ids=["loose", "crlf", "hash-in-row", "bad-row", "unparsed", "repeat", "bad-header",
-         "no-header", "copies", "copies-reversed", "mixed"],
+         "no-header", "copies", "copies-reversed", "mixed", "blank", "whitespace", "comment"],
 )
 def test_any_chunk_reads_like_the_whole_file(tmp_path, monkeypatch, text):
     # chunks of 1 to 60 characters put a chunk boundary inside every line
@@ -1525,10 +1523,10 @@ def test_any_chunk_reads_like_the_whole_file(tmp_path, monkeypatch, text):
 @pytest.mark.parametrize("header", [_HEADER, "# respark sparsifier step=x N=5"])
 def test_a_decode_error_is_reported_at_its_file_offset(tmp_path, monkeypatch, header):
     # the bad byte lies past the first buffer a chunked read decodes, and the
-    # whole text is decoded before a bad header is looked for; small chunks
-    # split multibyte characters, the comment's and the bad one's
+    # whole text is decoded before a bad header is reported; small chunks
+    # split multibyte characters, the header's and the bad one's
     p = tmp_path / "bad.sparsifier"
-    head = f"{header}\n# é € 😀\n{_ROWS * 200}0 1 ".encode()
+    head = f"{header} é € 😀\n{_ROWS * 200}0 1 ".encode()
     for tail, where in ((b"\xff\n", f"byte 0xff in position {len(head)}"),
                         (b"\xe2\x82(\n", f"bytes in position {len(head)}-{len(head) + 1}"),
                         (b"\xe2\x82", f"bytes in position {len(head)}-{len(head) + 1}")):
@@ -1567,7 +1565,7 @@ def test_reading_a_writer_file_holds_little_beyond_its_columns(tmp_path, traced_
     ids=["copy-index", "five-fields", "mixed", "0xff"],
 )
 def test_a_bad_last_row_is_named_in_bounded_memory(tmp_path, traced_peak, last):
-    # the error path walks the file a chunk at a time, holding no object per line
+    # the error path reads the file a line at a time, holding no object per line
     g, h, path = _large_writer_file(tmp_path)
     if last is None:  # the last data byte, before the final newline, is not UTF-8
         data = path.read_bytes()
@@ -1615,8 +1613,8 @@ _MIXED = r"edge e=0 differs from line 2 in u v, weight or p_tilde"
     "body, lineno, message",
     [
         ("0 1 0.5 0 0 1.0\n0 1 0.5 0 1 0.5\n", 3, _MIXED),  # p_tilde
-        ("0 1 0.5 0 0 1.0\n\n# note\n1 0 0.5 0 1 1.0\n", 5, _MIXED),  # endpoints' order
-        ("0 1 0.5 0 0 1.0\n\n0 1 0.25 0 1 1.0\n1 2 0.5 1 0 1.0\n", 4, _MIXED),  # weight
+        ("0 1 0.5 0 0 1.0\n1 0 0.5 0 1 1.0\n", 3, _MIXED),  # endpoints' order
+        ("0 1 0.5 0 0 1.0\n0 1 0.25 0 1 1.0\n1 2 0.5 1 0 1.0\n", 3, _MIXED),  # weight
         # weight, out of order: refused for its place before its fields are compared
         ("0 1 0.5 0 0 1.0\n1 2 0.5 1 0 1.0\n0 1 0.25 0 1 1.0\n", 4,
          _ORDER + "e=0 j=1 follows line 3"),
@@ -1627,3 +1625,31 @@ def test_a_disagreeing_edge_is_refused_without_a_graph(tmp_path, body, lineno, m
     p.write_text(f"{_HEADER}\n{body}")
     with pytest.raises(ValueError, match=rf"mixed\.sparsifier:{lineno}: {message}$"):
         read_sparsifier(p, n=n)
+
+
+_PARSE = "expected 'u v weight e j p_tilde' with 64-bit integers u, v, e, j, got "
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        (f"{_HEADER}\n0 1 0.5 0 0 1.0\n\n0 1 0.5 0 1 1.0\n", f"3: {_PARSE}''"),
+        (f"{_HEADER}\n0 1 0.5 0 0 1.0\n \t \n0 1 0.5 0 1 1.0\n", f"3: {_PARSE}''"),
+        (f"{_HEADER}\n0 1 0.5 0 0 1.0\n# note\n0 1 0.5 0 1 1.0\n", f"3: {_PARSE}'# note'"),
+        (f"{_HEADER}\n{_HEADER}\n0 1 0.5 0 0 1.0\n", f"2: {_PARSE}{_HEADER!r}"),
+        (f"{_HEADER}\n0 1 0.5 0 0 1.0\n\n", f"3: {_PARSE}''"),
+        (f"\n{_HEADER}\n0 1 0.5 0 0 1.0\n", " missing sparsifier header comment"),
+        (f"0 1 0.5 0 0 1.0\n{_HEADER}\n", " missing sparsifier header comment"),
+        (f"# a note\n{_HEADER}\n", " missing sparsifier header comment"),
+        ("", " missing sparsifier header comment"),
+    ],
+    ids=["blank", "whitespace", "comment", "second-header", "blank-last", "header-on-line-2",
+         "late-header", "note-first", "empty"],
+)
+def test_a_line_out_of_the_writers_layout_is_refused_at_its_line(tmp_path, text, where):
+    # a line after the header that is not a row is refused as a row that does
+    # not parse; line 1 must be the header, before any row is checked
+    p = tmp_path / "layout.sparsifier"
+    p.write_text(text)
+    assert _read_outcome(p) == f"{p}:{where}"
+    _assert_reads_like_reference(p)
