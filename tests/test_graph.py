@@ -232,12 +232,6 @@ def test_an_overflowing_degree_names_its_vertex():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="weighted degree of vertex 1 is not finite"):
             build_laplacian(g)
-        # after finite rows, in either orientation: vertex 3's degree overflows
-        us = np.array([0] * 4 + [3, 1], dtype=np.int64)
-        vs = np.array([1] * 4 + [0, 3], dtype=np.int64)
-        ws = np.array([1.0] * 4 + [1e308, 1e308])
-        with pytest.raises(ValueError, match="weighted degree of vertex 3 is not finite"):
-            laplacian_from_arrays(4, us, vs, ws)
 
 
 def _one_shot_laplacian(n, us, vs, ws):
@@ -249,12 +243,19 @@ def _one_shot_laplacian(n, us, vs, ws):
     return l
 
 
+# the row block laplacian_from_arrays once accumulated in; the tests below
+# keep building past such blocks so that a split of the rows shows
+_CHUNK = 2**15
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
 @pytest.mark.parametrize("n", [2, 400])
-def test_laplacian_has_the_bits_of_one_pass(n):
+def test_laplacian_in_chunks_has_the_bits_of_one_pass(n, chunk):
     # at most 30 distinct pairs, each repeated in both orientations, with
     # weights over 24 decades so that the order of each cell's additions
-    # shows in its bits
-    rows = 200
+    # shows in its bits; the rows run past three blocks of `chunk` rows
+    # (None: of _CHUNK rows)
+    rows = 3 * _CHUNK + 5 if chunk is None else 200
     rng = np.random.default_rng(n)
     a = rng.integers(0, n, 30)
     b = (a + rng.integers(1, n, 30)) % n
@@ -265,6 +266,20 @@ def test_laplacian_has_the_bits_of_one_pass(n):
     assert (us < vs).any() and (us > vs).any()
     l = laplacian_from_arrays(n, us, vs, ws)
     assert l.tobytes() == _one_shot_laplacian(n, us, vs, ws).tobytes()
+
+
+@pytest.mark.parametrize("chunk", [None, 4])
+def test_an_overflow_in_a_later_chunk_names_its_vertex(chunk):
+    # a block of finite rows, then vertex 3's degree overflows in either
+    # orientation
+    first = _CHUNK if chunk is None else chunk
+    us = np.array([0] * first + [3, 1], dtype=np.int64)
+    vs = np.array([1] * first + [0, 3], dtype=np.int64)
+    ws = np.array([1.0] * first + [1e308, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="weighted degree of vertex 3 is not finite"):
+            laplacian_from_arrays(4, us, vs, ws)
 
 
 @settings(max_examples=40, deadline=None)
