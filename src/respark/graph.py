@@ -148,6 +148,10 @@ class WeightedGraph:
             raise ValueError(f"prefix length {count} outside [0, {self.m}]")
         return WeightedGraph(self.n, self.u[:count], self.v[:count], self.weight[:count])
 
+    def merged_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(u, v, weight): the columns the instruments read L_H from."""
+        return self.u, self.v, self.weight
+
     def laplacian(self) -> np.ndarray:
         return build_laplacian(self)
 
@@ -426,9 +430,9 @@ def read_edge_list(path) -> WeightedGraph:
     One edge per line, "u v w" whitespace-separated; '#' starts a comment
     line and blank lines are ignored. The first non-comment line may be
     "n <count>" to declare a vertex count that includes isolated vertices;
-    otherwise n = max id + 1. A bad line raises ValueError starting
-    'path:lineno:'; text that is not UTF-8, or a graph that WeightedGraph
-    rejects, one starting 'path:'.
+    otherwise n = max id + 1. Numbers are ASCII without '_'. A bad line
+    raises ValueError starting 'path:lineno:'; text that is not UTF-8, or a
+    graph that WeightedGraph rejects, one starting 'path:'.
     """
     declared_n = None
     triples: list[tuple[int, int, float]] = []
@@ -443,6 +447,8 @@ def read_edge_list(path) -> WeightedGraph:
             continue
         tokens = line.split()
         try:
+            if not all(tok.isascii() and "_" not in tok for tok in tokens):
+                raise ValueError(f"need plain ASCII numbers, got {line!r}")
             if tokens[0] == "n" and declared_n is None and not triples:  # the first data line
                 if len(tokens) != 2:
                     raise ValueError(f"malformed size line {line!r}")

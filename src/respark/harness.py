@@ -50,8 +50,8 @@ REPORT_SCHEMA_VERSION = 1
 class GeneratorSpec:
     """A seeded graph-generation request.
 
-    Weight range [weight_min, weight_max] is sampled uniformly per edge;
-    the degenerate range [1, 1] gives unit weights exactly.
+    Weight range [weight_min, weight_max], finite, is sampled uniformly
+    per edge; the degenerate range [1, 1] gives unit weights exactly.
     """
 
     model: str
@@ -69,10 +69,9 @@ class GeneratorSpec:
         if self.model == "erdos-renyi":
             if self.p is None or not 0.0 < self.p <= 1.0:
                 raise ValueError(f"erdos-renyi needs edge probability in (0, 1], got {self.p}")
-        if not 0.0 < self.weight_min <= self.weight_max:
-            raise ValueError(
-                f"need 0 < weight_min <= weight_max, got [{self.weight_min}, {self.weight_max}]"
-            )
+        if not 0.0 < self.weight_min <= self.weight_max < math.inf:  # NaN fails too
+            raise ValueError(f"need 0 < weight_min <= weight_max < inf, "
+                             f"got [{self.weight_min}, {self.weight_max}]")
 
 
 def tree_first_order(g: WeightedGraph) -> WeightedGraph:

@@ -274,23 +274,21 @@ class Sparsifier:
         return [*self.alive, *block]
 
     def merged_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(u, v, weight) of the merged copies: each alive edge once, at weight
-        count * a_e / (N * p); empty when no copy survives."""
-        merged = self.combined_with(())
-        return merged.u, merged.v, merged.weight
+        """(u, v, weight) of the merged copies: each alive edge once, in id
+        order, at weight count * a_e / (N * p); empty when no copy survives."""
+        g, alive = self.graph, np.flatnonzero(self.count[: self.arrived])
+        w = self.count[alive] * (g.weight[alive] / (self.budget_n * self.p[alive]))
+        return g.u[alive], g.v[alive], w
 
     def laplacian(self) -> np.ndarray:
         """Laplacian of merged_columns(), built anew on every call and not kept."""
         return laplacian_from_arrays(self.n, *self.merged_columns())
 
     def combined_with(self, block: Sequence[int]) -> WeightedGraph:
-        """The merged sparsifier (each alive edge once, at weight
-        count * a_e / (N * p)) plus the raw edges of the next block."""
-        g, ids = self.graph, np.array(self._targets(block), dtype=np.int64)
-        alive = ids[: len(ids) - len(block)]
-        w = g.weight[ids]
-        w[: len(alive)] = self.count[alive] * (w[: len(alive)] / (self.budget_n * self.p[alive]))
-        return WeightedGraph(g.n, g.u[ids], g.v[ids], w)
+        """The graph of merged_columns() with the raw edges of the next block appended."""
+        g, ids = self.graph, np.array(block, dtype=np.int64)
+        columns = zip(self.merged_columns(), (g.u[ids], g.v[ids], g.weight[ids]))
+        return WeightedGraph(g.n, *map(np.concatenate, columns))
 
 
 def _estimate_column(estimates, targets: list[int]) -> np.ndarray:
@@ -815,8 +813,10 @@ def read_sparsifier(
     """Read a sparsifier file, checking every row (against n or graph when given).
 
     The file must be laid out as write_sparsifier writes it. Line 1 is the
-    header, a comment holding 'respark sparsifier' whose step, N and seed
-    must be integers. Every later line is one row, so row k is line k + 2:
+    header, a comment holding 'respark sparsifier' and each of step=, N=
+    and seed= once, every value an optional '-' then ASCII digits, with
+    step >= 0 and N in [1, 2**63). Every later line is one row, so row k is
+    line k + 2:
     'u v weight e j p_tilde' with 64-bit integers u, v, e, j and floats
     weight, p_tilde, all plain ASCII decimals (the grammar of np.loadtxt),
     with distinct vertex ids in [0, n), a finite weight > 0, an edge id
@@ -827,8 +827,7 @@ def read_sparsifier(
 
     With graph, n is graph.n and the rows must also be what write_sparsifier
     writes for it: e < graph.m, u v are edge e's endpoints in the graph's
-    order, and, when the header gives N, the weight is a_e / (N * p_tilde)
-    bit for bit.
+    order, and the weight is a_e / (N * p_tilde) bit for bit.
 
     n, when given, must be an integer >= 0. A bad row, a blank line or a
     comment after line 1 raises ValueError starting 'path:lineno:', a bad or
@@ -850,11 +849,10 @@ def read_sparsifier(
         n = graph.n
     bound = math.inf if n is None else n
     try:
-        header, runs, copies, stop = _read_runs(path)
+        (step, budget, seed), runs, copies, stop = _read_runs(path)
     except ValueError:  # not UTF-8, or a missing or bad header
         _raise_decode_error(path)
         raise
-    budget = header.get("N", math.inf)
     bad = _first_bad_row(runs, copies, bound, budget, graph)
     if bad is not None or stop is not None:
         k, check = bad or (stop, "parse")
@@ -865,7 +863,7 @@ def read_sparsifier(
     if n is None:
         n = 1 + int(max(edges["u"].max(), edges["v"].max())) if len(firsts) else 0
     return LoadedSparsifier(
-        n, *(header.get(key, 0) for key in ("step", "N", "seed")),
+        n, step, budget, seed,
         **edges, count=np.add.reduceat(runs["count"], firsts), copies=copies,
     )
 
@@ -878,16 +876,15 @@ _RUN_DTYPE = np.dtype(
 )
 
 
-def _read_runs(path) -> tuple[dict[str, int], np.ndarray, np.ndarray, int | None]:
-    """(header, runs, copy ids, stop) of a file: its header line, then its
-    rows read a chunk of whole lines at a time.
+def _read_runs(path) -> tuple[tuple[int, int, int], np.ndarray, np.ndarray, int | None]:
+    """(header, runs, copy ids, stop) of a file: its header's (step, N, seed),
+    then its rows read a chunk of whole lines at a time.
 
     The rows are those before the first line after the header that is not
     a row (a blank line, a comment or text that does not parse); stop is
     that line's row index, or None when there is no such line. A missing
-    header or a header field that is not an integer raises its ValueError,
-    and text that is not UTF-8 raises UnicodeDecodeError (at a chunk's
-    offset).
+    or bad header raises _read_header's ValueError, and text that is not
+    UTF-8 raises UnicodeDecodeError (at a chunk's offset).
     """
     stop, count = None, 0
     runs, copies = [np.empty(0, _RUN_DTYPE)], [_NO_COPIES]
@@ -965,22 +962,28 @@ def _parse_rows(lines) -> np.ndarray | None:
         return None
 
 
-def _read_header(path, line: str) -> dict[str, int]:
-    """The integer fields of line 1, which must be the comment holding
-    'respark sparsifier'."""
+def _read_header(path, line: str) -> tuple[int, int, int]:
+    """(step, N, seed) of line 1, which must be the comment holding
+    'respark sparsifier' and each field once as a 'key=value' token: an
+    optional '-' then ASCII digits of any size, with step >= 0 and N in
+    [1, 2**63). Anything else raises ValueError starting 'path:'."""
     if not (line.lstrip().startswith("#") and "respark sparsifier" in line):
         raise ValueError(f"{path}: missing sparsifier header comment")
-    fields = dict(tok.split("=", 1) for tok in line.split() if "=" in tok)
-    header = {}
+    pairs = [tok.split("=", 1) for tok in line.split() if "=" in tok]
+    header = []
     for key in ("step", "N", "seed"):
-        if key in fields:
-            try:
-                header[key] = int(fields[key])
-            except ValueError:
-                raise ValueError(
-                    f"{path}: header {key}={fields[key]!r} is not an integer"
-                ) from None
-    return header
+        values = [value for name, value in pairs if name == key]
+        if len(values) != 1:
+            raise ValueError(f"{path}: header needs {key}= once, got it {len(values)} times")
+        digits = values[0].removeprefix("-")
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"{path}: header {key}={values[0]!r} is not an integer")
+        header.append(int(values[0]))
+    step, budget, seed = header
+    if step < 0 or not 1 <= budget < _MAX_BUDGET:
+        raise ValueError(f"{path}: header needs step >= 0 and N in [1, 2**63), "
+                         f"got step={step} N={budget}")
+    return step, budget, seed
 
 
 _ROW_ERRORS = {
@@ -1039,10 +1042,9 @@ def _first_bad_row(
         ok = np.flatnonzero(run_ok)
         at = np.minimum(e[ok], graph.m)
         gu, gv = (np.append(x, -1) for x in (graph.u, graph.v))
-        rules = [("edge", (u[ok] == gu[at]) & (v[ok] == gv[at]))]
-        if 0 < budget < math.inf:
-            a = np.append(graph.weight, np.nan)[at]
-            rules.append(("weight", w[ok] == a / (budget * p[ok])))
+        a = np.append(graph.weight, np.nan)[at]
+        rules = [("edge", (u[ok] == gu[at]) & (v[ok] == gv[at])),
+                 ("weight", w[ok] == a / (budget * p[ok]))]
         for check, rule_ok in rules:
             if not rule_ok.all():
                 found.append((int(starts[ok[rule_ok.argmin()]]), check))

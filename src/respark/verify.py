@@ -84,24 +84,6 @@ class DiagnosticsRecord:
 DIAGNOSTICS_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 
-def _columns_of(h) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """h's (u, v, weight) edge columns: a graph's own, else h.merged_columns()
-    (a sparsifier, in memory or read back). Edgeless h has empty columns."""
-    if isinstance(h, WeightedGraph):
-        return h.u, h.v, h.weight
-    try:
-        return h.merged_columns()
-    except AttributeError as exc:
-        raise TypeError(
-            f"{type(h).__name__} is no graph and has no merged_columns() to build its laplacian"
-        ) from exc
-
-
-def _laplacian_of(h) -> np.ndarray:
-    """L_H from _columns_of(h); the zero matrix when h has no edges."""
-    return laplacian_from_arrays(h.n, *_columns_of(h))
-
-
 def _reference_context(h, reference: WeightedGraph | ProjectionContext) -> ProjectionContext:
     """reference as a context, a graph through projection_context; h must share its n."""
     g = reference.graph if isinstance(reference, ProjectionContext) else reference
@@ -115,11 +97,11 @@ def spectral_check(
 ) -> tuple[bool, float]:
     """Test (1-eps) x'L_G x <= x'L_H x <= (1+eps) x'L_G x for all x.
 
-    h may be a plain graph or a sparsifier (anything with n and
-    merged_columns()); L_H is built from its edge columns, so an h without
-    edges reads worst deviation exactly 1. reference is G itself or a
-    projection context of G, which spares a caller that already holds one
-    a second factorisation. The ratios are the eigenvalues of S L_H S (S
+    h is anything with n and merged_columns(), a graph or a sparsifier;
+    L_H is built from those columns, so an h without edges reads worst
+    deviation exactly 1. reference is G itself or a projection context of
+    G, which spares a caller that already holds one a second
+    factorisation. The ratios are the eigenvalues of S L_H S (S
     the pseudoinverse square root of L_G) on the range of L_G, those of
     B' L_H B with B the range basis of G's context; the check passes when
     every one lies in [1-eps, 1+eps] with 1e-9 slack. Returns (passed,
@@ -132,7 +114,7 @@ def spectral_check(
         raise ValueError(f"eps must be non-negative, got {eps}")
     b = _reference_context(h, reference).range_basis
     # L_H is a temporary, let go once B' L_H is formed
-    ratios = np.linalg.eigvalsh(b.T @ _laplacian_of(h) @ b)
+    ratios = np.linalg.eigvalsh(b.T @ laplacian_from_arrays(h.n, *h.merged_columns()) @ b)
     worst = float(np.abs(ratios - 1.0).max())
     return worst <= eps + 1e-9, worst
 
@@ -155,23 +137,25 @@ def projection_error(h, reference: WeightedGraph | ProjectionContext) -> float:
 
     L_H is PSD, so every lambda >= 0 and 1 - lambda <= 1: once the top
     eigenvalue lambda_max is >= 2 the norm is lambda_max - 1, whatever the
-    bottom of the pencil. Above _LANCZOS_ABOVE vertices, the variation's
-    crossover, _lanczos_top reads lambda_max from h's merged columns (a
-    graph's own columns, a sparsifier's merged_columns()); a Ritz value
+    bottom of the pencil. h is anything with n and merged_columns(), a
+    graph or a sparsifier, and both reads take L_H from those columns, so
+    an h without edges reads exactly 1.0. Above _LANCZOS_ABOVE vertices,
+    the variation's crossover, _lanczos_top reads lambda_max; a Ritz value
     never exceeds lambda_max, so a read >= 2 is returned less 1. Otherwise,
     and at every size at or below the crossover, one eigvalsh of the formed
-    pencil C^-1 L_H C^-T gives the norm. Both read L_H from h's edge
-    columns, so an h without edges reads exactly 1.0.
+    pencil C^-1 L_H C^-T gives the norm.
 
     Raises GraphConnectivityError when G is disconnected and ValueError on
     a vertex-count mismatch or a G without edges.
     """
     rows = _grounded_rows(_reference_context(h, reference), "projection error")
+    columns = h.merged_columns()
     if h.n > _LANCZOS_ABOVE:
-        top = _lanczos_top(rows, *_columns_of(h))
+        top = _lanczos_top(rows, *columns)
         if top >= 2.0:
             return top - 1.0
-    return float(np.abs(1.0 - _pencil_eigenvalues(rows, _laplacian_of(h))).max())
+    pencil = _pencil_eigenvalues(rows, laplacian_from_arrays(h.n, *columns))
+    return float(np.abs(1.0 - pencil).max())
 
 
 def _grounded_rows(ctx: ProjectionContext, what: str) -> np.ndarray:

@@ -42,6 +42,20 @@ def test_gen_is_byte_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "bounds", [("1", "inf"), ("inf", "inf"), ("1", "nan")], ids=["max-inf", "both-inf", "max-nan"]
+)
+def test_gen_refuses_non_finite_weight_bounds(tmp_path, capsys, bounds):
+    path = tmp_path / "g.edges"
+    code = main(["gen", "--model", "path", "--n", "5", "--weight-min", bounds[0],
+                 "--weight-max", bounds[1], "--output", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == (f"error: need 0 < weight_min <= weight_max < inf, "
+                   f"got [{float(bounds[0])}, {float(bounds[1])}]\n")
+    assert not path.exists()
+
+
 def test_resistances_prints_sum_identity(tmp_path, capsys):
     path = _gen(tmp_path)
     capsys.readouterr()
@@ -687,7 +701,9 @@ def test_verify_rejects_a_file_whose_line_1_is_not_the_header(tmp_path, capsys, 
     assert err == f"error: {sp}: missing sparsifier header comment\n"
 
 
-@pytest.mark.parametrize("field", ["step=1.5", "N=two", "seed=0x1"])
+@pytest.mark.parametrize(
+    "field", ["step=1.5", "N=two", "seed=0x1", "step=+1", "N=1_0", "seed=٣", "N=", "seed=-"]
+)
 def test_verify_rejects_non_integer_header_fields(tmp_path, capsys, field):
     graph = tmp_path / "g.edges"
     graph.write_text("0 1 1.0\n1 2 1.0\n")
@@ -697,15 +713,43 @@ def test_verify_rejects_non_integer_header_fields(tmp_path, capsys, field):
     header[key] = value
     sp.write_text(
         "# respark sparsifier " + " ".join(f"{k}={v}" for k, v in header.items())
-        + "\n0 1 1.0 0 0 1.0\n"
+        + "\n0 1 1.0 0 0 1.0\n", encoding="utf-8"
     )
     code = main([
         "verify", "--graph", str(graph), "--sparsifier", str(sp), "--epsilon", "0.5",
     ])
     err = capsys.readouterr().err
     assert code == 2
-    assert f"h.sparsifier: header {key}=" in err
-    assert "Traceback" not in err
+    assert err == f"error: {sp}: header {key}={value!r} is not an integer\n"
+
+
+_HEADER_RANGE = "header needs step >= 0 and N in [1, 2**63)"
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ("", "header needs step= once, got it 0 times"),
+        ("step=1 N=5 N=9 seed=0", "header needs N= once, got it 2 times"),
+        ("step=1 N=2 seed=0 seed=0", "header needs seed= once, got it 2 times"),
+        ("step=-1 N=2 seed=0", f"{_HEADER_RANGE}, got step=-1 N=2"),
+        (f"step=1 N={2**63} seed=0", f"{_HEADER_RANGE}, got step=1 N={2**63}"),
+    ],
+    ids=["bare", "N-twice", "seed-twice", "step=-1", "N=2**63"],
+)
+def test_verify_rejects_a_header_without_one_of_each_field(tmp_path, capsys, fields, message):
+    # each of step, N and seed once, with step >= 0 and N in [1, 2**63);
+    # no field is taken as a default (a missing N and N = 0 are under
+    # test_verify_rejects_rows_that_contradict_the_graph)
+    graph = tmp_path / "g.edges"
+    graph.write_text("0 1 1.0\n1 2 1.0\n")
+    sp = tmp_path / "h.sparsifier"
+    sp.write_text(f"# respark sparsifier {fields}\n0 1 0.5 0 0 1.0\n", encoding="utf-8")
+    code = main([
+        "verify", "--graph", str(graph), "--sparsifier", str(sp), "--epsilon", "0.5",
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {sp}: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -725,13 +769,13 @@ def test_verify_rejects_non_integer_header_fields(tmp_path, capsys, field):
         # out of (e, j) order: edge 0's rows are lines 2 and 4
         ("N=2", "0 1 0.5 0 0 1.0\n1 2 0.5 1 0 1.0\n0 1 1.0 0 1 0.5\n", "h.sparsifier:4:",
          "e=0 j=1 follows line 3"),
-        # without N no weight is implied, so only the one-p_tilde rule applies
-        ("", "0 1 0.5 0 0 1.0\n0 1 0.5 0 1 0.5\n", "h.sparsifier:3:",
-         "edge e=0 differs from line 2 in u v, weight or p_tilde"),
+        # a header without N is refused before any row is read
+        ("", "0 1 0.5 0 0 1.0\n0 1 0.5 0 1 0.5\n", "h.sparsifier: ",
+         "header needs N= once, got it 0 times"),
         ("N=2", "0 1 1.0 0 0 1.0\n", "h.sparsifier:2:", "a_e / (N * p_tilde)"),  # 1/(2*1) = 0.5
         ("N=2", "0 1 0.5000000000000001 0 0 1.0\n", "h.sparsifier:2:", "a_e / (N * p_tilde)"),
-        # N = 0 admits no copy; no weight a_e / (0 * p_tilde) is computed
-        ("N=0", "0 1 0.5 0 0 1.0\n", "h.sparsifier:2:", "copy index j in [0, 0)"),
+        # N = 0 admits no copy, and is refused in the header
+        ("N=0", "0 1 0.5 0 0 1.0\n", "h.sparsifier: ", "N in [1, 2**63), got step=1 N=0"),
     ],
 )
 def test_verify_rejects_rows_that_contradict_the_graph(

@@ -614,10 +614,33 @@ def test_edge_list_errors(tmp_path):
         read_edge_list(binary)
 
 
+@pytest.mark.parametrize(
+    "text, lineno",
+    [
+        ("n 1_0\n0 1 1.0\n", 1),  # int() reads n = 10
+        ("n ٣\n0 1 1.0\n", 1),  # int() reads n = 3
+        ("0 1 1.0\n0 ٢ 1_0.5\n", 2),  # int() and float() read (0, 2) at 10.5
+        ("# comment\n0 1 1.0\n1 2 ２.0\n", 3),  # a full-width digit
+    ],
+)
+def test_edge_list_numbers_are_plain_ascii(tmp_path, text, lineno):
+    path = tmp_path / "g.edges"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        read_edge_list(path)
+    assert str(info.value).startswith(f"{path}:{lineno}: need plain ASCII numbers, got ")
+
+
 def _reference_edge_list(lines):
     """The edge-list format read line by line: (n, triples), or raises
     ValueError holding the bad line's number (None for a bad graph), then any
-    words the reader's message must hold."""
+    words the reader's message must hold. Numbers are ASCII without '_'."""
+
+    def number(kind, tok):
+        if not tok.isascii() or "_" in tok:
+            raise ValueError(tok)
+        return kind(tok)
+
     declared, triples, first = None, [], True
     for lineno, line in enumerate(lines, start=1):
         tokens = line.split()
@@ -627,11 +650,12 @@ def _reference_edge_list(lines):
             if first and tokens[0] == "n":
                 if len(tokens) != 2:
                     raise ValueError
-                declared = int(tokens[1])
+                declared = number(int, tokens[1])
             elif len(tokens) != 3:
                 raise ValueError
             else:
-                triples.append((int(tokens[0]), int(tokens[1]), float(tokens[2])))
+                triples.append((number(int, tokens[0]), number(int, tokens[1]),
+                                number(float, tokens[2])))
         except ValueError:
             raise ValueError(lineno) from None
         first = False
@@ -673,6 +697,8 @@ _EDGE_LINES = st.one_of(
 @example(lines=["n 0"])
 @example(lines=["0 99999999999999999999 0.5"])
 @example(lines=["n 99999999999999999999", "0 1 0.5"])
+@example(lines=["n 1_0", "0 1 0.5"])
+@example(lines=["0 ٢ 1_0.5"])
 def test_edge_list_fuzz_matches_reference(tmp_path_factory, lines):
     # every input reads to the reference graph or fails naming the file
     path = tmp_path_factory.mktemp("fuzz") / "g.edges"

@@ -46,6 +46,10 @@ def _cfg(g, seed=0, budget=50, eps=0.5):
         dict(model="erdos-renyi", n=5, p=1.5),
         dict(model="path", n=5, weight_min=2.0, weight_max=1.0),
         dict(model="path", n=5, weight_min=0.0, weight_max=1.0),
+        # non-finite bounds, which rng.uniform cannot draw between
+        dict(model="path", n=5, weight_min=1.0, weight_max=math.inf),
+        dict(model="path", n=5, weight_min=math.inf, weight_max=math.inf),
+        dict(model="path", n=5, weight_min=1.0, weight_max=math.nan),
     ],
 )
 def test_generator_spec_validation(kwargs):

@@ -1190,10 +1190,27 @@ def test_writer_bytes_match_reference_without_copies(tmp_path):
     assert {int(line.split()[3]) for line in ours.splitlines()[1:]}.isdisjoint(dead)
 
 
+def test_a_writer_file_reads_back_any_integer_seed(tmp_path):
+    # a CLI --seed is any integer and run_experiment's trial seeds,
+    # child_seed's, reach 2**64 - 1: the header reads each back whole
+    g = generate(GeneratorSpec("erdos-renyi", 8, p=0.6, seed=1))
+    trial = next(seed for t in range(64)
+                 if (seed := RandomTape(0).child_seed(f"trial/{t}")) >= 2**63)
+    path = tmp_path / "h.sparsifier"
+    for seed in (2**70, trial, -3):
+        h, _ = stream_sparsify(g, _small_cfg(g, seed=seed, budget=20), block_size=3,
+                               resistance_mode="exact", diagnostics=False)
+        write_sparsifier(h, path)
+        header = path.read_text().split("\n", 1)[0]
+        assert header == f"# respark sparsifier step={h.step} N=20 seed={seed}"
+        loaded = read_sparsifier(path, graph=g)
+        assert (loaded.step, loaded.budget_n, loaded.seed) == (h.step, 20, seed)
+
+
 def _reference_read(path, n=None):
     """A row-at-a-time reader of the writer's layout, with every check of the
     file contract: line 1 the header, every later line one row. Returns
-    (header, rows) or raises ValueError."""
+    ((step, N, seed), rows) or raises ValueError."""
     bound = math.inf if n is None else n
 
     def number(kind, tok):
@@ -1206,12 +1223,16 @@ def _reference_read(path, n=None):
     first = lines[0][1].strip() if lines else ""
     if not (first.startswith("#") and "respark sparsifier" in first):
         raise ValueError(f"{path}: missing header")
-    fields = dict(tok.split("=", 1) for tok in first.split() if "=" in tok)
-    try:
-        header = {k: int(fields[k]) for k in ("step", "N", "seed") if k in fields}
-    except ValueError:
-        raise ValueError(f"{path}: header") from None
-    budget = header.get("N", math.inf)
+    pairs = [tok.split("=", 1) for tok in first.split() if "=" in tok]
+    header = []
+    for key in ("step", "N", "seed"):
+        values = [value for name, value in pairs if name == key]
+        if len(values) != 1 or not re.fullmatch("-?[0-9]+", values[0], re.ASCII):
+            raise ValueError(f"{path}: header")
+        header.append(int(values[0]))
+    step, budget, _ = header
+    if not (step >= 0 and 1 <= budget < 2**63):
+        raise ValueError(f"{path}: header")
     rows = []
     for lineno, raw in lines[1:]:
         tokens = raw.split()  # a blank line has none, a comment a '#' token
@@ -1231,7 +1252,7 @@ def _reference_read(path, n=None):
         if rows and rows[-1][3] == e and rows[-1][:3] + rows[-1][5:] != (u, v, w, p):
             raise ValueError(f"{path}:{lineno}: mixed")  # differs from the row before
         rows.append((u, v, w, e, j, p))
-    return header, rows
+    return tuple(header), rows
 
 
 def _where(exc, path):
@@ -1252,9 +1273,7 @@ def _assert_reads_like_reference(path, n=None):
         assert _where(info.value, path) == _where(ref_exc, path), str(info.value)
         return
     loaded = read_sparsifier(path, n)
-    assert (loaded.step, loaded.budget_n, loaded.seed) == (
-        header.get("step", 0), header.get("N", 0), header.get("seed", 0)
-    )
+    assert (loaded.step, loaded.budget_n, loaded.seed) == header
     # per edge by ascending e: its fields, its number of copies and its copy ids, ascending
     ids = {}
     for u, v, w, e, j, p in rows:
@@ -1420,14 +1439,26 @@ _BAD_LINES = st.one_of(
     _ROW.map(lambda row: row + " # trailing comment"),
     st.lists(_TOKENS, min_size=5, max_size=7).map(" ".join),
     st.sampled_from(["", "  \t", "# comment", "# respark sparsifier step=1 N=3 seed=2",
-                     "# respark sparsifier step=x N=5", "# respark sparsifier N=1_0"]),
+                     "# respark sparsifier step=x N=5", "# respark sparsifier N=1_0",
+                     "# respark sparsifier", "# respark sparsifier step=+1 N=1_0 seed=٣",
+                     "# respark sparsifier step=1 N=5 N=9 seed=0",
+                     "# respark sparsifier step=1 N=0 seed=0",
+                     "# respark sparsifier step=-1 N=3 seed=0",
+                     f"# respark sparsifier step=1 N={2**63} seed=0"]),
 )
+# headers valid for _GOOD_ROWS: N = 6, the fields in any order, any seed
+_GOOD_HEADERS = st.sampled_from([
+    "# respark sparsifier step=2 N=6 seed=1",
+    f"# respark sparsifier step=0 N=6 seed={2**70}",
+    "# respark sparsifier seed=-5 N=6 step=3",
+])
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     rows=_GOOD_ROWS,
     extra=st.lists(st.tuples(st.integers(0, 8), _BAD_LINES), max_size=2),
+    header=_GOOD_HEADERS,
     header_at=st.sampled_from([0, 0, 0, 1, None]),
     sep=st.sampled_from(["\n", "\r\n", " \t\n"]),
     end=st.booleans(),
@@ -1435,7 +1466,7 @@ _BAD_LINES = st.one_of(
     chunk=st.integers(1, 60),
 )
 def test_reader_fuzz_matches_reference(
-    tmp_path_factory, rows, extra, header_at, sep, end, n, chunk
+    tmp_path_factory, rows, extra, header, header_at, sep, end, n, chunk
 ):
     # mostly writer files (the header on line 1, with or without a final
     # newline) with up to two inserted lines that may break them, the header
@@ -1445,7 +1476,7 @@ def test_reader_fuzz_matches_reference(
     for pos, line in extra:
         lines.insert(pos, line)
     if header_at is not None:
-        lines.insert(header_at, "# respark sparsifier step=2 N=6 seed=1")
+        lines.insert(header_at, header)
     p = tmp_path_factory.mktemp("fuzz") / "f.sparsifier"
     p.write_bytes((sep.join(lines) + (sep if end and lines else "")).encode("utf-8"))
     _assert_reads_like_reference(p, n)

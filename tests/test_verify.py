@@ -104,8 +104,26 @@ def test_spectral_check_validation():
     spread = WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1e-12)])
     with pytest.raises(GraphConnectivityError, match="exactly one null eigenvalue, found 2"):
         spectral_check(spread, projection_context(spread), eps=0.5)
-    with pytest.raises(TypeError, match="laplacian"):
+    # h is read through n and merged_columns() alone
+    with pytest.raises(AttributeError, match="merged_columns"):
         spectral_check(SimpleNamespace(n=3), K3, eps=0.5)
+    with pytest.raises(AttributeError, match="merged_columns"):
+        projection_error(SimpleNamespace(n=3), K3)
+
+
+def test_instruments_read_a_sparsifier_without_building_a_graph(monkeypatch):
+    g = generate(GeneratorSpec("erdos-renyi", 12, p=0.5, seed=5))
+    h, _ = stream_sparsify(g, _cfg(g, seed=9, budget=400), block_size=10,
+                           resistance_mode="exact", diagnostics=False)
+    built = []
+    check = WeightedGraph.__post_init__
+    monkeypatch.setattr(WeightedGraph, "__post_init__", lambda self: built.append(check(self)))
+    spectral_check(h, g, 0.5)
+    projection_error(h, g)
+    assert built == []
+    # the spy sees a graph that is built
+    WeightedGraph.from_edges(2, [(0, 1, 1.0)])
+    assert built == [None]
 
 
 def test_spectral_check_with_a_given_context():
