@@ -274,11 +274,9 @@ class Sparsifier:
         return [*self.alive, *block]
 
     def merged_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(u, v, weight) of the merged copies: each alive edge once, in id
-        order, at weight count * a_e / (N * p); empty when no copy survives."""
-        g, alive = self.graph, np.flatnonzero(self.count[: self.arrived])
-        w = self.count[alive] * (g.weight[alive] / (self.budget_n * self.p[alive]))
-        return g.u[alive], g.v[alive], w
+        """_merged_columns of the alive edges, in id order; empty when no copy survives."""
+        alive = np.flatnonzero(self.count[: self.arrived])
+        return _merged_columns(self.graph, alive, self.count[alive], self.p[alive], self.budget_n)
 
     def laplacian(self) -> np.ndarray:
         """Laplacian of merged_columns(), built anew on every call and not kept."""
@@ -289,6 +287,15 @@ class Sparsifier:
         g, ids = self.graph, np.array(block, dtype=np.int64)
         columns = zip(self.merged_columns(), (g.u[ids], g.v[ids], g.weight[ids]))
         return WeightedGraph(g.n, *map(np.concatenate, columns))
+
+
+def _merged_columns(
+    g: WeightedGraph, ids: np.ndarray, count: np.ndarray, p: np.ndarray, budget: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u, v, weight) of the merged copies of edges ids of g, with count
+    copies at probability p each: every edge once, at count * a_e / (N * p).
+    Both sparsifier states build their Laplacians from these triples."""
+    return g.u[ids], g.v[ids], count * (g.weight[ids] / (budget * p))
 
 
 def _estimate_column(estimates, targets: list[int]) -> np.ndarray:
@@ -767,50 +774,47 @@ def write_sparsifier(h: Sparsifier, path) -> None:
 
 @dataclass(frozen=True, eq=False)
 class LoadedSparsifier:
-    """A sparsifier file read back, shaped like Sparsifier.
+    """A sparsifier file read back against its graph, shaped like Sparsifier.
 
-    e, u, v, weight, p_tilde and count are read-only per-edge columns over
-    the edges with rows in the file, by ascending e: each edge's endpoints,
-    copy weight, probability and number of copies. copies holds the copy
-    ids in CSR order: edge after edge, ascending within an edge. So the
-    memory held is 8 bytes a copy plus the per-edge columns. The Laplacian
-    is built from merged_columns(), (u, v, count * weight), as Sparsifier
-    builds its own, so a written Sparsifier read back with its n has the
-    same merged columns and Laplacian bit for bit.
+    It holds only what the file adds to the graph: e, p_tilde and count are
+    read-only per-edge columns over the edges with rows in the file, by
+    ascending e, and copies holds the copy ids in CSR order: edge after
+    edge, ascending within an edge. So the memory held is 8 bytes a copy
+    plus the per-edge columns. read_sparsifier proves a row's u, v and
+    weight equal to the graph's endpoints of e and a_e / (N * p_tilde) bit
+    for bit, so merged_columns() builds the triples as Sparsifier's does,
+    and a written Sparsifier read back has the same Laplacian bit for bit.
     """
 
-    n: int
+    graph: WeightedGraph
     step: int
     budget_n: int
     seed: int
     e: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    weight: np.ndarray
     p_tilde: np.ndarray
     count: np.ndarray
     copies: np.ndarray
 
     def __post_init__(self) -> None:
-        for column in (self.e, self.u, self.v, self.weight, self.p_tilde, self.count, self.copies):
+        for column in (self.e, self.p_tilde, self.count, self.copies):
             _read_only(column)
+
+    n = property(lambda self: self.graph.n)
 
     def copy_count(self) -> int:
         return len(self.copies)
 
     def merged_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(u, v, weight) of the merged copies: each edge once, at count * weight."""
-        return self.u, self.v, self.count * self.weight
+        """_merged_columns of the file's edges, by ascending e."""
+        return _merged_columns(self.graph, self.e, self.count, self.p_tilde, self.budget_n)
 
     def laplacian(self) -> np.ndarray:
         """Laplacian of merged_columns(), built anew on every call and not kept."""
         return laplacian_from_arrays(self.n, *self.merged_columns())
 
 
-def read_sparsifier(
-    path, n: int | None = None, graph: WeightedGraph | None = None
-) -> LoadedSparsifier:
-    """Read a sparsifier file, checking every row (against n or graph when given).
+def read_sparsifier(path, graph: WeightedGraph) -> LoadedSparsifier:
+    """Read the sparsifier file of graph, checking every row against it.
 
     The file must be laid out as write_sparsifier writes it. Line 1 is the
     header, a comment holding 'respark sparsifier' and each of step=, N=
@@ -819,19 +823,16 @@ def read_sparsifier(
     line k + 2:
     'u v weight e j p_tilde' with 64-bit integers u, v, e, j and floats
     weight, p_tilde, all plain ASCII decimals (the grammar of np.loadtxt),
-    with distinct vertex ids in [0, n), a finite weight > 0, an edge id
-    e >= 0, a copy index j in [0, N) and p_tilde in (0, 1]. The rows come
-    in the writer's order, strictly ascending in (e, j), and a row of the
-    same edge as the row before it agrees with it in u, v, weight and
-    p_tilde.
+    with distinct vertex ids in [0, graph.n), a finite weight > 0, an edge
+    id e >= 0, a copy index j in [0, N) and p_tilde in (0, 1]. The rows
+    come in the writer's order, strictly ascending in (e, j), and a row of
+    the same edge as the row before it agrees with it in u, v, weight and
+    p_tilde. Each row is also what write_sparsifier writes for graph:
+    e < graph.m, u v are edge e's endpoints in the graph's order, and the
+    weight is a_e / (N * p_tilde) bit for bit.
 
-    With graph, n is graph.n and the rows must also be what write_sparsifier
-    writes for it: e < graph.m, u v are edge e's endpoints in the graph's
-    order, and the weight is a_e / (N * p_tilde) bit for bit.
-
-    n, when given, must be an integer >= 0. A bad row, a blank line or a
-    comment after line 1 raises ValueError starting 'path:lineno:', a bad or
-    missing header one starting 'path:'.
+    A bad row, a blank line or a comment after line 1 raises ValueError
+    starting 'path:lineno:', a bad or missing header one starting 'path:'.
 
     The file is read and parsed a chunk of whole lines at a time, and each
     chunk's rows are kept as runs of one edge plus their copy ids, so the
@@ -839,32 +840,20 @@ def read_sparsifier(
     fault is read again by its number; a file that is not UTF-8 is decoded
     again a chunk at a time to find the offset of its first bad byte.
     """
-    if n is not None:
-        n = _integer("vertex count", n, ConfigError)
-        if n < 0:
-            raise ValueError(f"vertex count must be >= 0, got {n}")
-    if graph is not None:
-        if n is not None and n != graph.n:
-            raise ValueError(f"n={n} differs from the graph's {graph.n} vertices")
-        n = graph.n
-    bound = math.inf if n is None else n
     try:
         (step, budget, seed), runs, copies, stop = _read_runs(path)
     except ValueError:  # not UTF-8, or a missing or bad header
         _raise_decode_error(path)
         raise
-    bad = _first_bad_row(runs, copies, bound, budget, graph)
+    bad = _first_bad_row(runs, copies, budget, graph)
     if bad is not None or stop is not None:
         k, check = bad or (stop, "parse")
-        raise _row_error(path, runs, copies, k, check, bound, budget, graph)
+        raise _row_error(path, runs, copies, k, check, budget, graph)
     # in (e, j) order each edge's runs are adjacent and agree in all but count
     firsts = np.flatnonzero(np.diff(runs["e"], prepend=-1))
-    edges = {name: runs[name][firsts] for name in _RUN_DTYPE.names[:-1]}
-    if n is None:
-        n = 1 + int(max(edges["u"].max(), edges["v"].max())) if len(firsts) else 0
     return LoadedSparsifier(
-        n, step, budget, seed,
-        **edges, count=np.add.reduceat(runs["count"], firsts), copies=copies,
+        graph, step, budget, seed, e=runs["e"][firsts], p_tilde=runs["p_tilde"][firsts],
+        count=np.add.reduceat(runs["count"], firsts), copies=copies,
     )
 
 
@@ -965,8 +954,9 @@ def _parse_rows(lines) -> np.ndarray | None:
 def _read_header(path, line: str) -> tuple[int, int, int]:
     """(step, N, seed) of line 1, which must be the comment holding
     'respark sparsifier' and each field once as a 'key=value' token: an
-    optional '-' then ASCII digits of any size, with step >= 0 and N in
-    [1, 2**63). Anything else raises ValueError starting 'path:'."""
+    optional '-' then ASCII digits, with step >= 0 and N in [1, 2**63).
+    Anything else, digits past the count int() converts included, raises
+    ValueError starting 'path:'."""
     if not (line.lstrip().startswith("#") and "respark sparsifier" in line):
         raise ValueError(f"{path}: missing sparsifier header comment")
     pairs = [tok.split("=", 1) for tok in line.split() if "=" in tok]
@@ -978,7 +968,11 @@ def _read_header(path, line: str) -> tuple[int, int, int]:
         digits = values[0].removeprefix("-")
         if not (digits.isascii() and digits.isdigit()):
             raise ValueError(f"{path}: header {key}={values[0]!r} is not an integer")
-        header.append(int(values[0]))
+        try:
+            header.append(int(values[0]))
+        except ValueError:  # past Python's limit on the digits int() converts
+            raise ValueError(f"{path}: header {key}= has {len(digits)} digits, "
+                             "too many to read as an integer") from None
     step, budget, seed = header
     if step < 0 or not 1 <= budget < _MAX_BUDGET:
         raise ValueError(f"{path}: header needs step >= 0 and N in [1, 2**63), "
@@ -988,7 +982,7 @@ def _read_header(path, line: str) -> tuple[int, int, int]:
 
 _ROW_ERRORS = {
     "parse": "expected 'u v weight e j p_tilde' with 64-bit integers u, v, e, j, got {line!r}",
-    "range": "need distinct vertex ids in [0, {bound}), a finite weight > 0 and p_tilde "
+    "range": "need distinct vertex ids in [0, {n}), a finite weight > 0 and p_tilde "
              "in (0, 1], got {line!r}",
     "copy": "need an edge id e >= 0 and a copy index j in [0, {budget}), got {line!r}",
     "repeat": "copy j={j} of edge e={e} repeats line {earlier}",
@@ -1002,19 +996,20 @@ _ROW_ERRORS = {
 
 
 def _first_bad_row(
-    runs: np.ndarray, j: np.ndarray, bound, budget, graph: WeightedGraph | None = None
+    runs: np.ndarray, j: np.ndarray, budget: int, graph: WeightedGraph
 ) -> tuple[int, str] | None:
-    """The one row contract, on rows held as runs and their copy ids j:
-    (index, check) for the first row that breaks it, or None. check names
-    the _ROW_ERRORS entry; at one row the first of them in that order is
-    named. A rule on a run's fields breaks at the run's first row.
-    "repeat", "order" and "mixed" compare a row with the row before it. The
-    graph checks run only with a graph.
+    """The one row contract of graph's file, on rows held as runs and their
+    copy ids j: (index, check) for the first row that breaks it, or None.
+    check names the _ROW_ERRORS entry; at one row the first of them in that
+    order is named. A rule on a run's fields breaks at the run's first row.
+    "repeat", "order" and "mixed" compare a row with the row before it;
+    "edge" and "weight" compare it with the graph.
     """
     u, v, w, e, p, count = (runs[k] for k in ("u", "v", "weight", "e", "p_tilde", "count"))
     starts = count.cumsum() - count
+    n = graph.n
     in_range = (
-        (0 <= u) & (u < bound) & (0 <= v) & (v < bound) & (u != v)
+        (0 <= u) & (u < n) & (0 <= v) & (v < n) & (u != v)
         & (0.0 < w) & (w < math.inf) & (0.0 < p) & (p <= 1.0)
     )
     run_ok = in_range & (0 <= e)
@@ -1036,25 +1031,24 @@ def _first_bad_row(
     mixed = (e[1:] == e[:-1]) & differ
     if mixed.any():
         found.append((int(starts[mixed.argmax() + 1]), "mixed"))
-    if graph is not None:
-        # on the runs that keep the row rules; an edge id past the graph reads
-        # the -1 sentinel
-        ok = np.flatnonzero(run_ok)
-        at = np.minimum(e[ok], graph.m)
-        gu, gv = (np.append(x, -1) for x in (graph.u, graph.v))
-        a = np.append(graph.weight, np.nan)[at]
-        rules = [("edge", (u[ok] == gu[at]) & (v[ok] == gv[at])),
-                 ("weight", w[ok] == a / (budget * p[ok]))]
-        for check, rule_ok in rules:
-            if not rule_ok.all():
-                found.append((int(starts[ok[rule_ok.argmin()]]), check))
+    # on the runs that keep the row rules; an edge id past the graph reads
+    # the -1 sentinel
+    ok = np.flatnonzero(run_ok)
+    at = np.minimum(e[ok], graph.m)
+    gu, gv = (np.append(x, -1) for x in (graph.u, graph.v))
+    a = np.append(graph.weight, np.nan)[at]
+    rules = [("edge", (u[ok] == gu[at]) & (v[ok] == gv[at])),
+             ("weight", w[ok] == a / (budget * p[ok]))]
+    for check, rule_ok in rules:
+        if not rule_ok.all():
+            found.append((int(starts[ok[rule_ok.argmin()]]), check))
     # min keeps the first of equal indices, so the check first in order
     return min(found, key=lambda found_at: found_at[0], default=None)
 
 
 def _row_error(
-    path, runs: np.ndarray, j: np.ndarray, k: int, check: str, bound, budget,
-    graph: WeightedGraph | None,
+    path, runs: np.ndarray, j: np.ndarray, k: int, check: str, budget: int,
+    graph: WeightedGraph,
 ) -> ValueError:
     """The 'path:lineno:' error of row k, line k + 2, which breaks `check`
     (against row k - 1, line k + 1, for "repeat", "order" and "mixed")."""
@@ -1064,7 +1058,6 @@ def _row_error(
         copy = int(j[k])
     with open(path, "r", encoding="utf-8") as fh:  # a line at a time
         line = next(islice(fh, k + 1, None)).strip()
-    m = graph.m if graph is not None else None
     return ValueError(f"{path}:{k + 2}: " + _ROW_ERRORS[check].format(
-        line=line, bound=bound, budget=budget, m=m, e=e, j=copy, earlier=k + 1,
+        line=line, n=graph.n, budget=budget, m=graph.m, e=e, j=copy, earlier=k + 1,
     ))

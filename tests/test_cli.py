@@ -114,7 +114,7 @@ def test_sparsify_writes_outputs(tmp_path, capsys):
     assert code == 0
     assert "wrote" in capsys.readouterr().out
     g = read_edge_list(graph)
-    sp = read_sparsifier(out, n=g.n)
+    sp = read_sparsifier(out, graph=g)
     assert sp.budget_n == 60
     assert sp.copy_count() > 0
     records = read_diagnostics(diag)
@@ -721,6 +721,25 @@ def test_verify_rejects_non_integer_header_fields(tmp_path, capsys, field):
     err = capsys.readouterr().err
     assert code == 2
     assert err == f"error: {sp}: header {key}={value!r} is not an integer\n"
+
+
+@pytest.mark.parametrize("key", ["step", "N", "seed"])
+def test_verify_names_a_header_field_with_more_digits_than_int_reads(tmp_path, capsys, key):
+    # past 4,300 digits int() refuses a decimal string; the error names the field
+    graph = tmp_path / "g.edges"
+    graph.write_text("0 1 1.0\n1 2 1.0\n")
+    sp = tmp_path / "h.sparsifier"
+    header = {"step": "1", "N": "2", "seed": "0", key: "9" * 5000}
+    sp.write_text(
+        "# respark sparsifier " + " ".join(f"{k}={v}" for k, v in header.items())
+        + "\n0 1 0.5 0 0 1.0\n"
+    )
+    code = main([
+        "verify", "--graph", str(graph), "--sparsifier", str(sp), "--epsilon", "0.5",
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: {sp}: header {key}= has 5000 digits, too many to read as an integer\n"
 
 
 _HEADER_RANGE = "header needs step >= 0 and N in [1, 2**63)"

@@ -684,7 +684,7 @@ def test_sparsifier_laplacian_is_built_on_every_read(tmp_path):
     h, _ = stream_sparsify(g, _small_cfg(g, budget=7), block_size=5, resistance_mode="exact",
                            diagnostics=False)
     write_sparsifier(h, tmp_path / "h.sparsifier")
-    loaded = read_sparsifier(tmp_path / "h.sparsifier", n=g.n)
+    loaded = read_sparsifier(tmp_path / "h.sparsifier", g)
     for state in (h, loaded):
         lap = state.laplacian()
         want = lap.tobytes()
@@ -1035,64 +1035,61 @@ def test_addressed_draws_leave_every_copy_set_unchanged(kernel_calls, monkeypatc
 
 
 def test_sparsifier_file_round_trip(tmp_path):
+    # in every resistance mode, dead edges included, the file read back
+    # against its graph holds only the file's columns and gives the state's
+    # merged columns and Laplacian bit for bit
     g = generate(GeneratorSpec("erdos-renyi", 8, p=0.6, seed=1))
     cfg = _small_cfg(g, seed=42, budget=20)
-    h, _ = stream_sparsify(g, cfg, block_size=3, resistance_mode="exact",
-                           diagnostics=False)
     path = tmp_path / "h.sparsifier"
-    write_sparsifier(h, path)
-    loaded = read_sparsifier(path, n=g.n)
-    assert (loaded.step, loaded.budget_n, loaded.seed) == (h.step, 20, 42)
-    assert loaded.copy_count() == h.copy_count()
-    assert np.array_equal(loaded.laplacian(), h.laplacian())
-    alive = list(h.alive)
-    assert loaded.e.tolist() == alive and np.array_equal(loaded.count, h.count[alive])
-    assert np.array_equal(loaded.p_tilde, h.p[alive])
-    assert np.array_equal(loaded.copies, h.copies)
-    # without an explicit n the vertex count is inferred from endpoints
-    inferred = read_sparsifier(path)
-    assert inferred.n <= g.n
-    # the writer's rows pass every check against their graph
-    checked = read_sparsifier(path, graph=g)
-    assert checked.n == g.n and np.array_equal(checked.weight, loaded.weight)
-    with pytest.raises(ValueError, match="differs from the graph"):
-        read_sparsifier(path, n=g.n + 1, graph=g)
+    dead = {}
+    for mode in sparsify_mod.RESISTANCE_MODES:
+        h, _ = stream_sparsify(g, cfg, block_size=3, resistance_mode=mode, diagnostics=False)
+        write_sparsifier(h, path)
+        loaded = read_sparsifier(path, g)
+        assert loaded.graph is g and loaded.n == g.n
+        assert not {"u", "v", "weight"} & vars(loaded).keys()
+        assert (loaded.step, loaded.budget_n, loaded.seed) == (h.step, 20, 42)
+        assert loaded.copy_count() == h.copy_count()
+        alive = list(h.alive)
+        assert loaded.e.tolist() == alive and np.array_equal(loaded.count, h.count[alive])
+        assert np.array_equal(loaded.p_tilde, h.p[alive])
+        assert np.array_equal(loaded.copies, h.copies)
+        for got, want in zip(loaded.merged_columns(), h.merged_columns()):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert loaded.laplacian().tobytes() == h.laplacian().tobytes()
+        dead[mode] = h.arrived - len(alive)
+    assert dead["exact"] > 0 and dead["sparsifier"] > 0 and dead["nodrop"] == 0
 
 
-def test_read_sparsifier_takes_an_integer_vertex_count(tmp_path):
-    p = tmp_path / "h.sparsifier"
-    p.write_text("# respark sparsifier step=1 N=5 seed=0\n0 1 0.5 0 0 1.0\n1 2 0.5 1 0 1.0\n")
-    loaded = read_sparsifier(p, n=np.int64(3))
-    assert type(loaded.n) is int and loaded.n == 3
-    # were the file read, 2.5 would admit vertex 2 and "3" end in a NumPy type error
-    for n in (2.5, 3.0, "3"):
-        for graph in (None, PATH3):
-            with pytest.raises(ValueError, match=f"vertex count must be an integer, got {n!r}"):
-                read_sparsifier(p, n=n, graph=graph)
-    # a file without rows would load with n = -1, whose Laplacian cannot be built
-    with pytest.raises(ValueError, match="vertex count must be >= 0, got -1"):
-        read_sparsifier(p, n=-1)
+# the reader tests' graph: 7,000 parallel edges 0-1 of weight 2.5, so the row
+# '0 1 0.5 e j 1.0' is the writer's for every edge e at N = 5
+_PARALLEL = WeightedGraph(3, np.zeros(7000, np.int64), np.ones(7000, np.int64), np.full(7000, 2.5))
+
+
+def _writer_row(g, budget, e, j, p):
+    """The row write_sparsifier writes for copy j of g's edge e at N = budget and p_tilde p."""
+    return f"{g.u[e]} {g.v[e]} {float(g.weight[e]) / (budget * p)!r} {e} {j} {p!r}"
 
 
 def test_read_sparsifier_rejects_missing_header(tmp_path):
     p = tmp_path / "bad.sparsifier"
     p.write_text("0 1 0.5 0 3 1.0\n")
     with pytest.raises(ValueError, match="missing sparsifier header"):
-        read_sparsifier(p)
+        read_sparsifier(p, _PARALLEL)
 
 
 def test_read_sparsifier_rejects_text_that_is_not_utf8(tmp_path):
     p = tmp_path / "bad.sparsifier"
     p.write_bytes(b"# respark sparsifier step=1 N=5 seed=0\n0 1 0.5 0 \xff 1.0\n")
     with pytest.raises(ValueError, match=f"^{p}: 'utf-8' codec can't decode"):
-        read_sparsifier(p)
+        read_sparsifier(p, _PARALLEL)
 
 
 def test_read_sparsifier_rejects_malformed_row(tmp_path):
     p = tmp_path / "bad.sparsifier"
     p.write_text("# respark sparsifier step=1 N=5 seed=0\n0 1 0.5\n")
     with pytest.raises(ValueError, match="bad.sparsifier:2"):
-        read_sparsifier(p)
+        read_sparsifier(p, _PARALLEL)
 
 
 @pytest.mark.parametrize(
@@ -1102,7 +1099,7 @@ def test_read_sparsifier_rejects_float_in_integer_field(tmp_path, row):
     p = tmp_path / "bad.sparsifier"
     p.write_text(f"# respark sparsifier step=1 N=5 seed=0\n0 1 0.5 0 0 1.0\n{row}\n")
     with pytest.raises(ValueError, match=r"bad\.sparsifier:3: .*64-bit integers"):
-        read_sparsifier(p)
+        read_sparsifier(p, _PARALLEL)
 
 
 def test_read_sparsifier_rejects_rows_parsed_through_the_float_fallback(tmp_path, monkeypatch):
@@ -1119,7 +1116,7 @@ def test_read_sparsifier_rejects_rows_parsed_through_the_float_fallback(tmp_path
     p = tmp_path / "bad.sparsifier"
     p.write_text("# respark sparsifier step=1 N=5 seed=0\n0 1 1.0 0 0.5 1.0\n")
     with pytest.raises(ValueError, match=r"bad\.sparsifier:2: "):
-        read_sparsifier(p)
+        read_sparsifier(p, _PARALLEL)
 
 
 def test_bad_row_is_found_past_the_first_walk_block(tmp_path):
@@ -1128,11 +1125,11 @@ def test_bad_row_is_found_past_the_first_walk_block(tmp_path):
     p = tmp_path / "bad.sparsifier"
     p.write_text("# respark sparsifier step=1 N=5 seed=0\n" + "\n".join(rows) + "\n")
     with pytest.raises(ValueError, match=r"bad\.sparsifier:4502: "):
-        read_sparsifier(p)
+        read_sparsifier(p, _PARALLEL)
     rows[4500] = "0 1 0.5 4499 0 1.0"  # repeats the row before it
     p.write_text("# respark sparsifier step=1 N=5 seed=0\n" + "\n".join(rows) + "\n")
     with pytest.raises(ValueError, match=r"bad\.sparsifier:4502: .*repeats line 4501"):
-        read_sparsifier(p)
+        read_sparsifier(p, _PARALLEL)
 
 
 def _reference_write(h, path):
@@ -1207,11 +1204,24 @@ def test_a_writer_file_reads_back_any_integer_seed(tmp_path):
         assert (loaded.step, loaded.budget_n, loaded.seed) == (h.step, 20, seed)
 
 
-def _reference_read(path, n=None):
-    """A row-at-a-time reader of the writer's layout, with every check of the
-    file contract: line 1 the header, every later line one row. Returns
+@pytest.mark.parametrize("key", ["step", "N", "seed"])
+def test_a_header_field_with_more_digits_than_int_reads_is_named(tmp_path, key):
+    # past 4,300 digits int() refuses a decimal string; the reader names the field
+    header = {"step": "1", "N": "5", "seed": "0", key: "9" * 5000}
+    p = tmp_path / "h.sparsifier"
+    p.write_text("# respark sparsifier " + " ".join(f"{k}={v}" for k, v in header.items())
+                 + "\n0 1 0.5 0 0 1.0\n")
+    with pytest.raises(ValueError) as info:
+        read_sparsifier(p, _PARALLEL)
+    assert str(info.value) == f"{p}: header {key}= has 5000 digits, too many to read as an integer"
+    _assert_reads_like_reference(p, _PARALLEL)
+
+
+def _reference_read(path, graph):
+    """A row-at-a-time reader of graph's file in the writer's layout, with
+    every check of the file contract: line 1 the header, every later line
+    one row as write_sparsifier writes it for graph. Returns
     ((step, N, seed), rows) or raises ValueError."""
-    bound = math.inf if n is None else n
 
     def number(kind, tok):
         if not tok.isascii() or "_" in tok:
@@ -1229,7 +1239,10 @@ def _reference_read(path, n=None):
         values = [value for name, value in pairs if name == key]
         if len(values) != 1 or not re.fullmatch("-?[0-9]+", values[0], re.ASCII):
             raise ValueError(f"{path}: header")
-        header.append(int(values[0]))
+        try:
+            header.append(int(values[0]))
+        except ValueError:  # more digits than int() reads
+            raise ValueError(f"{path}: header") from None
     step, budget, _ = header
     if not (step >= 0 and 1 <= budget < 2**63):
         raise ValueError(f"{path}: header")
@@ -1243,7 +1256,7 @@ def _reference_read(path, n=None):
             w, p = number(float, tokens[2]), number(float, tokens[5])
         except ValueError:
             raise ValueError(f"{path}:{lineno}: parse") from None
-        if not (0 <= u < bound and 0 <= v < bound and u != v and 0 < w < math.inf
+        if not (0 <= u < graph.n and 0 <= v < graph.n and u != v and 0 < w < math.inf
                 and 0 < p <= 1 and 0 <= e < 2**63 and 0 <= j < budget and j < 2**63
                 and u < 2**63 and v < 2**63):
             raise ValueError(f"{path}:{lineno}: range")
@@ -1251,6 +1264,10 @@ def _reference_read(path, n=None):
             raise ValueError(f"{path}:{lineno}: order")  # (e, j) ascends strictly
         if rows and rows[-1][3] == e and rows[-1][:3] + rows[-1][5:] != (u, v, w, p):
             raise ValueError(f"{path}:{lineno}: mixed")  # differs from the row before
+        if not (e < graph.m and (u, v) == (graph.u[e], graph.v[e])):
+            raise ValueError(f"{path}:{lineno}: edge")
+        if w != graph.weight[e] / (budget * p):
+            raise ValueError(f"{path}:{lineno}: weight")
         rows.append((u, v, w, e, j, p))
     return tuple(header), rows
 
@@ -1264,30 +1281,32 @@ def _where(exc, path):
     return lineno if lineno.isdigit() else ""
 
 
-def _assert_reads_like_reference(path, n=None):
+def _assert_reads_like_reference(path, graph):
     try:
-        header, rows = _reference_read(path, n)
+        header, rows = _reference_read(path, graph)
     except ValueError as ref_exc:
         with pytest.raises(ValueError) as info:
-            read_sparsifier(path, n)
+            read_sparsifier(path, graph)
         assert _where(info.value, path) == _where(ref_exc, path), str(info.value)
         return
-    loaded = read_sparsifier(path, n)
-    assert (loaded.step, loaded.budget_n, loaded.seed) == header
+    loaded = read_sparsifier(path, graph)
+    assert loaded.graph is graph and (loaded.step, loaded.budget_n, loaded.seed) == header
     # per edge by ascending e: its fields, its number of copies and its copy ids, ascending
     ids = {}
     for u, v, w, e, j, p in rows:
         ids.setdefault((e, u, v, w, p), []).append(j)
     edges = sorted(ids)  # one key per edge, as an edge's rows agree
-    want = dict(zip(("e", "u", "v", "weight", "p_tilde"), zip(*edges) if edges else [()] * 5),
-                count=[len(ids[k]) for k in edges],
-                copies=[j for k in edges for j in sorted(ids[k])])
+    e, u, v, w, p = (np.array(c) for c in (zip(*edges) if edges else [()] * 5))
+    count = np.array([len(ids[k]) for k in edges], dtype=np.int64)
+    want = dict(e=e.astype(np.int64), p_tilde=p.astype(float), count=count,
+                copies=np.array([j for k in edges for j in sorted(ids[k])], dtype=np.int64))
     for name, values in want.items():
-        dtype = float if name in ("weight", "p_tilde") else np.int64
         got = getattr(loaded, name)
-        assert got.dtype == dtype and np.array_equal(got, np.array(values, dtype=dtype)), name
-    if n is None:
-        assert loaded.n == (1 + max(max(r[0], r[1]) for r in rows) if rows else 0)
+        assert got.dtype == values.dtype and np.array_equal(got, values), name
+    # the merged triples: the rows' endpoints, and count times the rows' weight, bit for bit
+    merged = (u.astype(np.int64), v.astype(np.int64), count * w.astype(float))
+    for got, values in zip(loaded.merged_columns(), merged):
+        assert got.dtype == values.dtype and got.tobytes() == values.tobytes()
 
 
 # the writer's layout with loose whitespace: spaces around the header,
@@ -1296,17 +1315,20 @@ _LOOSE = (
     "  # respark sparsifier step=4 N=9 seed=-3   \n"
     "0\t1 0.25 0 0 0.5\n"
     "1 2\t\t0.1 2 8 1.0   \n"
-    "2 0 3e-5 5 3 1e-3\t\n"
+    "2 0 2.9999999999999997e-05 5 3 1e-3\t\n"
     "\t0 2 1.5 6 4 0.75"
 )
+# _LOOSE's graph: each row's weight is a_e / (N * p_tilde) of its edge at N = 9,
+# bit for bit; edges 1, 3 and 4 have no rows
+_LOOSE_G = WeightedGraph.from_edges(3, [(0, 1, 1.125), (0, 1, 1.0), (1, 2, 0.9), (0, 1, 1.0),
+                                        (0, 1, 1.0), (2, 0, 2.7e-7), (0, 2, 10.125)])
 
 
 def test_reader_columns_match_reference_on_loose_layout(tmp_path):
     p = tmp_path / "loose.sparsifier"
     p.write_text(_LOOSE)
-    _assert_reads_like_reference(p, n=3)
-    _assert_reads_like_reference(p)
-    loaded = read_sparsifier(p, n=3)
+    _assert_reads_like_reference(p, _LOOSE_G)
+    loaded = read_sparsifier(p, _LOOSE_G)
     assert (loaded.step, loaded.budget_n, loaded.seed, loaded.copy_count()) == (4, 9, -3, 4)
     assert loaded.e.tolist() == [0, 2, 5, 6] and loaded.copies.tolist() == [0, 8, 3, 4]
 
@@ -1316,7 +1338,7 @@ def test_reader_reports_true_line_of_bad_row(tmp_path):
     p.write_text("# respark sparsifier step=1 N=5 seed=0\n"
                  + "".join(f"0 1 0.5 0 {j} 1.0\n" for j in (0, 1, 2, 9)))
     with pytest.raises(ValueError, match=r"bad\.sparsifier:5: .*copy index"):
-        read_sparsifier(p)
+        read_sparsifier(p, _PARALLEL)
 
 
 _HEADER = "# respark sparsifier step=1 N=5 seed=0"
@@ -1324,6 +1346,8 @@ _MESSAGES = {
     "range": "need distinct vertex ids",
     "copy": r"need an edge id e >= 0 and a copy index j in \[0, 5\)",
     "parse": "expected 'u v weight e j p_tilde' with 64-bit integers",
+    "edge": "need an edge id e < 7000 and graph edge e's endpoints in its order",
+    "weight": r"need the weight a_e / \(N \* p_tilde\) of graph edge e at N=5",
 }
 
 
@@ -1344,14 +1368,18 @@ _MESSAGES = {
         ("0 1 0.5 1 -1 1.0", "copy"),
         ("0 1 0.5 1 5 1.0", "copy"),
         ("0 1 0.5 0 0 1.0", r"copy j=0 of edge e=0 repeats line 2"),
+        ("1 0 0.5 1 0 1.0", "edge"),
+        ("0 1 0.5 7000 0 1.0", "edge"),
+        ("0 1 0.25 1 0 1.0", "weight"),
+        ("0 1 0.5 1 0 0.5", "weight"),
     ],
 )
 def test_each_row_check_is_named(tmp_path, row, check):
-    # one term of the row contract broken per row, on n = 3 and N = 5
+    # one term of the row contract broken per row, on _PARALLEL (n = 3) and N = 5
     p = tmp_path / "bad.sparsifier"
-    p.write_text(f"{_HEADER}\n0 1 0.5 0 0 1.0\n{row}\n1 2 0.5 2 0 1.0\n")
+    p.write_text(f"{_HEADER}\n0 1 0.5 0 0 1.0\n{row}\n0 1 0.5 2 0 1.0\n")
     with pytest.raises(ValueError, match=rf"bad\.sparsifier:3: {_MESSAGES.get(check, check)}"):
-        read_sparsifier(p, n=3)
+        read_sparsifier(p, _PARALLEL)
 
 
 @pytest.mark.parametrize(
@@ -1370,7 +1398,7 @@ def test_earlier_of_two_bad_lines_is_reported(tmp_path, first, second, check):
     p = tmp_path / "bad.sparsifier"
     p.write_text(f"{_HEADER}\n0 1 0.5 0 0 1.0\n{first}\n{second}\n")
     with pytest.raises(ValueError, match=rf"bad\.sparsifier:3: {_MESSAGES.get(check, check)}"):
-        read_sparsifier(p, n=3)
+        read_sparsifier(p, _PARALLEL)
 
 
 @pytest.mark.parametrize("bad_at, unparsed_at", [(10, 6000), (6000, 10), (4500, 4600), (4600, 4500)])
@@ -1383,7 +1411,7 @@ def test_earlier_bad_line_wins_across_walk_blocks(tmp_path, bad_at, unparsed_at)
     check = "copy" if bad_at < unparsed_at else "parse"
     lineno = 2 + min(bad_at, unparsed_at)
     with pytest.raises(ValueError, match=rf"bad\.sparsifier:{lineno}: {_MESSAGES[check]}"):
-        read_sparsifier(p)
+        read_sparsifier(p, _PARALLEL)
 
 
 @pytest.mark.parametrize("tail", ["", "0 1 0.5\n"])
@@ -1394,7 +1422,7 @@ def test_repeat_names_the_true_line_of_its_first_copy(tmp_path, tail):
     p.write_text(f"{_HEADER}\n" + "".join(f"0 1 0.5 0 {j} 1.0\n" for j in range(5))
                  + "0 1 0.5 1 0 1.0\n0 1 0.5 1 0 1.0\n" + tail)
     with pytest.raises(ValueError, match=r"bad\.sparsifier:8: copy j=0 of edge e=1 repeats line 7$"):
-        read_sparsifier(p)
+        read_sparsifier(p, _PARALLEL)
 
 
 _ORDER = r"need rows in \(e, j\) order as the writer writes them; "
@@ -1407,12 +1435,12 @@ def test_the_first_row_out_of_order_is_reported(tmp_path):
             "0 1 0.5 1 0 1.0"]
     p.write_text(f"{_HEADER}\n" + "\n".join(rows) + "\n")
     with pytest.raises(ValueError, match=rf"bad\.sparsifier:3: {_ORDER}e=1 j=0 follows line 2$"):
-        read_sparsifier(p)
+        read_sparsifier(p, _PARALLEL)
     # a lower copy index of the same edge, past two higher ones
     p.write_text(f"{_HEADER}\n0 1 0.5 0 1 1.0\n0 1 0.5 0 2 1.0\n0 1 0.5 0 3 1.0\n"
                  "0 1 0.5 0 0 1.0\n")
     with pytest.raises(ValueError, match=rf"bad\.sparsifier:5: {_ORDER}e=0 j=0 follows line 4$"):
-        read_sparsifier(p)
+        read_sparsifier(p, _PARALLEL)
 
 
 _TOKENS = st.one_of(
@@ -1421,21 +1449,22 @@ _TOKENS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
     st.sampled_from(["nan", "-inf", "inf", "1_0", "0x1", "1.0", "+2", "007", "٣", "#", "#c", "1e999"]),
 )
-# rows valid under the header '# respark sparsifier step=2 N=6 seed=1' and n = 5, in the
-# writer's (e, j) order; u, v, weight and p_tilde follow from e, so the rows of an edge
-# agree and edges have several
+# the fuzz's graph: 5 vertices, 5 edges of differing weights
+_FUZZ_G = WeightedGraph.from_edges(
+    5, [(e, (e + 1 + e % 3) % 5, a) for e, a in enumerate([0.3, 1.0, 2.5, 1e-3, 7.0])]
+)
+# the writer's rows of _FUZZ_G under the header '# respark sparsifier step=2 N=6 seed=1',
+# in (e, j) order; an edge's p_tilde is drawn and follows from e, so the rows of an
+# edge agree and edges have several
 _GOOD_ROWS = st.tuples(
     st.lists(st.tuples(st.integers(0, 4), st.integers(0, 5)), max_size=8, unique=True).map(sorted),
-    st.floats(1e-6, 1e3),
     st.floats(1e-6, 1.0),
-).map(lambda drawn: [
-    f"{e} {(e + 1 + e % 3) % 5} {drawn[1] / (e + 1)!r} {e} {j} {drawn[2] / (e + 1)!r}"
-    for e, j in drawn[0]
-])
+).map(lambda drawn: [_writer_row(_FUZZ_G, 6, e, j, drawn[1] / (e + 1)) for e, j in drawn[0]])
 _ROW = _GOOD_ROWS.filter(bool).map(lambda rows: rows[0])
 _BAD_LINES = st.one_of(
     _ROW,  # may repeat an (e, j) pair of the good rows
     _ROW.map(lambda row: row.rsplit(" ", 1)[0]),  # truncated
+    _ROW.map(lambda row: row.rsplit(" ", 1)[0] + " 1.0"),  # p_tilde not the weight's
     _ROW.map(lambda row: row + " # trailing comment"),
     st.lists(_TOKENS, min_size=5, max_size=7).map(" ".join),
     st.sampled_from(["", "  \t", "# comment", "# respark sparsifier step=1 N=3 seed=2",
@@ -1462,11 +1491,10 @@ _GOOD_HEADERS = st.sampled_from([
     header_at=st.sampled_from([0, 0, 0, 1, None]),
     sep=st.sampled_from(["\n", "\r\n", " \t\n"]),
     end=st.booleans(),
-    n=st.sampled_from([None, 5]),
     chunk=st.integers(1, 60),
 )
 def test_reader_fuzz_matches_reference(
-    tmp_path_factory, rows, extra, header, header_at, sep, end, n, chunk
+    tmp_path_factory, rows, extra, header, header_at, sep, end, chunk
 ):
     # mostly writer files (the header on line 1, with or without a final
     # newline) with up to two inserted lines that may break them, the header
@@ -1479,76 +1507,77 @@ def test_reader_fuzz_matches_reference(
         lines.insert(header_at, header)
     p = tmp_path_factory.mktemp("fuzz") / "f.sparsifier"
     p.write_bytes((sep.join(lines) + (sep if end and lines else "")).encode("utf-8"))
-    _assert_reads_like_reference(p, n)
-    whole = _read_outcome(p, n=n)
+    _assert_reads_like_reference(p, _FUZZ_G)
+    whole = _read_outcome(p, _FUZZ_G)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sparsify_mod, "_READ_CHUNK", chunk)
-        assert _read_outcome(p, n=n) == whole
+        assert _read_outcome(p, _FUZZ_G) == whole
 
 
 @settings(max_examples=100, deadline=None)
-@given(rows=_GOOD_ROWS.flatmap(st.permutations), n=st.sampled_from([None, 5]),
-       chunk=st.integers(1, 60))
-def test_reader_fuzz_on_shuffled_rows(tmp_path_factory, rows, n, chunk):
+@given(rows=_GOOD_ROWS.flatmap(st.permutations), chunk=st.integers(1, 60))
+def test_reader_fuzz_on_shuffled_rows(tmp_path_factory, rows, chunk):
     # the rows of a valid file in any order: one out of (e, j) order is
     # refused where the reference refuses it, read whole and in small chunks
     p = tmp_path_factory.mktemp("fuzz") / "f.sparsifier"
     p.write_text("\n".join(["# respark sparsifier step=2 N=6 seed=1", *rows]) + "\n")
-    _assert_reads_like_reference(p, n)
-    whole = _read_outcome(p, n=n)
+    _assert_reads_like_reference(p, _FUZZ_G)
+    whole = _read_outcome(p, _FUZZ_G)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sparsify_mod, "_READ_CHUNK", chunk)
-        assert _read_outcome(p, n=n) == whole
+        assert _read_outcome(p, _FUZZ_G) == whole
 
 
-def _read_outcome(path, **kwargs):
-    """What read_sparsifier makes of a file: its error message, or its
-    header fields and the dtype and bytes of every column."""
+def _read_outcome(path, graph):
+    """What read_sparsifier makes of graph's file: its error message, or its
+    header fields and the dtype and bytes of every column and merged triple."""
     try:
-        h = read_sparsifier(path, **kwargs)
+        h = read_sparsifier(path, graph)
     except ValueError as exc:
         return str(exc)
-    cols = (h.e, h.u, h.v, h.weight, h.p_tilde, h.count, h.copies, h.laplacian())
+    cols = (h.e, h.p_tilde, h.count, h.copies, *h.merged_columns(), h.laplacian())
     return (h.n, h.step, h.budget_n, h.seed, *((c.dtype.str, c.tobytes()) for c in cols))
 
 
 _ROWS = "".join(f"0 1 0.5 {e} 0 1.0\n" for e in range(6))
-# three edges of five copies each, every edge wider than the smaller chunks
-_COPIES = [f"{e} {e + 1} {0.5 / (e + 1)!r} {e} {j} {1.0 / (e + 1)!r}\n"
+# the path 0-1-2-3, whose writer's rows at N = 5 are _COPIES: three edges of
+# five copies each, every edge wider than the smaller chunks
+_COPIES_G = WeightedGraph.from_edges(4, [(0, 1, 2.5), (1, 2, 1.0), (2, 3, 0.5)])
+_COPIES = [_writer_row(_COPIES_G, 5, e, j, 1.0 / (e + 1)) + "\n"
            for e in range(3) for j in range(5)]
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, graph",
     [
-        _LOOSE,  # loose whitespace in every line and an unterminated last line
-        _LOOSE.replace("\n", "\r\n"),
-        f"{_HEADER}\n{_ROWS}0 1 0.5 6 0 1.0 # note\n{_ROWS}",
-        f"{_HEADER}\n{_ROWS}2 2 0.5 6 0 1.0\n{_ROWS}",
-        f"{_HEADER}\n{_ROWS}0 1 0.5 6 0\n{_ROWS}",
-        f"{_HEADER}\n{_ROWS}0 1 0.5 6 0 1.0\n0 1 0.5 2 0 1.0\n",
-        f"# respark sparsifier step=x N=5\n{_ROWS}{_ROWS}",
-        f"{_ROWS}{_HEADER}\n{_ROWS}",  # the header after rows
-        f"{_HEADER}\n" + "".join(_COPIES),
-        f"{_HEADER}\n" + "".join(_COPIES[::-1]),
-        f"{_HEADER}\n" + "".join(_COPIES[:7]) + "1 2 0.25 1 3 0.75\n" + "".join(_COPIES[9:]),
-        f"{_HEADER}\n{_ROWS}\n{_ROWS}",
-        f"{_HEADER}\n{_ROWS} \t\n{_ROWS}",
-        f"{_HEADER}\n{_ROWS}# note\n{_ROWS}",
+        (_LOOSE, _LOOSE_G),  # loose whitespace in every line and an unterminated last line
+        (_LOOSE.replace("\n", "\r\n"), _LOOSE_G),
+        (f"{_HEADER}\n{_ROWS}0 1 0.5 6 0 1.0 # note\n{_ROWS}", _PARALLEL),
+        (f"{_HEADER}\n{_ROWS}2 2 0.5 6 0 1.0\n{_ROWS}", _PARALLEL),
+        (f"{_HEADER}\n{_ROWS}0 1 0.5 6 0\n{_ROWS}", _PARALLEL),
+        (f"{_HEADER}\n{_ROWS}0 1 0.5 6 0 1.0\n0 1 0.5 2 0 1.0\n", _PARALLEL),
+        (f"# respark sparsifier step=x N=5\n{_ROWS}{_ROWS}", _PARALLEL),
+        (f"{_ROWS}{_HEADER}\n{_ROWS}", _PARALLEL),  # the header after rows
+        (f"{_HEADER}\n" + "".join(_COPIES), _COPIES_G),
+        (f"{_HEADER}\n" + "".join(_COPIES[::-1]), _COPIES_G),
+        (f"{_HEADER}\n" + "".join(_COPIES[:7]) + "1 2 0.25 1 3 0.75\n" + "".join(_COPIES[9:]),
+         _COPIES_G),
+        (f"{_HEADER}\n{_ROWS}\n{_ROWS}", _PARALLEL),
+        (f"{_HEADER}\n{_ROWS} \t\n{_ROWS}", _PARALLEL),
+        (f"{_HEADER}\n{_ROWS}# note\n{_ROWS}", _PARALLEL),
     ],
     ids=["loose", "crlf", "hash-in-row", "bad-row", "unparsed", "repeat", "bad-header",
          "no-header", "copies", "copies-reversed", "mixed", "blank", "whitespace", "comment"],
 )
-def test_any_chunk_reads_like_the_whole_file(tmp_path, monkeypatch, text):
+def test_any_chunk_reads_like_the_whole_file(tmp_path, monkeypatch, text, graph):
     # chunks of 1 to 60 characters put a chunk boundary inside every line
     p = tmp_path / "chunked.sparsifier"
     p.write_bytes(text.encode("utf-8"))
-    whole = _read_outcome(p, n=3)
+    whole = _read_outcome(p, graph)
     for chunk in range(1, 61):
         monkeypatch.setattr(sparsify_mod, "_READ_CHUNK", chunk)
-        assert _read_outcome(p, n=3) == whole, chunk
-        _assert_reads_like_reference(p, n=3)
-        _assert_reads_like_reference(p)
+        assert _read_outcome(p, graph) == whole, chunk
+        _assert_reads_like_reference(p, graph)
 
 
 @pytest.mark.parametrize("header", [_HEADER, "# respark sparsifier step=x N=5"])
@@ -1565,7 +1594,7 @@ def test_a_decode_error_is_reported_at_its_file_offset(tmp_path, monkeypatch, he
         outcomes = set()
         for chunk in (2**16, 1, 2, 3, 40):
             monkeypatch.setattr(sparsify_mod, "_READ_CHUNK", chunk)
-            outcomes.add(_read_outcome(p))
+            outcomes.add(_read_outcome(p, _PARALLEL))
         assert len(outcomes) == 1
         assert outcomes.pop().startswith(f"{p}: 'utf-8' codec can't decode {where}:")
 
@@ -1639,7 +1668,6 @@ def test_a_shuffled_writer_file_is_refused_at_its_first_row_out_of_order(tmp_pat
 _MIXED = r"edge e=0 differs from line 2 in u v, weight or p_tilde"
 
 
-@pytest.mark.parametrize("n", [None, 3])
 @pytest.mark.parametrize(
     "body, lineno, message",
     [
@@ -1651,11 +1679,14 @@ _MIXED = r"edge e=0 differs from line 2 in u v, weight or p_tilde"
          _ORDER + "e=0 j=1 follows line 3"),
     ],
 )
-def test_a_disagreeing_edge_is_refused_without_a_graph(tmp_path, body, lineno, message, n):
+def test_a_disagreeing_edge_is_refused_without_a_graph(tmp_path, body, lineno, message):
+    # the rows alone refuse these files: "mixed" and "order" are named before
+    # the graph rule that each row at fault breaks too
+    g = WeightedGraph.from_edges(3, [(0, 1, 2.5), (1, 2, 2.5)])
     p = tmp_path / "mixed.sparsifier"
     p.write_text(f"{_HEADER}\n{body}")
     with pytest.raises(ValueError, match=rf"mixed\.sparsifier:{lineno}: {message}$"):
-        read_sparsifier(p, n=n)
+        read_sparsifier(p, g)
 
 
 _PARSE = "expected 'u v weight e j p_tilde' with 64-bit integers u, v, e, j, got "
@@ -1682,5 +1713,5 @@ def test_a_line_out_of_the_writers_layout_is_refused_at_its_line(tmp_path, text,
     # not parse; line 1 must be the header, before any row is checked
     p = tmp_path / "layout.sparsifier"
     p.write_text(text)
-    assert _read_outcome(p) == f"{p}:{where}"
-    _assert_reads_like_reference(p)
+    assert _read_outcome(p, _PARALLEL) == f"{p}:{where}"
+    _assert_reads_like_reference(p, _PARALLEL)
