@@ -1,18 +1,18 @@
 """Incremental resparsification: budget, config, the per-block step, and
 the stream step loop.
 
-Every stream driver runs one loop: estimate resistances on the current
-state, resparsify (thin the surviving copies by probability ratios and
-sample the new block), record, then call the observer. The state is
-per-edge columns (probability, surviving copy count) plus the surviving
-copy ids; three entry points differ only in what the loop records.
-`stream_sparsify` returns the final sparsifier and, with diagnostics on,
-one DiagnosticsRecord per step. `indicator_stream` also returns the
-per-step StreamTrace, whose rows are the states' own columns, the copy
-ids included when asked for.
-`single_edge_stream` is `indicator_stream` with block size 1. All of them
-consume the same keyed random tape, so for a fixed block partition they
-produce bit-identical copy sets.
+`stream_sparsify` holds the one step loop: estimate resistances on the
+current state, resparsify (thin the surviving copies by probability ratios
+and sample the new block), record the diagnostics, then call on_step. The
+state is per-edge columns (probability, surviving copy count) plus the
+surviving copy ids. `stream_sparsify` returns the final sparsifier and,
+with diagnostics on, one DiagnosticsRecord per step; the diagnostics keep
+their own trace, without copies. `indicator_stream` also returns the
+per-step StreamTrace, recorded through on_step, whose rows are the states'
+own columns, the copy ids included when asked for. `single_edge_stream`
+is `indicator_stream` with block size 1. All of them run the same loop on
+the same keyed random tape, so for a fixed block partition they produce
+bit-identical copy sets.
 """
 
 from __future__ import annotations
@@ -509,17 +509,12 @@ class _References:
 
 
 def _step_estimates(
-    h_prev: Sparsifier,
-    block: Sequence[int],
-    g: WeightedGraph,
-    mode: str,
-    step: int,
-    ref: _PrefixReference,
+    h_prev: Sparsifier, block: Sequence[int], mode: str, ref: _PrefixReference
 ) -> np.ndarray:
-    """The r_tilde column of h_prev._targets(block), per the configured mode.
-    ref is the reference of the stream prefix through the block; only the
-    "exact" and "noisy" modes read it."""
-    cfg = h_prev.config
+    """The r_tilde column of h_prev._targets(block) for step h_prev.step + 1,
+    per the configured mode. ref is the reference of the stream prefix
+    through the block; only the "exact" and "noisy" modes read it."""
+    g, cfg = h_prev.graph, h_prev.config
     targets = h_prev._targets(block)
     if mode == "nodrop":
         # twice the r_e that makes a_e r_e / (alpha (n - 1)) one, so no rounding
@@ -532,7 +527,8 @@ def _step_estimates(
     if mode == "exact":
         return exact
     # "noisy": the oracle perturbed within the declared accuracy band
-    return inject_alpha_noise(exact, cfg.alpha, RandomTape(cfg.seed).child_seed(f"noise/{step}"))
+    key = f"noise/{h_prev.step + 1}"
+    return inject_alpha_noise(exact, cfg.alpha, RandomTape(cfg.seed).child_seed(key))
 
 
 @dataclass
@@ -599,68 +595,6 @@ def _check_run_inputs(g: WeightedGraph, cfg: StreamConfig, mode: str) -> None:
         )
 
 
-def _run_stream(
-    g: WeightedGraph,
-    cfg: StreamConfig,
-    block_size: int | None,
-    mode: str,
-    on_step: Callable | None,
-    diagnostics: bool,
-    trace: bool,
-    copies: bool = False,
-    references: _References | None = None,
-) -> tuple[Sparsifier, list, StreamTrace | None]:
-    """The one step loop: estimate, resparsify, record, then call on_step.
-
-    A trace is recorded when asked for or when diagnostics need one (the
-    variation norm reads it); per-copy rows only when `copies` is set. Each
-    step reads its prefix reference from references (built for g) when
-    given, else from one built for the step alone; either way a piece of it
-    is built only when the estimates, the diagnostics or on_step read it.
-    """
-    _check_run_inputs(g, cfg, mode)
-    if references is not None and references.graph is not g and references.graph != g:
-        raise ValueError("references were built for another graph")
-    blocks = partition_stream(g, cfg.budget_n if block_size is None else block_size)
-    tape = RandomTape(cfg.seed)
-    h = Sparsifier.empty(g, cfg)
-    history = None
-    if trace or diagnostics:
-        history = StreamTrace(g, cfg.budget_n, [], [], [], [] if copies else None)
-        history._append(h)  # row 0, before any edge is seen
-    # the variation norm uses one fixed whole-graph reference, which keeps
-    # only its grounded factors and leverages; building it requires the
-    # input graph to be connected
-    ctx_full = None
-    if diagnostics:
-        ctx_full = projection_context(g) if references is None else references.whole
-    records: list = []
-    for step, block in enumerate(blocks, start=1):
-        count = h.arrived + len(block)
-        ref = (_PrefixReference(g, count, ctx_full) if references is None
-               else references.prefix(count))
-        try:
-            estimates = _step_estimates(h, block, g, mode, step, ref)
-            h = resparsify(h, block, estimates, tape)
-        except Exception as exc:
-            raise StreamStepError(step, str(exc)) from exc
-        if history is not None:
-            history._append(h)
-        record = None
-        if diagnostics:
-            # the variation first: the prefix factors that projection_error
-            # builds are then not alive beside the variation's products
-            w_norm = verify.quadratic_variation(history, ctx_full, upto=step)
-            proj = verify.projection_error(h, ref.grounded) if ref.connected else float("nan")
-            record = verify.DiagnosticsRecord.from_measurements(
-                step, h.copy_count(), proj, w_norm, cfg
-            )
-            records.append(record)
-        if on_step is not None:
-            on_step(step, h, ref.graph, record)
-    return h, records, history
-
-
 def stream_sparsify(
     g: WeightedGraph,
     cfg: StreamConfig,
@@ -671,7 +605,9 @@ def stream_sparsify(
     *,
     references: _References | None = None,
 ) -> tuple[Sparsifier, list]:
-    """Run the block-stream driver over the whole edge stream.
+    """Run the block-stream driver over the whole edge stream: the one step
+    loop. Each step estimates, resparsifies, records its diagnostics, then
+    calls on_step.
 
     Parameters
     ----------
@@ -692,9 +628,12 @@ def stream_sparsify(
         Record a DiagnosticsRecord per step. Requires g connected (the
         variation norm needs a whole-graph reference). Steps whose prefix
         graph is disconnected get a NaN projection error and a_event False.
+        The variation reads a trace of the states' p and count columns,
+        kept for the run without copies.
     on_step : callable, optional
         Called as on_step(step, sparsifier, prefix_graph, record) after
-        each step; record is None when diagnostics are off.
+        each step; record is None when diagnostics are off. What it raises
+        reaches the caller unchanged, and no later step runs.
     references : optional, keyword only
         The prefix references of g that run_experiment builds once and
         shares between its trials: each step's prefix graph (the one
@@ -707,10 +646,42 @@ def stream_sparsify(
     -------
     (Sparsifier, list of DiagnosticsRecord)
     """
-    h, records, _ = _run_stream(
-        g, cfg, block_size, resistance_mode, on_step, diagnostics, trace=False,
-        references=references,
-    )
+    _check_run_inputs(g, cfg, resistance_mode)
+    if references is not None and references.graph is not g and references.graph != g:
+        raise ValueError("references were built for another graph")
+    blocks = partition_stream(g, cfg.budget_n if block_size is None else block_size)
+    tape = RandomTape(cfg.seed)
+    h = Sparsifier.empty(g, cfg)
+    records: list = []
+    whole = history = None
+    if diagnostics:
+        history = StreamTrace(g, cfg.budget_n, [], [], [])
+        history._append(h)  # row 0, before any edge is seen
+        # the variation norm uses one fixed whole-graph reference, which
+        # keeps only its grounded factors and leverages; building it
+        # requires the input graph to be connected
+        whole = projection_context(g) if references is None else references.whole
+    for step, block in enumerate(blocks, start=1):
+        count = h.arrived + len(block)
+        ref = (_PrefixReference(g, count, whole) if references is None
+               else references.prefix(count))
+        try:
+            h = resparsify(h, block, _step_estimates(h, block, resistance_mode, ref), tape)
+        except Exception as exc:
+            raise StreamStepError(step, str(exc)) from exc
+        record = None
+        if diagnostics:
+            history._append(h)
+            # the variation first: the prefix factors that projection_error
+            # builds are then not alive beside the variation's products
+            w_norm = verify.quadratic_variation(history, whole, upto=step)
+            proj = verify.projection_error(h, ref.grounded) if ref.connected else float("nan")
+            record = verify.DiagnosticsRecord.from_measurements(
+                step, h.copy_count(), proj, w_norm, cfg
+            )
+            records.append(record)
+        if on_step is not None:
+            on_step(step, h, ref.graph, record)
     return h, records
 
 
@@ -723,16 +694,23 @@ def indicator_stream(
     record_copies: bool = True,
     on_step: Callable | None = None,
 ) -> tuple[Sparsifier, list, StreamTrace]:
-    """The same stream computation, returning its complete per-step trace.
+    """stream_sparsify, also returning its complete per-step trace.
 
-    Trace rows are the states' p and count columns; with record_copies each
-    row also holds the state's copies column. The copy sets are exactly
-    those of stream_sparsify for the same partition and tape.
+    The trace is recorded through stream_sparsify's on_step, before the
+    caller's on_step is called. Its rows are the states' p and count
+    columns, row 0 the empty state's; with record_copies each row also
+    holds the state's copies column.
     """
-    return _run_stream(
-        g, cfg, block_size, resistance_mode, on_step, diagnostics, trace=True,
-        copies=record_copies,
-    )
+    trace = StreamTrace(g, cfg.budget_n, [], [], [], [] if record_copies else None)
+    trace._append(Sparsifier.empty(g, cfg))
+
+    def record(step, h, prefix, diagnostics_record):
+        trace._append(h)
+        if on_step is not None:
+            on_step(step, h, prefix, diagnostics_record)
+
+    h, records = stream_sparsify(g, cfg, block_size, resistance_mode, diagnostics, record)
+    return h, records, trace
 
 
 def single_edge_stream(

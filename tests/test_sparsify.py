@@ -1,6 +1,7 @@
 """Budget arithmetic, the resparsification step, the stream drivers, and
 their agreement with an independent dense-indicator reference."""
 
+import inspect
 import math
 import re
 import threading
@@ -544,17 +545,20 @@ def test_a_draw_that_fails_fails_its_step_and_leaves_no_thread(monkeypatch, cpus
     n=st.integers(3, 8),
     seed=st.integers(0, 999),
     block=st.integers(1, 6),
+    diagnostics=st.booleans(),
 )
-def test_drivers_agree_on_copy_sets(model, n, seed, block):
+def test_drivers_agree_on_copy_sets(model, n, seed, block, diagnostics):
     # the drivers and the dense reference share the keyed tape, so any
-    # common partition yields bit-identical state
+    # common partition yields bit-identical state, and the same records
     g = generate(GeneratorSpec(model, n))
     cfg = _small_cfg(g, seed=seed, budget=50)
-    hb, _ = stream_sparsify(g, cfg, block_size=block, resistance_mode="exact",
-                            diagnostics=False)
-    hi, _, _ = indicator_stream(g, cfg, block_size=block, resistance_mode="exact",
-                                diagnostics=False, record_copies=False)
+    hb, records_b = stream_sparsify(g, cfg, block_size=block, resistance_mode="exact",
+                                    diagnostics=diagnostics)
+    hi, records_i, _ = indicator_stream(g, cfg, block_size=block, resistance_mode="exact",
+                                        diagnostics=diagnostics, record_copies=False)
     _same_state(hb, hi)
+    assert len(records_b) == (len(partition_stream(g, block)) if diagnostics else 0)
+    assert repr(records_b) == repr(records_i)  # repr: a disconnected prefix records NaN
     _matches_reference(hb, _dense_reference(g, cfg, block, "exact"))
 
 
@@ -706,16 +710,21 @@ def test_a_diagnostics_stream_leaves_no_laplacian_on_its_state():
 
 
 def test_state_columns_are_read_only_and_are_the_trace_rows():
+    # with diagnostics on, the variation reads a trace of its own; the
+    # returned one still shares each state's columns
     g = generate(GeneratorSpec("erdos-renyi", 10, p=0.6, seed=4))
-    states = []
-    h, _, trace = indicator_stream(
-        g, _small_cfg(g, seed=8, budget=30), 4, "exact", diagnostics=False,
-        record_copies=False, on_step=lambda step, h, prefix, record: states.append(h),
-    )
-    assert states[-1] is h and any(0 in hs.count[: hs.arrived] for hs in states)
-    for s, hs in enumerate(states, start=1):
-        assert trace.p_steps[s] is hs.p and trace.alive_steps[s] is hs.count
-        assert hs.copy_count() == sum(len(js) for js in hs.alive.values())
+    for diagnostics in (False, True):
+        states = []
+        h, records, trace = indicator_stream(
+            g, _small_cfg(g, seed=8, budget=30), 4, "exact", diagnostics=diagnostics,
+            record_copies=False, on_step=lambda step, h, prefix, record: states.append(h),
+        )
+        assert len(records) == (len(states) if diagnostics else 0)
+        assert states[-1] is h and any(0 in hs.count[: hs.arrived] for hs in states)
+        assert trace.steps == len(states) and trace.copy_steps is None
+        for s, hs in enumerate(states, start=1):
+            assert trace.p_steps[s] is hs.p and trace.alive_steps[s] is hs.count
+            assert hs.copy_count() == sum(len(js) for js in hs.alive.values())
     for column in (h.p, h.count, h.copies, *h.alive.values()):
         with pytest.raises(ValueError, match="read-only"):
             column[0] = 1
@@ -950,6 +959,62 @@ def test_step_failures_carry_the_step(monkeypatch):
     with pytest.raises(StreamStepError, match="step 1: synthetic failure") as info:
         stream_sparsify(g, cfg, block_size=2, resistance_mode="exact")
     assert info.value.step == 1
+
+
+class _ObserverFault(Exception):
+    pass
+
+
+@pytest.mark.parametrize("driver", [stream_sparsify, indicator_stream])
+def test_an_observer_error_reaches_the_caller_unchanged(monkeypatch, driver):
+    # on_step's own exception is no step failure: it is not wrapped, and no
+    # later step is estimated or resparsified
+    import respark.sparsify as sparsify_mod
+
+    g = generate(GeneratorSpec("path", 8))
+    steps, fault = [], _ObserverFault("observer failed")
+    original = sparsify_mod.resparsify
+    monkeypatch.setattr(sparsify_mod, "resparsify",
+                        lambda *args: steps.append("resparsify") or original(*args))
+
+    def observe(step, h, prefix, record):
+        steps.append(step)
+        if step == 2:
+            raise fault
+
+    with pytest.raises(_ObserverFault) as caught:
+        driver(g, _small_cfg(g, budget=10), 2, "exact", on_step=observe)
+    assert caught.value is fault and caught.value.__cause__ is None
+    assert steps == ["resparsify", 1, "resparsify", 2]
+    assert len(partition_stream(g, 2)) > 2
+
+
+def test_public_stream_signatures_are_pinned():
+    # the names, order, kinds and defaults callers rely on
+    positional, keyword = inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYWORD_ONLY
+    required = inspect.Parameter.empty
+    want = {
+        stream_sparsify: [("g", positional, required), ("cfg", positional, required),
+                          ("block_size", positional, None),
+                          ("resistance_mode", positional, "sparsifier"),
+                          ("diagnostics", positional, True), ("on_step", positional, None),
+                          ("references", keyword, None)],
+        indicator_stream: [("g", positional, required), ("cfg", positional, required),
+                           ("block_size", positional, 1),
+                           ("resistance_mode", positional, "sparsifier"),
+                           ("diagnostics", positional, True),
+                           ("record_copies", positional, True), ("on_step", positional, None)],
+        single_edge_stream: [("g", positional, required), ("cfg", positional, required),
+                             ("resistance_mode", positional, "sparsifier"),
+                             ("diagnostics", positional, True),
+                             ("record_copies", positional, True), ("on_step", positional, None)],
+        run_experiment: [("spec", positional, required), ("cfg", positional, required),
+                         ("trials", positional, required), ("block_size", positional, None),
+                         ("resistance_mode", positional, "exact")],
+    }
+    for fn, params in want.items():
+        got = inspect.signature(fn).parameters.values()
+        assert [(p.name, p.kind, p.default) for p in got] == params, fn.__name__
 
 
 # ---------------------------------------------------------------------------
