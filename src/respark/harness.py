@@ -2,12 +2,15 @@
 that reruns the stream pipeline under many tape seeds with full per-step
 verification, and report emission.
 
-Experiments run in one of two labeled regimes. "theorem" uses the derived
-budget, which exceeds the edge count at desk scale, so every probability
-stays 1 and the run checks pipeline exactness. "stress" overrides the
-budget downward to make drops actually happen and compares the observed
-event rates against the failure-probability targets. The distinction is
-recorded in every report.
+Experiments run in one of two labeled regimes, which differ only in the
+budget N. "theorem" uses the derived budget; "stress" overrides it
+downward, to desk-scale copy counts. An edge's probability, its weight
+times its resistance estimate over alpha (n - 1) and at most 1, does not
+depend on N, so both regimes drop copies: on the seed-1234 ER(40, 0.25)
+graph, with tape seed 1234, exact mode and block size 67, the theorem
+budget N = 484,918 leaves p in [0.0033, 0.0078] and the final state
+holds 1.000 N copies. Every report records its regime and compares the
+observed event rates against the failure-probability targets.
 """
 
 from __future__ import annotations
@@ -50,8 +53,9 @@ REPORT_SCHEMA_VERSION = 1
 class GeneratorSpec:
     """A seeded graph-generation request.
 
-    Weight range [weight_min, weight_max], finite, is sampled uniformly
-    per edge; the degenerate range [1, 1] gives unit weights exactly.
+    n and seed must be integers, n >= 2 and seed >= 0. Weight range
+    [weight_min, weight_max], finite, is sampled uniformly per edge; the
+    degenerate range [1, 1] gives unit weights exactly.
     """
 
     model: str
@@ -64,8 +68,13 @@ class GeneratorSpec:
     def __post_init__(self) -> None:
         if self.model not in GENERATOR_MODELS:
             raise ValueError(f"model must be one of {GENERATOR_MODELS}, got {self.model!r}")
-        if self.n < 2:
-            raise ValueError(f"need at least 2 vertices, got n={self.n}")
+        n, seed = _integer("vertex count", self.n), _integer("generator seed", self.seed)
+        if n < 2:
+            raise ValueError(f"need at least 2 vertices, got n={n}")
+        if seed < 0:
+            raise ValueError(f"generator seed must be >= 0, got {seed}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "seed", seed)
         if self.model == "erdos-renyi":
             if self.p is None or not 0.0 < self.p <= 1.0:
                 raise ValueError(f"erdos-renyi needs edge probability in (0, 1], got {self.p}")

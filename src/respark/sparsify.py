@@ -25,7 +25,6 @@ import warnings
 from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import islice
 from types import MappingProxyType
 from typing import Callable, Mapping, NoReturn, Sequence
 
@@ -128,9 +127,11 @@ class StreamConfig:
     """All stream parameters plus the derived copy budget.
 
     budget_n is no argument: it is derived from the other fields unless
-    budget_override is given. Overridden runs exercise the drop path at
-    desk scale and are labeled "stress" (outside theorem constants) by the
-    harness. seed and budget_override must be integers.
+    budget_override is given. An override changes N and nothing else: the
+    probabilities do not depend on N, so runs at the derived budget drop
+    copies too. The harness labels overridden runs "stress" (outside the
+    theorem's constants) and the others "theorem". seed and budget_override
+    must be integers.
     """
 
     eps: float
@@ -812,83 +813,67 @@ def read_sparsifier(path, graph: WeightedGraph) -> LoadedSparsifier:
     A bad row, a blank line or a comment after line 1 raises ValueError
     starting 'path:lineno:', a bad or missing header one starting 'path:'.
 
-    The file is read and parsed a chunk of whole lines at a time, and each
-    chunk's rows are kept as runs of one edge plus their copy ids, so the
-    memory held is 8 bytes a copy, the runs and one chunk. The line at
-    fault is read again by its number; a file that is not UTF-8 is decoded
-    again a chunk at a time to find the offset of its first bad byte.
+    The file is read in one pass, a chunk of whole lines at a time: each
+    chunk's rows are parsed and checked against the row before them and
+    the graph, then only each edge's e, p_tilde, first row and the copy ids
+    are kept. So the memory held is 8 bytes a copy, the per-edge columns
+    and one chunk. The error of a bad row is built from its chunk's line;
+    the rest of the file is still read, and a file that is not UTF-8 is
+    decoded again a chunk at a time to find the offset of its first bad
+    byte.
     """
+    # last: the row before the chunk's, at first a row of e = -1
+    last, count, error = np.full(1, -1, _ROW_DTYPE), 0, None
+    # (first row, e, p_tilde) of each edge that starts in a chunk, and the chunk's copy ids
+    empty = np.empty(0, np.int64)
+    pieces = [(empty, empty, np.empty(0), empty)]
     try:
-        (step, budget, seed), runs, copies, stop = _read_runs(path)
+        with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
+            # _parse_rows's number grammar, set once a read and not once a chunk
+            warnings.simplefilter("ignore", UserWarning)  # a chunk of blank lines
+            warnings.filterwarnings(
+                "error", ".*Parsing an integer via a float", DeprecationWarning
+            )
+            step, budget, seed = _read_header(path, fh.readline())
+            while text := fh.read(_READ_CHUNK):
+                text += fh.readline()
+                if error is not None:
+                    continue  # only a decode error is left to find
+                lines = text.split("\n")
+                if not lines[-1]:  # after the newline that ends the last line
+                    lines.pop()
+                rows = _parse_rows(lines)
+                if rows is None or len(rows) < len(lines):  # loadtxt skips blank lines
+                    good = next(k for k, line in enumerate(lines)
+                                if not line.strip() or _parse_rows([line]) is None)
+                    rows = _parse_rows(lines[:good]) if good else np.empty(0, _ROW_DTYPE)
+                bad = _first_bad_row(last, rows, budget, graph)
+                if bad is None and len(rows) < len(lines):
+                    bad = len(rows), "parse"
+                if bad is not None:
+                    k, check = bad
+                    e, j = rows[["e", "j"]][k].item() if k < len(rows) else (None, None)
+                    error = ValueError(f"{path}:{count + k + 2}: " + _ROW_ERRORS[check].format(
+                        line=lines[k].strip(), n=graph.n, budget=budget, m=graph.m, e=e, j=j,
+                        earlier=count + k + 1,
+                    ))
+                    continue
+                e = rows["e"]
+                starts = np.flatnonzero(e != np.concatenate((last["e"], e[:-1])))
+                pieces.append((starts + count, e[starts], rows["p_tilde"][starts],
+                               rows["j"].copy()))  # a view would keep the chunk's rows alive
+                count, last = count + len(rows), rows[-1:].copy()
     except ValueError:  # not UTF-8, or a missing or bad header
         _raise_decode_error(path)
         raise
-    bad = _first_bad_row(runs, copies, budget, graph)
-    if bad is not None or stop is not None:
-        k, check = bad or (stop, "parse")
-        raise _row_error(path, runs, copies, k, check, budget, graph)
-    # in (e, j) order each edge's runs are adjacent and agree in all but count
-    firsts = np.flatnonzero(np.diff(runs["e"], prepend=-1))
-    return LoadedSparsifier(
-        graph, step, budget, seed, e=runs["e"][firsts], p_tilde=runs["p_tilde"][firsts],
-        count=np.add.reduceat(runs["count"], firsts), copies=copies,
-    )
+    if error is not None:
+        raise error
+    firsts, e, p_tilde, copies = map(np.concatenate, zip(*pieces))
+    return LoadedSparsifier(graph, step, budget, seed, e=e, p_tilde=p_tilde,
+                            count=np.diff(firsts, append=count), copies=copies)
 
 
 _READ_CHUNK = 2**16  # characters read together, then through the end of a line
-
-# a run: consecutive rows equal in every field but j, held once with their number
-_RUN_DTYPE = np.dtype(
-    [("e", "i8"), ("u", "i8"), ("v", "i8"), ("weight", "f8"), ("p_tilde", "f8"), ("count", "i8")]
-)
-
-
-def _read_runs(path) -> tuple[tuple[int, int, int], np.ndarray, np.ndarray, int | None]:
-    """(header, runs, copy ids, stop) of a file: its header's (step, N, seed),
-    then its rows read a chunk of whole lines at a time.
-
-    The rows are those before the first line after the header that is not
-    a row (a blank line, a comment or text that does not parse); stop is
-    that line's row index, or None when there is no such line. A missing
-    or bad header raises _read_header's ValueError, and text that is not
-    UTF-8 raises UnicodeDecodeError (at a chunk's offset).
-    """
-    stop, count = None, 0
-    runs, copies = [np.empty(0, _RUN_DTYPE)], [_NO_COPIES]
-    with open(path, "r", encoding="utf-8") as fh:
-        header = _read_header(path, fh.readline())
-        while text := fh.read(_READ_CHUNK):
-            text += fh.readline()
-            if stop is not None:
-                continue  # only a decode error is left to find
-            lines = text.split("\n")
-            if not lines[-1]:  # after the newline that ends the last line
-                lines.pop()
-            rows = _parse_rows(lines)
-            if rows is None or len(rows) < len(lines):  # loadtxt skips blank lines
-                good = next(k for k, line in enumerate(lines)
-                            if not line.strip() or _parse_rows([line]) is None)
-                rows = _parse_rows(lines[:good]) if good else np.empty(0, _ROW_DTYPE)
-                stop = count + good
-            count += len(rows)
-            runs.append(_runs(rows))
-            copies.append(rows["j"].copy())  # a view would keep the chunk's rows alive
-    return header, np.concatenate(runs), np.concatenate(copies), stop
-
-
-def _runs(rows: np.ndarray) -> np.ndarray:
-    """Rows as runs: each stretch of rows equal in all fields but j, held once."""
-    fields = _RUN_DTYPE.names[:-1]
-    starts = np.zeros(len(rows), dtype=bool)
-    starts[:1] = True
-    for name in fields:
-        starts[1:] |= rows[name][1:] != rows[name][:-1]
-    starts = np.flatnonzero(starts)
-    runs = np.empty(len(starts), _RUN_DTYPE)
-    for name in fields:
-        runs[name] = rows[name][starts]
-    runs["count"] = np.diff(starts, append=len(rows))
-    return runs
 
 
 def _raise_decode_error(path) -> None:
@@ -913,18 +898,15 @@ def _parse_rows(lines) -> np.ndarray | None:
     """Rows parsed from a list of lines, or None when one does not parse (a
     '#' included); a blank line is skipped.
 
-    This is the one number grammar of the format. NumPy 1.23 to 1.26 parse a
-    float in an integer field (say '0.7' or '1e0') with only a
-    DeprecationWarning and truncate it; that warning is made an error here,
-    so such a row is rejected as newer NumPy rejects it.
+    This is the one number grammar of the format, read under the warning
+    filters read_sparsifier sets. NumPy 1.23 to 1.26 parse a float in an
+    integer field (say '0.7' or '1e0') with only a DeprecationWarning and
+    truncate it; that warning is made an error there, so such a row is
+    rejected as newer NumPy rejects it. Lines with no row warn, and that
+    warning is ignored.
     """
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # a file without rows
-            warnings.filterwarnings(
-                "error", ".*Parsing an integer via a float", DeprecationWarning
-            )
-            return np.loadtxt(lines, dtype=_ROW_DTYPE, comments=None, ndmin=1)
+        return np.loadtxt(lines, dtype=_ROW_DTYPE, comments=None, ndmin=1)
     except (ValueError, DeprecationWarning):
         return None
 
@@ -974,68 +956,53 @@ _ROW_ERRORS = {
 
 
 def _first_bad_row(
-    runs: np.ndarray, j: np.ndarray, budget: int, graph: WeightedGraph
+    last: np.ndarray, rows: np.ndarray, budget: int, graph: WeightedGraph
 ) -> tuple[int, str] | None:
-    """The one row contract of graph's file, on rows held as runs and their
-    copy ids j: (index, check) for the first row that breaks it, or None.
-    check names the _ROW_ERRORS entry; at one row the first of them in that
-    order is named. A rule on a run's fields breaks at the run's first row.
-    "repeat", "order" and "mixed" compare a row with the row before it;
-    "edge" and "weight" compare it with the graph.
+    """The one row contract of graph's file: (index, check) for the first of
+    rows that breaks it, or None. last holds the row before rows[0]; at the
+    start of the file it is a row with e = -1, which every row e >= 0 follows.
+
+    A row is good when it is the writer's row for its (e, j, p_tilde): its
+    (e, j) is above the row before's, its p_tilde equals that of the row
+    before on the same edge, e is in [0, m), j in [0, N), p_tilde in (0, 1],
+    and u v weight are edge e's endpoints and a_e / (N * p_tilde), finite
+    and > 0. Only the first row that is not is taken apart: check names the
+    first _ROW_ERRORS entry it breaks. Every row before it is good, so
+    "repeat", "order" and "mixed", which compare it with the row before,
+    and "edge" and "weight", which compare it with the graph, agree with
+    the rule that failed.
     """
-    u, v, w, e, p, count = (runs[k] for k in ("u", "v", "weight", "e", "p_tilde", "count"))
-    starts = count.cumsum() - count
-    n = graph.n
-    in_range = (
-        (0 <= u) & (u < n) & (0 <= v) & (v < n) & (u != v)
-        & (0.0 < w) & (w < math.inf) & (0.0 < p) & (p <= 1.0)
-    )
-    run_ok = in_range & (0 <= e)
-    found = []  # (index, check) per broken rule, in _ROW_ERRORS order
-    if not run_ok.all():
-        run = int(run_ok.argmin())
-        found.append((int(starts[run]), "range" if not in_range[run] else "copy"))
-    if len(j) and (j.min() < 0 or j.max() >= budget):
-        found.append((int(((j < 0) | (j >= budget)).argmax()), "copy"))
-    # down[k]: row k + 1 does not follow row k; within a run e is equal
-    down = j[1:] <= j[:-1]
-    at = starts[1:] - 1
-    down[at] = (e[1:] < e[:-1]) | ((e[1:] == e[:-1]) & down[at])
-    if down.any():
-        k = int(down.argmax())
-        e_k, e_next = e[np.searchsorted(starts, [k, k + 1], side="right") - 1]
-        found.append((k + 1, "repeat" if (e_k, j[k]) == (e_next, j[k + 1]) else "order"))
-    differ = (u[1:] != u[:-1]) | (v[1:] != v[:-1]) | (w[1:] != w[:-1]) | (p[1:] != p[:-1])
-    mixed = (e[1:] == e[:-1]) & differ
-    if mixed.any():
-        found.append((int(starts[mixed.argmax() + 1]), "mixed"))
-    # on the runs that keep the row rules; an edge id past the graph reads
-    # the -1 sentinel
-    ok = np.flatnonzero(run_ok)
-    at = np.minimum(e[ok], graph.m)
-    gu, gv = (np.append(x, -1) for x in (graph.u, graph.v))
-    a = np.append(graph.weight, np.nan)[at]
-    rules = [("edge", (u[ok] == gu[at]) & (v[ok] == gv[at])),
-             ("weight", w[ok] == a / (budget * p[ok]))]
-    for check, rule_ok in rules:
-        if not rule_ok.all():
-            found.append((int(starts[ok[rule_ok.argmin()]]), check))
-    # min keeps the first of equal indices, so the check first in order
-    return min(found, key=lambda found_at: found_at[0], default=None)
-
-
-def _row_error(
-    path, runs: np.ndarray, j: np.ndarray, k: int, check: str, budget: int,
-    graph: WeightedGraph,
-) -> ValueError:
-    """The 'path:lineno:' error of row k, line k + 2, which breaks `check`
-    (against row k - 1, line k + 1, for "repeat", "order" and "mixed")."""
-    e = copy = None
-    if k < len(j):  # else the row did not parse
-        e = int(runs["e"][np.searchsorted(runs["count"].cumsum(), k, side="right")])
-        copy = int(j[k])
-    with open(path, "r", encoding="utf-8") as fh:  # a line at a time
-        line = next(islice(fh, k + 1, None)).strip()
-    return ValueError(f"{path}:{k + 2}: " + _ROW_ERRORS[check].format(
-        line=line, n=graph.n, budget=budget, m=graph.m, e=e, j=copy, earlier=k + 1,
-    ))
+    u, v, w = rows["u"], rows["v"], np.ascontiguousarray(rows["weight"])  # w: read 3 times
+    # the columns compared with the row before's: last's value, then the rows'
+    e, j, p = [np.concatenate((last[name], rows[name])) for name in ("e", "j", "p_tilde")]
+    e, e0, j, j0, p, p0 = e[1:], e[:-1], j[1:], j[:-1], p[1:], p[:-1]
+    # a rule at a time, in place; p_tilde > 0 follows from the weight's rule
+    good = e == e0
+    good &= j > j0
+    good &= p == p0
+    good |= e > e0
+    good &= e.view(np.uint64) < graph.m  # as uint64, an id < 0 is past any bound
+    good &= j.view(np.uint64) < budget
+    good &= p <= 1.0
+    good &= 0.0 < w
+    good &= w < math.inf
+    if graph.m:  # else no edge id is in range; clip reads the graph at any id
+        good &= u == graph.u.take(e, mode="clip")
+        good &= v == graph.v.take(e, mode="clip")
+        with np.errstate(divide="ignore", over="ignore"):  # p_tilde 0 or tiny: weight inf
+            good &= w == graph.weight.take(e, mode="clip") / (budget * p)
+    if good.all():
+        return None
+    k, n = int(good.argmin()), graph.n
+    (u, v, w, e, j, p), prev = rows[k].item(), (rows[k - 1] if k else last[0]).item()
+    if not (0 <= u < n and 0 <= v < n and u != v and 0.0 < w < math.inf and 0.0 < p <= 1.0):
+        return k, "range"
+    if not (e >= 0 and 0 <= j < budget):
+        return k, "copy"
+    if (e, j) <= prev[3:5]:
+        return k, "repeat" if (e, j) == prev[3:5] else "order"
+    if e == prev[3] and (u, v, w, p) != prev[:3] + prev[5:]:
+        return k, "mixed"
+    if not (e < graph.m and (u, v) == (graph.u[e], graph.v[e])):
+        return k, "edge"
+    return k, "weight"

@@ -438,6 +438,35 @@ def test_bad_parameters_exit_2(tmp_path, capsys):
     assert "eps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["gen", "experiment"])
+def test_a_negative_generator_seed_exits_2_naming_the_field(tmp_path, capsys, command):
+    # refused where the generator spec is made, before a graph is drawn
+    out = tmp_path / "out"
+    if command == "gen":
+        args = ["gen", "--output", str(out)]
+    else:
+        args = ["experiment", "--epsilon", "0.5", "--trials", "2", "--report", str(out)]
+    code = main([*args, "--model", "path", "--n", "6", "--seed", "-1"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: generator seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+def test_a_row_against_an_edgeless_graph_is_refused_as_its_edge(tmp_path, capsys):
+    # an edge list of only 'n 3' has no edge, so edge id 0 is past the graph
+    graph, sparsifier = tmp_path / "empty.edges", tmp_path / "one.sp"
+    graph.write_text("n 3\n")
+    sparsifier.write_text("# respark sparsifier step=1 N=5 seed=0\n0 1 0.5 0 0 1.0\n")
+    message = (f"{sparsifier}:2: need an edge id e < 0 and graph edge e's endpoints in its "
+               "order, got '0 1 0.5 0 0 1.0'")
+    with pytest.raises(ValueError) as info:
+        read_sparsifier(sparsifier, read_edge_list(graph))
+    assert str(info.value) == message
+    assert main(["verify", "--graph", str(graph), "--sparsifier", str(sparsifier),
+                 "--epsilon", "0.5"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("command", ["sparsify", "experiment"])
 def test_block_size_below_one_exits_2(tmp_path, capsys, command):
     # experiment rejects the block size before its first trial, as sparsify

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -55,6 +56,22 @@ def _cfg(g, seed=0, budget=50, eps=0.5):
 def test_generator_spec_validation(kwargs):
     with pytest.raises(ValueError):
         GeneratorSpec(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(n=4.5), "vertex count must be an integer, got 4.5"),
+        (dict(n=4, seed=0.25), "generator seed must be an integer, got 0.25"),
+        (dict(n=4, seed=-1), "generator seed must be >= 0, got -1"),
+    ],
+)
+def test_generator_spec_takes_an_integer_n_and_seed(kwargs, message):
+    # refused where the spec is made, in words that name the field
+    with pytest.raises(ValueError, match=re.escape(message)):
+        generate(GeneratorSpec("path", **kwargs))
+    spec = GeneratorSpec("path", np.int64(4), seed=np.uint8(3))
+    assert (type(spec.n), type(spec.seed)) == (int, int) and (spec.n, spec.seed) == (4, 3)
 
 
 def test_path_topology():
@@ -545,12 +562,17 @@ def test_load_report_json_rejects_malformed_reports(tmp_path):
     data = report_to_dict(_nan_free_report())
     no_generator = {k: v for k, v in data.items() if k != "generator"}
     no_budget = {**data, "config": {k: v for k, v in data["config"].items() if k != "budget_n"}}
+    fractional = {**data["generator"], "n": 6.5, "seed": 0.25}
     cases = [
         ("[]", "expected a JSON object, got list"),
         (json.dumps(no_generator), "missing field 'generator'"),
         (json.dumps(no_budget), "missing field 'budget_n'"),
         (json.dumps({**data, "generator": [1, 2]}), "must be a mapping"),
         (json.dumps({**data, "schema_version": 2}), "unsupported report schema version 2"),
+        (json.dumps({**data, "generator": fractional}),
+         "vertex count must be an integer, got 6.5"),
+        (json.dumps({**data, "generator": {**fractional, "n": 6}}),
+         "generator seed must be an integer, got 0.25"),
         ("{", "Expecting property name"),
     ]
     path = tmp_path / "report.json"

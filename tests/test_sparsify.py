@@ -1437,6 +1437,9 @@ _MESSAGES = {
         ("0 1 0.5 7000 0 1.0", "edge"),
         ("0 1 0.25 1 0 1.0", "weight"),
         ("0 1 0.5 1 0 0.5", "weight"),
+        # a_e / (N * p_tilde) overflows to inf, with no RuntimeWarning
+        ("0 1 0.5 1 0 5e-324", "weight"),
+        ("0 1 0.5 1 0 1e-320", "weight"),
     ],
 )
 def test_each_row_check_is_named(tmp_path, row, check):
@@ -1676,8 +1679,8 @@ def _large_writer_file(tmp_path):
 
 
 def test_reading_a_writer_file_holds_little_beyond_its_columns(tmp_path, traced_peak):
-    # a chunk at a time, each chunk's rows kept as runs of one edge plus their
-    # copy ids: joining the ids' pieces holds them twice
+    # one pass, a chunk at a time, keeping each edge's columns and the
+    # chunk's copy ids: joining the ids' pieces holds them twice
     g, h, path = _large_writer_file(tmp_path)
     loaded, peak = traced_peak(lambda: read_sparsifier(path, graph=g))
     assert loaded.copy_count() == h.copy_count()
@@ -1690,7 +1693,8 @@ def test_reading_a_writer_file_holds_little_beyond_its_columns(tmp_path, traced_
     ids=["copy-index", "five-fields", "mixed", "0xff"],
 )
 def test_a_bad_last_row_is_named_in_bounded_memory(tmp_path, traced_peak, last):
-    # the error path reads the file a line at a time, holding no object per line
+    # the bad line is quoted from its chunk, and the rest of the file is
+    # read a chunk at a time, holding no object per line
     g, h, path = _large_writer_file(tmp_path)
     if last is None:  # the last data byte, before the final newline, is not UTF-8
         data = path.read_bytes()
