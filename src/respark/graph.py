@@ -62,8 +62,11 @@ def _int64_column(values) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _integer(name: str, value, error: type[ValueError] = ValueError) -> int:
-    """value by operator.index: NumPy integers pass, a float (truncated) or string raises error."""
+    """value by operator.index: NumPy integers pass; a bool (index 1 or 0), a
+    float (truncated) or a string raises error, as np.bool_ does."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise error(f"{name} must be an integer, got {value!r}") from None

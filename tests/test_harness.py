@@ -64,6 +64,7 @@ def test_generator_spec_validation(kwargs):
         (dict(n=4.5), "vertex count must be an integer, got 4.5"),
         (dict(n=4, seed=0.25), "generator seed must be an integer, got 0.25"),
         (dict(n=4, seed=-1), "generator seed must be >= 0, got -1"),
+        (dict(n=4, seed=True), "generator seed must be an integer, got True"),
     ],
 )
 def test_generator_spec_takes_an_integer_n_and_seed(kwargs, message):
@@ -261,7 +262,7 @@ def test_run_experiment_validation():
         run_experiment(spec, heavy, trials=1)
 
 
-@pytest.mark.parametrize("block_size", [2.5, "3"])
+@pytest.mark.parametrize("block_size", [2.5, "3", True])
 def test_run_experiment_refuses_a_block_size_that_is_no_integer(monkeypatch, block_size):
     # the input is refused before any trial, not recorded as trial errors
     spec = GeneratorSpec("path", 5)
@@ -270,7 +271,7 @@ def test_run_experiment_refuses_a_block_size_that_is_no_integer(monkeypatch, blo
         run_experiment(spec, _cfg(generate(spec)), trials=2, block_size=block_size)
 
 
-@pytest.mark.parametrize("trials", [2.5, "3"])
+@pytest.mark.parametrize("trials", [2.5, "3", True])
 def test_run_experiment_refuses_a_trial_count_that_is_no_integer(monkeypatch, trials):
     # refused before the graph is generated
     spec = GeneratorSpec("path", 5)
@@ -573,6 +574,8 @@ def test_load_report_json_rejects_malformed_reports(tmp_path):
          "vertex count must be an integer, got 6.5"),
         (json.dumps({**data, "generator": {**fractional, "n": 6}}),
          "generator seed must be an integer, got 0.25"),
+        (json.dumps({**data, "config": {**data["config"], "seed": True}}),
+         "seed must be an integer, got True"),
         ("{", "Expecting property name"),
     ]
     path = tmp_path / "report.json"

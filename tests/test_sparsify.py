@@ -2,6 +2,7 @@
 their agreement with an independent dense-indicator reference."""
 
 import inspect
+import io
 import math
 import re
 import threading
@@ -151,13 +152,15 @@ def test_config_seed_must_be_an_integer():
     # a float seed would be truncated onto another seed's stream
     with pytest.raises(ConfigError, match="seed must be an integer, got 2.9"):
         StreamConfig(0.5, 0.1, 1.0, 1.0, 10, 45, seed=2.9)
+    with pytest.raises(ConfigError, match="seed must be an integer, got True"):
+        StreamConfig(0.5, 0.1, 1.0, 1.0, 10, 45, seed=True)
     cfg = StreamConfig(0.5, 0.1, 1.0, 1.0, 10, 45, seed=np.int64(2))
     assert type(cfg.seed) is int and cfg == StreamConfig(0.5, 0.1, 1.0, 1.0, 10, 45, seed=2)
     with pytest.raises(ConfigError, match="seed must be an integer"):
         cfg.with_seed(2.5)
 
 
-@pytest.mark.parametrize("override", [2.5, 2000.0, np.float64(3.0)])
+@pytest.mark.parametrize("override", [2.5, 2000.0, np.float64(3.0), True])
 def test_config_override_must_be_an_integer(override):
     # a float would be truncated: 2.5 ran with N = 2 and reported 2.5
     with pytest.raises(ConfigError, match=re.escape(f"must be an integer, got {override!r}")):
@@ -215,7 +218,7 @@ def test_partition_shapes():
         partition_stream(g, 0)
 
 
-@pytest.mark.parametrize("block_size", [2.5, 3.0, "3"])
+@pytest.mark.parametrize("block_size", [2.5, 3.0, "3", True])
 def test_a_block_size_that_is_no_integer_is_refused(block_size):
     # a float would be truncated, so it is refused like a str, before any step
     g = generate(GeneratorSpec("path", 11))
@@ -1283,36 +1286,50 @@ def test_a_header_field_with_more_digits_than_int_reads_is_named(tmp_path, key):
 
 
 def _reference_read(path, graph):
-    """A row-at-a-time reader of graph's file in the writer's layout, with
-    every check of the file contract: line 1 the header, every later line
-    one row as write_sparsifier writes it for graph. Returns
-    ((step, N, seed), rows) or raises ValueError."""
+    """A line-at-a-time reader of graph's file in the writer's layout, with
+    every check of the file contract: every byte UTF-8, line 1 the header,
+    every later line one row as write_sparsifier writes it for graph. The
+    first problem in the file raises ValueError; else returns
+    ((step, N, seed), rows)."""
 
     def number(kind, tok):
         if not tok.isascii() or "_" in tok:
             raise ValueError(tok)
         return kind(tok)
 
-    with open(path, encoding="utf-8") as fh:
-        lines = list(enumerate(fh, start=1))
-    first = lines[0][1].strip() if lines else ""
-    if not (first.startswith("#") and "respark sparsifier" in first):
-        raise ValueError(f"{path}: missing header")
-    pairs = [tok.split("=", 1) for tok in first.split() if "=" in tok]
-    header = []
-    for key in ("step", "N", "seed"):
-        values = [value for name, value in pairs if name == key]
-        if len(values) != 1 or not re.fullmatch("-?[0-9]+", values[0], re.ASCII):
+    def read_header(first):
+        first = first.strip()
+        if not (first.startswith("#") and "respark sparsifier" in first):
+            raise ValueError(f"{path}: missing header")
+        pairs = [tok.split("=", 1) for tok in first.split() if "=" in tok]
+        header = []
+        for key in ("step", "N", "seed"):
+            values = [value for name, value in pairs if name == key]
+            if len(values) != 1 or not re.fullmatch("-?[0-9]+", values[0], re.ASCII):
+                raise ValueError(f"{path}: header")
+            try:
+                header.append(int(values[0]))
+            except ValueError:  # more digits than int() reads
+                raise ValueError(f"{path}: header") from None
+        if not (header[0] >= 0 and 1 <= header[1] < 2**63):
             raise ValueError(f"{path}: header")
+        return tuple(header)
+
+    with open(path, "rb") as fh:
+        data = fh.read()
+    # a text-mode read's lines: each ends at b"\n", b"\r\n" or a lone b"\r"
+    header, rows, offset = None, [], 0
+    for lineno, line in enumerate(data.splitlines(keepends=True), start=1):
         try:
-            header.append(int(values[0]))
-        except ValueError:  # more digits than int() reads
-            raise ValueError(f"{path}: header") from None
-    step, budget, _ = header
-    if not (step >= 0 and 1 <= budget < 2**63):
-        raise ValueError(f"{path}: header")
-    rows = []
-    for lineno, raw in lines[1:]:
+            raw = line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: 'utf-8' codec can't decode in position "
+                             f"{offset + exc.start}") from None
+        offset += len(line)
+        if lineno == 1:
+            header = read_header(raw)
+            budget = header[1]
+            continue
         tokens = raw.split()  # a blank line has none, a comment a '#' token
         if len(tokens) != 6:
             raise ValueError(f"{path}:{lineno}: tokens")
@@ -1334,15 +1351,18 @@ def _reference_read(path, graph):
         if w != graph.weight[e] / (budget * p):
             raise ValueError(f"{path}:{lineno}: weight")
         rows.append((u, v, w, e, j, p))
-    return tuple(header), rows
+    return header or read_header(""), rows  # an empty file has no header
 
 
 def _where(exc, path):
-    """The 'path:lineno:' or 'path:' prefix of a reader error."""
+    """Where a reader error is: the lineno of its 'path:lineno:' prefix, the
+    byte offset of a decode error, or "" for another 'path:' error."""
     message = str(exc)
     assert message.startswith(f"{path}:")
     rest = message[len(str(path)) + 1:]
     lineno = rest.split(":", 1)[0]
+    if rest.startswith(" 'utf-8' codec can't decode"):
+        return "byte " + re.search(r"in position (\d+)", rest)[1]
     return lineno if lineno.isdigit() else ""
 
 
@@ -1534,6 +1554,9 @@ _BAD_LINES = st.one_of(
     _ROW.map(lambda row: row.rsplit(" ", 1)[0]),  # truncated
     _ROW.map(lambda row: row.rsplit(" ", 1)[0] + " 1.0"),  # p_tilde not the weight's
     _ROW.map(lambda row: row + " # trailing comment"),
+    # bytes that are not UTF-8 anywhere in a row, written through surrogateescape
+    st.tuples(_ROW, st.sampled_from(["\udcff", "\udce2\udc82", "\udce2\udc82("]),
+              st.integers(0, 40)).map(lambda t: t[0][:t[2]] + t[1] + t[0][t[2]:]),
     st.lists(_TOKENS, min_size=5, max_size=7).map(" ".join),
     st.sampled_from(["", "  \t", "# comment", "# respark sparsifier step=1 N=3 seed=2",
                      "# respark sparsifier step=x N=5", "# respark sparsifier N=1_0",
@@ -1565,16 +1588,17 @@ def test_reader_fuzz_matches_reference(
     tmp_path_factory, rows, extra, header, header_at, sep, end, chunk
 ):
     # mostly writer files (the header on line 1, with or without a final
-    # newline) with up to two inserted lines that may break them, the header
-    # sometimes on line 2 or missing, read whole (the default chunk holds
-    # any of them) and in small chunks
+    # newline) with up to two inserted lines that may break them, a bad byte
+    # among them, the header sometimes on line 2 or missing, read whole (the
+    # default chunk holds any of them) and in small chunks
     lines = list(rows)
     for pos, line in extra:
         lines.insert(pos, line)
     if header_at is not None:
         lines.insert(header_at, header)
     p = tmp_path_factory.mktemp("fuzz") / "f.sparsifier"
-    p.write_bytes((sep.join(lines) + (sep if end and lines else "")).encode("utf-8"))
+    text = sep.join(lines) + (sep if end and lines else "")
+    p.write_bytes(text.encode("utf-8", "surrogateescape"))
     _assert_reads_like_reference(p, _FUZZ_G)
     whole = _read_outcome(p, _FUZZ_G)
     with pytest.MonkeyPatch.context() as mp:
@@ -1620,6 +1644,8 @@ _COPIES = [_writer_row(_COPIES_G, 5, e, j, 1.0 / (e + 1)) + "\n"
     [
         (_LOOSE, _LOOSE_G),  # loose whitespace in every line and an unterminated last line
         (_LOOSE.replace("\n", "\r\n"), _LOOSE_G),
+        (_LOOSE.replace("\n", "\r"), _LOOSE_G),  # a lone '\r' ends a line
+        (_LOOSE.replace("\n", "\r\r\n"), _LOOSE_G),  # a lone '\r', then '\r\n': a blank line
         (f"{_HEADER}\n{_ROWS}0 1 0.5 6 0 1.0 # note\n{_ROWS}", _PARALLEL),
         (f"{_HEADER}\n{_ROWS}2 2 0.5 6 0 1.0\n{_ROWS}", _PARALLEL),
         (f"{_HEADER}\n{_ROWS}0 1 0.5 6 0\n{_ROWS}", _PARALLEL),
@@ -1634,8 +1660,9 @@ _COPIES = [_writer_row(_COPIES_G, 5, e, j, 1.0 / (e + 1)) + "\n"
         (f"{_HEADER}\n{_ROWS} \t\n{_ROWS}", _PARALLEL),
         (f"{_HEADER}\n{_ROWS}# note\n{_ROWS}", _PARALLEL),
     ],
-    ids=["loose", "crlf", "hash-in-row", "bad-row", "unparsed", "repeat", "bad-header",
-         "no-header", "copies", "copies-reversed", "mixed", "blank", "whitespace", "comment"],
+    ids=["loose", "crlf", "cr", "cr-crlf", "hash-in-row", "bad-row", "unparsed", "repeat",
+         "bad-header", "no-header", "copies", "copies-reversed", "mixed", "blank", "whitespace",
+         "comment"],
 )
 def test_any_chunk_reads_like_the_whole_file(tmp_path, monkeypatch, text, graph):
     # chunks of 1 to 60 characters put a chunk boundary inside every line
@@ -1650,21 +1677,27 @@ def test_any_chunk_reads_like_the_whole_file(tmp_path, monkeypatch, text, graph)
 
 @pytest.mark.parametrize("header", [_HEADER, "# respark sparsifier step=x N=5"])
 def test_a_decode_error_is_reported_at_its_file_offset(tmp_path, monkeypatch, header):
-    # the bad byte lies past the first buffer a chunked read decodes, and the
-    # whole text is decoded before a bad header is reported; small chunks
-    # split multibyte characters, the header's and the bad one's
+    # the bad byte, after 1,200 good rows and multibyte characters in the
+    # header, is reported at every chunk size unless a bad header or a bad
+    # row comes first
     p = tmp_path / "bad.sparsifier"
-    head = f"{header} é € 😀\n{_ROWS * 200}0 1 ".encode()
-    for tail, where in ((b"\xff\n", f"byte 0xff in position {len(head)}"),
-                        (b"\xe2\x82(\n", f"bytes in position {len(head)}-{len(head) + 1}"),
-                        (b"\xe2\x82", f"bytes in position {len(head)}-{len(head) + 1}")):
-        p.write_bytes(head + tail)
-        outcomes = set()
-        for chunk in (2**16, 1, 2, 3, 40):
-            monkeypatch.setattr(sparsify_mod, "_READ_CHUNK", chunk)
-            outcomes.add(_read_outcome(p, _PARALLEL))
-        assert len(outcomes) == 1
-        assert outcomes.pop().startswith(f"{p}: 'utf-8' codec can't decode {where}:")
+    rows = "".join(f"0 1 0.5 {e} 0 1.0\n" for e in range(1200))
+    header_error = header != _HEADER and f"{p}: header step='x' is not an integer"
+    for bad_row in ("", "0 1 0.5 1200 5 1.0\n"):
+        head = f"{header} é € 😀\n{rows}{bad_row}0 1 ".encode()
+        row_error = bad_row and (f"{p}:1202: need an edge id e >= 0 and a copy index j in "
+                                 f"[0, 5), got {bad_row.strip()!r}")
+        for tail, where in ((b"\xff\n", f"byte 0xff in position {len(head)}"),
+                            (b"\xe2\x82(\n", f"bytes in position {len(head)}-{len(head) + 1}"),
+                            (b"\xe2\x82", f"bytes in position {len(head)}-{len(head) + 1}")):
+            p.write_bytes(head + tail)
+            outcomes = set()
+            for chunk in (2**16, 1, 2, 3, 40):
+                monkeypatch.setattr(sparsify_mod, "_READ_CHUNK", chunk)
+                outcomes.add(_read_outcome(p, _PARALLEL))
+            assert len(outcomes) == 1
+            want = header_error or row_error or f"{p}: 'utf-8' codec can't decode {where}:"
+            assert outcomes.pop().startswith(want)
 
 
 def _large_writer_file(tmp_path):
@@ -1693,8 +1726,8 @@ def test_reading_a_writer_file_holds_little_beyond_its_columns(tmp_path, traced_
     ids=["copy-index", "five-fields", "mixed", "0xff"],
 )
 def test_a_bad_last_row_is_named_in_bounded_memory(tmp_path, traced_peak, last):
-    # the bad line is quoted from its chunk, and the rest of the file is
-    # read a chunk at a time, holding no object per line
+    # the bad line is quoted from its chunk, and the file up to it is read a
+    # chunk at a time, holding no object per line
     g, h, path = _large_writer_file(tmp_path)
     if last is None:  # the last data byte, before the final newline, is not UTF-8
         data = path.read_bytes()
@@ -1709,6 +1742,39 @@ def test_a_bad_last_row_is_named_in_bounded_memory(tmp_path, traced_peak, last):
     exc, peak = traced_peak(lambda: pytest.raises(ValueError, read_sparsifier, path, graph=g))
     assert str(exc.value).startswith(where)
     assert peak < 2 * path.stat().st_size
+
+
+def test_a_read_stops_at_its_first_bad_line(tmp_path, monkeypatch):
+    # a bad row at line 2 is refused after one check of the first chunk,
+    # and the rest of the file is not read
+    g, h, path = _large_writer_file(tmp_path)
+    header, row, *rows = path.read_text().splitlines(keepends=True)
+    u, v, w, e, _, p = row.split()
+    path.write_text("".join([header, f"{u} {v} {w} {e} 110000 {p}\n", *rows]))
+    checks, _first_bad_row = [], sparsify_mod._first_bad_row
+
+    def first_bad_row(*args):
+        checks.append(args)
+        return _first_bad_row(*args)
+
+    class Raw(io.FileIO):  # counts the bytes read from the file
+        read_bytes = 0
+
+        def readinto(self, buffer):
+            n = super().readinto(buffer)
+            Raw.read_bytes += n
+            return n
+
+    def counting_open(file, mode, **kwargs):  # open, in binary or text mode, through Raw
+        fh = io.BufferedReader(Raw(file))
+        return fh if "b" in mode else io.TextIOWrapper(fh, **kwargs)
+
+    monkeypatch.setattr(sparsify_mod, "_first_bad_row", first_bad_row)
+    monkeypatch.setattr(sparsify_mod, "open", counting_open, raising=False)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: need an edge id e >= 0"):
+        read_sparsifier(path, g)
+    assert len(checks) == 1
+    assert Raw.read_bytes < 2 * sparsify_mod._READ_CHUNK < path.stat().st_size / 10
 
 
 def test_a_shuffled_writer_file_is_refused_at_its_first_row_out_of_order(tmp_path):

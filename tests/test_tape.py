@@ -12,7 +12,7 @@ from respark import tape as tape_module
 from respark.tape import RandomTape
 
 
-@pytest.mark.parametrize("seed", [1.5, 2.0, "3", None])
+@pytest.mark.parametrize("seed", [1.5, 2.0, "3", None, True])
 def test_a_seed_that_is_no_integer_is_refused(seed):
     # a float would be truncated, so 1.5 and 1 would key one tape
     with pytest.raises(ValueError, match=f"seed must be an integer, got {re.escape(repr(seed))}"):

@@ -387,7 +387,7 @@ def test_quadratic_variation_nondecreasing_in_upto():
         assert cur >= prev - 1e-12
 
 
-@pytest.mark.parametrize("upto", [1.5, 1.0, "1", [1]])
+@pytest.mark.parametrize("upto", [1.5, 1.0, "1", [1], True])
 def test_quadratic_variation_takes_only_an_integer_upto(upto):
     g, trace = _single_edge_trace(0.5)
     ctx = projection_context(g)
@@ -820,7 +820,7 @@ def test_w0_parameter_validation():
         sample_dominating_w0_batch(math.nan, 1.0, tape, 10)
     with pytest.raises(ValueError, match="alpha"):
         sample_dominating_w0_batch(0.5, math.nan, tape, 10)
-    for count in (2.5, "3", None):
+    for count in (2.5, "3", None, True):
         with pytest.raises(ValueError, match="count must be an integer"):
             sample_dominating_w0_batch(0.5, 1.0, tape, count)
 
