@@ -72,6 +72,14 @@ def _integer(name: str, value, error: type[ValueError] = ValueError) -> int:
         raise error(f"{name} must be an integer, got {value!r}") from None
 
 
+def _real(error: type[ValueError] = ValueError, **values) -> None:
+    """Raise error naming the first of values that is a bool or np.bool_,
+    which compares as 1 or 0, so a range check alone takes True as 1.0."""
+    for name, value in values.items():
+        if isinstance(value, (bool, np.bool_)):
+            raise error(f"{name} must be a real number, got {value!r}")
+
+
 class GraphConnectivityError(ValueError):
     """An operation that needs a connected reference graph got a disconnected one."""
 

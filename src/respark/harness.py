@@ -24,7 +24,7 @@ from typing import Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .graph import WeightedGraph, _integer, _UnionFind, is_connected
+from .graph import WeightedGraph, _integer, _real, _UnionFind, is_connected
 from .sparsify import StreamConfig, _block_size, _check_run_inputs, _References, stream_sparsify
 from .tape import RandomTape
 from .verify import _read_rows, _write_rows, spectral_check
@@ -75,6 +75,7 @@ class GeneratorSpec:
             raise ValueError(f"generator seed must be >= 0, got {seed}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "seed", seed)
+        _real(p=self.p, weight_min=self.weight_min, weight_max=self.weight_max)
         if self.model == "erdos-renyi":
             if self.p is None or not 0.0 < self.p <= 1.0:
                 raise ValueError(f"erdos-renyi needs edge probability in (0, 1], got {self.p}")

@@ -34,6 +34,7 @@ from .graph import (
     ProjectionContext,
     WeightedGraph,
     _integer,
+    _real,
     build_laplacian,
     laplacian_from_arrays,
     is_connected,
@@ -87,6 +88,7 @@ def _validate_budget_params(eps, delta, alpha, kappa, n, m) -> None:
         raise ConfigError(f"eps must lie in (0, 1), got {eps}")
     if not 0.0 < delta < 1.0:
         raise ConfigError(f"delta must lie in (0, 1), got {delta}")
+    _real(ConfigError, alpha=alpha, kappa=kappa)
     if not alpha >= 1.0:  # NaN fails too
         raise ConfigError(f"alpha must be >= 1, got {alpha}")
     if not kappa >= 1.0:
@@ -758,7 +760,7 @@ class LoadedSparsifier:
     read-only per-edge columns over the edges with rows in the file, by
     ascending e, and copies holds the copy ids in CSR order: edge after
     edge, ascending within an edge. So the memory held is 8 bytes a copy
-    plus the per-edge columns. read_sparsifier proves a row's u, v and
+    and 24 bytes an edge with rows. read_sparsifier proves a row's u, v and
     weight equal to the graph's endpoints of e and a_e / (N * p_tilde) bit
     for bit, so merged_columns() builds the triples as Sparsifier's does,
     and a written Sparsifier read back has the same Laplacian bit for bit.
@@ -815,28 +817,25 @@ def read_sparsifier(path, graph: WeightedGraph) -> LoadedSparsifier:
 
     The file is read in one binary pass, a chunk of whole lines at a time,
     with a text-mode read's line ends (CR LF and a lone CR end a line too):
-    each chunk is decoded as UTF-8, and its rows are parsed and checked
-    against the row before them and the graph, then only each edge's e,
-    p_tilde, first row and the copy ids are kept. So the memory held is 8
-    bytes a copy, the per-edge columns and one chunk. The first problem in
-    the file is raised and nothing after it is read: a bad header, a bad
-    row quoted from its chunk, or a byte that is not UTF-8, named by its
-    file offset once the lines before its line are checked.
+    each chunk is decoded as UTF-8, its rows are parsed, checked against
+    the row before them and the graph, and filled in place into p_tilde and
+    count columns over the graph's edges and one buffer of copy ids. So it
+    holds 8 bytes a copy, 16 bytes an edge of the graph (which itself holds
+    24) and one chunk. The first problem in the file is raised and nothing
+    after it is read: a bad header, a bad row quoted from its chunk, or a
+    byte that is not UTF-8, named by its file offset once the lines before
+    its line are checked.
     """
     # last: the row before the chunk's, at first a row of e = -1; offset: of the chunk
-    last, count, offset = np.full(1, -1, _ROW_DTYPE), 0, 0
-    # (first row, e, p_tilde) of each edge that starts in a chunk, and the chunk's copy ids
-    empty = np.empty(0, np.int64)
-    pieces = [(empty, empty, np.empty(0), empty)]
+    last, rows_read, offset = np.full(1, -1, _ROW_DTYPE), 0, 0
+    # each graph edge's p_tilde and copy count, and the copy ids in file order
+    p_tilde, count, ids = np.zeros(graph.m), np.zeros(graph.m, np.int64), bytearray()
     with open(path, "rb") as fh, warnings.catch_warnings():
         # _parse_rows's number grammar, set once a read and not once a chunk
         warnings.simplefilter("ignore", UserWarning)  # a chunk of blank lines
         warnings.filterwarnings("error", ".*Parsing an integer via a float", DeprecationWarning)
-        # a chunk ends at b"\n" or at EOF, so no character spans two; it grows in
-        # place, as joining two bytes objects left heap holes (+3.6 MB peak RSS)
-        while data := fh.read(_READ_CHUNK):
-            data = bytearray(data)
-            data += fh.readline()
+        # a chunk ends at b"\n" or at EOF, so no character spans two
+        while data := fh.read(_READ_CHUNK) + fh.readline():
             try:
                 text, undecoded = data.decode("utf-8"), None
             except UnicodeDecodeError as exc:  # the lines before the bad byte's come first
@@ -860,15 +859,15 @@ def read_sparsifier(path, graph: WeightedGraph) -> LoadedSparsifier:
                 if bad is not None:
                     k, check = bad
                     e, j = rows[["e", "j"]][k].item() if k < len(rows) else (None, None)
-                    raise ValueError(f"{path}:{count + k + 2}: " + _ROW_ERRORS[check].format(
+                    raise ValueError(f"{path}:{rows_read + k + 2}: " + _ROW_ERRORS[check].format(
                         line=lines[k].strip(), n=graph.n, budget=budget, m=graph.m, e=e, j=j,
-                        earlier=count + k + 1,
+                        earlier=rows_read + k + 1,
                     ))
                 e = rows["e"]
-                starts = np.flatnonzero(e != np.concatenate((last["e"], e[:-1])))
-                pieces.append((starts + count, e[starts], rows["p_tilde"][starts],
-                               rows["j"].copy()))  # a view would keep the chunk's rows alive
-                count, last = count + len(rows), rows[-1:].copy()
+                p_tilde[e] = rows["p_tilde"]
+                count[e[0]:e[-1] + 1] += np.bincount(e - e[0])  # good rows ascend in e
+                ids += rows["j"].tobytes()
+                rows_read, last = rows_read + len(rows), rows[-1:].copy()
             if undecoded:
                 start, bad = offset + undecoded.start, data[undecoded.start:undecoded.end]
                 where = (f"byte 0x{bad[0]:02x} in position {start}" if len(bad) == 1
@@ -878,9 +877,9 @@ def read_sparsifier(path, graph: WeightedGraph) -> LoadedSparsifier:
             offset += len(data)
     if not offset:
         _read_header(path, "")  # an empty file has no header
-    firsts, e, p_tilde, copies = map(np.concatenate, zip(*pieces))
-    return LoadedSparsifier(graph, step, budget, seed, e=e, p_tilde=p_tilde,
-                            count=np.diff(firsts, append=count), copies=copies)
+    e = np.flatnonzero(count)
+    return LoadedSparsifier(graph, step, budget, seed, e=e, p_tilde=p_tilde[e], count=count[e],
+                            copies=np.frombuffer(ids, np.int64))
 
 
 _READ_CHUNK = 2**16  # bytes read together, then through the end of a line

@@ -51,6 +51,9 @@ def _cfg(g, seed=0, budget=50, eps=0.5):
         dict(model="path", n=5, weight_min=1.0, weight_max=math.inf),
         dict(model="path", n=5, weight_min=math.inf, weight_max=math.inf),
         dict(model="path", n=5, weight_min=1.0, weight_max=math.nan),
+        # a bool is no real number, though True compares as 1
+        dict(model="erdos-renyi", n=6, p=True),
+        dict(model="path", n=5, weight_min=True, weight_max=True),
     ],
 )
 def test_generator_spec_validation(kwargs):
@@ -576,6 +579,10 @@ def test_load_report_json_rejects_malformed_reports(tmp_path):
          "generator seed must be an integer, got 0.25"),
         (json.dumps({**data, "config": {**data["config"], "seed": True}}),
          "seed must be an integer, got True"),
+        (json.dumps({**data, "generator": {**data["generator"], "p": True}}),
+         "p must be a real number, got True"),
+        (json.dumps({**data, "config": {**data["config"], "alpha": True}}),
+         "alpha must be a real number, got True"),
         ("{", "Expecting property name"),
     ]
     path = tmp_path / "report.json"

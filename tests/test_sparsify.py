@@ -95,6 +95,8 @@ def test_budget_eps_scaling():
         dict(eps=1e-200),  # eps**2 underflows to 0
         dict(eps=1e-150),  # N is finite but past 2**63
         dict(alpha=1e200, kappa=1e300, n=10**100),  # alpha**2 overflows
+        dict(alpha=True),  # a bool is no real number, though True compares as 1
+        dict(kappa=True),
     ],
 )
 def test_budget_rejects_bad_params(kwargs):
@@ -1659,15 +1661,21 @@ _COPIES = [_writer_row(_COPIES_G, 5, e, j, 1.0 / (e + 1)) + "\n"
         (f"{_HEADER}\n{_ROWS}\n{_ROWS}", _PARALLEL),
         (f"{_HEADER}\n{_ROWS} \t\n{_ROWS}", _PARALLEL),
         (f"{_HEADER}\n{_ROWS}# note\n{_ROWS}", _PARALLEL),
+        # a bad row, then a byte that is not UTF-8 on the next line or the one
+        # after: some chunk after the first holds both, and the row comes first
+        (f"{_HEADER}\n{_ROWS}2 2 0.5 6 0 1.0\n".encode() + b"0 1 \xff 7 0 1.0\n"
+         + _ROWS.encode(), _PARALLEL),
+        (f"{_HEADER}\n{_ROWS}0 1 0.5 6 9 1.0\n0 1 0.5 7 0 1.0\n".encode()
+         + b"0 1 0.5 8 \xe2\x82( 1.0\n" + _ROWS.encode(), _PARALLEL),
     ],
     ids=["loose", "crlf", "cr", "cr-crlf", "hash-in-row", "bad-row", "unparsed", "repeat",
          "bad-header", "no-header", "copies", "copies-reversed", "mixed", "blank", "whitespace",
-         "comment"],
+         "comment", "bad-row-then-byte", "bad-row-then-bytes"],
 )
 def test_any_chunk_reads_like_the_whole_file(tmp_path, monkeypatch, text, graph):
     # chunks of 1 to 60 characters put a chunk boundary inside every line
     p = tmp_path / "chunked.sparsifier"
-    p.write_bytes(text.encode("utf-8"))
+    p.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     whole = _read_outcome(p, graph)
     for chunk in range(1, 61):
         monkeypatch.setattr(sparsify_mod, "_READ_CHUNK", chunk)
@@ -1712,12 +1720,28 @@ def _large_writer_file(tmp_path):
 
 
 def test_reading_a_writer_file_holds_little_beyond_its_columns(tmp_path, traced_peak):
-    # one pass, a chunk at a time, keeping each edge's columns and the
-    # chunk's copy ids: joining the ids' pieces holds them twice
+    # one pass, a chunk at a time, filling the per-edge columns over the
+    # graph in place and appending the copy ids to one buffer, which becomes
+    # copies: no id is held twice
     g, h, path = _large_writer_file(tmp_path)
     loaded, peak = traced_peak(lambda: read_sparsifier(path, graph=g))
     assert loaded.copy_count() == h.copy_count()
-    assert peak < 2.5 * loaded.copies.nbytes
+    assert peak < 1.75 * loaded.copies.nbytes
+
+
+@pytest.mark.parametrize("graph", [_PARALLEL, WeightedGraph(3, [], [], [])],
+                         ids=["parallel", "edgeless"])
+def test_a_header_only_file_reads_as_empty_columns(tmp_path, graph):
+    p = tmp_path / "empty.sparsifier"
+    p.write_text(f"{_HEADER}\n")
+    loaded = read_sparsifier(p, graph)
+    assert (loaded.step, loaded.budget_n, loaded.seed, loaded.copy_count()) == (1, 5, 0, 0)
+    for name, dtype in (("e", np.int64), ("p_tilde", np.float64), ("count", np.int64),
+                        ("copies", np.int64)):
+        column = getattr(loaded, name)
+        assert column.dtype == dtype and column.shape == (0,), name
+        assert not column.flags.writeable, name
+    assert not loaded.laplacian().any()
 
 
 @pytest.mark.parametrize(
